@@ -212,7 +212,7 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
     out["deg_R"] = a.d
     checks: dict = {}
     for key, run in (
-        ("single_critical_value", lambda: single_critical_value_criterion(F, X)),
+        ("single_critical_value", lambda: single_critical_value_criterion(F, X, a)),
         ("inverse_factor_degree", lambda: inverse_factor_degree_check(a, X.degree)),
         ("integral_degree", lambda: integral_degree_check(F, X)),
     ):

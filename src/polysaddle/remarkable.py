@@ -4,11 +4,17 @@ For H = prod u_i^{k_i}, the products R = prod u_i^{k_i-1} (an integrating
 factor of the constructed field) and V = prod u_i (an inverse integrating
 factor) control the degree bookkeeping implemented here.
 
-A level value c is *critical* when H + c acquires a repeated factor; we
-detect this through the equivalent gcd criterion: gcd(H+c, H_x, H_y) is
-nonconstant.  Candidates for c come from resultant elimination with c kept
-symbolic, every rational candidate is then confirmed or rejected by an
-exact bivariate gcd, and whatever nonrational candidates remain are
+A level value c is *critical* when H + c acquires a repeated factor, that
+is when gcd(H+c, H_x, H_y) is nonconstant.  Such a factor divides the
+gradient gcd G = gcd(H_x, H_y), so the critical values are read off the
+curve G = 0: each of its complex components is irreducible, hence
+connected, and dH vanishes on it, so H is constant there; c is critical
+exactly when H + c vanishes on one of these components.  The levels of
+the components with positive y-degree are the roots of a univariate
+resultant Res_y(G(x0, y), H(x0, y) + c) on one vertical line x = x0 that
+meets them all; the vertical components, the roots of content_y(G), are
+handled by Res_x(content_y(G), H(x, 0) + c).  Every rational root is
+confirmed by an exact bivariate gcd, and the nonrational ones are
 reported as a univariate residual polynomial in c rather than dropped.
 """
 
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from . import bipoly as bp
 from . import upoly
@@ -58,53 +65,22 @@ def integral_from_factor(X: VectorField, R: BiPoly) -> BiPoly:
     return H
 
 
-def _coeffs_with_c(f: BiPoly, main: str, add_c: bool) -> list[BiPoly]:
-    """Coefficients of f with respect to `main`, each lifted into the
-    two-slot ring Q[other, c]; add_c injects +c into the constant one."""
-    g = f if main == "y" else bp.swap_vars(f)
-    rows = bp.coeffs_wrt_y(g)
-    out = [bp.from_upoly_x(p) for p in rows]
-    if add_c:
-        if not out:
-            out = [{}]
-        out[0] = bp.add(out[0], {(0, 1): Fraction(1)})
-    return out
+def _at(f: BiPoly, x0: int) -> UPoly:
+    """f(x0, y) as a univariate polynomial in y."""
+    return upoly.make([upoly.evaluate(p, Fraction(x0)) for p in bp.coeffs_wrt_y(f)])
 
 
-def _sylvester_from_coeffs(fc: list[BiPoly], gc: list[BiPoly]) -> list[list[BiPoly]]:
-    m, n = len(fc) - 1, len(gc) - 1
-    frow = [fc[m - k] for k in range(m + 1)]
-    grow = [gc[n - k] for k in range(n + 1)]
-    size = m + n
-    mat: list[list[BiPoly]] = []
-    for i in range(n):
-        mat.append([{}] * i + frow + [{}] * (size - m - 1 - i))
-    for i in range(m):
-        mat.append([{}] * i + grow + [{}] * (size - n - 1 - i))
-    return mat
-
-
-def _route_candidates(H: BiPoly, deriv: BiPoly, main: str) -> UPoly | None:
-    """Eliminate `main` from (H + c, deriv); returns the univariate
-    polynomial in c whose roots are the candidate level values seen by
-    this route, or None when the route is degenerate (deriv free of main).
-
-    Degenerate routes lose nothing: a common factor with positive degree
-    in `main` cannot divide a nonzero deriv free of `main`, so any such
-    factor is caught by the other route.
-    """
-    dmain = bp.deg_y(deriv) if main == "y" else bp.deg_x(deriv)
-    if dmain < 1:
-        return None
-    fc = _coeffs_with_c(H, main, add_c=True)
-    gc = _coeffs_with_c(deriv, main, add_c=False)
-    res = bp.det_bareiss(_sylvester_from_coeffs(fc, gc))
-    if bp.is_zero(res):
-        raise ArithmeticError("level family shares a factor for generic c")
-    # res lives in Q[other, c]; collect coefficients of each power of the
-    # other variable as univariate polynomials in c and take their gcd
-    per_power = bp.coeffs_wrt_y(bp.swap_vars(res))
-    return upoly.gcd_many([p for p in per_power if not upoly.is_zero(p)])
+def _level_product(f: UPoly, h: UPoly) -> UPoly:
+    """A polynomial in c whose roots are the -h(t_k), t_k the roots of f
+    (positive degree): Res_t(f*, (h mod f*) + c) for the squarefree part
+    f* of f, which has those roots and keeps the Sylvester matrix small.
+    c rides in the x slot, so the resultant's entries are univariate."""
+    f = upoly.squarefree_part(f)
+    h = upoly.rem(h, f)
+    if upoly.is_const(h):
+        return upoly.make([h[0] if h else 0, 1])
+    hc = bp.add(bp.from_upoly_y(h), bp.X)
+    return bp.coeffs_wrt_y(bp.resultant(bp.from_upoly_y(f), hc, "y"))[0]
 
 
 def critical_remarkable_values(H: BiPoly) -> tuple[list[Fraction], UPoly | None]:
@@ -112,27 +88,30 @@ def critical_remarkable_values(H: BiPoly) -> tuple[list[Fraction], UPoly | None]
 
     Returns (values, residual): `values` are the rational c with
     gcd(H+c, H_x, H_y) nonconstant, each confirmed by that very gcd;
-    `residual` is a squarefree univariate polynomial in c whose roots
-    contain every remaining (nonrational) critical value, or None.
+    `residual` is the squarefree monic univariate polynomial in c whose
+    roots are the remaining (nonrational) critical values, or None.
     """
     if bp.is_zero(H) or bp.is_const(H):
         raise ValueError("degenerate integral: H is constant")
-    Hx = bp.partial(H, "x")
-    Hy = bp.partial(H, "y")
-    if bp.is_zero(Hx) or bp.is_zero(Hy):
-        raise ValueError("degenerate integral: a partial derivative vanishes identically")
+    G = bp.gcd(bp.partial(H, "x"), bp.partial(H, "y"))
     N = upoly.ONE
-    for route in (_route_candidates(H, Hx, "y"), _route_candidates(H, Hy, "x")):
-        if route is not None:
-            N = upoly.mul(N, route)
+    if bp.deg_y(G) >= 1:
+        # the line x = x0 meets every component of positive y-degree
+        lc = bp.coeffs_wrt_y(G)[-1]
+        x0 = next(t for t in count() if upoly.evaluate(lc, Fraction(t)))
+        N = _level_product(_at(G, x0), _at(H, x0))
+    cont = bp.content_y(G)
+    if upoly.degree(cont) >= 1:
+        # vertical components x = a, on which H(a, y) = H(a, 0)
+        N = upoly.mul(N, _level_product(cont, _at(bp.swap_vars(H), 0)))
     if upoly.is_const(N):
         return [], None
+    residual = upoly.squarefree_part(N)
     confirmed: list[Fraction] = []
-    for c0, _ in upoly.rational_roots(N):
-        g = bp.gcd_many([bp.add(H, bp.const(c0)), Hx, Hy])
-        if not bp.is_const(g):
+    for c0, _ in upoly.rational_roots(residual):
+        if not bp.is_const(bp.gcd(bp.add(H, bp.const(c0)), G)):
             confirmed.append(c0)
-    residual = upoly.shift_out_rational_roots(upoly.squarefree_part(N))
+        residual = upoly.divmod_exact_field(residual, upoly.make([-c0, 1]))[0]
     return confirmed, (None if upoly.is_const(residual) else residual)
 
 
@@ -160,10 +139,14 @@ def analyze(F: FactoredIntegral) -> RemarkableAnalysis:
                               len(values), bp.total_degree(R))
 
 
-def single_critical_value_criterion(F: FactoredIntegral, X: VectorField) -> CheckResult:
+def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
+                                    analysis: RemarkableAnalysis | None = None
+                                    ) -> CheckResult:
     """Equivalence check for integrals with a repeated factor: the factor
     degrees sum to deg(X) + 1 exactly when the integral has exactly one
-    critical value.  Both directions are evaluated."""
+    critical value.  Both directions are evaluated.  The critical values
+    come from `analysis`, which must be analyze(F); it is computed here
+    when not passed."""
     if not any(k > 1 for _, k in F.factors):
         raise ValueError("criterion requires some exponent k_i > 1")
     if not is_coprime(X):
@@ -172,7 +155,9 @@ def single_critical_value_criterion(F: FactoredIntegral, X: VectorField) -> Chec
         raise ValueError("X does not annihilate the factored integral")
     sum_deg = sum(bp.total_degree(u) for u, _ in F.factors)
     degree_side = sum_deg == X.degree + 1
-    values, residual = critical_remarkable_values(expand(F))
+    if analysis is None:
+        analysis = analyze(F)
+    values, residual = analysis.critical_values, analysis.residual
     if residual is not None and len(values) < 2:
         return bp.inconclusive(
             "nonrational candidate critical values remain "

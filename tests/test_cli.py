@@ -7,8 +7,10 @@ import pytest
 
 from polysaddle import cli
 from polysaddle import bipoly as bp
+from polysaddle import remarkable
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 
 
 def problem(name):
@@ -87,6 +89,33 @@ def test_analyze_hamiltonian_branch(capsys):
     assert r["hamiltonian"]["potential"] == "x*y"
     assert r["hamiltonian"]["annihilates"]["status"] == "Holds"
     assert len(r["hamiltonian"]["cofactors"]) == 2
+
+
+def test_analyze_x_free_integral(capsys):
+    # H = y^2 (y + 1) has H_x = 0; its critical values are still defined
+    code, out = run(capsys, "analyze", os.path.join(HERE, "fixtures", "x_free_cubic.json"),
+                    "--format", "json")
+    assert "Traceback" not in out
+    r = json.loads(out)["results"]
+    assert r["critical_values"] == ["-4/27", "0"]
+    assert r["residual"] is None
+    # two critical values at m = 0: the inverse-factor degree formula fails
+    assert r["checks"]["inverse_factor_degree"]["status"] == "Fails"
+    assert code == cli._exit_code(r, strict=False) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "all"])
+def test_critical_values_computed_once_per_command(capsys, monkeypatch, command):
+    calls = []
+    inner = remarkable.critical_remarkable_values
+
+    def counted(H):
+        calls.append(H)
+        return inner(H)
+
+    monkeypatch.setattr(remarkable, "critical_remarkable_values", counted)
+    run(capsys, command, problem("twin_parabolas.json"), "--format", "json")
+    assert len(calls) == 1
 
 
 # cz
@@ -267,7 +296,7 @@ def test_strict_flag_surfaces_inconclusive(capsys, tmp_path, monkeypatch):
         "factors": [{"poly": "x", "exponent": 2}, {"poly": "y", "exponent": 1}]})
     monkeypatch.setattr(
         cli, "single_critical_value_criterion",
-        lambda F, X: bp.inconclusive("forced for the exit-code test"))
+        lambda F, X, analysis: bp.inconclusive("forced for the exit-code test"))
     code, out = run(capsys, "analyze", path, "--strict", "--format", "json")
     assert code == 3
     r = json.loads(out)["results"]

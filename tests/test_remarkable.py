@@ -26,7 +26,7 @@ from polysaddle.remarkable import (
     verify_integrating_factor,
 )
 
-from conftest import random_line_family
+from conftest import random_integral, random_line_family
 
 
 def fi(*pairs):
@@ -112,10 +112,94 @@ def test_critical_values_every_confirmed_value_reverifies():
 def test_critical_values_degenerate_inputs():
     with pytest.raises(ValueError, match="constant"):
         critical_remarkable_values(bp.const(3))
-    with pytest.raises(ValueError, match="partial derivative"):
-        critical_remarkable_values(bp.parse("(x^3 - 2*x + 1)^2"))
-    with pytest.raises(ValueError, match="partial derivative"):
-        critical_remarkable_values(bp.parse("y^2*(y - 1)"))
+    # x-free and y-free integrals: one partial vanishes, the other alone
+    # carries the gradient gcd
+    assert critical_remarkable_values(bp.parse("y^2*(y - 1)")) == (
+        [Fraction(0), Fraction(4, 27)], None)
+    vals, resid = critical_remarkable_values(bp.parse("(x^3 - 2*x + 1)^2"))
+    assert vals == [0]
+    assert resid == upoly.make([Fraction(25, 729), Fraction(118, 27), Fraction(1)])
+
+
+# the Sylvester elimination route, kept as an independent oracle: it
+# eliminates y from (H + c, H_x) and x from (H + c, H_y) with c symbolic,
+# by Bareiss determinants over Q[x, c]
+
+def _coeffs_with_c(f, main, add_c):
+    """Coefficients of f with respect to `main`, each lifted into the
+    two-slot ring Q[other, c]; add_c injects +c into the constant one."""
+    g = f if main == "y" else bp.swap_vars(f)
+    out = [bp.from_upoly_x(p) for p in bp.coeffs_wrt_y(g)]
+    if add_c:
+        if not out:
+            out = [{}]
+        out[0] = bp.add(out[0], {(0, 1): Fraction(1)})
+    return out
+
+
+def _sylvester_from_coeffs(fc, gc):
+    m, n = len(fc) - 1, len(gc) - 1
+    frow = [fc[m - k] for k in range(m + 1)]
+    grow = [gc[n - k] for k in range(n + 1)]
+    size = m + n
+    mat = []
+    for i in range(n):
+        mat.append([{}] * i + frow + [{}] * (size - m - 1 - i))
+    for i in range(m):
+        mat.append([{}] * i + grow + [{}] * (size - n - 1 - i))
+    return mat
+
+
+def _route_candidates(H, deriv, main):
+    """Polynomial in c whose roots are the candidate levels of this route,
+    or None when deriv is free of `main`."""
+    dmain = bp.deg_y(deriv) if main == "y" else bp.deg_x(deriv)
+    if dmain < 1:
+        return None
+    fc = _coeffs_with_c(H, main, add_c=True)
+    gc = _coeffs_with_c(deriv, main, add_c=False)
+    res = bp.det_bareiss(_sylvester_from_coeffs(fc, gc))
+    assert not bp.is_zero(res), "level family shares a factor for generic c"
+    per_power = bp.coeffs_wrt_y(bp.swap_vars(res))
+    return upoly.gcd_many([p for p in per_power if not upoly.is_zero(p)])
+
+
+def elimination_critical_values(H):
+    Hx, Hy = bp.partial(H, "x"), bp.partial(H, "y")
+    N = upoly.ONE
+    for route in (_route_candidates(H, Hx, "y"), _route_candidates(H, Hy, "x")):
+        if route is not None:
+            N = upoly.mul(N, route)
+    if upoly.is_const(N):
+        return [], None
+    vals = [c0 for c0, _ in upoly.rational_roots(N)
+            if not bp.is_const(bp.gcd_many([bp.add(H, bp.const(c0)), Hx, Hy]))]
+    residual = upoly.shift_out_rational_roots(upoly.squarefree_part(N))
+    return vals, (None if upoly.is_const(residual) else residual)
+
+
+def test_critical_values_agree_with_elimination_route():
+    # the elimination route may keep spurious nonrational candidates (a
+    # factor shared with one partial only), so its residual is a multiple
+    # of the exact one; degrees are capped where that route gets slow
+    rng = random.Random(4242)
+    cases = [(expand(random_line_family(rng, max_p=4)), 5) for _ in range(20)]
+    cases += [(expand(random_integral(rng, max_p=2, max_deg=3, max_k=2)), 7)
+              for _ in range(60)]
+    # two rational values; one rational value plus an irrational pair
+    cases += [(bp.parse(s), 8) for s in ("x*y*(x*y - 1)^2", "x^2*y^2*(x^2*y^2 - x*y - 1)")]
+    compared = 0
+    for H, max_degree in cases:
+        if (bp.total_degree(H) > max_degree
+                or bp.is_zero(bp.partial(H, "x")) or bp.is_zero(bp.partial(H, "y"))):
+            continue
+        vals, resid = critical_remarkable_values(H)
+        old_vals, old_resid = elimination_critical_values(H)
+        assert vals == old_vals, bp.to_string(H)
+        assert resid is None or (old_resid is not None
+                                 and upoly.divides(resid, old_resid)), bp.to_string(H)
+        compared += 1
+    assert compared >= 60
 
 
 # analysis bundle
