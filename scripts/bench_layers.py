@@ -1,0 +1,174 @@
+"""Layer microbenchmark: bipoly.mul and bipoly.gcd on a fixed operand ladder.
+
+The operands are drawn from a fixed seed: dense products from 1x1 terms
+up to total degree 10, rational and 200-bit coefficients, a single-term
+operand, sparse high-degree pairs, and gcds of two products that share a
+planted factor.  Every product is checked against a schoolbook reference
+kept in this file, and timed beside it; every gcd must be divisible by
+the planted factor.
+
+    PYTHONPATH=src python3 scripts/bench_layers.py --out layers.json
+    python3 scripts/bench_layers.py --out BENCH.json --src parent=../old/src --src change=src
+
+Each --src tree (default: the `src` next to this script) is imported in
+its own worker process.  The trees take turns for --rounds rounds, in
+alternating order, so a drift in host speed hits them alike.  A round
+times each case as the median of five batches of calls; the JSON holds,
+per tree and case, the median and quartiles of the per-call times over
+the rounds, in microseconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from statistics import median, quantiles
+from time import perf_counter
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BATCH_S = 0.02  # minimum length of one timed batch
+
+
+def reference_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _dense(rng: random.Random, d: int, bits: int = 5, den: int = 1) -> dict:
+    out = {}
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            out[(i, j)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**bits),
+                                   rng.randint(1, den))
+    return out
+
+
+def _sparse(rng: random.Random, terms: int, deg: int) -> dict:
+    return {(rng.randint(0, deg), rng.randint(0, deg)): Fraction(rng.randint(1, 31))
+            for _ in range(terms)}
+
+
+def cases() -> list[tuple[str, str, dict, dict, dict | None]]:
+    """(name, op, f, g, planted factor for gcd cases), the same every run."""
+    rng = random.Random(20091)
+    one = Fraction(1)
+    out = [(f"mul-dense-d{d}", "mul", _dense(rng, d), _dense(rng, d), None)
+           for d in range(11)]
+    out += [
+        ("mul-dense-d6-rational", "mul", _dense(rng, 6, den=9), _dense(rng, 6, den=9), None),
+        ("mul-dense-d3-200bit", "mul", _dense(rng, 3, bits=200), _dense(rng, 3, bits=200), None),
+        ("mul-single-term", "mul", {(3, 2): Fraction(-7, 3)}, _dense(rng, 8), None),
+        ("mul-sparse-x2000", "mul", {(2000, 0): one, (0, 0): one},
+         {(2000, 0): one, (0, 0): -one}, None),
+        ("mul-sparse-x200y200", "mul", {(200, 200): one, (0, 0): one},
+         {(200, 200): one, (0, 0): one}, None),
+        ("mul-sparse-8x8-deg60", "mul", _sparse(rng, 8, 60), _sparse(rng, 8, 60), None),
+    ]
+    for da, dc in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 2)):
+        a, b, c = _dense(rng, da), _dense(rng, da), _dense(rng, dc)
+        out.append((f"gcd-d{da}-common-d{dc}", "gcd", reference_mul(a, c),
+                    reference_mul(b, c), c))
+    return out
+
+
+def _time(fn, f, g) -> float:
+    """Per-call microseconds: the median of five batches of at least BATCH_S."""
+    n = 1
+    while True:
+        t0 = perf_counter()
+        for _ in range(n):
+            fn(f, g)
+        if perf_counter() - t0 >= BATCH_S:
+            break
+        n *= 2
+    times = []
+    for _ in range(5):
+        t0 = perf_counter()
+        for _ in range(n):
+            fn(f, g)
+        times.append((perf_counter() - t0) / n * 1e6)
+    return median(times)
+
+
+def worker() -> dict:
+    """One round in this process: {case: {"us", "ref_us" (mul), "ok"}}."""
+    from polysaddle import bipoly as bp
+
+    out = {}
+    for name, op, f, g, planted in cases():
+        if op == "mul":
+            ok = bp.mul(f, g) == reference_mul(f, g) == bp.mul(g, f)
+            out[name] = {"us": _time(bp.mul, f, g), "ref_us": _time(reference_mul, f, g),
+                         "ok": ok}
+        else:
+            ok = bp.divides(bp.normalize(planted), bp.gcd(f, g))
+            out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
+    return out
+
+
+def _summary(xs: list[float]) -> dict:
+    q = quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
+    return {"median_us": round(median(xs), 2), "q1_us": round(q[0], 2), "q3_us": round(q[2], 2)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", help="JSON file to write")
+    ap.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
+                    help="a tree to measure (repeatable); default change=<repo>/src")
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker()))
+        return 0
+    if not args.out:
+        ap.error("--out is required")
+    trees = [s.split("=", 1) for s in args.src] or [["change", os.path.join(HERE, "..", "src")]]
+    runs: dict = {label: [] for label, _ in trees}
+    for r in range(args.rounds):
+        for label, src in (trees if r % 2 == 0 else trees[::-1]):
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            proc = subprocess.run([sys.executable, __file__, "--worker"],
+                                  env=env, capture_output=True, text=True, check=True)
+            runs[label].append(json.loads(proc.stdout))
+            print(f"round {r + 1}/{args.rounds} {label} done", file=sys.stderr)
+    results = {}
+    for label, rounds in runs.items():
+        results[label] = {}
+        for name in rounds[0]:
+            row = {"ok": all(rd[name]["ok"] for rd in rounds),
+                   **_summary([rd[name]["us"] for rd in rounds])}
+            if "ref_us" in rounds[0][name]:
+                row["reference"] = _summary([rd[name]["ref_us"] for rd in rounds])
+            results[label][name] = row
+    doc = {
+        "benchmark": "scripts/bench_layers.py",
+        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+        "rounds": args.rounds,
+        "trees": [label for label, _ in trees],
+        "cases": {name: {"op": op, "terms": [len(f), len(g)]} for name, op, f, g, _ in cases()},
+        "results": results,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    bad = [f"{label}/{name}" for label, rows in results.items()
+           for name, row in rows.items() if not row["ok"]]
+    for b in bad:
+        print(f"check failed: {b}", file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

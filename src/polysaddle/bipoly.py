@@ -6,15 +6,25 @@ empty dict.  Callers must treat values as immutable.  The monomial order
 used for leading terms and canonical printing is graded lex with x > y:
 compare total degree first, then the x exponent.
 
+Products use Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic
+Comput. 44, 2009): denominators are cleared, each operand is packed into
+one Python integer with a digit per monomial wide enough for any product
+coefficient and its sign, the two integers are multiplied once, and the
+signed digits are unpacked in linear time.  A single-term operand is
+shifted and scaled instead, and a sparse high-degree pair, whose packed
+span far exceeds its number of term pairs, keeps the schoolbook loop.
+
 GCDs run a subresultant polynomial remainder sequence over Q[x][y] after
-content/primitive splitting; resultants are Sylvester determinants
-evaluated by fraction-free Bareiss elimination.  Both choices keep every
-intermediate value exact.
+content/primitive splitting; a content of 1 is not divided out.
+Resultants are Sylvester determinants evaluated by fraction-free Bareiss
+elimination.  Every intermediate value stays exact.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,16 +94,104 @@ def sub(f: BiPoly, g: BiPoly) -> BiPoly:
     return add(f, neg(g))
 
 
-def mul(f: BiPoly, g: BiPoly) -> BiPoly:
+def _mul_schoolbook(f: BiPoly, g: BiPoly) -> BiPoly:
     out: BiPoly = {}
     for (i1, j1), c1 in f.items():
         for (i2, j2), c2 in g.items():
             e = (i1 + i2, j1 + j2)
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            s = out.get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# struct codes for the digit widths (in bytes) that fit a machine word
+_DIGIT_FMT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _numerators(f: BiPoly) -> tuple[list[int], int]:
+    """Integer coefficients of den*f, in f's iteration order, and den."""
+    den = 1
+    for c in f.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    if den == 1:
+        return [c.numerator for c in f.values()], 1
+    return [c.numerator * (den // c.denominator) for c in f.values()], den
+
+
+def _to_digits(digits: list[int], nb: int) -> int:
+    """The integer whose little-endian base-2^(8*nb) digits are `digits`
+    (each in [0, 2^(8*nb)))."""
+    fmt = _DIGIT_FMT.get(nb)
+    if fmt:
+        buf = struct.pack(f"<{len(digits)}{fmt}", *digits)
+    else:
+        buf = b"".join(d.to_bytes(nb, "little") for d in digits)
+    return int.from_bytes(buf, "little")
+
+
+def _from_digits(n: int, nb: int, count: int) -> Sequence[int]:
+    """The first `count` base-2^(8*nb) digits of n >= 0, lowest first."""
+    buf = n.to_bytes(count * nb, "little")
+    fmt = _DIGIT_FMT.get(nb)
+    if fmt:
+        return struct.unpack(f"<{count}{fmt}", buf)
+    mv = memoryview(buf)
+    return [int.from_bytes(mv[k:k + nb], "little") for k in range(0, count * nb, nb)]
+
+
+def mul(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Product by Kronecker substitution.
+
+    After the lowest exponents are split off, x^i y^j maps to the digit
+    position i*w + j, where w exceeds the y-degree of the product, so the
+    product's terms never collide.  Each coefficient of den(f)*den(g)*f*g
+    is a sum of at most min(#f, #g) products, bounded by
+    M = max|f|*max|g|*min(#f, #g); a digit of 8*nb > log2(M) + 1 bits
+    holds it with its sign.  Both operands are packed with every digit
+    offset by half the digit range, so packing and unpacking are single
+    linear-time byte conversions and one big-integer product does the
+    work.  Single-term operands are shifted and scaled; a pair whose
+    packed span exceeds 4*#f*#g (sparse, high degree) would pay more per
+    empty digit than the schoolbook loop pays per term pair, and takes
+    that loop.
+    """
+    if not f or not g:
+        return {}
+    if len(f) == 1 or len(g) == 1:
+        if len(g) != 1:
+            f, g = g, f
+        ((a, b), c), = g.items()
+        return {(i + a, j + b): d * c for (i, j), d in f.items()}
+    fi, fj = zip(*f)
+    gi, gj = zip(*g)
+    fi0, fj0, gi0, gj0 = min(fi), min(fj), min(gi), min(gj)
+    w = max(fj) - fj0 + max(gj) - gj0 + 1
+    fsize, gsize = (max(fi) - fi0 + 1) * w, (max(gi) - gi0 + 1) * w
+    span = fsize + gsize - w
+    if span > 4 * len(f) * len(g):
+        return _mul_schoolbook(f, g)
+    fv, fden = _numerators(f)
+    gv, gden = _numerators(g)
+    bound = max(map(abs, fv)) * max(map(abs, gv)) * min(len(f), len(g))
+    nb = bound.bit_length() // 8 + 1
+    if nb <= 8:  # round up to a width struct packs in one call
+        nb = 1 << (nb - 1).bit_length()
+    half = 1 << (8 * nb - 1)
+    packed = []
+    for poly, vals, i0, j0, size in ((f, fv, fi0, fj0, fsize), (g, gv, gi0, gj0, gsize)):
+        digits = [half] * size
+        for (i, j), v in zip(poly, vals):
+            digits[(i - i0) * w + j - j0] = v + half
+        packed.append(_to_digits(digits, nb) - _to_digits([half] * size, nb))
+    prod = packed[0] * packed[1] + _to_digits([half] * span, nb)
+    i0, j0, den = fi0 + gi0, fj0 + gj0, fden * gden
+    out: BiPoly = {}
+    for k, d in enumerate(_from_digits(prod, nb, span)):
+        if d != half:
+            i, j = divmod(k, w)
+            out[(i + i0, j + j0)] = Fraction(d - half, den) if den != 1 else Fraction(d - half)
     return out
 
 
@@ -258,6 +356,8 @@ def content_y(f: BiPoly) -> UPoly:
 
 
 def _div_by_xpoly(f: BiPoly, d: UPoly) -> BiPoly:
+    if d == upoly.ONE:
+        return f
     return from_coeffs_y([upoly.divmod_exact_field(p, d)[0] for p in coeffs_wrt_y(f)])
 
 
@@ -453,6 +553,12 @@ def is_squarefree(f: BiPoly) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing and printing.
 
+# Largest exponent and total degree the parser builds, and the largest
+# total degree sum k_i * deg u_i a problem's integral may have; inputs
+# over it are refused before anything is expanded.
+MAX_TOTAL_DEGREE = 200
+
+
 class ParseError(ValueError):
     """Syntax error with a 1-based column position."""
 
@@ -514,7 +620,12 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.i += 1
-            acc = mul(acc, self.factor())
+            pos = self.i
+            f = self.factor()
+            if total_degree(acc) + total_degree(f) > MAX_TOTAL_DEGREE:
+                raise ParseError(
+                    f"product exceeds the total-degree budget of {MAX_TOTAL_DEGREE}", pos + 1)
+            acc = mul(acc, f)
         return acc
 
     def factor(self) -> BiPoly:
@@ -527,7 +638,12 @@ class _Parser:
             self.i += 1
             if not self.peek().isdigit():
                 self.fail("exponent must be a natural number")
-            return power(b, self._nat())
+            pos = self.i
+            n = self._nat()
+            if n > MAX_TOTAL_DEGREE or total_degree(b) * n > MAX_TOTAL_DEGREE:
+                raise ParseError(
+                    f"power ^{n} exceeds the total-degree budget of {MAX_TOTAL_DEGREE}", pos + 1)
+            return power(b, n)
         return b
 
     def base(self) -> BiPoly:
@@ -557,7 +673,9 @@ class _Parser:
 
 def parse(src: str) -> BiPoly:
     """Parse the expression grammar: +, -, explicit *, ^ with natural
-    exponents, rationals p/q, variables x and y, parentheses."""
+    exponents, rationals p/q, variables x and y, parentheses.  A power or
+    product over MAX_TOTAL_DEGREE is a ParseError, raised before it is
+    expanded."""
     p = _Parser(src)
     out = p.expr()
     p._ws()

@@ -17,10 +17,11 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import bipoly as bp
 from . import numcheck, upoly
-from .bipoly import CheckResult, ParseError
+from .bipoly import BiPoly, CheckResult, ParseError
 from .cz_check import cz_report
 from .field_ops import (FactoredIntegral, VectorField, construct_field,
                         expand, is_first_integral, is_hamiltonian, cofactor,
@@ -37,10 +38,35 @@ class ProblemError(Exception):
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A loaded problem.  The expanded integral and the constructed field
+    are built on first use and then shared by every command run on it."""
+
     name: str
     integral: FactoredIntegral
-    field: VectorField
-    field_given: bool
+    given_field: VectorField | None
+
+    @property
+    def field_given(self) -> bool:
+        return self.given_field is not None
+
+    @cached_property
+    def H(self) -> BiPoly:
+        return expand(self.integral)
+
+    @cached_property
+    def constructed(self) -> VectorField:
+        return construct_field(self.integral)
+
+    @cached_property
+    def reduced(self) -> tuple[VectorField, BiPoly]:
+        """The constructed field split as (X', g) by reduce_field."""
+        return reduce_field(self.constructed)
+
+    @property
+    def field(self) -> VectorField:
+        """The field under study: the given one, else the reduced
+        constructed one."""
+        return self.reduced[0] if self.given_field is None else self.given_field
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -71,15 +97,17 @@ def load_problem(path: str) -> ProblemSpec:
         except ParseError as e:
             raise ProblemError(f"{path}: factor {idx}: {e}") from e
         factors.append((u, k))
+    degree = sum(k * bp.total_degree(u) for u, k in factors)
+    if degree > bp.MAX_TOTAL_DEGREE:
+        raise ProblemError(f"{path}: the integral's total degree sum k_i*deg u_i = {degree} "
+                           f"exceeds the budget of {bp.MAX_TOTAL_DEGREE}")
     try:
         F = FactoredIntegral(tuple(factors))
     except ValueError as e:
         raise ProblemError(f"{path}: {e}") from e
     fdoc = doc.get("field")
-    if fdoc is None:
-        X, _ = reduce_field(construct_field(F))
-        given = False
-    else:
+    X = None
+    if fdoc is not None:
         if not isinstance(fdoc, dict) or "p" not in fdoc or "q" not in fdoc:
             raise ProblemError(f"{path}: \"field\" needs \"p\" and \"q\"")
         try:
@@ -91,8 +119,7 @@ def load_problem(path: str) -> ProblemSpec:
             X = VectorField(P, Q)
         except ValueError as e:
             raise ProblemError(f"{path}: {e}") from e
-        given = True
-    return ProblemSpec(name, F, X, given)
+    return ProblemSpec(name, F, X)
 
 
 # report plumbing
@@ -146,11 +173,10 @@ def _exit_code(results: dict, strict: bool) -> int:
 
 def cmd_construct(spec: ProblemSpec) -> dict:
     F = spec.integral
-    X0 = construct_field(F)
-    Xr, g = reduce_field(X0)
-    common = bp.gcd(X0.P, X0.Q)
-    coprime = (bp.holds("gcd(P, Q) is constant") if bp.total_degree(common) == 0
-               else bp.fails(bp.to_string(common), "P and Q share a factor"))
+    X0 = spec.constructed
+    Xr, g = spec.reduced
+    coprime = (bp.holds("gcd(P, Q) is constant") if bp.total_degree(g) == 0
+               else bp.fails(bp.to_string(g), "P and Q share a factor"))
     out = {
         "field": {"P": bp.to_string(X0.P), "Q": bp.to_string(X0.Q)},
         "reduced_field": {"P": bp.to_string(Xr.P), "Q": bp.to_string(Xr.Q)},
@@ -158,11 +184,11 @@ def cmd_construct(spec: ProblemSpec) -> dict:
         "degree_m": X0.degree,
         "factor_degree_sum_minus_1": sum(bp.total_degree(u) for u, _ in F.factors) - 1,
         "coprime": _cd(coprime),
-        "degree_check": _cd(minimal_degree_check(F)) if F.p >= 2
+        "degree_check": _cd(minimal_degree_check(F, X0)) if F.p >= 2
         else _cd(bp.inconclusive("not applicable: single factor")),
     }
     if spec.field_given:
-        H = expand(F)
+        H = spec.H
         ok = is_first_integral(spec.field, H)
         out["given_field"] = {
             "P": bp.to_string(spec.field.P),
@@ -176,8 +202,7 @@ def cmd_construct(spec: ProblemSpec) -> dict:
 
 
 def cmd_analyze(spec: ProblemSpec) -> dict:
-    F, X = spec.integral, spec.field
-    H = expand(F)
+    F, X, H = spec.integral, spec.field, spec.H
     out: dict = {"integral": bp.to_string(H), "degree_m": X.degree}
     if all(k == 1 for _, k in F.factors):
         Hp = is_hamiltonian(X)
@@ -203,7 +228,7 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
         branch["cofactors"] = cofs
         out["hamiltonian"] = branch
         return out
-    a = analyze(F)
+    a = analyze(F, H, spec.constructed)
     out["integrating_factor"] = bp.to_string(a.R)
     out["inverse_integrating_factor"] = bp.to_string(a.V)
     out["critical_values"] = [str(c) for c in a.critical_values]
@@ -269,7 +294,7 @@ def cmd_simulate(spec: ProblemSpec, args) -> dict:
         raise ProblemError("--steps must be a positive integer")
     if args.step <= 0:
         raise ProblemError("--step must be positive")
-    H = expand(spec.integral)
+    H = spec.H
     orbit = numcheck.integrate_orbit(spec.field, args.x0, args.y0, args.step, args.steps)
     drift = numcheck.conservation_drift(H, orbit)
     out = {

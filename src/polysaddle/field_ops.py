@@ -15,7 +15,7 @@ cofactors of invariant curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from . import bipoly as bp
 from .bipoly import BiPoly, CheckResult
@@ -23,7 +23,12 @@ from .bipoly import BiPoly, CheckResult
 
 @dataclass(frozen=True)
 class VectorField:
-    """Polynomial field (P, Q), not both zero."""
+    """Polynomial field (P, Q), not both zero.
+
+    The common factor gcd(P, Q) is computed on first use and kept on the
+    instance, so is_coprime, reduce_field and minimal_degree_check pay for
+    one bivariate gcd per field however often they are asked.
+    """
 
     P: BiPoly
     Q: BiPoly
@@ -35,6 +40,11 @@ class VectorField:
     @property
     def degree(self) -> int:
         return max(bp.total_degree(self.P), bp.total_degree(self.Q))
+
+    @cached_property
+    def common_factor(self) -> BiPoly:
+        """gcd(P, Q), normalized."""
+        return bp.gcd(self.P, self.Q)
 
     def __str__(self) -> str:
         return f"({bp.to_string(self.P)}, {bp.to_string(self.Q)})"
@@ -125,13 +135,13 @@ def is_first_integral(X: VectorField, H: BiPoly) -> bool:
 
 
 def is_coprime(X: VectorField) -> bool:
-    return bp.is_const(bp.gcd(X.P, X.Q))
+    return bp.is_const(X.common_factor)
 
 
 def reduce_field(X: VectorField) -> tuple[VectorField, BiPoly]:
     """Split off the common factor: returns (X', g) with X = g * X' and X'
     coprime; g is the normalized gcd of the components."""
-    g = bp.gcd(X.P, X.Q)
+    g = X.common_factor
     if bp.is_const(g):
         return X, bp.ONE
     return VectorField(bp.exact_div(X.P, g), bp.exact_div(X.Q, g)), g
@@ -201,14 +211,16 @@ def cofactor(f: BiPoly, X: VectorField) -> BiPoly | None:
     return q if not r else None
 
 
-def minimal_degree_check(F: FactoredIntegral) -> CheckResult:
+def minimal_degree_check(F: FactoredIntegral, X: VectorField | None = None) -> CheckResult:
     """Degree bookkeeping for the constructed field of a multi-factor
-    integral: Holds iff deg X = sum deg u_i - 1 and X is coprime."""
+    integral: Holds iff deg X = sum deg u_i - 1 and X is coprime.  X must
+    be construct_field(F); it is built here when not passed."""
     if F.p <= 1:
         raise ValueError("degree check needs at least two factors")
-    X = construct_field(F)
+    if X is None:
+        X = construct_field(F)
     expected = sum(bp.total_degree(u) for u, _ in F.factors) - 1
-    g = bp.gcd(X.P, X.Q)
+    g = X.common_factor
     if not bp.is_const(g):
         return bp.fails(bp.to_string(g), "constructed field has a common factor")
     if X.degree != expected:

@@ -16,6 +16,11 @@ meets them all; the vertical components, the roots of content_y(G), are
 handled by Res_x(content_y(G), H(x, 0) + c).  Every rational root is
 confirmed by an exact bivariate gcd, and the nonrational ones are
 reported as a univariate residual polynomial in c rather than dropped.
+
+For a factored integral G needs no gcd of the expanded H: H_y = R*P0 and
+H_x = -R*Q0 for the constructed field (P0, Q0), so G = R*gcd(P0, Q0),
+and analyze() reads gcd(P0, Q0) off the field's cached common factor.
+critical_remarkable_values(H) still computes G itself for a bare H.
 """
 
 from __future__ import annotations
@@ -93,7 +98,12 @@ def critical_remarkable_values(H: BiPoly) -> tuple[list[Fraction], UPoly | None]
     """
     if bp.is_zero(H) or bp.is_const(H):
         raise ValueError("degenerate integral: H is constant")
-    G = bp.gcd(bp.partial(H, "x"), bp.partial(H, "y"))
+    return critical_levels(H, bp.gcd(bp.partial(H, "x"), bp.partial(H, "y")))
+
+
+def critical_levels(H: BiPoly, G: BiPoly) -> tuple[list[Fraction], UPoly | None]:
+    """critical_remarkable_values(H), given its gradient gcd
+    G = gcd(H_x, H_y), normalized, for a nonconstant H."""
     N = upoly.ONE
     if bp.deg_y(G) >= 1:
         # the line x = x0 meets every component of positive y-degree
@@ -125,18 +135,28 @@ class RemarkableAnalysis:
     V: BiPoly  # inverse integrating factor
     s: int  # number of confirmed critical values
     d: int  # degree of R
+    H: BiPoly  # the integral, expanded
 
 
-def analyze(F: FactoredIntegral) -> RemarkableAnalysis:
-    """Full level-structure analysis of expand(F)."""
+def analyze(F: FactoredIntegral, H: BiPoly | None = None,
+            field: VectorField | None = None) -> RemarkableAnalysis:
+    """Full level-structure analysis of H = expand(F).
+
+    The gradient gcd is R * gcd(P0, Q0), read off the constructed field
+    (see the module docstring).  H and field = construct_field(F) are
+    built here unless the caller passes the ones it holds.
+    """
     R = integrating_factor(F)
     V = inverse_integrating_factor(F)
-    H = expand(F)
+    if H is None:
+        H = expand(F)
+    if field is None:
+        field = construct_field(F)
     if bp.mul(R, V) != H:
         raise ArithmeticError("factor bookkeeping broke: R*V != H")
-    values, residual = critical_remarkable_values(H)
+    values, residual = critical_levels(H, bp.normalize(bp.mul(R, field.common_factor)))
     return RemarkableAnalysis(tuple(values), residual, R, V,
-                              len(values), bp.total_degree(R))
+                              len(values), bp.total_degree(R), H)
 
 
 def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
@@ -151,7 +171,7 @@ def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
         raise ValueError("criterion requires some exponent k_i > 1")
     if not is_coprime(X):
         raise ValueError("criterion requires a coprime field")
-    if not is_first_integral(X, expand(F)):
+    if not is_first_integral(X, expand(F) if analysis is None else analysis.H):
         raise ValueError("X does not annihilate the factored integral")
     sum_deg = sum(bp.total_degree(u) for u, _ in F.factors)
     degree_side = sum_deg == X.degree + 1
@@ -188,15 +208,16 @@ def inverse_factor_degree_check(analysis: RemarkableAnalysis, m: int) -> CheckRe
 
 def integral_degree_check(F: FactoredIntegral, X: VectorField) -> CheckResult:
     """deg H = m + 1 + deg R for a coprime non-Hamiltonian field with a
-    repeated-factor integral."""
+    repeated-factor integral.  Total degree adds over products, so
+    deg H = sum k_i deg u_i and deg R = sum (k_i - 1) deg u_i exactly."""
     if not any(k > 1 for _, k in F.factors):
         raise ValueError("degree relation requires some exponent k_i > 1")
     if not is_coprime(X):
         raise ValueError("degree relation requires a coprime field")
     if is_hamiltonian(X) is not None:
         raise ValueError("degree relation is stated for non-Hamiltonian fields")
-    degH = bp.total_degree(expand(F))
-    degR = bp.total_degree(integrating_factor(F))
+    degH = sum(k * bp.total_degree(u) for u, k in F.factors)
+    degR = sum((k - 1) * bp.total_degree(u) for u, k in F.factors)
     expected = X.degree + 1 + degR
     if degH == expected:
         return bp.holds(f"deg H = {degH} = {X.degree}+1+{degR}")

@@ -1,5 +1,6 @@
 """Bivariate polynomial ring: parser, arithmetic, gcd, resultants."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,16 @@ def test_parse_errors_carry_position():
         bp.parse("")
     with pytest.raises(bp.ParseError):
         bp.parse("2x")  # explicit * required
+
+
+def test_parse_degree_budget():
+    top = bp.MAX_TOTAL_DEGREE
+    assert bp.total_degree(bp.parse(f"(x + y)^{top}")) == top
+    assert bp.total_degree(bp.parse(f"x^{top - 1}*y")) == top
+    for src in (f"x^{top + 1}", f"(x*y + 1)^{top // 2 + 1}", f"x^{top}*y",
+                f"2^{top + 1}", "(x + y + 1)^40000"):
+        with pytest.raises(bp.ParseError, match="total-degree budget"):
+            bp.parse(src)
 
 
 def test_to_string_canonical():
@@ -88,6 +99,70 @@ def test_partial_leibniz(f, g):
     lhs = bp.partial(bp.mul(f, g), "x")
     rhs = bp.add(bp.mul(bp.partial(f, "x"), g), bp.mul(f, bp.partial(g, "x")))
     assert lhs == rhs
+
+
+# multiplication: Kronecker-packed bp.mul against the schoolbook product
+
+def reference_mul(f, g):
+    out = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+wide_rats = st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**6)
+wide_exps = st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
+
+
+@given(st.dictionaries(wide_exps, wide_rats, max_size=12),
+       st.dictionaries(wide_exps, wide_rats, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_schoolbook(f, g):
+    f = {e: c for e, c in f.items() if c}
+    g = {e: c for e, c in g.items() if c}
+    assert bp.mul(f, g) == reference_mul(f, g)
+
+
+@pytest.mark.parametrize("f, g, want", [
+    # cross terms cancel, down to the zero product
+    ("x^2 + x*y + y^2", "x - y", "x^3 - y^3"),
+    ("x - y", "x + y", "x^2 - y^2"),
+    ("x^2 - 2*x*y + 3", "0", "0"),
+    # rational denominators
+    ("1/2*x + 1/3*y", "2/5*x - 3/7", "1/5*x^2 + 2/15*x*y - 3/14*x - 1/7*y"),
+    # single-term operands
+    ("-3/4*x^2*y", "x + y - 2/3", "-3/4*x^3*y - 3/4*x^2*y^2 + 1/2*x^2*y"),
+    ("7", "x*y - 1", "7*x*y - 7"),
+    ("x^5*y^7", "y^2", "x^5*y^9"),
+])
+def test_mul_fixed_cases(f, g, want):
+    f, g, want = bp.parse(f), bp.parse(g), bp.parse(want)
+    assert bp.mul(f, g) == want
+    assert bp.mul(g, f) == want
+    assert reference_mul(f, g) == want
+
+
+def test_mul_sparse_high_degree():
+    # beyond the parser's degree budget, so built term by term
+    one = Fraction(1)
+    f = {(2000, 0): one, (0, 0): one}
+    g = {(2000, 0): one, (0, 0): -one}
+    assert bp.mul(f, g) == {(4000, 0): one, (0, 0): -one}
+    h = {(200, 200): one, (0, 0): one}
+    assert bp.mul(h, h) == {(400, 400): one, (200, 200): Fraction(2), (0, 0): one}
+    k = {(300, 0): Fraction(2), (0, 300): Fraction(-3), (1, 1): one}
+    assert bp.mul(k, h) == reference_mul(k, h)
+
+
+def test_mul_big_coefficients():
+    big = 10**60 + 7
+    f = {(0, 0): Fraction(big), (1, 0): Fraction(-big, 3), (0, 1): Fraction(big**2, 11)}
+    g = {(0, 0): Fraction(-big), (1, 1): Fraction(5, big), (0, 1): Fraction(big**3)}
+    assert bp.mul(f, g) == reference_mul(f, g)
+    line = bp.parse(f"{big}*x - {big - 1}*y + 1")
+    assert bp.power(line, 5) == functools.reduce(reference_mul, [line] * 5)
 
 
 def test_evaluate():

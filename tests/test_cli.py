@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -106,16 +107,45 @@ def test_analyze_x_free_integral(capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "all"])
 def test_critical_values_computed_once_per_command(capsys, monkeypatch, command):
+    # analyze reads the gradient gcd off the factors and goes straight to
+    # the level computation; the bare-H entry point is not used
     calls = []
-    inner = remarkable.critical_remarkable_values
+    inner = remarkable.critical_levels
 
-    def counted(H):
+    def counted(H, G):
         calls.append(H)
-        return inner(H)
+        return inner(H, G)
 
-    monkeypatch.setattr(remarkable, "critical_remarkable_values", counted)
+    def bare(H):
+        raise AssertionError("critical_remarkable_values recomputes gcd(H_x, H_y)")
+
+    monkeypatch.setattr(remarkable, "critical_levels", counted)
+    monkeypatch.setattr(remarkable, "critical_remarkable_values", bare)
     run(capsys, command, problem("twin_parabolas.json"), "--format", "json")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["construct", "all"])
+def test_field_gcd_computed_once_per_command(capsys, tmp_path, monkeypatch, command):
+    # H = x^2 (x + 1) is y-free, so the constructed field (0, Q0) has the
+    # common factor Q0 and the reduced field is a second field
+    path = write_problem(tmp_path, {
+        "name": "t", "factors": [{"poly": "x", "exponent": 2},
+                                 {"poly": "x + 1", "exponent": 1}]})
+    spec = cli.load_problem(path)
+    fields = [spec.constructed, spec.field]
+    assert not bp.is_const(spec.constructed.common_factor)
+    calls = []
+    inner = bp.gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return inner(f, g)
+
+    monkeypatch.setattr(bp, "gcd", counted)
+    run(capsys, command, path, "--format", "json")
+    counts = [sum((f, g) == (X.P, X.Q) for f, g in calls) for X in fields]
+    assert counts == ([1, 0] if command == "construct" else [1, 1])
 
 
 # cz
@@ -268,6 +298,19 @@ def test_shared_factor_exit_2(capsys, tmp_path):
 
 
 # determinism
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "linearize", "all"])
+@pytest.mark.parametrize("fixture", ["huge_power.json", "huge_exponent.json"])
+def test_over_budget_input_exit_2(capsys, fixture, command):
+    # (x + y + 1)^3000 in a factor, and a factor with exponent 100000: both
+    # are refused before expansion instead of running for minutes
+    t0 = time.perf_counter()
+    code, out = run(capsys, command, os.path.join(HERE, "fixtures", fixture))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert f"budget of {bp.MAX_TOTAL_DEGREE}" in out
+    assert "Traceback" not in out
+
 
 def test_json_byte_identical(capsys):
     _, a = run(capsys, "all", problem("twin_parabolas.json"), "--format", "json")

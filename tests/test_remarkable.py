@@ -202,6 +202,22 @@ def test_critical_values_agree_with_elimination_route():
     assert compared >= 60
 
 
+def test_gradient_gcd_from_factors():
+    # H_y = R*P0 and H_x = -R*Q0, so gcd(H_x, H_y) = R*gcd(P0, Q0); analyze
+    # relies on this instead of a gcd of the expanded H's partials
+    rng = random.Random(2718)
+    integrals = [random_line_family(rng, max_p=4) for _ in range(20)]
+    integrals += [random_integral(rng, max_p=2, max_deg=3, max_k=2) for _ in range(40)]
+    integrals += [fi(("y", 2), ("y + 1", 1)), fi(("x^3 - 2*x + 1", 2))]  # x-free, y-free
+    for F in integrals:
+        H = expand(F)
+        X0 = construct_field(F)
+        want = bp.gcd(bp.partial(H, "x"), bp.partial(H, "y"))
+        got = bp.normalize(bp.mul(integrating_factor(F), X0.common_factor))
+        assert got == want, str(F)
+        assert analyze(F).critical_values == tuple(critical_remarkable_values(H)[0]), str(F)
+
+
 # analysis bundle
 
 def test_analyze_twin_parabolas():
