@@ -25,27 +25,6 @@ Rat = Fraction
 Ival = tuple[Fraction, Fraction]
 
 
-def parse_rat(src: str) -> Rat:
-    """Parse "p" or "p/q" (decimal digit strings, optional sign)."""
-    try:
-        return Fraction(src.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {src!r}") from exc
-
-
-def format_rat(r: Rat) -> str:
-    return str(r)
-
-
-def rational_roots(coeffs: Sequence[Rat]) -> list[tuple[Rat, int]]:
-    """Rational roots with multiplicities of the polynomial with the given
-    coefficients (lowest degree first)."""
-    f = upoly.make(coeffs)
-    if upoly.is_zero(f):
-        raise ValueError("rational_roots: zero polynomial")
-    return upoly.rational_roots(f)
-
-
 # ---------------------------------------------------------------------------
 # Exact interval arithmetic on rational complex rectangles.
 

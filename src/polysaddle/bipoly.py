@@ -545,8 +545,6 @@ def is_squarefree(f: BiPoly) -> bool:
         g = gcd(g, fx)
     if fy:
         g = gcd(g, fy)
-    if not fx and not fy:
-        return True  # unreachable for nonconstant f
     return is_const(g)
 
 

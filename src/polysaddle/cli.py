@@ -7,7 +7,9 @@ the analysis pipelines and emit either a human-readable text report or a
 deterministic JSON report (schema_version "1", no timestamps).
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
-or parse error, 3 some verdict was Inconclusive and --strict was set.
+or parse error, 3 some verdict was Inconclusive and --strict was set, 4
+internal error (an exception the program did not expect; one line on
+stderr, no report).
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from . import bipoly as bp
 from . import numcheck, upoly
 from .bipoly import BiPoly, CheckResult, ParseError
 from .cz_check import cz_report
-from .field_ops import (FactoredIntegral, VectorField, construct_field,
-                        expand, is_first_integral, is_hamiltonian, cofactor,
-                        lie_derivative, minimal_degree_check, reduce_field)
+from .field_ops import (FactoredIntegral, VectorField, is_first_integral,
+                        is_hamiltonian, cofactor, lie_derivative,
+                        minimal_degree_check, reduce_field)
 from .linearize import factor_split, linearize
 from .remarkable import (analyze, integral_degree_check,
                          inverse_factor_degree_check,
@@ -39,7 +41,9 @@ class ProblemError(Exception):
 @dataclass(frozen=True)
 class ProblemSpec:
     """A loaded problem.  The expanded integral and the constructed field
-    are built on first use and then shared by every command run on it."""
+    live on the integral (integral.H, integral.field); the reduction of
+    the constructed field is built here on first use and shared by every
+    command run on the problem."""
 
     name: str
     integral: FactoredIntegral
@@ -50,17 +54,9 @@ class ProblemSpec:
         return self.given_field is not None
 
     @cached_property
-    def H(self) -> BiPoly:
-        return expand(self.integral)
-
-    @cached_property
-    def constructed(self) -> VectorField:
-        return construct_field(self.integral)
-
-    @cached_property
     def reduced(self) -> tuple[VectorField, BiPoly]:
         """The constructed field split as (X', g) by reduce_field."""
-        return reduce_field(self.constructed)
+        return reduce_field(self.integral.field)
 
     @property
     def field(self) -> VectorField:
@@ -173,7 +169,7 @@ def _exit_code(results: dict, strict: bool) -> int:
 
 def cmd_construct(spec: ProblemSpec) -> dict:
     F = spec.integral
-    X0 = spec.constructed
+    X0 = F.field
     Xr, g = spec.reduced
     coprime = (bp.holds("gcd(P, Q) is constant") if bp.total_degree(g) == 0
                else bp.fails(bp.to_string(g), "P and Q share a factor"))
@@ -184,11 +180,11 @@ def cmd_construct(spec: ProblemSpec) -> dict:
         "degree_m": X0.degree,
         "factor_degree_sum_minus_1": sum(bp.total_degree(u) for u, _ in F.factors) - 1,
         "coprime": _cd(coprime),
-        "degree_check": _cd(minimal_degree_check(F, X0)) if F.p >= 2
+        "degree_check": _cd(minimal_degree_check(F)) if F.p >= 2
         else _cd(bp.inconclusive("not applicable: single factor")),
     }
     if spec.field_given:
-        H = spec.H
+        H = F.H
         ok = is_first_integral(spec.field, H)
         out["given_field"] = {
             "P": bp.to_string(spec.field.P),
@@ -202,8 +198,8 @@ def cmd_construct(spec: ProblemSpec) -> dict:
 
 
 def cmd_analyze(spec: ProblemSpec) -> dict:
-    F, X, H = spec.integral, spec.field, spec.H
-    out: dict = {"integral": bp.to_string(H), "degree_m": X.degree}
+    F, X = spec.integral, spec.field
+    out: dict = {"integral": bp.to_string(F.H), "degree_m": X.degree}
     if all(k == 1 for _, k in F.factors):
         Hp = is_hamiltonian(X)
         if Hp is None:
@@ -228,7 +224,7 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
         branch["cofactors"] = cofs
         out["hamiltonian"] = branch
         return out
-    a = analyze(F, H, spec.constructed)
+    a = analyze(F)
     out["integrating_factor"] = bp.to_string(a.R)
     out["inverse_integrating_factor"] = bp.to_string(a.V)
     out["critical_values"] = [str(c) for c in a.critical_values]
@@ -294,7 +290,7 @@ def cmd_simulate(spec: ProblemSpec, args) -> dict:
         raise ProblemError("--steps must be a positive integer")
     if args.step <= 0:
         raise ProblemError("--step must be positive")
-    H = spec.H
+    H = spec.integral.H
     orbit = numcheck.integrate_orbit(spec.field, args.x0, args.y0, args.step, args.steps)
     drift = numcheck.conservation_drift(H, orbit)
     out = {
@@ -386,6 +382,10 @@ def main(argv=None) -> int:
     except ProblemError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a fault of the program, not a verdict: never let it read as exit 1
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
     report = {"schema_version": "1", "name": spec.name,
               "command": args.command, "results": results}

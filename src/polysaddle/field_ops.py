@@ -64,6 +64,9 @@ class FactoredIntegral:
     caller chose is kept), every k_i a positive integer, and no two factors
     share a nonconstant divisor.  Irreducibility of the u_i is asserted by
     the caller, not verified; see README.
+
+    The expanded integral H and the constructed field depend on the
+    factors alone; each is built on first use and kept on the instance.
     """
 
     factors: tuple[tuple[BiPoly, int], ...]
@@ -91,6 +94,16 @@ class FactoredIntegral:
     @property
     def p(self) -> int:
         return len(self.factors)
+
+    @cached_property
+    def H(self) -> BiPoly:
+        """expand(self)."""
+        return expand(self)
+
+    @cached_property
+    def field(self) -> VectorField:
+        """construct_field(self)."""
+        return construct_field(self)
 
     def __str__(self) -> str:
         return " * ".join(f"({bp.to_string(u)})^{k}" if k > 1 else f"({bp.to_string(u)})"
@@ -211,14 +224,13 @@ def cofactor(f: BiPoly, X: VectorField) -> BiPoly | None:
     return q if not r else None
 
 
-def minimal_degree_check(F: FactoredIntegral, X: VectorField | None = None) -> CheckResult:
-    """Degree bookkeeping for the constructed field of a multi-factor
-    integral: Holds iff deg X = sum deg u_i - 1 and X is coprime.  X must
-    be construct_field(F); it is built here when not passed."""
+def minimal_degree_check(F: FactoredIntegral) -> CheckResult:
+    """Degree bookkeeping for the constructed field X = F.field of a
+    multi-factor integral: Holds iff deg X = sum deg u_i - 1 and X is
+    coprime."""
     if F.p <= 1:
         raise ValueError("degree check needs at least two factors")
-    if X is None:
-        X = construct_field(F)
+    X = F.field
     expected = sum(bp.total_degree(u) for u, _ in F.factors) - 1
     g = X.common_factor
     if not bp.is_const(g):

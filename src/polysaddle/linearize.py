@@ -12,8 +12,8 @@ half-gradients of the split:
 
 with determinant D = K1 K4 - K2 K3 and a common multiplier G defined by
 G P = K4 W + K2 u_p and G Q = -K1 u_p - K3 W, where W = prod_{i<p} u_i.
-The certificate records all of these and is only returned once the four
-identities below have been verified exactly; the time rescale
+The certificate records all of these and is only returned once the
+identities have been verified exactly; the time rescale
 d(tau) = (D/G) dt is recorded symbolically and is valid off the zero sets
 of D and G.
 """
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from . import bipoly as bp
 from .bipoly import BiPoly
-from .field_ops import (FactoredIntegral, VectorField, expand, is_coprime,
-                        is_hamiltonian, lie_derivative)
+from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_hamiltonian,
+                        lie_derivative, quotient_multiplier)
 
 
 def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
@@ -63,10 +63,11 @@ def k_matrix(F: FactoredIntegral) -> tuple[BiPoly, BiPoly, BiPoly, BiPoly]:
 class LinearizationCertificate:
     """Verified data of one linearizing change of variables.
 
-    identities_verified flags, in order: the determinant identity
-    D = K1 K4 - K2 K3; the two multiplier identities G P = K4 W + K2 u_p
-    and G Q = -K1 u_p - K3 W; the saddle pullbacks
-    G (u_x P + u_y Q) = D u  and  G (v_x P + v_y Q) = -D v.
+    Only linearize() builds one, after it has verified exactly: the
+    determinant D = K1 K4 - K2 K3; the two multiplier identities
+    G P = K4 W + K2 u_p and G Q = -K1 u_p - K3 W; the saddle pullbacks
+    G (u_x P + u_y Q) = D u  and  G (v_x P + v_y Q) = -D v.  Each can be
+    rechecked from the recorded polynomials and the field.
     hamiltonian_input records that the field was Hamiltonian, which is
     outside the stated hypotheses of the construction; the certificate is
     still valid when the identities verify."""
@@ -79,20 +80,15 @@ class LinearizationCertificate:
     K4: BiPoly
     D: BiPoly
     G: BiPoly
-    identities_verified: tuple[bool, bool, bool, bool]
     hamiltonian_input: bool
     time_change: str
-
-    def __post_init__(self):
-        if not all(self.identities_verified):
-            raise ValueError("certificate constructed with unverified identities")
 
 
 def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     """Build and exactly verify the saddle certificate for (F, X).
 
     Errors: fewer than two factors or a non-coprime field raise
-    ValueError; a field that does not actually annihilate expand(F), or
+    ValueError; a field that does not actually annihilate F.H, or
     mis-specified factors, raise ExactDivisionError whose `remainder`
     attribute is the nonzero residual polynomial; a zero determinant D
     (degenerate split) raises ArithmeticError.
@@ -101,7 +97,7 @@ def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
         raise ValueError("linearize needs at least two factors")
     if not is_coprime(X):
         raise ValueError("linearize requires a coprime field")
-    lie = lie_derivative(X, expand(F))
+    lie = lie_derivative(X, F.H)
     if not bp.is_zero(lie):
         raise bp.ExactDivisionError(lie)
     K1, K2, K3, K4 = k_matrix(F)
@@ -113,31 +109,21 @@ def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     W = bp.ONE
     for u, _ in head:
         W = bp.mul(W, u)
+    # (N1, N2) is not zero: (W, u_p) -> (N1, N2) has determinant -D
     N1 = bp.add(bp.mul(K4, W), bp.mul(K2, up))
     N2 = bp.neg(bp.add(bp.mul(K1, up), bp.mul(K3, W)))
-    if bp.is_zero(X.P):
-        G = bp.exact_div(N2, X.Q)
-    else:
-        G = bp.exact_div(N1, X.P)
-    for resid in (bp.sub(N1, bp.mul(G, X.P)), bp.sub(N2, bp.mul(G, X.Q))):
-        if resid:
-            raise bp.ExactDivisionError(resid)
-    id2 = True
+    G = quotient_multiplier(VectorField(N1, N2), X)
     u_expr = bp.ONE
     for u, k in head:
         u_expr = bp.mul(u_expr, bp.power(u, k))
     v_expr = bp.power(up, kp)
-    lhs_u = bp.mul(G, lie_derivative(X, u_expr))
-    id3 = lhs_u == bp.mul(D, u_expr)
-    lhs_v = bp.mul(G, lie_derivative(X, v_expr))
-    id4 = lhs_v == bp.neg(bp.mul(D, v_expr))
-    if not id3:
-        raise bp.ExactDivisionError(bp.sub(lhs_u, bp.mul(D, u_expr)))
-    if not id4:
-        raise bp.ExactDivisionError(bp.add(lhs_v, bp.mul(D, v_expr)))
-    id1 = D == bp.sub(bp.mul(K1, K4), bp.mul(K2, K3))
+    resid_u = bp.sub(bp.mul(G, lie_derivative(X, u_expr)), bp.mul(D, u_expr))
+    if resid_u:
+        raise bp.ExactDivisionError(resid_u)
+    resid_v = bp.add(bp.mul(G, lie_derivative(X, v_expr)), bp.mul(D, v_expr))
+    if resid_v:
+        raise bp.ExactDivisionError(resid_v)
     return LinearizationCertificate(
         u_expr=u_expr, v_expr=v_expr, K1=K1, K2=K2, K3=K3, K4=K4, D=D, G=G,
-        identities_verified=(id1, id2, id3, id4),
         hamiltonian_input=is_hamiltonian(X) is not None,
         time_change=f"dtau = ({bp.to_string(D)}) / ({bp.to_string(G)}) dt")

@@ -18,9 +18,10 @@ confirmed by an exact bivariate gcd, and the nonrational ones are
 reported as a univariate residual polynomial in c rather than dropped.
 
 For a factored integral G needs no gcd of the expanded H: H_y = R*P0 and
-H_x = -R*Q0 for the constructed field (P0, Q0), so G = R*gcd(P0, Q0),
-and analyze() reads gcd(P0, Q0) off the field's cached common factor.
-critical_remarkable_values(H) still computes G itself for a bare H.
+H_x = -R*Q0 for the constructed field (P0, Q0) = F.field, so
+G = R*gcd(P0, Q0), and analyze() reads gcd(P0, Q0) off that field's
+cached common factor.  critical_remarkable_values(H) still computes G
+itself for a bare H.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from itertools import count
 from . import bipoly as bp
 from . import upoly
 from .bipoly import BiPoly, CheckResult
-from .field_ops import (FactoredIntegral, VectorField, construct_field, expand,
-                        is_coprime, is_first_integral, is_hamiltonian, _potential)
+from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_first_integral,
+                        is_hamiltonian, _potential)
 from .upoly import UPoly
 
 
@@ -135,28 +136,21 @@ class RemarkableAnalysis:
     V: BiPoly  # inverse integrating factor
     s: int  # number of confirmed critical values
     d: int  # degree of R
-    H: BiPoly  # the integral, expanded
 
 
-def analyze(F: FactoredIntegral, H: BiPoly | None = None,
-            field: VectorField | None = None) -> RemarkableAnalysis:
-    """Full level-structure analysis of H = expand(F).
+def analyze(F: FactoredIntegral) -> RemarkableAnalysis:
+    """Full level-structure analysis of H = F.H.
 
     The gradient gcd is R * gcd(P0, Q0), read off the constructed field
-    (see the module docstring).  H and field = construct_field(F) are
-    built here unless the caller passes the ones it holds.
+    F.field (see the module docstring).
     """
     R = integrating_factor(F)
     V = inverse_integrating_factor(F)
-    if H is None:
-        H = expand(F)
-    if field is None:
-        field = construct_field(F)
-    if bp.mul(R, V) != H:
+    if bp.mul(R, V) != F.H:
         raise ArithmeticError("factor bookkeeping broke: R*V != H")
-    values, residual = critical_levels(H, bp.normalize(bp.mul(R, field.common_factor)))
+    values, residual = critical_levels(F.H, bp.normalize(bp.mul(R, F.field.common_factor)))
     return RemarkableAnalysis(tuple(values), residual, R, V,
-                              len(values), bp.total_degree(R), H)
+                              len(values), bp.total_degree(R))
 
 
 def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
@@ -171,7 +165,7 @@ def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
         raise ValueError("criterion requires some exponent k_i > 1")
     if not is_coprime(X):
         raise ValueError("criterion requires a coprime field")
-    if not is_first_integral(X, expand(F) if analysis is None else analysis.H):
+    if not is_first_integral(X, F.H):
         raise ValueError("X does not annihilate the factored integral")
     sum_deg = sum(bp.total_degree(u) for u, _ in F.factors)
     degree_side = sum_deg == X.degree + 1

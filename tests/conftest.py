@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 
 from polysaddle import bipoly as bp
-from polysaddle.field_ops import FactoredIntegral, VectorField, construct_field, reduce_field
+from polysaddle.field_ops import (FactoredIntegral, VectorField, construct_field,
+                                  lie_derivative, reduce_field)
 
 # one line per acceptance criterion, filled by the decorator in
 # test_acceptance.py and echoed after the run (capture-proof)
@@ -140,3 +141,12 @@ def random_coprime_field(rng: random.Random, max_deg: int = 3) -> VectorField:
 def reduced_constructed_field(F: FactoredIntegral) -> VectorField:
     X, _ = reduce_field(construct_field(F))
     return X
+
+
+def assert_certificate(cert, X: VectorField) -> None:
+    """Recheck a linearization certificate for the field X from its own
+    polynomials: D = K1 K4 - K2 K3, G X(u) = D u and G X(v) = -D v."""
+    assert cert.D == bp.sub(bp.mul(cert.K1, cert.K4), bp.mul(cert.K2, cert.K3))
+    assert bp.mul(cert.G, lie_derivative(X, cert.u_expr)) == bp.mul(cert.D, cert.u_expr)
+    assert bp.mul(cert.G, lie_derivative(X, cert.v_expr)) == bp.neg(
+        bp.mul(cert.D, cert.v_expr))

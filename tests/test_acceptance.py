@@ -45,6 +45,7 @@ from polysaddle.variety import variety_empty
 
 from conftest import (
     ACCEPTANCE_LINES,
+    assert_certificate,
     random_coprime_field,
     random_factor,
     random_integral,
@@ -219,7 +220,7 @@ def test_criterion_5_linearization():
                 assert bp.is_zero(bp.sub(bp.mul(K1, K4), bp.mul(K2, K3)))
                 degenerate += 1
                 continue
-            assert all(cert.identities_verified)
+            assert_certificate(cert, Xr)
             assert bp.mul(cert.u_expr, cert.v_expr) == expand(F)
             verified += 1
         bad = _perturbed_field(F, Xr)

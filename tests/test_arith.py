@@ -1,4 +1,4 @@
-"""Rational parsing and certified complex root isolation."""
+"""Certified complex root isolation."""
 
 from fractions import Fraction
 
@@ -7,32 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysaddle import arith
-
-
-def test_parse_format_rat():
-    assert arith.parse_rat("3/4") == Fraction(3, 4)
-    assert arith.parse_rat("-2") == Fraction(-2)
-    assert arith.format_rat(Fraction(-5, 3)) == "-5/3"
-    assert arith.format_rat(Fraction(4, 2)) == "2"
-    with pytest.raises(ValueError):
-        arith.parse_rat("1/0")
-
-
-@given(st.fractions(min_value=-100, max_value=100, max_denominator=999))
-@settings(max_examples=100)
-def test_rat_round_trip(r):
-    assert arith.parse_rat(arith.format_rat(r)) == r
-
-
-def test_rational_roots_wrapper():
-    # (2x - 1)(x + 3)^2
-    roots = dict(arith.rational_roots([Fraction(9), Fraction(9), Fraction(-11),
-                                       Fraction(-5), Fraction(2)][:4]))
-    # keep it simple: (2x-1)(x+3) = 2x^2 + 5x - 3
-    roots = dict(arith.rational_roots([Fraction(-3), Fraction(5), Fraction(2)]))
-    assert roots == {Fraction(1, 2): 1, Fraction(-3): 1}
-    with pytest.raises(ValueError):
-        arith.rational_roots([])
 
 
 def _covers(boxes, re, im):

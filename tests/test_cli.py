@@ -8,7 +8,7 @@ import pytest
 
 from polysaddle import cli
 from polysaddle import bipoly as bp
-from polysaddle import remarkable
+from polysaddle import field_ops, remarkable
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -121,7 +121,24 @@ def test_critical_values_computed_once_per_command(capsys, monkeypatch, command)
 
     monkeypatch.setattr(remarkable, "critical_levels", counted)
     monkeypatch.setattr(remarkable, "critical_remarkable_values", bare)
-    run(capsys, command, problem("twin_parabolas.json"), "--format", "json")
+    code, out = run(capsys, command, problem("twin_parabolas.json"), "--format", "json")
+    assert code != 4, out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "linearize", "simulate", "all"])
+def test_integral_expanded_once_per_command(capsys, monkeypatch, command):
+    # H lives on the factored integral, so every command shares one expansion
+    calls = []
+    inner = field_ops.expand
+
+    def counted(F):
+        calls.append(F)
+        return inner(F)
+
+    monkeypatch.setattr(field_ops, "expand", counted)
+    code, out = run(capsys, command, problem("twin_parabolas.json"), "--format", "json")
+    assert code != 4, out
     assert len(calls) == 1
 
 
@@ -133,8 +150,8 @@ def test_field_gcd_computed_once_per_command(capsys, tmp_path, monkeypatch, comm
         "name": "t", "factors": [{"poly": "x", "exponent": 2},
                                  {"poly": "x + 1", "exponent": 1}]})
     spec = cli.load_problem(path)
-    fields = [spec.constructed, spec.field]
-    assert not bp.is_const(spec.constructed.common_factor)
+    fields = [spec.integral.field, spec.field]
+    assert not bp.is_const(spec.integral.field.common_factor)
     calls = []
     inner = bp.gcd
 
@@ -318,7 +335,36 @@ def test_json_byte_identical(capsys):
     assert a == b
 
 
+GOLDEN = os.path.join(HERE, "golden")
+with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as _fh:
+    GOLDEN_CODES = json.load(_fh)
+
+
+@pytest.mark.parametrize("rel", sorted(GOLDEN_CODES))
+def test_all_report_matches_golden(capsys, rel):
+    # the `all` report embeds every command's section; each must stay
+    # byte-identical to the recorded report, and the exit code with it
+    code = cli.main(["all", os.path.join(ROOT, rel), "--format", "json"])
+    out = capsys.readouterr().out
+    stem = os.path.splitext(os.path.basename(rel))[0]
+    with open(os.path.join(GOLDEN, f"{stem}.all.json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    assert code == GOLDEN_CODES[rel]
+
+
 # exit-code policy
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def broken(F):
+        raise RuntimeError("root certification failed")
+
+    monkeypatch.setattr(cli, "cz_report", broken)
+    code = cli.main(["cz", problem("three_lines.json"), "--format", "json"])
+    cap = capsys.readouterr()
+    assert code == 4
+    assert cap.out == ""
+    assert cap.err == "internal error: RuntimeError: root certification failed\n"
+
 
 def test_exit_code_policy():
     holds = {"status": "Holds"}

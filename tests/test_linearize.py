@@ -13,14 +13,9 @@ from polysaddle.field_ops import (
     lie_derivative,
     reduce_field,
 )
-from polysaddle.linearize import (
-    LinearizationCertificate,
-    factor_split,
-    k_matrix,
-    linearize,
-)
+from polysaddle.linearize import factor_split, k_matrix, linearize
 
-from conftest import random_integral
+from conftest import assert_certificate, random_integral
 
 
 def fi(*pairs):
@@ -75,13 +70,14 @@ def test_k_matrix_needs_two_factors():
 
 def test_linearize_product_saddle():
     F = fi(("x", 1), ("y", 1))
-    cert = linearize(F, construct_field(F))
+    X = construct_field(F)
+    cert = linearize(F, X)
     assert cert.u_expr == bp.parse("x")
     assert cert.v_expr == bp.parse("y")
     assert cert.D == bp.ONE
     assert cert.G == bp.ONE
     assert cert.hamiltonian_input  # xy is Hamiltonian for (x, -y)
-    assert all(cert.identities_verified)
+    assert_certificate(cert, X)
 
 
 def test_linearize_twin_parabolas():
@@ -107,14 +103,8 @@ def test_linearize_cusp_pivot_choice():
 
 
 def test_certificate_identities_recheck():
-    cert = linearize(TWIN, construct_field(TWIN))
     X = construct_field(TWIN)
-    # D = K1 K4 - K2 K3
-    assert cert.D == bp.sub(bp.mul(cert.K1, cert.K4), bp.mul(cert.K2, cert.K3))
-    # saddle pullbacks under the recorded multiplier
-    assert bp.mul(cert.G, lie_derivative(X, cert.u_expr)) == bp.mul(cert.D, cert.u_expr)
-    assert bp.mul(cert.G, lie_derivative(X, cert.v_expr)) == bp.neg(
-        bp.mul(cert.D, cert.v_expr))
+    assert_certificate(linearize(TWIN, X), X)
 
 
 def test_every_pivot_gives_a_certificate():
@@ -122,7 +112,7 @@ def test_every_pivot_gives_a_certificate():
     X = construct_field(F)
     for pivot in range(1, F.p + 1):
         cert = linearize(factor_split(F, pivot), X)
-        assert all(cert.identities_verified)
+        assert_certificate(cert, X)
         assert bp.mul(cert.u_expr, cert.v_expr) == expand(F)
 
 
@@ -165,15 +155,6 @@ def test_preconditions():
         linearize(TWIN, scaled)
 
 
-def test_certificate_rejects_unverified_flags():
-    with pytest.raises(ValueError, match="unverified"):
-        LinearizationCertificate(
-            u_expr=bp.parse("x"), v_expr=bp.parse("y"),
-            K1=bp.ONE, K2={}, K3={}, K4=bp.ONE, D=bp.ONE, G=bp.ONE,
-            identities_verified=(True, False, True, True),
-            hamiltonian_input=False, time_change="dtau = (1) / (1) dt")
-
-
 # random family
 
 def test_random_family_certificates():
@@ -188,6 +169,6 @@ def test_random_family_certificates():
             cert = linearize(F, X)
         except ArithmeticError:
             continue  # degenerate split: determinant vanishes identically
-        assert all(cert.identities_verified)
+        assert_certificate(cert, X)
         assert bp.mul(cert.u_expr, cert.v_expr) == expand(F)
         done += 1

@@ -104,6 +104,10 @@ def test_rational_roots_oracle():
                up.mul(up.mul(up.make([-1, 2]), up.make([-1, 2])), up.make([3, 1])))
     roots = up.rational_roots(f)
     assert sorted(roots) == [(Fraction(-3), 1), (Fraction(0), 1), (Fraction(1, 2), 2)]
+    # (2x - 1)(x + 3) = 2x^2 + 5x - 3
+    assert dict(up.rational_roots(up.make([-3, 5, 2]))) == {Fraction(1, 2): 1, Fraction(-3): 1}
+    with pytest.raises(ValueError, match="zero polynomial"):
+        up.rational_roots(up.make([]))
 
 
 def test_rational_roots_none():
