@@ -1,11 +1,15 @@
-"""Layer microbenchmark: bipoly.mul and bipoly.gcd on a fixed operand ladder.
+"""Layer microbenchmark: bipoly.mul, bipoly.gcd and upoly.rational_roots on
+a fixed operand ladder.
 
 The operands are drawn from a fixed seed: dense products from 1x1 terms
 up to total degree 10, rational and 200-bit coefficients, a single-term
-operand, sparse high-degree pairs, and gcds of two products that share a
-planted factor.  Every product is checked against a schoolbook reference
-kept in this file, and timed beside it; every gcd must be divisible by
-the planted factor.
+operand, sparse high-degree pairs, gcds of two products that share a
+planted factor, and univariate polynomials with planted rational roots
+whose constant terms grow from a few bits to 60.  Every product is checked
+against a schoolbook reference kept in this file, and timed beside it;
+every gcd must be divisible by the planted factor; every root list must
+equal the planted one.  A case whose calls run past CAP_S seconds in a
+round is recorded as a timeout instead of being waited for.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --out layers.json
     python3 scripts/bench_layers.py --out BENCH.json --src parent=../old/src --src change=src
@@ -25,6 +29,7 @@ import json
 import os
 import platform
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -33,6 +38,7 @@ from time import perf_counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BATCH_S = 0.02  # minimum length of one timed batch
+CAP_S = 10.0  # a case that runs longer in one round is recorded as a timeout
 
 
 def reference_mul(f: dict, g: dict) -> dict:
@@ -58,8 +64,46 @@ def _sparse(rng: random.Random, terms: int, deg: int) -> dict:
             for _ in range(terms)}
 
 
-def cases() -> list[tuple[str, str, dict, dict, dict | None]]:
-    """(name, op, f, g, planted factor for gcd cases), the same every run."""
+def _upoly_mul(f: list, g: list) -> list:
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _planted_roots(roots: dict, cofactor: list) -> list:
+    """Coefficients (lowest degree first) of cofactor * prod (t - r)^m."""
+    f = [Fraction(c) for c in cofactor]
+    for r, m in roots.items():
+        for _ in range(m):
+            f = _upoly_mul(f, [-r, Fraction(1)])
+    return f
+
+
+def _root_cases(rng: random.Random) -> list:
+    half = Fraction(1, 2)
+    out = [("roots-small", "roots",
+            _planted_roots({half: 2, Fraction(-3): 1, Fraction(0): 1}, [1, 0, 1]), None,
+            [(Fraction(-3), 1), (Fraction(0), 1), (half, 2)])]
+    for bits in (20, 32, 44):
+        # (t - a)(t + b)(t^2 - 2): a constant term of `bits` bits
+        a, b = (rng.randint(2 ** (bits // 2 - 1), 2 ** (bits // 2)) for _ in range(2))
+        roots = {Fraction(a): 1, Fraction(-b): 1}
+        out.append((f"roots-{bits}bit", "roots", _planted_roots(roots, [-2, 0, 1]), None,
+                    sorted(roots.items())))
+    # the level polynomial of tests/fixtures/slow_levels.json: c times a cubic
+    # that is irreducible over Q; cleared of denominators and of the root 0,
+    # its constant term has 60 bits
+    level = [Fraction(0), Fraction(9514750990801, 3779136),
+             Fraction(5625898018778653, 4897760256), Fraction(5533511094683, 143327232),
+             Fraction(1)]
+    out.append(("roots-slow-levels", "roots", level, None, [(Fraction(0), 1)]))
+    return out
+
+
+def cases() -> list[tuple[str, str, object, object, object]]:
+    """(name, op, f, g, planted factor or roots), the same every run."""
     rng = random.Random(20091)
     one = Fraction(1)
     out = [(f"mul-dense-d{d}", "mul", _dense(rng, d), _dense(rng, d), None)
@@ -78,7 +122,7 @@ def cases() -> list[tuple[str, str, dict, dict, dict | None]]:
         a, b, c = _dense(rng, da), _dense(rng, da), _dense(rng, dc)
         out.append((f"gcd-d{da}-common-d{dc}", "gcd", reference_mul(a, c),
                     reference_mul(b, c), c))
-    return out
+    return out + _root_cases(rng)
 
 
 def _time(fn, f, g) -> float:
@@ -100,19 +144,37 @@ def _time(fn, f, g) -> float:
     return median(times)
 
 
+def _timeout(signum, frame):
+    raise TimeoutError
+
+
 def worker() -> dict:
-    """One round in this process: {case: {"us", "ref_us" (mul), "ok"}}."""
+    """One round in this process: {case: {"us", "ref_us" (mul), "ok"}}, or
+    {case: {"timeout": true}} when the case ran past CAP_S seconds."""
     from polysaddle import bipoly as bp
+    from polysaddle import upoly as up
+
+    def roots(f, g):
+        return up.rational_roots(tuple(f))
 
     out = {}
+    signal.signal(signal.SIGALRM, _timeout)
     for name, op, f, g, planted in cases():
-        if op == "mul":
-            ok = bp.mul(f, g) == reference_mul(f, g) == bp.mul(g, f)
-            out[name] = {"us": _time(bp.mul, f, g), "ref_us": _time(reference_mul, f, g),
-                         "ok": ok}
-        else:
-            ok = bp.divides(bp.normalize(planted), bp.gcd(f, g))
-            out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
+        signal.setitimer(signal.ITIMER_REAL, CAP_S)
+        try:
+            if op == "mul":
+                ok = bp.mul(f, g) == reference_mul(f, g) == bp.mul(g, f)
+                out[name] = {"us": _time(bp.mul, f, g), "ref_us": _time(reference_mul, f, g),
+                             "ok": ok}
+            elif op == "gcd":
+                ok = bp.divides(bp.normalize(planted), bp.gcd(f, g))
+                out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
+            else:
+                out[name] = {"us": _time(roots, f, g), "ok": roots(f, g) == planted}
+        except TimeoutError:
+            out[name] = {"timeout": True}
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
     return out
 
 
@@ -147,6 +209,9 @@ def main(argv=None) -> int:
     for label, rounds in runs.items():
         results[label] = {}
         for name in rounds[0]:
+            if any("timeout" in rd[name] for rd in rounds):
+                results[label][name] = {"timeout_s": CAP_S}
+                continue
             row = {"ok": all(rd[name]["ok"] for rd in rounds),
                    **_summary([rd[name]["us"] for rd in rounds])}
             if "ref_us" in rounds[0][name]:
@@ -156,15 +221,17 @@ def main(argv=None) -> int:
         "benchmark": "scripts/bench_layers.py",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "rounds": args.rounds,
+        "cap_s": CAP_S,
         "trees": [label for label, _ in trees],
-        "cases": {name: {"op": op, "terms": [len(f), len(g)]} for name, op, f, g, _ in cases()},
+        "cases": {name: {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])}
+                  for name, op, f, g, _ in cases()},
         "results": results,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     bad = [f"{label}/{name}" for label, rows in results.items()
-           for name, row in rows.items() if not row["ok"]]
+           for name, row in rows.items() if not row.get("ok", True)]
     for b in bad:
         print(f"check failed: {b}", file=sys.stderr)
     return 1 if bad else 0

@@ -4,6 +4,12 @@ A polynomial is a tuple of Fraction coefficients, lowest degree first,
 with no trailing zeros.  The zero polynomial is the empty tuple.  This
 layer backs rational root finding, square-free decomposition and the
 content/primitive-part splitting used by the bivariate ring.
+
+Rational roots are found without factoring any coefficient: the real roots
+of the squarefree integer part are isolated by Sturm bisection in integer
+arithmetic (Sturm's theorem; Collins & Akritas, SYMSAC 1976, for exact
+real-root isolation), so the cost is polynomial in the bit size of the
+input.  The Sturm helpers work on lists of Python ints.
 """
 
 from __future__ import annotations
@@ -224,24 +230,94 @@ def squarefree_decomposition(f: UPoly) -> list[tuple[UPoly, int]]:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+    """-(|lc b|^j a mod b) over its positive content, for integer coefficient
+    lists (lowest degree first); [] when b divides a.  Only positive factors
+    touch the remainder, so its signs are those of -rem(a, b)."""
+    r = list(a)
+    s, sign, db = abs(b[-1]), (1 if b[-1] > 0 else -1), len(b) - 1
+    while len(r) > db:
+        c, k = sign * r[-1], len(r) - 1 - db
+        r = [s * x for x in r]
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    g = math.gcd(*r)
+    return [-x // g for x in r]
+
+
+def _sturm(p: list[int]) -> list[list[int]]:
+    """p, p' and negated pseudo-remainders down to gcd(p, p'), up to positive
+    factors: a Sturm sequence of p when the last entry is a constant."""
+    seq = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        r = _neg_prem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(r)
+    return seq
+
+
+def _value(p: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _sign_changes(seq: list[list[int]], x: int) -> int:
+    """Sign changes of the sequence evaluated at x, zeros skipped."""
+    count, last = 0, 0
+    for p in seq:
+        v = _value(p, x)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _integer_roots(seq: list[list[int]]) -> list[int]:
+    """Integer roots of k = seq[0], given a Sturm sequence seq of k.
+
+    k must be squarefree of degree n >= 1, with integer coefficients and a
+    positive leading coefficient a that divides the others.  Sturm's
+    theorem counts the distinct real roots in (lo, hi] as V(lo) - V(hi).
+    Integer intervals that hold a root are bisected down to width 1, where
+    hi is the only candidate.  Fujiwara's bound 2 max |k_(n-i)/a|^(1/i)
+    puts every root inside (-B, B).
+    """
+    k = seq[0]
+    n, a = len(k) - 1, k[-1]
+    B = 1 << (2 + max(-(-(k[n - i] // a).bit_length() // i) for i in range(1, n + 1)))
+    roots = []
+    stack = [(-B, B, _sign_changes(seq, -B), _sign_changes(seq, B))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if _value(k, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = _sign_changes(seq, mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return roots
 
 
 def rational_roots(f: UPoly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, each verified by exact evaluation.
+    """All rational roots with multiplicities, sorted, each confirmed by
+    exact deflation.
 
-    Candidates come from the rational-root theorem after clearing denominators;
-    multiplicity is established by repeated exact deflation.
+    With the root 0 divided out, let p be the squarefree part of f with
+    coprime integer coefficients and leading coefficient a > 0.  By the
+    rational-root theorem every rational root of p is m/a for an integer
+    m, a root of the monic k(s) = a^(n-1) p(s/a) in Z[s].  A Sturm sequence
+    of p, built from integer pseudo-remainders, is rescaled to one of k,
+    and k's integer roots are isolated by bisection (`_integer_roots`).
+    The cost is polynomial in the bit size of f: no coefficient is factored.
     """
     if not f:
         raise ValueError("rational_roots of the zero polynomial")
@@ -255,45 +331,27 @@ def rational_roots(f: UPoly) -> list[tuple[Fraction, int]]:
         f = f[v:]
     if is_const(f):
         return roots
-    den_lcm = 1
-    for c in f:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    zf = [c * den_lcm for c in f]  # integer coefficients now
-    a0 = int(zf[0])
-    an = int(zf[-1])
-    seen = set()
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if evaluate(f, cand) != 0:
-                    continue
-                m = 0
-                g = f
-                lin = make([-cand, 1])
-                while True:
-                    q2, r2 = divmod_exact_field(g, lin)
-                    if not is_zero(r2):
-                        break
-                    m += 1
-                    g = q2
-                roots.append((cand, m))
+    p = [int(c) for c in primitive(f)]
+    seq = _sturm(p)
+    if len(seq[-1]) > 1:
+        # seq[-1] is gcd(p, p'); the quotient is the squarefree part
+        p = [int(c) for c in primitive(divmod_exact_field(make(p), make(seq[-1]))[0])]
+        seq = _sturm(p)
+    a = p[-1]
+    for m in _integer_roots([[c * a ** (len(q) - 1 - j) for j, c in enumerate(q)]
+                             for q in seq]):
+        r = Fraction(m, a)
+        lin = make([-r, 1])
+        mult = 0
+        while True:
+            q, rest = divmod_exact_field(f, lin)
+            if rest:
+                break
+            mult += 1
+            f = q
+        roots.append((r, mult))
     roots.sort(key=lambda t: t[0])
     return roots
-
-
-def shift_out_rational_roots(f: UPoly) -> UPoly:
-    """Divide out every rational linear factor, returning the rootless cofactor."""
-    g = f
-    for r, m in rational_roots(f):
-        lin = make([-r, 1])
-        for _ in range(m):
-            g = divmod_exact_field(g, lin)[0]
-    return g
 
 
 def to_string(f: UPoly, var: str = "t") -> str:

@@ -1,5 +1,6 @@
 """Certified complex root isolation."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,21 @@ def test_isolate_pure_imaginary_pair():
         assert b.re_lo <= 0 <= b.re_hi
     ims = sorted((b.im_lo + b.im_hi) / 2 for b in boxes)
     assert abs(ims[0] + 1) < Fraction(1, 100) and abs(ims[1] - 1) < Fraction(1, 100)
+
+
+def test_isolate_61_bit_constant():
+    # t^2 + (2^61 - 1): rational roots are ruled out without factoring the
+    # constant term, so this takes milliseconds
+    n = 2**61 - 1
+    t0 = time.perf_counter()
+    boxes = arith.isolate_complex_roots([Fraction(n), Fraction(0), Fraction(1)])
+    assert time.perf_counter() - t0 < 1.0
+    assert len(boxes) == 2 and all(b.multiplicity == 1 for b in boxes)
+    assert all(b.re_lo <= 0 <= b.re_hi for b in boxes)
+    lower, upper = sorted(boxes, key=lambda b: b.im_lo)
+    assert lower.im_hi < 0 < upper.im_lo
+    assert upper.im_lo ** 2 <= n <= upper.im_hi ** 2
+    assert lower.im_hi ** 2 <= n <= lower.im_lo ** 2
 
 
 def test_isolate_rational_roots_are_points():

@@ -106,6 +106,22 @@ def test_analyze_x_free_integral(capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "all"])
+def test_analyze_large_level_constant(capsys, command):
+    # H = (3x^2 + x)^2 (9x^2 - 14x - 21)^2: with the root 0 divided out, the
+    # level polynomial of its vertical components has a 60-bit constant term
+    t0 = time.perf_counter()
+    code, out = run(capsys, command, os.path.join(HERE, "fixtures", "slow_levels.json"),
+                    "--format", "json")
+    assert time.perf_counter() - t0 < 5.0
+    r = json.loads(out)["results"]
+    if command == "all":
+        r = r["analyze"]
+    assert r["critical_values"] == ["0"]
+    assert r["residual"].startswith("c^3 ")
+    assert code == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "all"])
 def test_critical_values_computed_once_per_command(capsys, monkeypatch, command):
     # analyze reads the gradient gcd off the factors and goes straight to
     # the level computation; the bare-H entry point is not used

@@ -1,10 +1,12 @@
 """Christopher-Zoladek genericity conditions on curve families."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
 from polysaddle import bipoly as bp
+from polysaddle import cli
 from polysaddle.cz_check import (
     CZReport,
     check_leading_squarefree,
@@ -15,6 +17,8 @@ from polysaddle.cz_check import (
     cz_report,
 )
 from polysaddle.field_ops import FactoredIntegral
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def fi(*pairs):
@@ -106,6 +110,30 @@ def test_no_triple_points():
     assert res.status == "Fails"
     assert res.witness == (Fraction(0), Fraction(0))
     assert "1,2,3" in res.reason
+    # curves sharing a component are decided exactly too
+    assert check_no_triple_points(
+        [bp.parse("x*y"), bp.parse("x"), bp.parse("x + 1")]).ok
+    res = check_no_triple_points(
+        [bp.parse("x*y"), bp.parse("x"), bp.parse("y + 1")])
+    assert res.status == "Fails"
+    assert res.witness == (Fraction(0), Fraction(-1))
+
+
+def test_cz_pairwise_gcds_not_repeated(capsys, monkeypatch):
+    # FactoredIntegral already refuses non-coprime factors, so the triple
+    # check computes no pairwise gcd of its own: 13 calls where 16 were made
+    calls = []
+    inner = bp.gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return inner(f, g)
+
+    monkeypatch.setattr(bp, "gcd", counted)
+    path = os.path.join(os.path.dirname(HERE), "problems", "three_lines.json")
+    assert cli.main(["cz", path, "--format", "json"]) == 1
+    capsys.readouterr()
+    assert len(calls) == 13
 
 
 # condition (iv): leading forms coprime

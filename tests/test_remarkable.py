@@ -164,6 +164,16 @@ def _route_candidates(H, deriv, main):
     return upoly.gcd_many([p for p in per_power if not upoly.is_zero(p)])
 
 
+def shift_out_rational_roots(f):
+    """Divide out every rational linear factor, returning the rootless cofactor."""
+    g = f
+    for r, m in upoly.rational_roots(f):
+        lin = upoly.make([-r, 1])
+        for _ in range(m):
+            g = upoly.divmod_exact_field(g, lin)[0]
+    return g
+
+
 def elimination_critical_values(H):
     Hx, Hy = bp.partial(H, "x"), bp.partial(H, "y")
     N = upoly.ONE
@@ -174,7 +184,7 @@ def elimination_critical_values(H):
         return [], None
     vals = [c0 for c0, _ in upoly.rational_roots(N)
             if not bp.is_const(bp.gcd_many([bp.add(H, bp.const(c0)), Hx, Hy]))]
-    residual = upoly.shift_out_rational_roots(upoly.squarefree_part(N))
+    residual = shift_out_rational_roots(upoly.squarefree_part(N))
     return vals, (None if upoly.is_const(residual) else residual)
 
 

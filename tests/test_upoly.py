@@ -1,9 +1,12 @@
 """Univariate exact-arithmetic engine."""
 
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polysaddle import upoly as up
@@ -108,6 +111,94 @@ def test_rational_roots_oracle():
     assert dict(up.rational_roots(up.make([-3, 5, 2]))) == {Fraction(1, 2): 1, Fraction(-3): 1}
     with pytest.raises(ValueError, match="zero polynomial"):
         up.rational_roots(up.make([]))
+
+
+def _divisors(n):
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def trial_division_roots(f):
+    """Reference: every candidate p/q of the rational-root theorem, p | a0 and
+    q | an, tested by exact evaluation.  Exponential in the bit size of a0."""
+    roots = []
+    v = 0
+    while f[v] == 0:
+        v += 1
+    if v:
+        roots.append((Fraction(0), v))
+        f = f[v:]
+    den = math.lcm(*(c.denominator for c in f))
+    a0, an = int(f[0] * den), int(f[-1] * den)
+    for cand in {Fraction(sgn * p, q) for p in _divisors(a0) for q in _divisors(an)
+                 for sgn in (1, -1)}:
+        if up.evaluate(f, cand) == 0:
+            m, g, lin = 0, f, up.make([-cand, 1])
+            while True:
+                q2, r2 = up.divmod_exact_field(g, lin)
+                if r2:
+                    break
+                m, g = m + 1, q2
+            roots.append((cand, m))
+    return sorted(roots)
+
+
+def planted(roots, cofactor=(1,)):
+    f = up.make(cofactor)
+    for r, m in roots:
+        for _ in range(m):
+            f = up.mul(f, up.make([-r, 1]))
+    return f
+
+
+small_roots = st.lists(st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                                 st.integers(min_value=1, max_value=2)), max_size=2)
+
+
+@given(small_roots, st.lists(st.integers(min_value=-9, max_value=9), max_size=2),
+       st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(lambda c: c != 0))
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_match_trial_division(roots, cofactor, scale):
+    # |a0|, |an| <= 2^16 once denominators are cleared, so the reference
+    # stays fast
+    f = up.scale(planted(roots, cofactor + [1]), scale)
+    den = math.lcm(*(c.denominator for c in f))
+    a0 = next(c for c in f if c) * den
+    assume(abs(a0) <= 2**16 and abs(f[-1] * den) <= 2**16)
+    assert up.rational_roots(f) == trial_division_roots(f)
+
+
+def test_rational_roots_planted_large():
+    # 60-bit numerators over 30-bit denominators, multiplicities up to 3,
+    # times an irreducible quadratic: far beyond trial division
+    rng = random.Random(5)
+    for _ in range(6):
+        want, count = {}, rng.randint(1, 3)
+        while len(want) < count:
+            want[Fraction(rng.randint(-2**60, 2**60), rng.randint(1, 2**30))] = rng.randint(1, 3)
+        while True:
+            b, c = rng.randint(-2**40, 2**40), rng.randint(-2**40, 2**40)
+            disc = b * b - 4 * c
+            if disc < 0 or math.isqrt(disc) ** 2 != disc:
+                break
+        f = planted(want.items(), (c, b, 1))
+        assert up.rational_roots(f) == sorted(want.items())
+
+
+def test_rational_roots_large_constant():
+    # t^2 - (2^22 + 7)^2: a 45-bit constant term
+    n = 2**22 + 7
+    t0 = time.perf_counter()
+    assert up.rational_roots(up.make([-n * n, 0, 1])) == [(Fraction(-n), 1), (Fraction(n), 1)]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_rational_roots_none():
