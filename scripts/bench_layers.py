@@ -4,12 +4,15 @@ a fixed operand ladder.
 The operands are drawn from a fixed seed: dense products from 1x1 terms
 up to total degree 10, rational and 200-bit coefficients, a single-term
 operand, sparse high-degree pairs, gcds of two products that share a
-planted factor, and univariate polynomials with planted rational roots
-whose constant terms grow from a few bits to 60.  Every product is checked
-against a schoolbook reference kept in this file, and timed beside it;
-every gcd must be divisible by the planted factor; every root list must
-equal the planted one.  A case whose calls run past CAP_S seconds in a
-round is recorded as a timeout instead of being waited for.
+planted factor, univariate polynomials with planted rational roots whose
+constant terms grow from a few bits to 60, and coprime gcd pairs: the
+degree-15 field (P0, Q0) built from 16 lines, two homogeneous forms of
+degree 6, and two dense cubics.  Every product is checked against a
+schoolbook reference kept in this file, and timed beside it; every gcd
+must be divisible by the planted factor, and every coprime pair's gcd must
+be 1; every root list must equal the planted one.  A case whose calls run
+past CAP_S seconds in a round is recorded as a timeout instead of being
+waited for.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --out layers.json
     python3 scripts/bench_layers.py --out BENCH.json --src parent=../old/src --src change=src
@@ -102,6 +105,44 @@ def _root_cases(rng: random.Random) -> list:
     return out
 
 
+# a*x + b*y + c for the lines of tests/fixtures/many_lines_16.json; the
+# last one has exponent 2
+MANY_LINES = ((7, -12, -5), (2, 0, -7), (25, -40, -18), (16, 7, 28), (2, 3, -9),
+              (27, 49, -252), (48, -75, -40), (5, -105, -42), (64, 81, 252), (15, 3, -2),
+              (18, 16, -3), (14, 10, -63), (14, 7, 1), (1, -14, -3), (9, 72, 10), (2, -7, -4))
+
+
+def _line_field() -> tuple[dict, dict]:
+    """The constructed field of the many-lines integral:
+    P0 = sum_l k_l b_l prod_{i != l} u_i and Q0 = -sum_l k_l a_l prod_{i != l} u_i."""
+    lines = [{e: Fraction(c) for e, c in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if c}
+             for a, b, c in MANY_LINES]
+    P: dict = {}
+    Q: dict = {}
+    for l, (a, b, _) in enumerate(MANY_LINES):
+        others = {(0, 0): Fraction(1)}
+        for i, u in enumerate(lines):
+            if i != l:
+                others = reference_mul(others, u)
+        k = 2 if l == len(MANY_LINES) - 1 else 1
+        for e, c in others.items():
+            P[e] = P.get(e, Fraction(0)) + k * b * c
+            Q[e] = Q.get(e, Fraction(0)) - k * a * c
+    return ({e: c for e, c in P.items() if c}, {e: c for e, c in Q.items() if c})
+
+
+def _homogeneous(rng: random.Random, d: int) -> dict:
+    return {(i, d - i): Fraction(rng.choice((-1, 1)) * rng.randint(1, 32)) for i in range(d + 1)}
+
+
+def _coprime_cases(rng: random.Random) -> list:
+    P0, Q0 = _line_field()
+    return [("coprime-many-lines-16", "coprime", P0, Q0, None),
+            ("coprime-homogeneous-d6", "coprime", _homogeneous(rng, 6), _homogeneous(rng, 6),
+             None),
+            ("coprime-factors-d3", "coprime", _dense(rng, 3), _dense(rng, 3), None)]
+
+
 def cases() -> list[tuple[str, str, object, object, object]]:
     """(name, op, f, g, planted factor or roots), the same every run."""
     rng = random.Random(20091)
@@ -122,7 +163,8 @@ def cases() -> list[tuple[str, str, object, object, object]]:
         a, b, c = _dense(rng, da), _dense(rng, da), _dense(rng, dc)
         out.append((f"gcd-d{da}-common-d{dc}", "gcd", reference_mul(a, c),
                     reference_mul(b, c), c))
-    return out + _root_cases(rng)
+    out += _root_cases(rng)
+    return out + _coprime_cases(rng)
 
 
 def _time(fn, f, g) -> float:
@@ -168,6 +210,9 @@ def worker() -> dict:
                              "ok": ok}
             elif op == "gcd":
                 ok = bp.divides(bp.normalize(planted), bp.gcd(f, g))
+                out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
+            elif op == "coprime":
+                ok = bp.gcd(f, g) == bp.ONE
                 out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
             else:
                 out[name] = {"us": _time(roots, f, g), "ok": roots(f, g) == planted}

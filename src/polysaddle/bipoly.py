@@ -14,8 +14,14 @@ signed digits are unpacked in linear time.  A single-term operand is
 shifted and scaled instead, and a sparse high-degree pair, whose packed
 span far exceeds its number of term pairs, keeps the schoolbook loop.
 
-GCDs run a subresultant polynomial remainder sequence over Q[x][y] after
-content/primitive splitting; a content of 1 is not divided out.
+GCDs first try to prove coprimality: if for some integer t the images
+f(t, y) and g(t, y) mod p = 2^61 - 1 have a constant gcd, where lc_y(f) or
+lc_y(g) does not vanish at t mod p, then f and g share no factor of
+positive y-degree, and the same test at y = t rules out positive x-degree.
+Up to three such t are tried per direction.  Otherwise (a common factor,
+or a leading coefficient that vanishes at every t tried) a subresultant
+polynomial remainder sequence over Q[x][y] after content/primitive
+splitting decides; a content of 1 is not divided out.
 Resultants are Sylvester determinants evaluated by fraction-free Bareiss
 elimination.  Every intermediate value stays exact.
 """
@@ -54,12 +60,6 @@ def is_zero(f: BiPoly) -> bool:
 
 def is_const(f: BiPoly) -> bool:
     return all(e == (0, 0) for e in f)
-
-
-def const_value(f: BiPoly) -> Fraction:
-    if not is_const(f):
-        raise ValueError("not a constant polynomial")
-    return f.get((0, 0), Fraction(0))
 
 
 def total_degree(f: BiPoly) -> int:
@@ -426,15 +426,112 @@ def _pp_gcd_y(a: BiPoly, b: BiPoly) -> BiPoly:
     return _div_by_xpoly(b, cb)
 
 
+# ---------------------------------------------------------------------------
+# Coprimality from images mod a prime (Brown, J. ACM 18, 1971) and the gcd.
+
+_PRIME = (1 << 61) - 1  # a Mersenne prime
+_POINTS = 3  # good specialization points tried per direction
+
+_Residues = list[tuple[int, int, int]]
+
+
+def _residues(f: BiPoly) -> _Residues:
+    """Terms (i, j, c mod _PRIME) of the integer multiple den(f) * f."""
+    vals, _ = _numerators(f)
+    return [(i, j, v % _PRIME) for (i, j), v in zip(f, vals)]
+
+
+def _swapped(fs: _Residues) -> _Residues:
+    return [(j, i, c) for i, j, c in fs]
+
+
+def _trim(a: list[int]) -> list[int]:
+    """a without its leading zeros."""
+    return a[next((k for k, c in enumerate(a) if c), len(a)):]
+
+
+def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over Z/_PRIME, by Euclid; a and b are
+    coefficient lists, highest degree first, not both zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        n = len(b)
+        inv = pow(b[0], -1, _PRIME)
+        r = list(a)
+        for k in range(len(r) - n + 1):
+            q = r[k] * inv % _PRIME
+            if q:
+                for m in range(1, n):
+                    r[k + m] = (r[k + m] - q * b[m]) % _PRIME
+        a, b = b, _trim(r[max(len(r) - n + 1, 0):])
+    return len(a) - 1
+
+
+def _coprime_images(fs: _Residues, gs: _Residues) -> bool:
+    """True when images at x = t prove that f and g share no factor of
+    positive y-degree; fs, gs are their _residues.
+
+    Let G be such a factor, primitive in Z[x, y].  By Gauss's lemma it
+    divides the integer multiples F and F' of f and g in Z[x, y], so
+    lc_y(G) divides lc_y(F) and lc_y(F').  At a t where either does not
+    vanish mod _PRIME, G(t, y) keeps its y-degree and divides F(t, y) and
+    F'(t, y) mod _PRIME, so their gcd is not constant.  A constant gcd at
+    any such t is the proof.  Up to _POINTS such t are tried, the first
+    in 0, 1, 2, ...; two forms like ax + by and cx + dy share the image
+    root y = 0 at t = 0 only.  False means "not proved".
+    """
+    degs = [max(j for _, j, _ in fs), max(j for _, j, _ in gs)]
+    dx = max(i for i, _, _ in fs + gs)
+    tried = 0
+    # a leading coefficient that is nonzero mod _PRIME has at most dx roots
+    for t in range(dx + _POINTS):
+        tp = [1] * (dx + 1)
+        for i in range(1, dx + 1):
+            tp[i] = tp[i - 1] * t % _PRIME
+        images = []
+        for terms, d in zip((fs, gs), degs):
+            img = [0] * (d + 1)
+            for i, j, c in terms:
+                img[d - j] += c * tp[i]
+            images.append([c % _PRIME for c in img])
+        if not (images[0][0] or images[1][0]):
+            continue  # lc_y(F) and lc_y(F') both vanish at t
+        if _gcd_degree_mod_p(*images) == 0:
+            return True
+        tried += 1
+        if tried == _POINTS:
+            break
+    return False
+
+
 def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     """A gcd in Q[x,y], primitive with positive graded-lex leading
-    coefficient.  gcd(f, 0) = normalize(f); gcd(0, 0) is an error."""
+    coefficient.  gcd(f, 0) = normalize(f); gcd(0, 0) is an error.
+
+    Coprimality is proved first from images mod _PRIME: when the images
+    at x = t rule out a common factor of positive y-degree and those at
+    y = t one of positive x-degree, the gcd is 1 (see
+    _coprime_images).  If only the first holds, the gcd is the gcd of
+    the y-contents.  Otherwise (a common factor, or no good point) the
+    subresultant PRS decides.
+    """
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
     if not f:
         return normalize(g)
     if not g:
         return normalize(f)
+    fs, gs = _residues(f), _residues(g)
+    if _coprime_images(fs, gs):
+        if _coprime_images(_swapped(fs), _swapped(gs)):
+            return ONE
+        return normalize(from_upoly_x(upoly.gcd(content_y(f), content_y(g))))
+    return _gcd_prs(f, g)
+
+
+def _gcd_prs(f: BiPoly, g: BiPoly) -> BiPoly:
+    """gcd(f, g) for nonzero f, g: the gcd of the y-contents times the
+    subresultant PRS gcd of the primitive parts."""
     cf, cg = content_y(f), content_y(g)
     cont = upoly.gcd(cf, cg)
     fp, gp = _div_by_xpoly(f, cf), _div_by_xpoly(g, cg)

@@ -30,12 +30,15 @@ from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_hamiltonia
 
 def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
     """Reorder so the 1-based pivot factor comes last (it becomes the
-    v-variable of the split)."""
+    v-variable of the split).  The product H does not depend on the
+    order, so the reordered integral shares F's expansion."""
     if not 1 <= pivot <= F.p:
         raise ValueError(f"pivot {pivot} out of range 1..{F.p}")
     fs = list(F.factors)
     fs.append(fs.pop(pivot - 1))
-    return FactoredIntegral(tuple(fs))
+    out = FactoredIntegral(tuple(fs))
+    vars(out)["H"] = F.H
+    return out
 
 
 def k_matrix(F: FactoredIntegral) -> tuple[BiPoly, BiPoly, BiPoly, BiPoly]:

@@ -223,6 +223,56 @@ def test_gcd_recovers_common_factor(a, b, c):
     assert bp.divides(bp.normalize(c), g)
 
 
+# The content-plus-subresultant-PRS route that decided every gcd before the
+# modular coprimality proof, and still decides every pair the proof leaves
+# open: the oracle for the proof.
+prs_gcd = bp._gcd_prs
+
+
+@given(bipolys(4), bipolys(4), bipolys(3))
+@settings(max_examples=200, deadline=None)
+def test_gcd_matches_prs_oracle(a, b, c):
+    # c is a planted common factor when nonconstant, and a scale otherwise
+    f, g = bp.mul(a, c), bp.mul(b, c)
+    if bp.is_zero(f) or bp.is_zero(g):
+        return
+    assert bp.gcd(f, g) == prs_gcd(f, g)
+
+
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("f,g,want", [
+    # homogeneous leading forms: the images share the root y = 0 at x = 0
+    ("3*x + 2*y", "x - 5*y", "1"),
+    ("(3*x + 2*y)*(x - y + 1)", "(x - 5*y)*(x + y)", "1"),
+    # lc_y = x(x - 1) vanishes at t = 0 and t = 1
+    ("x*(x - 1)*y^2 + y + x", "x*(x - 1)*y + 2", "1"),
+    ("(x*(x - 1)*y + 1)*(y + x)", "(x*(x - 1)*y + 1)*(y - 3)", "x^2*y - x*y + 1"),
+    # both images vanish at x = 0, where neither lc_y is checked nonzero
+    ("(x*y + 1)*y", "(x*y + 1)*(y + 1)", "x*y + 1"),
+    # a leading coefficient that is 0 mod 2^61 - 1, in one or both operands
+    (f"{P61}*y + x", "y", "1"),
+    (f"{P61}*y + x", f"{P61}*y^2 + x + 1", "1"),
+    (f"{P61}*x*y + 1", f"{P61}*x*y + 1", f"{P61}*x*y + 1"),
+    # x-free and y-free operands
+    ("y^2 + 1", "x^3 - 2", "1"),
+    ("x^2 - 1", "(x - 1)*y", "x - 1"),
+    ("y^2 - 4", "(y + 2)*x^3", "y + 2"),
+    ("3", "x + y", "1"),
+    # y-free and x-free common factors
+    ("(x - 1)*y", "(x - 1)*(y + 1)", "x - 1"),
+    ("(y + 2)*x", "(y + 2)*(x + 3)", "y + 2"),
+    # a common factor of positive degree in both variables
+    ("(x + y)*(x - 1)", "(x + y)*(y + 2)", "x + y"),
+    ("1/2*(x + y)^2*(x - 1/3)", "(x + y)*(y - x^2)", "x + y"),
+])
+def test_gcd_fixed_cases(f, g, want):
+    f, g = bp.parse(f), bp.parse(g)
+    assert bp.gcd(f, g) == prs_gcd(f, g) == bp.parse(want)
+    assert bp.gcd(g, f) == bp.parse(want)
+
+
 # resultants
 
 def test_resultant_oracles():

@@ -121,6 +121,18 @@ def test_analyze_large_level_constant(capsys, command):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["construct", "analyze", "linearize"])
+def test_many_lines_bounded(capsys, command):
+    # 16 lines, the last squared: the constructed field has degree 15 and
+    # coprime components, which the subresultant PRS alone took about 30 s
+    # to show
+    t0 = time.perf_counter()
+    code, out = run(capsys, command, os.path.join(HERE, "fixtures", "many_lines_16.json"),
+                    "--format", "json")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0, out
+
+
 @pytest.mark.parametrize("command", ["analyze", "all"])
 def test_critical_values_computed_once_per_command(capsys, monkeypatch, command):
     # analyze reads the gradient gcd off the factors and goes straight to
@@ -156,6 +168,28 @@ def test_integral_expanded_once_per_command(capsys, monkeypatch, command):
     code, out = run(capsys, command, problem("twin_parabolas.json"), "--format", "json")
     assert code != 4, out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pivot,gcds", [([], 15), (["--pivot", "1"], 18)])
+def test_pivot_reuses_expansion(capsys, monkeypatch, pivot, gcds):
+    # the reordered integral shares the loaded one's H; its pairwise
+    # factor check (three gcds for three lines) is the only extra work
+    counts = {"expand": 0, "gcd": 0}
+    inner_expand, inner_gcd = field_ops.expand, bp.gcd
+
+    def expand(F):
+        counts["expand"] += 1
+        return inner_expand(F)
+
+    def gcd(f, g):
+        counts["gcd"] += 1
+        return inner_gcd(f, g)
+
+    monkeypatch.setattr(field_ops, "expand", expand)
+    monkeypatch.setattr(bp, "gcd", gcd)
+    code, out = run(capsys, "all", problem("three_lines.json"), *pivot)
+    assert code == 1, out
+    assert counts == {"expand": 1, "gcd": gcds}
 
 
 @pytest.mark.parametrize("command", ["construct", "all"])
