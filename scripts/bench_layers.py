@@ -1,5 +1,5 @@
-"""Layer microbenchmark: bipoly.mul, bipoly.gcd and upoly.rational_roots on
-a fixed operand ladder.
+"""Layer microbenchmark: bipoly.mul, bipoly.gcd, upoly.rational_roots and
+the constructed field on a fixed operand ladder.
 
 The operands are drawn from a fixed seed: dense products from 1x1 terms
 up to total degree 10, rational and 200-bit coefficients, a single-term
@@ -7,12 +7,17 @@ operand, sparse high-degree pairs, gcds of two products that share a
 planted factor, univariate polynomials with planted rational roots whose
 constant terms grow from a few bits to 60, and coprime gcd pairs: the
 degree-15 field (P0, Q0) built from 16 lines, two homogeneous forms of
-degree 6, and two dense cubics.  Every product is checked against a
-schoolbook reference kept in this file, and timed beside it; every gcd
-must be divisible by the planted factor, and every coprime pair's gcd must
-be 1; every root list must equal the planted one.  A case whose calls run
-past CAP_S seconds in a round is recorded as a timeout instead of being
-waited for.
+degree 6, and two dense cubics; and integrals of 8, 12, 16 and 20 lines,
+the last one squared, for field_ops.construct_field and
+linearize.linearize.  Every product is checked against a schoolbook
+reference kept in this file, and timed beside it; every gcd must be
+divisible by the planted factor, and every coprime pair's gcd must be 1;
+every root list must equal the planted one; the constructed field, and G
+times the reduced field from each linearization certificate, must equal
+the construction formula written out with schoolbook products.  Each
+construct_field or linearize call starts from an integral whose H and
+field are not yet cached.  A case whose calls run past CAP_S seconds in a
+round is recorded as a timeout instead of being waited for.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --out layers.json
     python3 scripts/bench_layers.py --out BENCH.json --src parent=../old/src --src change=src
@@ -22,13 +27,15 @@ its own worker process.  The trees take turns for --rounds rounds, in
 alternating order, so a drift in host speed hits them alike.  A round
 times each case as the median of five batches of calls; the JSON holds,
 per tree and case, the median and quartiles of the per-call times over
-the rounds, in microseconds.
+the rounds, in microseconds ("reference" for the schoolbook product,
+"linearize" for the second timing of a field case).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import random
@@ -112,23 +119,47 @@ MANY_LINES = ((7, -12, -5), (2, 0, -7), (25, -40, -18), (16, 7, 28), (2, 3, -9),
               (18, 16, -3), (14, 10, -63), (14, 7, 1), (1, -14, -3), (9, 72, 10), (2, -7, -4))
 
 
-def _line_field() -> tuple[dict, dict]:
-    """The constructed field of the many-lines integral:
-    P0 = sum_l k_l b_l prod_{i != l} u_i and Q0 = -sum_l k_l a_l prod_{i != l} u_i."""
-    lines = [{e: Fraction(c) for e, c in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if c}
-             for a, b, c in MANY_LINES]
+def _as_line(a: int, b: int, c: int) -> dict:
+    return {e: Fraction(v) for e, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}
+
+
+def literal_field(factors: list) -> tuple[dict, dict]:
+    """The construction formula written out for (u, k) pairs:
+    P = sum_l k_l prod_{i != l} u_i (u_l)_y and Q = -sum_l k_l prod_{i != l} u_i (u_l)_x."""
     P: dict = {}
     Q: dict = {}
-    for l, (a, b, _) in enumerate(MANY_LINES):
+    for l, (u, k) in enumerate(factors):
         others = {(0, 0): Fraction(1)}
-        for i, u in enumerate(lines):
+        for i, (v, _) in enumerate(factors):
             if i != l:
-                others = reference_mul(others, u)
-        k = 2 if l == len(MANY_LINES) - 1 else 1
-        for e, c in others.items():
-            P[e] = P.get(e, Fraction(0)) + k * b * c
-            Q[e] = Q.get(e, Fraction(0)) - k * a * c
+                others = reference_mul(others, v)
+        u_x = {(i - 1, j): i * c for (i, j), c in u.items() if i}
+        u_y = {(i, j - 1): j * c for (i, j), c in u.items() if j}
+        for e, c in reference_mul(others, u_y).items():
+            P[e] = P.get(e, Fraction(0)) + k * c
+        for e, c in reference_mul(others, u_x).items():
+            Q[e] = Q.get(e, Fraction(0)) - k * c
     return ({e: c for e, c in P.items() if c}, {e: c for e, c in Q.items() if c})
+
+
+def _line_factors(lines) -> list:
+    """(u, k) pairs for lines (a, b, c); the last line is squared."""
+    return [(_as_line(*abc), 2 if n == len(lines) - 1 else 1) for n, abc in enumerate(lines)]
+
+
+def _random_lines(rng: random.Random, p: int) -> list:
+    """p lines (a, b, c), pairwise nonparallel, drawn as random_line in
+    tests/conftest.py draws them: a, b, c = n/d with |n|, d <= 9, cleared to
+    coprime integers."""
+    out: list = []
+    while len(out) < p:
+        a, b, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        den = math.lcm(a.denominator, b.denominator, c.denominator)
+        a, b, c = (int(v * den) for v in (a, b, c))
+        g = math.gcd(a, b, c)
+        if (a or b) and all(a * b2 != a2 * b for a2, b2, _ in out):
+            out.append((a // g, b // g, c // g))
+    return out
 
 
 def _homogeneous(rng: random.Random, d: int) -> dict:
@@ -136,7 +167,7 @@ def _homogeneous(rng: random.Random, d: int) -> dict:
 
 
 def _coprime_cases(rng: random.Random) -> list:
-    P0, Q0 = _line_field()
+    P0, Q0 = literal_field(_line_factors(MANY_LINES))
     return [("coprime-many-lines-16", "coprime", P0, Q0, None),
             ("coprime-homogeneous-d6", "coprime", _homogeneous(rng, 6), _homogeneous(rng, 6),
              None),
@@ -164,7 +195,11 @@ def cases() -> list[tuple[str, str, object, object, object]]:
         out.append((f"gcd-d{da}-common-d{dc}", "gcd", reference_mul(a, c),
                     reference_mul(b, c), c))
     out += _root_cases(rng)
-    return out + _coprime_cases(rng)
+    out += _coprime_cases(rng)
+    for p in (8, 12, 16, 20):
+        factors = _line_factors(_random_lines(rng, p))
+        out.append((f"field-lines-{p}", "field", factors, None, literal_field(factors)))
+    return out
 
 
 def _time(fn, f, g) -> float:
@@ -191,13 +226,24 @@ def _timeout(signum, frame):
 
 
 def worker() -> dict:
-    """One round in this process: {case: {"us", "ref_us" (mul), "ok"}}, or
-    {case: {"timeout": true}} when the case ran past CAP_S seconds."""
+    """One round in this process: {case: {"us", "reference_us" (mul),
+    "linearize_us" (field), "ok"}}, or {case: {"timeout": true}} when the
+    case ran past CAP_S seconds."""
     from polysaddle import bipoly as bp
     from polysaddle import upoly as up
+    from polysaddle.field_ops import FactoredIntegral, construct_field, reduce_field
+    from polysaddle.linearize import linearize
 
     def roots(f, g):
         return up.rational_roots(tuple(f))
+
+    def construct(F, _):
+        return construct_field(F)
+
+    def linearize_fresh(F, X):
+        vars(F).pop("H", None)
+        vars(F).pop("field", None)
+        return linearize(F, X)
 
     out = {}
     signal.signal(signal.SIGALRM, _timeout)
@@ -206,14 +252,23 @@ def worker() -> dict:
         try:
             if op == "mul":
                 ok = bp.mul(f, g) == reference_mul(f, g) == bp.mul(g, f)
-                out[name] = {"us": _time(bp.mul, f, g), "ref_us": _time(reference_mul, f, g),
-                             "ok": ok}
+                out[name] = {"us": _time(bp.mul, f, g),
+                             "reference_us": _time(reference_mul, f, g), "ok": ok}
             elif op == "gcd":
                 ok = bp.divides(bp.normalize(planted), bp.gcd(f, g))
                 out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
             elif op == "coprime":
                 ok = bp.gcd(f, g) == bp.ONE
                 out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
+            elif op == "field":
+                F = FactoredIntegral(tuple(f))
+                X, _ = reduce_field(F.field)
+                field = construct(F, None)
+                cert = linearize_fresh(F, X)
+                ok = ((field.P, field.Q) == planted
+                      == (bp.mul(cert.G, X.P), bp.mul(cert.G, X.Q)))
+                out[name] = {"us": _time(construct, F, None),
+                             "linearize_us": _time(linearize_fresh, F, X), "ok": ok}
             else:
                 out[name] = {"us": _time(roots, f, g), "ok": roots(f, g) == planted}
         except TimeoutError:
@@ -259,8 +314,9 @@ def main(argv=None) -> int:
                 continue
             row = {"ok": all(rd[name]["ok"] for rd in rounds),
                    **_summary([rd[name]["us"] for rd in rounds])}
-            if "ref_us" in rounds[0][name]:
-                row["reference"] = _summary([rd[name]["ref_us"] for rd in rounds])
+            for key in rounds[0][name]:
+                if key.endswith("_us") and key != "us":
+                    row[key[:-3]] = _summary([rd[name][key] for rd in rounds])
             results[label][name] = row
     doc = {
         "benchmark": "scripts/bench_layers.py",

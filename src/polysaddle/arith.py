@@ -66,9 +66,6 @@ class CBox:
     def round_out(self, bits: int) -> "CBox":
         return CBox(_round_out(self.re, bits), _round_out(self.im, bits))
 
-    def widths(self) -> tuple[Fraction, Fraction]:
-        return (self.re[1] - self.re[0], self.im[1] - self.im[0])
-
     def midpoint(self) -> tuple[Fraction, Fraction]:
         return ((self.re[0] + self.re[1]) / 2, (self.im[0] + self.im[1]) / 2)
 
@@ -162,44 +159,8 @@ class RootBox:
     def box(self) -> CBox:
         return CBox((self.re_lo, self.re_hi), (self.im_lo, self.im_hi))
 
-    def width(self) -> Fraction:
-        return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
-
     def is_point(self) -> bool:
         return self.re_hi == self.re_lo and self.im_hi == self.im_lo
-
-    def refine(self, width: Fraction) -> "RootBox":
-        """Shrink the box below the requested width by Newton iteration."""
-        if width <= 0:
-            raise ValueError("requested width must be positive")
-        cur = self.box()
-        if self.is_point():
-            return self
-        df = upoly.deriv(self.poly)
-        guard = 0
-        while max(cur.widths()) > width:
-            img = _newton_image(self.poly, df, cur)
-            if img is None:
-                raise ArithmeticError("refinement lost the derivative bound")
-            nxt = img.intersect(cur)
-            if nxt is None:
-                raise ArithmeticError("refinement emptied the box")
-            if max(nxt.widths()) >= max(cur.widths()):
-                # halve toward the Newton midpoint to force progress
-                mr, mi = nxt.midpoint()
-                wr = (nxt.re[1] - nxt.re[0]) / 4
-                wi = (nxt.im[1] - nxt.im[0]) / 4
-                probe = CBox((mr - wr, mr + wr), (mi - wi, mi + wi))
-                img2 = _newton_image(self.poly, df, probe)
-                if img2 is not None and probe.contains_interior(img2.intersect(probe) or probe):
-                    nxt = img2.intersect(probe) or probe
-                else:
-                    guard += 1
-                    if guard > 60:
-                        raise ArithmeticError("refinement stalled")
-            cur = nxt
-        return RootBox(cur.re[0], cur.re[1], cur.im[0], cur.im[1],
-                       self.multiplicity, self.poly)
 
     def describe(self) -> str:
         if self.is_point():

@@ -45,10 +45,6 @@ X: BiPoly = {(1, 0): Fraction(1)}
 Y: BiPoly = {(0, 1): Fraction(1)}
 
 
-def make(terms: dict[tuple[int, int], Fraction | int]) -> BiPoly:
-    return {e: Fraction(c) for e, c in terms.items() if c != 0}
-
-
 def const(c: Fraction | int) -> BiPoly:
     c = Fraction(c)
     return {(0, 0): c} if c else {}

@@ -6,10 +6,17 @@ The central construction: given H = u_1^{k_1} * ... * u_p^{k_p}, the field
     Q = - sum_l k_l (prod_{i != l} u_i) * d(u_l)/dx
 
 annihilates H exactly (its Lie derivative of H is zero), which is the
-identity everything else in the package leans on.  This module also covers
-the supporting cast: coprimality and common-factor reduction, the exact
-quotient of proportional fields, Hamiltonian detection by divergence, and
-cofactors of invariant curves.
+identity everything else in the package leans on.  It is built by the
+product rule, one factor at a time: starting from (P, Q, W) = (0, 0, 1),
+appending u^k turns (P, Q, W) into
+
+    (u P + k W u_y,  u Q - k W u_x,  W u),
+
+so W = prod u_i throughout and p factors cost O(p) products.  The
+linearizing split of `linearize` reads its half-gradients off the same
+recurrence.  This module also covers the supporting cast: coprimality and
+common-factor reduction, the exact quotient of proportional fields,
+Hamiltonian detection by divergence, and cofactors of invariant curves.
 """
 
 from __future__ import annotations
@@ -118,6 +125,20 @@ def expand(F: FactoredIntegral) -> BiPoly:
     return out
 
 
+def _product_field(factors: tuple[tuple[BiPoly, int], ...]) -> tuple[BiPoly, BiPoly]:
+    """(P, Q) of the module docstring for the given (u, k) pairs, by the
+    product-rule recurrence."""
+    P: BiPoly = {}
+    Q: BiPoly = {}
+    W = bp.ONE
+    for u, k in factors:
+        kW = bp.scalar_mul(k, W)
+        P = bp.add(bp.mul(u, P), bp.mul(kW, bp.partial(u, "y")))
+        Q = bp.sub(bp.mul(u, Q), bp.mul(kW, bp.partial(u, "x")))
+        W = bp.mul(W, u)
+    return P, Q
+
+
 def construct_field(F: FactoredIntegral) -> VectorField:
     """Field annihilating expand(F); see the module docstring for the formula.
 
@@ -125,17 +146,7 @@ def construct_field(F: FactoredIntegral) -> VectorField:
     k_1-times the Hamiltonian field of u_1; the degree-minimality facts
     proved for p > 1 are not asserted here in that case.
     """
-    P: BiPoly = {}
-    Q: BiPoly = {}
-    for l, (u, k) in enumerate(F.factors):
-        others = bp.ONE
-        for i, (v, _) in enumerate(F.factors):
-            if i != l:
-                others = bp.mul(others, v)
-        coeff = bp.scalar_mul(k, others)
-        P = bp.add(P, bp.mul(coeff, bp.partial(u, "y")))
-        Q = bp.sub(Q, bp.mul(coeff, bp.partial(u, "x")))
-    return VectorField(P, Q)
+    return VectorField(*_product_field(F.factors))
 
 
 def lie_derivative(X: VectorField, H: BiPoly) -> BiPoly:

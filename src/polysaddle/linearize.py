@@ -10,12 +10,14 @@ half-gradients of the split:
     K2 = the same with d/dy
     K3 = k_p (u_p)_x,   K4 = k_p (u_p)_y                  (so v_x = u_p^{k_p-1} K3)
 
-with determinant D = K1 K4 - K2 K3 and a common multiplier G defined by
-G P = K4 W + K2 u_p and G Q = -K1 u_p - K3 W, where W = prod_{i<p} u_i.
-The certificate records all of these and is only returned once the
-identities have been verified exactly; the time rescale
-d(tau) = (D/G) dt is recorded symbolically and is valid off the zero sets
-of D and G.
+(K2, -K1) is the constructed field of the head factors u_1, ..., u_{p-1},
+and the last step of the product-rule recurrence in `field_ops` turns it
+into the constructed field of F: F.field = (K4 W + K2 u_p, -K1 u_p - K3 W)
+with W = prod_{i<p} u_i.  The certificate records the K's, the
+determinant D = K1 K4 - K2 K3 and the common multiplier G defined by
+G (P, Q) = F.field.  It is only returned once the identities have been
+verified exactly; the time rescale d(tau) = (D/G) dt is recorded
+symbolically and is valid off the zero sets of D and G.
 """
 
 from __future__ import annotations
@@ -24,20 +26,21 @@ from dataclasses import dataclass
 
 from . import bipoly as bp
 from .bipoly import BiPoly
-from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_hamiltonian,
-                        lie_derivative, quotient_multiplier)
+from .field_ops import (FactoredIntegral, VectorField, _product_field, is_coprime,
+                        is_hamiltonian, lie_derivative, quotient_multiplier)
 
 
 def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
     """Reorder so the 1-based pivot factor comes last (it becomes the
-    v-variable of the split).  The product H does not depend on the
-    order, so the reordered integral shares F's expansion."""
+    v-variable of the split).  Neither the product H nor the constructed
+    field depends on the order, so the reordered integral shares F's."""
     if not 1 <= pivot <= F.p:
         raise ValueError(f"pivot {pivot} out of range 1..{F.p}")
     fs = list(F.factors)
     fs.append(fs.pop(pivot - 1))
     out = FactoredIntegral(tuple(fs))
     vars(out)["H"] = F.H
+    vars(out)["field"] = F.field
     return out
 
 
@@ -46,20 +49,11 @@ def k_matrix(F: FactoredIntegral) -> tuple[BiPoly, BiPoly, BiPoly, BiPoly]:
     that keeps the last factor apart; needs at least two factors."""
     if F.p < 2:
         raise ValueError("k_matrix needs at least two factors")
-    head = F.factors[:-1]
+    K2, neg_K1 = _product_field(F.factors[:-1])
     up, kp = F.factors[-1]
-    K1: BiPoly = {}
-    K2: BiPoly = {}
-    for i, (u, k) in enumerate(head):
-        others = bp.ONE
-        for j, (w, _) in enumerate(head):
-            if j != i:
-                others = bp.mul(others, w)
-        K1 = bp.add(K1, bp.scalar_mul(k, bp.mul(bp.partial(u, "x"), others)))
-        K2 = bp.add(K2, bp.scalar_mul(k, bp.mul(bp.partial(u, "y"), others)))
     K3 = bp.scalar_mul(kp, bp.partial(up, "x"))
     K4 = bp.scalar_mul(kp, bp.partial(up, "y"))
-    return K1, K2, K3, K4
+    return bp.neg(neg_K1), K2, K3, K4
 
 
 @dataclass(frozen=True)
@@ -67,8 +61,9 @@ class LinearizationCertificate:
     """Verified data of one linearizing change of variables.
 
     Only linearize() builds one, after it has verified exactly: the
-    determinant D = K1 K4 - K2 K3; the two multiplier identities
-    G P = K4 W + K2 u_p and G Q = -K1 u_p - K3 W; the saddle pullbacks
+    determinant D = K1 K4 - K2 K3; the multiplier identity G (P, Q) =
+    F.field on both components, where F.field = (K4 W + K2 u_p,
+    -K1 u_p - K3 W) and W = prod_{i<p} u_i; the saddle pullbacks
     G (u_x P + u_y Q) = D u  and  G (v_x P + v_y Q) = -D v.  Each can be
     rechecked from the recorded polynomials and the field.
     hamiltonian_input records that the field was Hamiltonian, which is
@@ -90,6 +85,9 @@ class LinearizationCertificate:
 def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     """Build and exactly verify the saddle certificate for (F, X).
 
+    The multiplier G is the exact quotient with G X = F.field, the
+    constructed field of F, cross-checked on both components.
+
     Errors: fewer than two factors or a non-coprime field raise
     ValueError; a field that does not actually annihilate F.H, or
     mis-specified factors, raise ExactDivisionError whose `remainder`
@@ -107,17 +105,10 @@ def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     D = bp.sub(bp.mul(K1, K4), bp.mul(K2, K3))
     if bp.is_zero(D):
         raise ArithmeticError("degenerate split: the determinant D vanishes identically")
-    head = F.factors[:-1]
+    G = quotient_multiplier(F.field, X)
     up, kp = F.factors[-1]
-    W = bp.ONE
-    for u, _ in head:
-        W = bp.mul(W, u)
-    # (N1, N2) is not zero: (W, u_p) -> (N1, N2) has determinant -D
-    N1 = bp.add(bp.mul(K4, W), bp.mul(K2, up))
-    N2 = bp.neg(bp.add(bp.mul(K1, up), bp.mul(K3, W)))
-    G = quotient_multiplier(VectorField(N1, N2), X)
     u_expr = bp.ONE
-    for u, k in head:
+    for u, k in F.factors[:-1]:
         u_expr = bp.mul(u_expr, bp.power(u, k))
     v_expr = bp.power(up, kp)
     resid_u = bp.sub(bp.mul(G, lie_derivative(X, u_expr)), bp.mul(D, u_expr))

@@ -49,12 +49,6 @@ def is_const(f: UPoly) -> bool:
     return len(f) <= 1
 
 
-def lc(f: UPoly) -> Fraction:
-    if not f:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return f[-1]
-
-
 def add(f: UPoly, g: UPoly) -> UPoly:
     n = max(len(f), len(g))
     return make([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])

@@ -48,19 +48,14 @@ def _reduce(p: YPoly, F: UPoly) -> YPoly:
 
 @dataclass(frozen=True)
 class Locus:
-    """Nonempty piece of the common zero set, in solved form.
-
-    point: the exact rational point (x0, y0).
-    fiber: every root a of the squarefree F(x) extends to a solution
-    (a, b); `poly` is the y-polynomial whose specialization at a supplies
-    b (guaranteed nonconstant there), or None when any y works.
+    """Nonempty piece of the common zero set, in solved form: every root a
+    of the squarefree F(x) extends to a solution (a, b); `poly` is the
+    y-polynomial whose specialization at a supplies b (guaranteed
+    nonconstant there), or None when any y works.
     """
 
-    kind: str  # "point" | "fiber"
-    x0: Fraction | None = None
-    y0: Fraction | None = None
-    F: UPoly | None = None
-    poly: YPoly | None = None
+    F: UPoly
+    poly: YPoly | None
 
 
 def _ymod(a: YPoly, b: YPoly, F: UPoly, inv_lc: UPoly) -> YPoly:
@@ -126,7 +121,7 @@ def _decide_fiber(F: UPoly, polys: list[YPoly], depth: int) -> Locus | None:
             return None
         reduced = [q for q in (_reduce(p, F) for p in polys) if q]
         if not reduced:
-            return Locus("fiber", F=F, poly=None)
+            return Locus(F, None)
         yfree = [p[0] for p in reduced if len(p) == 1]
         if yfree:
             G = upoly.gcd_many([F] + yfree)
@@ -144,7 +139,7 @@ def _decide_fiber(F: UPoly, polys: list[YPoly], depth: int) -> Locus | None:
             bad = upoly.gcd(bad, c)
         good = upoly.divmod_exact_field(F, bad)[0] if upoly.degree(bad) >= 1 else F
         # p is trimmed mod F, so its top coefficient cannot vanish on all of F
-        return Locus("fiber", F=good, poly=p)
+        return Locus(good, p)
     polys.sort(key=len)
     a, b = polys[1], polys[0]
     others = polys[2:]
@@ -170,8 +165,6 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
     if depth > 300:
         raise RecursionError("variety decision exceeded depth guard")
     live = [p for p in polys if p]
-    if not live:
-        return Locus("point", Fraction(0), Fraction(0))
     if any(bp.is_const(p) for p in live):
         return None
     yfree = [p for p in live if bp.deg_y(p) == 0]
@@ -219,10 +212,6 @@ def _verify_point(originals: list[BiPoly], x0: Fraction, y0: Fraction) -> None:
 
 def _describe_witness(loc: Locus, originals: list[BiPoly]) -> object:
     """Exact rational point when available, else a certificate."""
-    if loc.kind == "point":
-        _verify_point(originals, loc.x0, loc.y0)
-        return (loc.x0, loc.y0)
-    assert loc.F is not None
     for x0, _ in upoly.rational_roots(loc.F):
         if loc.poly is None:
             _verify_point(originals, x0, Fraction(0))

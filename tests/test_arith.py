@@ -70,17 +70,6 @@ def test_isolate_mixed_cluster():
             assert boxes[i].box().disjoint(boxes[j].box())
 
 
-def test_refine_shrinks():
-    # roots -1/2 +- i sqrt(3)/2: genuinely boxed, never points
-    boxes = arith.isolate_complex_roots([Fraction(1), Fraction(1), Fraction(1)])
-    b = next(x for x in boxes if not x.is_point())
-    tight = b.refine(Fraction(1, 10**8))
-    assert tight.width() <= Fraction(1, 10**8)
-    # still inside the original isolating box
-    assert tight.re_lo >= b.re_lo and tight.re_hi <= b.re_hi
-    assert tight.im_lo >= b.im_lo and tight.im_hi <= b.im_hi
-
-
 def test_isolate_errors():
     with pytest.raises(ValueError):
         arith.isolate_complex_roots([])

@@ -170,26 +170,35 @@ def test_integral_expanded_once_per_command(capsys, monkeypatch, command):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("pivot,gcds", [([], 15), (["--pivot", "1"], 18)])
-def test_pivot_reuses_expansion(capsys, monkeypatch, pivot, gcds):
-    # the reordered integral shares the loaded one's H; its pairwise
-    # factor check (three gcds for three lines) is the only extra work
-    counts = {"expand": 0, "gcd": 0}
-    inner_expand, inner_gcd = field_ops.expand, bp.gcd
+@pytest.mark.parametrize(
+    "command,pivot,code,gcds",
+    [("all", [], 1, 15), ("all", ["--pivot", "1"], 1, 18), ("linearize", ["--pivot", "1"], 0, 7)],
+    ids=["pivot0-15", "pivot1-18", "linearize-pivot1-7"])
+def test_pivot_reuses_expansion(capsys, monkeypatch, command, pivot, code, gcds):
+    # the reordered integral shares the loaded one's H and constructed
+    # field; its pairwise factor check (three gcds for three lines) is the
+    # only extra work
+    counts = {"expand": 0, "construct_field": 0, "gcd": 0}
+    inner_expand, inner_construct, inner_gcd = field_ops.expand, field_ops.construct_field, bp.gcd
 
     def expand(F):
         counts["expand"] += 1
         return inner_expand(F)
+
+    def construct_field(F):
+        counts["construct_field"] += 1
+        return inner_construct(F)
 
     def gcd(f, g):
         counts["gcd"] += 1
         return inner_gcd(f, g)
 
     monkeypatch.setattr(field_ops, "expand", expand)
+    monkeypatch.setattr(field_ops, "construct_field", construct_field)
     monkeypatch.setattr(bp, "gcd", gcd)
-    code, out = run(capsys, "all", problem("three_lines.json"), *pivot)
-    assert code == 1, out
-    assert counts == {"expand": 1, "gcd": gcds}
+    got, out = run(capsys, command, problem("three_lines.json"), *pivot)
+    assert got == code, out
+    assert counts == {"expand": 1, "construct_field": 1, "gcd": gcds}
 
 
 @pytest.mark.parametrize("command", ["construct", "all"])

@@ -96,6 +96,32 @@ def test_constructed_field_annihilates_integral():
         assert is_first_integral(X, expand(F))
 
 
+def reference_field(F):
+    """The construction formula written out: P = sum_l k_l prod_{i != l} u_i
+    (u_l)_y and Q = -sum_l k_l prod_{i != l} u_i (u_l)_x."""
+    P, Q = {}, {}
+    for l, (u, k) in enumerate(F.factors):
+        others = bp.ONE
+        for i, (v, _) in enumerate(F.factors):
+            if i != l:
+                others = bp.mul(others, v)
+        coeff = bp.scalar_mul(k, others)
+        P = bp.add(P, bp.mul(coeff, bp.partial(u, "y")))
+        Q = bp.sub(Q, bp.mul(coeff, bp.partial(u, "x")))
+    return P, Q
+
+
+def test_construct_matches_reference_formula():
+    rng = random.Random(75)
+    sizes = set()
+    for _ in range(30):
+        F = random_integral(rng, max_p=6)
+        X = construct_field(F)
+        assert (X.P, X.Q) == reference_field(F)
+        sizes.add(F.p)
+    assert sizes == set(range(1, 7))
+
+
 # Lie derivative
 
 def test_lie_derivative_oracle():

@@ -61,6 +61,28 @@ def test_k_matrix_twin_parabolas():
     assert K4 == bp.parse("2")
 
 
+def test_k_matrix_rebuilds_constructed_field():
+    # the last product-rule step: F.field = (K4 W + K2 u_p, -K1 u_p - K3 W)
+    rng = random.Random(79)
+    done = 0
+    while done < 10:
+        F = random_integral(rng, max_p=5)
+        if F.p < 2:
+            continue
+        X = construct_field(F)
+        for pivot in range(1, F.p + 1):
+            S = factor_split(F, pivot)
+            K1, K2, K3, K4 = k_matrix(S)
+            up = S.factors[-1][0]
+            W = bp.ONE
+            for u, _ in S.factors[:-1]:
+                W = bp.mul(W, u)
+            assert X.P == bp.add(bp.mul(K4, W), bp.mul(K2, up))
+            assert X.Q == bp.neg(bp.add(bp.mul(K1, up), bp.mul(K3, W)))
+            assert construct_field(S) == X  # so factor_split may share F.field
+        done += 1
+
+
 def test_k_matrix_needs_two_factors():
     with pytest.raises(ValueError):
         k_matrix(fi(("x", 2)))

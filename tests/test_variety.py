@@ -73,6 +73,32 @@ def test_y_free_pair():
     assert x0 == 1
 
 
+@pytest.mark.parametrize("polys,witness", [
+    # Res_y = x, and on the fiber x = 0 both reduce to nonzero constants
+    (("x*y + 1", "x*y + 2"), None),
+    # on the fiber x (x - 1) the third reduces to the y-free x - 1, which
+    # shrinks the fiber to x = 1
+    (("y", "y - x^2 + x", "x^2*y - x*y + x - 1"), (1, 0)),
+    # common factor x - y: its own branch is empty, the cofactors' decides
+    (("(x - y)*(x + 1)", "(x - y)*(y + 2)", "(x - y)^2 + (x - y) - 2"), (-1, -2)),
+    (("(x - y)*(x + 1)", "(x - y)*(y + 2)", "(x - y)^2 + (x - y) + 1"), None),
+    # xy - 1 alone: lc_y = x vanishes at x = 0, so the vertical line moves
+    (("(x*y - 1)*(x + 2)", "(x*y - 1)*(y + 3)"), (1, 1)),
+    # on the fiber x (x - 1) both reduce to x*y, which vanishes
+    # identically on the subfiber x = 0
+    (("x^3 - x^2", "x^3*y", "x*y"), (0, 0)),
+])
+def test_branch_cases(polys, witness):
+    fs = [bp.parse(s) for s in polys]
+    res = variety_empty(fs)
+    if witness is None:
+        assert res.ok
+        return
+    assert res.status == "Fails"
+    assert res.witness == tuple(Fraction(c) for c in witness)
+    assert all(bp.evaluate(f, *res.witness) == 0 for f in fs)
+
+
 def test_rejects_degenerate_input():
     with pytest.raises(ValueError):
         variety_empty([bp.parse("x")])
