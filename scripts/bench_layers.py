@@ -1,5 +1,5 @@
-"""Layer microbenchmark: bipoly.mul, bipoly.gcd, upoly.rational_roots and
-the constructed field on a fixed operand ladder.
+"""Layer microbenchmark: bipoly.mul, bipoly.gcd, bipoly.resultant,
+upoly.rational_roots and the constructed field on a fixed operand ladder.
 
 The operands are drawn from a fixed seed: dense products from 1x1 terms
 up to total degree 10, rational and 200-bit coefficients, a single-term
@@ -9,12 +9,17 @@ constant terms grow from a few bits to 60, and coprime gcd pairs: the
 degree-15 field (P0, Q0) built from 16 lines, two homogeneous forms of
 degree 6, and two dense cubics; and integrals of 8, 12, 16 and 20 lines,
 the last one squared, for field_ops.construct_field and
-linearize.linearize.  Every product is checked against a schoolbook
+linearize.linearize; resultants in y of dense curves u, v of degree 3 to
+6 (every monomial, integer coefficients in -5..5), of u and the Jacobian
+u_x v_y - u_y v_x, and of the shape remarkable._level_product eliminates,
+f(y) and h(y) + x.  Every product is checked against a schoolbook
 reference kept in this file, and timed beside it; every gcd must be
 divisible by the planted factor, and every coprime pair's gcd must be 1;
 every root list must equal the planted one; the constructed field, and G
 times the reduced field from each linearization certificate, must equal
-the construction formula written out with schoolbook products.  Each
+the construction formula written out with schoolbook products; every
+resultant must equal bipoly.det_bareiss on the Sylvester matrix built
+here.  Each
 construct_field or linearize call starts from an integral whose H and
 field are not yet cached.  A case whose calls run past CAP_S seconds in a
 round is recorded as a timeout instead of being waited for.
@@ -34,6 +39,8 @@ the rounds, in microseconds ("reference" for the schoolbook product,
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import math
 import os
@@ -174,6 +181,51 @@ def _coprime_cases(rng: random.Random) -> list:
             ("coprime-factors-d3", "coprime", _dense(rng, 3), _dense(rng, 3), None)]
 
 
+def sylvester_y(f: dict, g: dict) -> list[list[dict]]:
+    """Sylvester matrix of f, g with respect to y, entries in Q[x]; f's
+    coefficients fill the top rows."""
+    rows = []
+    for p in (f, g):
+        d = max(j for _, j in p)
+        coeffs = [{} for _ in range(d + 1)]
+        for (i, j), c in p.items():
+            coeffs[d - j][(i, 0)] = c
+        rows.append(coeffs)
+    m, n = len(rows[0]) - 1, len(rows[1]) - 1
+    return ([[{}] * k + rows[0] + [{}] * (n - 1 - k) for k in range(n)]
+            + [[{}] * k + rows[1] + [{}] * (m - 1 - k) for k in range(m)])
+
+
+def _curve(rng: random.Random, d: int) -> dict:
+    """Total degree d, coefficients uniform in -5..5 on every monomial."""
+    out = {(i, j): Fraction(rng.randint(-5, 5)) for i in range(d + 1) for j in range(d + 1 - i)}
+    return {e: c for e, c in out.items() if c}
+
+
+def _jacobian(u: dict, v: dict) -> dict:
+    """u_x v_y - u_y v_x, with schoolbook products."""
+    out: dict = {}
+    for a, b, sign in ((u, v, 1), (v, u, -1)):
+        a_x = {(i - 1, j): i * c for (i, j), c in a.items() if i}
+        b_y = {(i, j - 1): j * c for (i, j), c in b.items() if j}
+        for e, c in reference_mul(a_x, b_y).items():
+            out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _resultant_cases(rng: random.Random) -> list:
+    out = []
+    for d in range(3, 7):
+        u, v = _curve(rng, d), _curve(rng, d)
+        out += [(f"resultant-uv-d{d}", "resultant", u, v, None),
+                (f"resultant-ujac-d{d}", "resultant", u, _jacobian(u, v), None)]
+    # Res_t(f, h + c) with c in the x slot: f of degree 8, h reduced below it
+    f = {(0, j): Fraction(rng.choice((-1, 1)) * rng.randint(1, 32)) for j in range(9)}
+    h = {(0, j): Fraction(rng.choice((-1, 1)) * rng.randint(1, 32)) for j in range(8)}
+    out.append(("resultant-level-d8", "resultant", f, {**h, (1, 0): Fraction(1)}, None))
+    return out
+
+
 def cases() -> list[tuple[str, str, object, object, object]]:
     """(name, op, f, g, planted factor or roots), the same every run."""
     rng = random.Random(20091)
@@ -199,6 +251,7 @@ def cases() -> list[tuple[str, str, object, object, object]]:
     for p in (8, 12, 16, 20):
         factors = _line_factors(_random_lines(rng, p))
         out.append((f"field-lines-{p}", "field", factors, None, literal_field(factors)))
+    out += _resultant_cases(rng)
     return out
 
 
@@ -237,6 +290,10 @@ def worker() -> dict:
     def roots(f, g):
         return up.rational_roots(tuple(f))
 
+    resultant = bp.resultant
+    if "var" in inspect.signature(resultant).parameters:  # trees that name y explicitly
+        resultant = functools.partial(bp.resultant, var="y")
+
     def construct(F, _):
         return construct_field(F)
 
@@ -260,6 +317,9 @@ def worker() -> dict:
             elif op == "coprime":
                 ok = bp.gcd(f, g) == bp.ONE
                 out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
+            elif op == "resultant":
+                ok = resultant(f, g) == bp.det_bareiss(sylvester_y(f, g))
+                out[name] = {"us": _time(resultant, f, g), "ok": ok}
             elif op == "field":
                 F = FactoredIntegral(tuple(f))
                 X, _ = reduce_field(F.field)

@@ -18,12 +18,14 @@ GCDs first try to prove coprimality: if for some integer t the images
 f(t, y) and g(t, y) mod p = 2^61 - 1 have a constant gcd, where lc_y(f) or
 lc_y(g) does not vanish at t mod p, then f and g share no factor of
 positive y-degree, and the same test at y = t rules out positive x-degree.
-Up to three such t are tried per direction.  Otherwise (a common factor,
-or a leading coefficient that vanishes at every t tried) a subresultant
-polynomial remainder sequence over Q[x][y] after content/primitive
-splitting decides; a content of 1 is not divided out.
-Resultants are Sylvester determinants evaluated by fraction-free Bareiss
-elimination.  Every intermediate value stays exact.
+Up to three small t are tried per direction, then three large ones.
+Otherwise (a common factor, or a leading coefficient that vanishes at
+every t tried) a subresultant polynomial remainder sequence over Q[x][y]
+after content/primitive splitting decides; a content of 1 is not divided
+out.  Resultants with respect to y come from the same remainder
+sequence: its last, y-free remainder is the resultant up to a power of
+the last scale factor (Brown & Traub, J. ACM 18, 1971).  Every
+intermediate value stays exact.
 """
 
 from __future__ import annotations
@@ -398,35 +400,48 @@ def _prem_y(a: BiPoly, b: BiPoly) -> BiPoly:
     return r
 
 
-def _pp_gcd_y(a: BiPoly, b: BiPoly) -> BiPoly:
-    # subresultant PRS; a, b primitive wrt y with deg_y >= 1
+def _subresultant_prs(a: BiPoly, b: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly, int]:
+    """Subresultant PRS of a and b over Q[x][y] (Brown & Traub, J. ACM 18,
+    1971), both of y-degree >= 1, run until a remainder has y-degree <= 0.
+
+    Returns (s, r, h, sign): s is the last entry of positive y-degree, r
+    the y-free (possibly zero) remainder after it, h the last scale
+    factor and sign the sign Res_y(a, b) picks up from exchanging
+    operands of odd y-degree.
+    r = 0 exactly when a and b share a factor of positive y-degree, and
+    then s is that gcd up to a factor in Q[x]; otherwise
+    Res_y(a, b) = sign * r^n / h^(n-1) with n = deg_y(s).
+    """
+    sign = 1
     if deg_y(a) < deg_y(b):
         a, b = b, a
-    g = ONE
-    h = ONE
+        if deg_y(a) % 2 and deg_y(b) % 2:
+            sign = -1
+    g = h = ONE
     while True:
-        d = deg_y(a) - deg_y(b)
+        da, db = deg_y(a), deg_y(b)
+        if da % 2 and db % 2:
+            sign = -sign
+        d = da - db
         r = _prem_y(a, b)
-        if not r:
-            break
-        if deg_y(r) == 0:
-            return ONE
-        divisor = mul(g, power(h, d))
-        a, b = b, exact_div(r, divisor)
+        if r:
+            r = exact_div(r, mul(g, power(h, d)))
+        a, b = b, r
         g = _lc_y(a)
         if d == 1:
             h = g
         elif d > 1:
             h = exact_div(power(g, d), power(h, d - 1))
-    cb = content_y(b)
-    return _div_by_xpoly(b, cb)
+        if deg_y(r) <= 0:
+            return a, r, h, sign
 
 
 # ---------------------------------------------------------------------------
 # Coprimality from images mod a prime (Brown, J. ACM 18, 1971) and the gcd.
 
 _PRIME = (1 << 61) - 1  # a Mersenne prime
-_POINTS = 3  # good specialization points tried per direction
+_POINTS = 3  # good specialization points tried per direction and batch
+_FAR = 982451653  # first point of the second batch, a prime
 
 _Residues = list[tuple[int, int, int]]
 
@@ -474,29 +489,32 @@ def _coprime_images(fs: _Residues, gs: _Residues) -> bool:
     F'(t, y) mod _PRIME, so their gcd is not constant.  A constant gcd at
     any such t is the proof.  Up to _POINTS such t are tried, the first
     in 0, 1, 2, ...; two forms like ax + by and cx + dy share the image
-    root y = 0 at t = 0 only.  False means "not proved".
+    root y = 0 at t = 0 only.  Curves with small integer coefficients
+    can meet on every small line x = t, so when those fail, up to
+    _POINTS more t are tried from _FAR on.  False means "not proved".
     """
     degs = [max(j for _, j, _ in fs), max(j for _, j, _ in gs)]
     dx = max(i for i, _, _ in fs + gs)
-    tried = 0
-    # a leading coefficient that is nonzero mod _PRIME has at most dx roots
-    for t in range(dx + _POINTS):
-        tp = [1] * (dx + 1)
-        for i in range(1, dx + 1):
-            tp[i] = tp[i - 1] * t % _PRIME
-        images = []
-        for terms, d in zip((fs, gs), degs):
-            img = [0] * (d + 1)
-            for i, j, c in terms:
-                img[d - j] += c * tp[i]
-            images.append([c % _PRIME for c in img])
-        if not (images[0][0] or images[1][0]):
-            continue  # lc_y(F) and lc_y(F') both vanish at t
-        if _gcd_degree_mod_p(*images) == 0:
-            return True
-        tried += 1
-        if tried == _POINTS:
-            break
+    for start in (0, _FAR):
+        tried = 0
+        # a leading coefficient that is nonzero mod _PRIME has at most dx roots
+        for t in range(start, start + dx + _POINTS):
+            tp = [1] * (dx + 1)
+            for i in range(1, dx + 1):
+                tp[i] = tp[i - 1] * t % _PRIME
+            images = []
+            for terms, d in zip((fs, gs), degs):
+                img = [0] * (d + 1)
+                for i, j, c in terms:
+                    img[d - j] += c * tp[i]
+                images.append([c % _PRIME for c in img])
+            if not (images[0][0] or images[1][0]):
+                continue  # lc_y(F) and lc_y(F') both vanish at t
+            if _gcd_degree_mod_p(*images) == 0:
+                return True
+            tried += 1
+            if tried == _POINTS:
+                break
     return False
 
 
@@ -531,10 +549,11 @@ def _gcd_prs(f: BiPoly, g: BiPoly) -> BiPoly:
     cf, cg = content_y(f), content_y(g)
     cont = upoly.gcd(cf, cg)
     fp, gp = _div_by_xpoly(f, cf), _div_by_xpoly(g, cg)
-    if deg_y(fp) == 0 or deg_y(gp) == 0:
-        pp = ONE
-    else:
-        pp = _pp_gcd_y(fp, gp)
+    pp = ONE
+    if deg_y(fp) > 0 and deg_y(gp) > 0:
+        s, r, _, _ = _subresultant_prs(fp, gp)
+        if not r:
+            pp = _div_by_xpoly(s, content_y(s))
     return normalize(mul(from_upoly_x(cont), pp))
 
 
@@ -551,13 +570,36 @@ def gcd_many(polys: list[BiPoly]) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants via Sylvester matrices with Bareiss elimination.
+# Resultants from the subresultant PRS.
+
+def resultant(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Res_y(f, g), the Sylvester determinant with f's coefficients in the
+    top rows; a polynomial in x.
+
+    Vanishes identically exactly when f and g share a factor of positive
+    y-degree.  Both inputs must have positive y-degree; callers handle
+    degenerate degree-0 operands directly.  The value is read off the last
+    remainder of the subresultant PRS (see _subresultant_prs).
+    """
+    if not f or not g:
+        raise ValueError("resultant of the zero polynomial")
+    if deg_y(f) < 1 or deg_y(g) < 1:
+        raise ValueError("resultant requires positive degree in the eliminated variable")
+    s, r, h, sign = _subresultant_prs(f, g)
+    n = deg_y(s)
+    if r and n > 1:
+        r = exact_div(power(r, n), power(h, n - 1))
+    return neg(r) if sign < 0 else r
+
 
 def det_bareiss(mat: list[list[BiPoly]]) -> BiPoly:
     """Determinant of a square matrix of polynomials, fraction-free.
 
     Every division in the Bareiss recurrence is exact (entries stay minors
-    of the input, up to the sign tracked across row swaps).
+    of the input, up to the sign tracked across row swaps).  No resultant
+    uses it: it is the reference that the tests and
+    scripts/bench_layers.py check resultant against, on Sylvester
+    matrices they build themselves.
     """
     n = len(mat)
     if n == 0:
@@ -582,41 +624,6 @@ def det_bareiss(mat: list[list[BiPoly]]) -> BiPoly:
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return neg(d) if sign < 0 else d
-
-
-def sylvester_y(f: BiPoly, g: BiPoly) -> list[list[BiPoly]]:
-    """Sylvester matrix of f, g with respect to y; f's coefficients occupy
-    the top rows."""
-    m, n = deg_y(f), deg_y(g)
-    fc = coeffs_wrt_y(f)
-    gc = coeffs_wrt_y(g)
-    frow = [from_upoly_x(fc[m - k]) if m - k < len(fc) else {} for k in range(m + 1)]
-    grow = [from_upoly_x(gc[n - k]) if n - k < len(gc) else {} for k in range(n + 1)]
-    size = m + n
-    mat: list[list[BiPoly]] = []
-    for i in range(n):
-        mat.append([{}] * i + frow + [{}] * (size - m - 1 - i))
-    for i in range(m):
-        mat.append([{}] * i + grow + [{}] * (size - n - 1 - i))
-    return mat
-
-
-def resultant(f: BiPoly, g: BiPoly, var: str) -> BiPoly:
-    """Resultant with respect to var; a polynomial in the other variable.
-
-    Vanishes identically exactly when f and g share a factor of positive
-    degree in var.  Both inputs must have positive degree in var; callers
-    handle degenerate degree-0 operands directly.
-    """
-    if var == "x":
-        return swap_vars(resultant(swap_vars(f), swap_vars(g), "y"))
-    if var != "y":
-        raise ValueError(f"unknown variable {var!r}")
-    if not f or not g:
-        raise ValueError("resultant of the zero polynomial")
-    if deg_y(f) < 1 or deg_y(g) < 1:
-        raise ValueError("resultant requires positive degree in the eliminated variable")
-    return det_bareiss(sylvester_y(f, g))
 
 
 def is_squarefree(f: BiPoly) -> bool:

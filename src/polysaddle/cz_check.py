@@ -39,13 +39,13 @@ def check_leading_squarefree(u: BiPoly) -> CheckResult:
     if bp.is_zero(u) or bp.is_const(u):
         raise ValueError("leading-form check requires a nonconstant curve")
     L = bp.leading_form(u)
-    if bp.is_squarefree(L):
-        return bp.holds("leading form is squarefree")
     g = L
     for var in ("x", "y"):
         d = bp.partial(L, var)
         if d:
             g = bp.gcd(g, d)
+    if bp.is_const(g):
+        return bp.holds("leading form is squarefree")
     return bp.fails(bp.to_string(g), "leading form has a repeated factor")
 
 

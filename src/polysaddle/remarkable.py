@@ -79,14 +79,14 @@ def _at(f: BiPoly, x0: int) -> UPoly:
 def _level_product(f: UPoly, h: UPoly) -> UPoly:
     """A polynomial in c whose roots are the -h(t_k), t_k the roots of f
     (positive degree): Res_t(f*, (h mod f*) + c) for the squarefree part
-    f* of f, which has those roots and keeps the Sylvester matrix small.
-    c rides in the x slot, so the resultant's entries are univariate."""
+    f* of f, which has those roots and keeps the remainder sequence short.
+    c rides in the x slot, so every y-coefficient is a polynomial in c."""
     f = upoly.squarefree_part(f)
     h = upoly.rem(h, f)
     if upoly.is_const(h):
         return upoly.make([h[0] if h else 0, 1])
     hc = bp.add(bp.from_upoly_y(h), bp.X)
-    return bp.coeffs_wrt_y(bp.resultant(bp.from_upoly_y(f), hc, "y"))[0]
+    return bp.coeffs_wrt_y(bp.resultant(bp.from_upoly_y(f), hc))[0]
 
 
 def critical_remarkable_values(H: BiPoly) -> tuple[list[Fraction], UPoly | None]:

@@ -73,31 +73,19 @@ def _ymod(a: YPoly, b: YPoly, F: UPoly, inv_lc: UPoly) -> YPoly:
     return tuple(r)
 
 
-def _fiber_gcd(F: UPoly, a: YPoly, b: YPoly) -> list[tuple[UPoly, YPoly | None]]:
+def _fiber_gcd(F: UPoly, a: YPoly, b: YPoly) -> list[tuple[UPoly, YPoly]]:
     """Dynamic-evaluation gcd of a and b over the squarefree fiber F.
 
     Returns subfibers covering all roots of F, each paired with a
     polynomial whose roots over that subfiber are exactly the common roots
-    of a and b there; None means both vanish identically (no constraint),
-    and a returned () ... never occurs: unit gcds come back as y-free
-    polynomials invertible on their whole subfiber, signalling emptiness.
+    of a and b there; () means both vanish identically (no constraint),
+    and a y-free polynomial has a root exactly where it vanishes on the
+    subfiber.
     """
     a, b = _reduce(a, F), _reduce(b, F)
     if len(a) < len(b):
         a, b = b, a
     if not b:
-        if not a:
-            return [(F, None)]
-        if len(a) == 1:
-            # y-free survivor: split roots where it vanishes from the rest
-            h = upoly.gcd(F, a[0])
-            out: list[tuple[UPoly, YPoly | None]] = []
-            if upoly.degree(h) >= 1:
-                out.append((h, None))
-            rest = upoly.divmod_exact_field(F, h)[0] if upoly.degree(h) >= 1 else F
-            if upoly.degree(rest) >= 1:
-                out.append((rest, a))  # unit there: no common root
-            return out
         return [(F, a)]
     lc = b[-1]
     h = upoly.gcd(F, lc)
@@ -144,12 +132,7 @@ def _decide_fiber(F: UPoly, polys: list[YPoly], depth: int) -> Locus | None:
     a, b = polys[1], polys[0]
     others = polys[2:]
     for Fi, g in _fiber_gcd(F, a, b):
-        if g is None:
-            sub = _decide_fiber(Fi, others, depth + 1)
-        elif len(g) == 1:
-            sub = None  # unit on Fi: the pair has no common root there
-        else:
-            sub = _decide_fiber(Fi, [g] + others, depth + 1)
+        sub = _decide_fiber(Fi, [g] + others, depth + 1)
         if sub is not None:
             return sub
     return None
@@ -164,40 +147,39 @@ def _to_upoly_x(f: BiPoly) -> UPoly:
 def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
     if depth > 300:
         raise RecursionError("variety decision exceeded depth guard")
-    live = [p for p in polys if p]
-    if any(bp.is_const(p) for p in live):
+    if any(bp.is_const(p) for p in polys):
         return None
-    yfree = [p for p in live if bp.deg_y(p) == 0]
+    yfree = [p for p in polys if bp.deg_y(p) == 0]
     if yfree:
         G = upoly.gcd_many([_to_upoly_x(p) for p in yfree])
         if upoly.degree(G) < 1:
             return None
         F = upoly.squarefree_part(G)
-        rest = [_to_ypoly(p) for p in live if bp.deg_y(p) > 0]
+        rest = [_to_ypoly(p) for p in polys if bp.deg_y(p) > 0]
         return _decide_fiber(F, rest, depth + 1)
-    if len(live) == 1:
-        p = live[0]
+    if len(polys) == 1:
+        p = polys[0]
         lc = bp.coeffs_wrt_y(p)[-1]
         k = 0
         while upoly.evaluate(lc, Fraction(k)) == 0:
             k += 1
         return _decide_fiber(upoly.make([-k, 1]), [_to_ypoly(p)], depth + 1)
-    live.sort(key=bp.deg_y)
-    p, q = live[0], live[1]
-    others = live[2:]
+    polys = sorted(polys, key=bp.deg_y)
+    p, q = polys[0], polys[1]
+    others = polys[2:]
     h = bp.gcd(p, q)
     if not bp.is_const(h):
         sub = _decide_plane([h] + others, depth + 1)
         if sub is not None:
             return sub
         return _decide_plane([bp.exact_div(p, h), bp.exact_div(q, h)] + others, depth + 1)
-    R = bp.resultant(p, q, "y")
+    R = bp.resultant(p, q)
     if bp.is_zero(R):
         raise ArithmeticError("resultant of a coprime pair vanished")
     if bp.is_const(R):
         return None
     F = upoly.squarefree_part(_to_upoly_x(R))
-    return _decide_fiber(F, [_to_ypoly(t) for t in live], depth + 1)
+    return _decide_fiber(F, [_to_ypoly(t) for t in polys], depth + 1)
 
 
 def _specialize(p: YPoly, x0: Fraction) -> UPoly:

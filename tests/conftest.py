@@ -129,6 +129,28 @@ def random_line_family(rng: random.Random, max_p: int = 3) -> FactoredIntegral:
             continue
 
 
+def sylvester_from_coeffs(fc: list[bp.BiPoly], gc: list[bp.BiPoly]) -> list[list[bp.BiPoly]]:
+    """Sylvester matrix of f = sum fc[k] t^k and g = sum gc[k] t^k, whose
+    coefficients lie in the ring bipoly represents; f's fill the top rows,
+    so its determinant is Res_t(f, g)."""
+    m, n = len(fc) - 1, len(gc) - 1
+    frow = [fc[m - k] for k in range(m + 1)]
+    grow = [gc[n - k] for k in range(n + 1)]
+    size = m + n
+    mat = []
+    for i in range(n):
+        mat.append([{}] * i + frow + [{}] * (size - m - 1 - i))
+    for i in range(m):
+        mat.append([{}] * i + grow + [{}] * (size - n - 1 - i))
+    return mat
+
+
+def sylvester_y(f: bp.BiPoly, g: bp.BiPoly) -> list[list[bp.BiPoly]]:
+    """Sylvester matrix of f and g with respect to y, entries in Q[x]."""
+    return sylvester_from_coeffs([bp.from_upoly_x(c) for c in bp.coeffs_wrt_y(f)],
+                                 [bp.from_upoly_x(c) for c in bp.coeffs_wrt_y(g)])
+
+
 def random_coprime_field(rng: random.Random, max_deg: int = 3) -> VectorField:
     """Random field with coprime components (for the multiplier round-trip)."""
     while True:

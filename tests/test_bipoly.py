@@ -1,6 +1,7 @@
 """Bivariate polynomial ring: parser, arithmetic, gcd, resultants."""
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysaddle import bipoly as bp
+
+from conftest import random_rat, sylvester_y
 
 rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 exps = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
@@ -277,19 +280,20 @@ def test_gcd_fixed_cases(f, g, want):
 
 def test_resultant_oracles():
     # classic elimination: common root structure of two parabolas
-    r = bp.resultant(bp.parse("y - x^2"), bp.parse("y + x^2"), "y")
+    r = bp.resultant(bp.parse("y - x^2"), bp.parse("y + x^2"))
     assert r == bp.parse("2*x^2")
     # no common factor in y: nonzero resultant
-    assert not bp.is_zero(bp.resultant(bp.parse("x*y + 1"), bp.parse("y"), "y"))
+    assert not bp.is_zero(bp.resultant(bp.parse("x*y + 1"), bp.parse("y")))
     # shared factor forces identically zero resultant
     f = bp.parse("(y - x)*(y + x)")
     g = bp.parse("(y - x)*(y + 1)")
-    assert bp.is_zero(bp.resultant(f, g, "y"))
+    assert bp.is_zero(bp.resultant(f, g))
 
 
 def test_resultant_var_x():
-    r = bp.resultant(bp.parse("x - y^2"), bp.parse("x + y^2"), "x")
-    assert r == bp.parse("2*y^2")
+    # Res_x by swapping the variables around Res_y
+    f, g = bp.swap_vars(bp.parse("x - y^2")), bp.swap_vars(bp.parse("x + y^2"))
+    assert bp.swap_vars(bp.resultant(f, g)) == bp.parse("2*y^2")
 
 
 @given(bipolys(3), bipolys(3), bipolys(2))
@@ -297,7 +301,7 @@ def test_resultant_var_x():
 def test_resultant_vanishes_iff_common_y_factor(a, b, c):
     if bp.deg_y(c) < 1 or bp.deg_y(a) < 1 or bp.deg_y(b) < 1:
         return
-    r = bp.resultant(bp.mul(a, c), bp.mul(b, c), "y")
+    r = bp.resultant(bp.mul(a, c), bp.mul(b, c))
     assert bp.is_zero(r)
 
 
@@ -306,7 +310,55 @@ def test_sylvester_convention():
     f = bp.parse("y^2 - x")
     g = bp.parse("y - 1")
     # resultant = f evaluated at the root y = 1 (up to the stated convention)
-    assert bp.resultant(f, g, "y") == bp.parse("1 - x")
+    assert bp.resultant(f, g) == bp.parse("1 - x")
+
+
+def _with_y_degree(rng, dy, dx=2):
+    """Random polynomial of y-degree exactly dy and x-degree at most dx,
+    rational coefficients on a random support."""
+    while True:
+        f = {(i, j): random_rat(rng, 6) for i in range(dx + 1) for j in range(dy + 1)
+             if j == dy or rng.random() < 0.6}
+        f = {e: c for e, c in f.items() if c}
+        if bp.deg_y(f) == dy:
+            return f
+
+
+def _resultant_pairs(n):
+    """n seeded pairs (kind, f, g), cycling through four kinds: y-degrees
+    1 and 3 in either order (both odd, so the order flips the sign), a
+    planted common factor of positive y-degree, a degree-1 operand, and
+    y-degrees in 1..3 drawn freely."""
+    rng = random.Random(8088)
+    out = []
+    for k in range(n):
+        kind = ("odd-swap", "planted", "linear", "free")[k % 4]
+        if kind == "odd-swap":
+            f, g = _with_y_degree(rng, 1), _with_y_degree(rng, 3)
+            if k % 8 == 4:
+                f, g = g, f
+        elif kind == "planted":
+            c = _with_y_degree(rng, rng.randint(1, 2), dx=1)
+            f = bp.mul(_with_y_degree(rng, rng.randint(0, 1), dx=1), c)
+            g = bp.mul(_with_y_degree(rng, rng.randint(0, 1), dx=1), c)
+        elif kind == "linear":
+            f, g = _with_y_degree(rng, 1), _with_y_degree(rng, rng.randint(1, 3))
+        else:
+            f, g = _with_y_degree(rng, rng.randint(1, 3)), _with_y_degree(rng, rng.randint(1, 3))
+        out.append((kind, f, g))
+    return out
+
+
+def test_resultant_matches_bareiss_on_sylvester():
+    pairs = _resultant_pairs(320)
+    for kind, f, g in pairs:
+        want = bp.det_bareiss(sylvester_y(f, g))
+        assert bp.resultant(f, g) == want, (kind, bp.to_string(f), bp.to_string(g))
+        if kind == "planted":
+            assert want == {}
+    # the sign flip is exercised: swapping odd-degree operands negates
+    _, f, g = pairs[0]
+    assert bp.resultant(g, f) == bp.neg(bp.resultant(f, g)) != {}
 
 
 # squarefree and leading form

@@ -133,6 +133,19 @@ def test_many_lines_bounded(capsys, command):
     assert code == 0, out
 
 
+@pytest.mark.parametrize("command", ["construct", "analyze", "linearize"])
+def test_int_lines_bounded(capsys, command):
+    # 16 lines with small integer coefficients, the last squared: pairs of
+    # them meet on x = 0, 1, 2, where the field's images share a root, so
+    # the coprimality proof needs its large points; the subresultant PRS
+    # alone took about 20 s here
+    t0 = time.perf_counter()
+    code, out = run(capsys, command, os.path.join(HERE, "fixtures", "int_lines_16.json"),
+                    "--format", "json")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0, out
+
+
 @pytest.mark.parametrize("command", ["analyze", "all"])
 def test_critical_values_computed_once_per_command(capsys, monkeypatch, command):
     # analyze reads the gradient gcd off the factors and goes straight to

@@ -26,7 +26,7 @@ from polysaddle.remarkable import (
     verify_integrating_factor,
 )
 
-from conftest import random_integral, random_line_family
+from conftest import random_integral, random_line_family, sylvester_from_coeffs
 
 
 def fi(*pairs):
@@ -137,19 +137,6 @@ def _coeffs_with_c(f, main, add_c):
     return out
 
 
-def _sylvester_from_coeffs(fc, gc):
-    m, n = len(fc) - 1, len(gc) - 1
-    frow = [fc[m - k] for k in range(m + 1)]
-    grow = [gc[n - k] for k in range(n + 1)]
-    size = m + n
-    mat = []
-    for i in range(n):
-        mat.append([{}] * i + frow + [{}] * (size - m - 1 - i))
-    for i in range(m):
-        mat.append([{}] * i + grow + [{}] * (size - n - 1 - i))
-    return mat
-
-
 def _route_candidates(H, deriv, main):
     """Polynomial in c whose roots are the candidate levels of this route,
     or None when deriv is free of `main`."""
@@ -158,7 +145,7 @@ def _route_candidates(H, deriv, main):
         return None
     fc = _coeffs_with_c(H, main, add_c=True)
     gc = _coeffs_with_c(deriv, main, add_c=False)
-    res = bp.det_bareiss(_sylvester_from_coeffs(fc, gc))
+    res = bp.det_bareiss(sylvester_from_coeffs(fc, gc))
     assert not bp.is_zero(res), "level family shares a factor for generic c"
     per_power = bp.coeffs_wrt_y(bp.swap_vars(res))
     return upoly.gcd_many([p for p in per_power if not upoly.is_zero(p)])
