@@ -12,9 +12,13 @@ the last one squared, for field_ops.construct_field and
 linearize.linearize; resultants in y of dense curves u, v of degree 3 to
 6 (every monomial, integer coefficients in -5..5), of u and the Jacobian
 u_x v_y - u_y v_x, and of the shape remarkable._level_product eliminates,
-f(y) and h(y) + x.  Every product is checked against a schoolbook
+f(y) and h(y) + x; gcds with a common factor as analyze's confirmation of
+a critical value meets them (H + c0 and G in remarkable.critical_levels,
+for a 4-line family and a random-ladder shape), and two products with an
+x-free common factor.  Every product is checked against a schoolbook
 reference kept in this file, and timed beside it; every gcd must be
-divisible by the planted factor, and every coprime pair's gcd must be 1;
+divisible by the planted factor and equal bipoly._gcd_prs, the
+subresultant route, and every coprime pair's gcd must be 1;
 every root list must equal the planted one; the constructed field, and G
 times the reduced field from each linearization certificate, must equal
 the construction formula written out with schoolbook products; every
@@ -181,6 +185,34 @@ def _coprime_cases(rng: random.Random) -> list:
             ("coprime-factors-d3", "coprime", _dense(rng, 3), _dense(rng, 3), None)]
 
 
+def _integral(factors: list) -> dict:
+    """prod u^k over the (u, k) pairs, with schoolbook products."""
+    return functools.reduce(reference_mul, (u for u, k in factors for _ in range(k)))
+
+
+def _confirmation_cases(rng: random.Random) -> list:
+    """gcd(H + c0, G) as remarkable.critical_levels confirms a critical
+    value c0: H the integral, G its gradient gcd.  On a 4-line family and
+    on random-ladder's random-6 shape (two lines and a conic, coefficients
+    of 16..31 in size, the conic squared), c0 = 0 and G is the squared
+    factor; and a pair whose common factor is free of x, so that only the
+    y = t images could pass."""
+    out = []
+    lines = _line_factors(_random_lines(rng, 4))
+    out.append(("gcd-confirm-lines-4", "gcd", _integral(lines), lines[-1][0], lines[-1][0]))
+
+    def draw(support):
+        return {e: Fraction(rng.choice((-1, 1)) * rng.randint(16, 31)) for e in support}
+
+    conic = draw(((2, 0), (0, 2), (0, 0)))
+    shape = [(draw(((1, 0), (0, 1), (0, 0))), 1), (draw(((1, 0), (0, 1), (0, 0))), 1), (conic, 2)]
+    out.append(("gcd-confirm-random-6", "gcd", _integral(shape), conic, conic))
+    c = {(0, 2): Fraction(3), (0, 1): Fraction(-5), (0, 0): Fraction(7)}
+    out.append(("gcd-x-free-common-d2", "gcd", reference_mul(_dense(rng, 3), c),
+                reference_mul(_dense(rng, 3), c), c))
+    return out
+
+
 def sylvester_y(f: dict, g: dict) -> list[list[dict]]:
     """Sylvester matrix of f, g with respect to y, entries in Q[x]; f's
     coefficients fill the top rows."""
@@ -252,6 +284,7 @@ def cases() -> list[tuple[str, str, object, object, object]]:
         factors = _line_factors(_random_lines(rng, p))
         out.append((f"field-lines-{p}", "field", factors, None, literal_field(factors)))
     out += _resultant_cases(rng)
+    out += _confirmation_cases(rng)  # drawn last: the cases above keep their operands
     return out
 
 
@@ -312,7 +345,8 @@ def worker() -> dict:
                 out[name] = {"us": _time(bp.mul, f, g),
                              "reference_us": _time(reference_mul, f, g), "ok": ok}
             elif op == "gcd":
-                ok = bp.divides(bp.normalize(planted), bp.gcd(f, g))
+                got = bp.gcd(f, g)
+                ok = got == bp._gcd_prs(f, g) and bp.divides(bp.normalize(planted), got)
                 out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
             elif op == "coprime":
                 ok = bp.gcd(f, g) == bp.ONE

@@ -20,12 +20,16 @@ lc_y(g) does not vanish at t mod p, then f and g share no factor of
 positive y-degree, and the same test at y = t rules out positive x-degree.
 Up to three small t are tried per direction, then three large ones.
 Otherwise (a common factor, or a leading coefficient that vanishes at
-every t tried) a subresultant polynomial remainder sequence over Q[x][y]
-after content/primitive splitting decides; a content of 1 is not divided
-out.  Resultants with respect to y come from the same remainder
-sequence: its last, y-free remainder is the resultant up to a power of
-the last scale factor (Brown & Traub, J. ACM 18, 1971).  Every
-intermediate value stays exact.
+every t tried) the heuristic gcd (GCDHEU: Char, Geddes & Gonnet, J.
+Symbolic Comput. 7, 1989) runs on the Kronecker images that mul packs:
+one integer gcd gives a candidate, which is kept only once an exact
+divisibility proof in Z[x, y] shows it divides both primitive parts, and
+is then the gcd.  If no candidate passes at three bases, a subresultant
+polynomial remainder sequence over Q[x][y] after content/primitive
+splitting decides; a content of 1 is not divided out.  Resultants with
+respect to y come from the same remainder sequence: its last, y-free
+remainder is the resultant up to a power of the last scale factor (Brown
+& Traub, J. ACM 18, 1971).  Every intermediate value stays exact.
 """
 
 from __future__ import annotations
@@ -176,21 +180,31 @@ def mul(f: BiPoly, g: BiPoly) -> BiPoly:
     nb = bound.bit_length() // 8 + 1
     if nb <= 8:  # round up to a width struct packs in one call
         nb = 1 << (nb - 1).bit_length()
-    half = 1 << (8 * nb - 1)
-    packed = []
-    for poly, vals, i0, j0, size in ((f, fv, fi0, fj0, fsize), (g, gv, gi0, gj0, gsize)):
-        digits = [half] * size
-        for (i, j), v in zip(poly, vals):
-            digits[(i - i0) * w + j - j0] = v + half
-        packed.append(_to_digits(digits, nb) - _to_digits([half] * size, nb))
-    prod = packed[0] * packed[1] + _to_digits([half] * span, nb)
+    prod = (_pack(zip(f, fv), fi0, fj0, w, fsize, nb)
+            * _pack(zip(g, gv), gi0, gj0, w, gsize, nb))
     i0, j0, den = fi0 + gi0, fj0 + gj0, fden * gden
-    out: BiPoly = {}
-    for k, d in enumerate(_from_digits(prod, nb, span)):
-        if d != half:
-            i, j = divmod(k, w)
-            out[(i + i0, j + j0)] = Fraction(d - half, den) if den != 1 else Fraction(d - half)
-    return out
+    return {(i + i0, j + j0): Fraction(d, den) if den != 1 else Fraction(d)
+            for (i, j), d in _unpack(prod, w, nb)}
+
+
+def _pack(terms, i0: int, j0: int, w: int, size: int, nb: int) -> int:
+    """The integer sum v * B^((i - i0)*w + j - j0) over the terms
+    ((i, j), v), B = 2^(8*nb), each |v| < B/2, every position below
+    size."""
+    half = 1 << (8 * nb - 1)
+    digits = [half] * size
+    for (i, j), v in terms:
+        digits[(i - i0) * w + j - j0] = v + half
+    return _to_digits(digits, nb) - _to_digits([half] * size, nb)
+
+
+def _unpack(n: int, w: int, nb: int) -> list[tuple[tuple[int, int], int]]:
+    """The inverse of _pack at i0 = j0 = 0: the terms ((i, j), v), v != 0,
+    of the balanced base-B digits v in [-B/2, B/2) of n."""
+    half = 1 << (8 * nb - 1)
+    count = abs(n).bit_length() // (8 * nb) + 2  # |n| < B^(count - 1)
+    digits = _from_digits(n + _to_digits([half] * count, nb), nb, count)
+    return [(divmod(k, w), d - half) for k, d in enumerate(digits) if d != half]
 
 
 def scalar_mul(c: Fraction | int, f: BiPoly) -> BiPoly:
@@ -527,7 +541,9 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     y = t one of positive x-degree, the gcd is 1 (see
     _coprime_images).  If only the first holds, the gcd is the gcd of
     the y-contents.  Otherwise (a common factor, or no good point) the
-    subresultant PRS decides.
+    heuristic gcd on the Kronecker images decides when a candidate passes
+    its divisibility proof (_gcd_heuristic), and the subresultant PRS
+    (_gcd_prs) when none does.
     """
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
@@ -540,7 +556,79 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
         if _coprime_images(_swapped(fs), _swapped(gs)):
             return ONE
         return normalize(from_upoly_x(upoly.gcd(content_y(f), content_y(g))))
-    return _gcd_prs(f, g)
+    return _gcd_heuristic(f, g) or _gcd_prs(f, g)
+
+
+# ---------------------------------------------------------------------------
+# Heuristic gcd on the Kronecker image (Char, Geddes & Gonnet, J. Symbolic
+# Comput. 7, 1989).
+
+_HEU_BASES = 3  # bases tried by _gcd_heuristic, each digit twice as wide
+
+
+def _primitive_terms(f: BiPoly) -> list[tuple[tuple[int, int], int]]:
+    """The terms of f's primitive part in Z[x, y]."""
+    vals, _ = _numerators(f)
+    c = math.gcd(*vals)
+    return [(e, v // c) for e, v in zip(f, vals)]
+
+
+def _gcd_heuristic(f: BiPoly, g: BiPoly) -> BiPoly | None:
+    """gcd(f, g) for nonzero f, g from one integer gcd, or None.
+
+    F and G, the primitive parts of f and g in Z[x, y], are packed as
+    mul packs them: x^i y^j goes to B^(i*w + j), B = 2^(8*nb), with w
+    above both y-degrees and B > 2*max(|F|, |G|) + 2 in the max norm.
+    The packing is a ring homomorphism, the value at z = B of the
+    Kronecker image (x -> z^w, y -> z), and it is one to one on
+    polynomials of y-degree below w with coefficients in (-B/2, B/2).
+
+    The balanced base-B digits of gamma = gcd(F(B), G(B)) give a
+    polynomial h; its primitive part C is the candidate, accepted once it
+    is shown to divide F and G (_divides_packed).  Then C is the gcd D:
+    C divides D = C*E, and D(B) divides gamma = cont(h)*C(B), so E(B)
+    divides cont(h) <= B/2.  The image of a nonconstant E would divide
+    that of F, so its roots lie inside Cauchy's bound |z| < 1 + |F| <= B/2
+    and |E(B)| > B/2.  Hence E = +-1.  A candidate that fails is retried
+    with digits twice as wide, _HEU_BASES times in all; None means that
+    no candidate passed.
+    """
+    F, G = _primitive_terms(f), _primitive_terms(g)
+    w = max(deg_y(f), deg_y(g)) + 1
+    norm = max(abs(v) for _, v in F + G)
+    nb = (2 * norm + 2).bit_length() // 8 + 1
+    if nb <= 8:  # round up to a width struct packs in one call
+        nb = 1 << (nb - 1).bit_length()
+    fsize, gsize = (deg_x(f) + 1) * w, (deg_x(g) + 1) * w
+    for _ in range(_HEU_BASES):
+        a, b = _pack(F, 0, 0, w, fsize, nb), _pack(G, 0, 0, w, gsize, nb)
+        gamma = math.gcd(a, b)
+        h = _unpack(gamma, w, nb)
+        cont = math.gcd(*(v for _, v in h))
+        C = [(e, v // cont) for e, v in h]
+        c = gamma // cont
+        if _divides_packed(C, c, a, w, nb) and _divides_packed(C, c, b, w, nb):
+            return normalize({e: Fraction(v) for e, v in C})
+        nb *= 2
+    return None
+
+
+def _divides_packed(C: list[tuple[tuple[int, int], int]], c: int, n: int, w: int,
+                    nb: int) -> bool:
+    """True when C divides the P in Z[x, y], of y-degree below w and with
+    |P| < B/2, that packs to n; c is C packed.
+
+    If c divides n, the quotient unpacks to q with C(B)*q(B) = n.  When
+    deg_y C + deg_y q < w and |C|*|q|*min(#C, #q) < B/2, C*q lies where
+    the packing is one to one, as P does, and both pack to n; so P = C*q.
+    """
+    if n % c:
+        return False
+    m = n // c
+    q = _unpack(m, w, nb)
+    return (max(j for (_, j), _ in C) + max(j for (_, j), _ in q) < w
+            and max(abs(v) for _, v in C) * max(abs(v) for _, v in q) * min(len(C), len(q))
+            < 1 << (8 * nb - 1))
 
 
 def _gcd_prs(f: BiPoly, g: BiPoly) -> BiPoly:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,8 +87,10 @@ def load_problem(path: str) -> ProblemSpec:
         if not isinstance(item, dict) or "poly" not in item or "exponent" not in item:
             raise ProblemError(f"{path}: factor {idx} needs \"poly\" and \"exponent\"")
         k = item["exponent"]
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ProblemError(f"{path}: factor {idx}: exponent must be a positive integer")
+        if not isinstance(item["poly"], str):
+            raise ProblemError(f"{path}: factor {idx}: \"poly\" must be a string")
         try:
             u = bp.parse(item["poly"])
         except ParseError as e:
@@ -106,6 +109,8 @@ def load_problem(path: str) -> ProblemSpec:
     if fdoc is not None:
         if not isinstance(fdoc, dict) or "p" not in fdoc or "q" not in fdoc:
             raise ProblemError(f"{path}: \"field\" needs \"p\" and \"q\"")
+        if not (isinstance(fdoc["p"], str) and isinstance(fdoc["q"], str)):
+            raise ProblemError(f"{path}: field: \"p\" and \"q\" must be strings")
         try:
             P = bp.parse(fdoc["p"])
             Q = bp.parse(fdoc["q"])
@@ -288,6 +293,8 @@ def cmd_linearize(spec: ProblemSpec, pivot: int | None) -> dict:
 def cmd_simulate(spec: ProblemSpec, args) -> dict:
     if args.steps < 1:
         raise ProblemError("--steps must be a positive integer")
+    if not all(map(math.isfinite, (args.x0, args.y0, args.step))):
+        raise ProblemError("--x0, --y0 and --step must be finite numbers")
     if args.step <= 0:
         raise ProblemError("--step must be positive")
     H = spec.integral.H

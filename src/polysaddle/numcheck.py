@@ -60,6 +60,8 @@ def integrate_orbit(X: VectorField, x0: float, y0: float,
     The orbit is truncated early if a coordinate leaves [-1e12, 1e12] or
     stops being finite.
     """
+    if not all(map(math.isfinite, (x0, y0, step))):
+        raise ValueError("x0, y0 and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if n < 1:

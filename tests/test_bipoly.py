@@ -1,6 +1,8 @@
 """Bivariate polynomial ring: parser, arithmetic, gcd, resultants."""
 
 import functools
+import glob
+import os
 import random
 from fractions import Fraction
 
@@ -9,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysaddle import bipoly as bp
+from polysaddle import cli, remarkable
 
-from conftest import random_rat, sylvester_y
+from conftest import random_line_family, random_rat, sylvester_y
 
 rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 exps = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
@@ -274,6 +277,85 @@ def test_gcd_fixed_cases(f, g, want):
     f, g = bp.parse(f), bp.parse(g)
     assert bp.gcd(f, g) == prs_gcd(f, g) == bp.parse(want)
     assert bp.gcd(g, f) == bp.parse(want)
+
+
+# The heuristic gcd on the Kronecker image decides the pairs the modular
+# proof leaves open, before the PRS; every answer it gives must be the
+# PRS's, and a None hands the pair on to the PRS.
+
+def _factors(keys, coeffs, max_terms):
+    return st.dictionaries(keys, coeffs, min_size=1, max_size=max_terms).map(
+        lambda d: {e: Fraction(c) for e, c in d.items() if c})
+
+
+pos = st.integers(min_value=1, max_value=3)
+planted_factors = st.one_of(
+    _factors(st.tuples(pos, pos), rats, 3),  # positive degree in x and in y
+    _factors(exps, rats, 4),  # mixed degrees, constants included
+    _factors(st.tuples(pos, st.just(0)), rats, 3),  # y-free
+    _factors(st.tuples(st.just(0), pos), rats, 3),  # x-free
+    _factors(exps, rats, 1),  # a single term
+    _factors(exps, st.integers(min_value=-10**60, max_value=10**60), 3),  # 60 digits
+)
+
+
+@given(bipolys(4), bipolys(4), planted_factors)
+@settings(max_examples=300, deadline=None)
+def test_gcd_heuristic_matches_prs_oracle(a, b, c):
+    f, g = bp.mul(a, c), bp.mul(b, c)
+    if bp.is_zero(f) or bp.is_zero(g):
+        return
+    want = prs_gcd(f, g)
+    for p, q in ((f, g), (g, f)):
+        got = bp._gcd_heuristic(p, q)
+        assert got is None or got == want
+        assert bp.gcd(p, q) == want
+
+
+@pytest.mark.parametrize("f,g,want,decided", [
+    # F has coefficients 2^40 times G's: packed at a base sized from G
+    # alone, y + 1 would pass as a divisor of F
+    ("(257*2^32*x + y + 1)", "y + 1", "1", True),
+    ("(257*2^32*x + y + 1)*(x - y + 3)", "(y + 1)*(x - y + 3)", "x - y + 3", True),
+    ("2^40*x*y + 3*x - 5", "(x*y + 1)*(x - 2)", "1", True),
+    # y - 1 divides the image of x - y^2 at every base, with quotient
+    # y^2: the product y^3 - y^2 would wrap into x
+    ("x - y^2", "y - 1", "1", False),
+    ("(x - y^2)*(x + y + 2)", "(y - 1)*(x + y + 2)", "x + y + 2", False),
+    ("(x*y - y^3)*(2*x - y)", "(y^2 - y)*(2*x - y)", "2*x*y - y^2", False),
+    # analyze's confirmation pairs H + c0 and G on problems/three_lines.json
+    # and problems/twin_parabolas.json
+    ("x^3*y + 2*x^2*y^2 + x*y^3", "x + y", "x + y", True),
+    ("-x^6 - x^4*y + x^2*y^2 + y^3", "x^2 + y", "x^2 + y", True),
+])
+def test_gcd_heuristic_fixed_cases(f, g, want, decided):
+    f, g, want = bp.parse(f), bp.parse(g), bp.parse(want)
+    assert prs_gcd(f, g) == want
+    for p, q in ((f, g), (g, f)):
+        got = bp._gcd_heuristic(p, q)
+        assert (got is not None) == decided
+        assert got is None or got == want
+        assert bp.gcd(p, q) == want
+
+
+def test_analyze_confirmation_skips_prs(monkeypatch):
+    # analyze confirms every rational critical value c0 by gcd(H + c0, G),
+    # a pair with a common factor; the heuristic decides it, not the PRS
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return prs_gcd(f, g)
+
+    monkeypatch.setattr(bp, "_gcd_prs", counting)
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "problems")
+    paths = sorted(glob.glob(os.path.join(root, "*.json")))
+    rng = random.Random("confirmation")
+    integrals = ([cli.load_problem(p).integral for p in paths]
+                 + [random_line_family(rng, max_p=4) for _ in range(6)])
+    for F in integrals:
+        remarkable.analyze(F)
+    assert calls == []
 
 
 # resultants

@@ -332,6 +332,29 @@ def test_simulate_bad_steps_exit_2(capsys):
     assert code == 2
 
 
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["simulate", "all"])
+@pytest.mark.parametrize("args, code", [
+    (["--x0", "nan"], 2), (["--x0", "inf"], 2), (["--y0=-inf"], 2), (["--y0", "nan"], 2),
+    (["--step", "nan"], 2), (["--step", "inf"], 2), (["--step", "-1"], 2),
+    ([], 0), (["--x0", "1e100", "--y0=-1e-300"], 0), (["--x0", "0", "--step", "5e-324"], 0),
+])
+def test_simulate_report_is_strict_json(capsys, command, args, code):
+    # a non-finite start or step would print NaN or Infinity, which is not
+    # JSON; such flags exit 2 with no report
+    got = cli.main([command, problem("cusp_level.json"), "--format", "json", "--steps", "20"]
+                   + args)
+    cap = capsys.readouterr()
+    assert got == code
+    if code == 2:
+        assert cap.out == "" and cap.err.startswith("error: ")
+    else:
+        json.loads(cap.out, parse_constant=_no_constants)
+
+
 # all
 
 def test_all_cusp(capsys):
@@ -369,6 +392,21 @@ def test_empty_factors_exit_2(capsys, tmp_path):
 def test_missing_file_exit_2(capsys):
     code, _ = run(capsys, "analyze", "/nonexistent/never.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "simulate", "all"])
+@pytest.mark.parametrize("fixture, message", [
+    ("poly_not_string.json", 'factor 1: "poly" must be a string'),
+    ("field_not_string.json", 'field: "p" and "q" must be strings'),
+    ("bool_exponent.json", "factor 1: exponent must be a positive integer"),
+])
+def test_wrongly_typed_field_exit_2(capsys, command, fixture, message):
+    # a number where a polynomial string belongs used to exit 4 with a
+    # TypeError, and "exponent": true was read as 1
+    code, out = run(capsys, command, os.path.join(HERE, "fixtures", fixture))
+    assert code == 2
+    assert message in out
+    assert "internal error" not in out
 
 
 def test_malformed_json_exit_2(capsys, tmp_path):

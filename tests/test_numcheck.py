@@ -111,6 +111,15 @@ def test_integrate_orbit_validation():
         integrate_orbit(SADDLE, 1.0, 1.0, 1e-3, 0)
 
 
+@pytest.mark.parametrize("x0, y0, step", [
+    (math.nan, 1.0, 1e-3), (math.inf, 1.0, 1e-3), (1.0, -math.inf, 1e-3),
+    (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+])
+def test_integrate_orbit_rejects_non_finite(x0, y0, step):
+    with pytest.raises(ValueError, match="finite"):
+        integrate_orbit(SADDLE, x0, y0, step, 10)
+
+
 # CSV export
 
 def test_to_csv_shape():
