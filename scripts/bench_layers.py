@@ -1,5 +1,6 @@
 """Layer microbenchmark: bipoly.mul, bipoly.gcd, bipoly.resultant,
-upoly.rational_roots and the constructed field on a fixed operand ladder.
+upoly.rational_roots, the constructed field and variety.variety_empty on a
+fixed operand ladder.
 
 The operands are drawn from a fixed seed: dense products from 1x1 terms
 up to total degree 10, rational and 200-bit coefficients, a single-term
@@ -15,15 +16,20 @@ u_x v_y - u_y v_x, and of the shape remarkable._level_product eliminates,
 f(y) and h(y) + x; gcds with a common factor as analyze's confirmation of
 a critical value meets them (H + c0 and G in remarkable.critical_levels,
 for a 4-line family and a random-ladder shape), and two products with an
-x-free common factor.  Every product is checked against a schoolbook
-reference kept in this file, and timed beside it; every gcd must be
-divisible by the planted factor and equal bipoly._gcd_prs, the
-subresultant route, and every coprime pair's gcd must be 1;
-every root list must equal the planted one; the constructed field, and G
-times the reduced field from each linearization certificate, must equal
-the construction formula written out with schoolbook products; every
-resultant must equal bipoly.det_bareiss on the Sylvester matrix built
-here.  Each
+x-free common factor; variety_empty on three lines in general position,
+three concurrent lines, and the transversality system u = v = u_x v_y -
+u_y v_x = 0 of dense curves of degree 3, 4 and 5.  Every product is
+checked against a schoolbook reference kept in this file, and timed
+beside it; every gcd must be divisible by the planted factor and equal
+bipoly._gcd_prs, the subresultant route, and every coprime pair's gcd
+must be 1; every root list must equal the planted one; the constructed
+field, and G times the reduced field from each linearization
+certificate, must equal the construction formula written out with
+schoolbook products; every resultant must equal bipoly.det_bareiss on
+the Sylvester matrix built here; every variety_empty status must be the
+one the case was built for, and status and witness must equal those of
+the single-projection route kept here as the reference
+(reference_variety_empty, run outside the timed region).  Each
 construct_field or linearize call starts from an integral whose H and
 field are not yet cached.  A case whose calls run past CAP_S seconds in a
 round is recorded as a timeout instead of being waited for.
@@ -258,6 +264,55 @@ def _resultant_cases(rng: random.Random) -> list:
     return out
 
 
+def _variety_cases(rng: random.Random) -> list:
+    """variety_empty on three lines in general position (none of them
+    y-free, so the projections decide) and three through (3, -2), and on
+    the transversality system u = v = u_x v_y - u_y v_x = 0
+    of dense curves of degree 3, 4 and 5 (as the resultant cases draw them),
+    with the status each must get."""
+    out = [("variety-lines-general", "variety", [_as_line(*abc) for abc in MANY_LINES[2:5]],
+            None, "Holds"),
+           ("variety-lines-concurrent", "variety",
+            [_as_line(1, 1, -1), _as_line(2, -1, -8), _as_line(5, 3, -9)], None, "Fails")]
+    for d in (3, 4, 5):
+        u, v = _curve(rng, d), _curve(rng, d)
+        out.append((f"variety-transversal-d{d}", "variety", [u, v, _jacobian(u, v)], None,
+                    "Holds"))
+    return out
+
+
+def reference_variety_empty(polys: list) -> tuple:
+    """(status, witness) of variety_empty by the single-projection route:
+    the fiber is the squarefree part of Res_y(p, q) for the first coprime
+    pair, and every other polynomial is taken onto it by dynamic
+    evaluation."""
+    from polysaddle import bipoly as bp
+    from polysaddle import upoly as up
+    from polysaddle import variety
+
+    def plane(polys, depth):
+        if any(bp.is_const(p) for p in polys):
+            return None
+        if len(polys) == 1 or any(bp.deg_y(p) == 0 for p in polys):
+            return variety._decide_plane(polys, depth)
+        p, q, *others = sorted(polys, key=bp.deg_y)
+        h = bp.gcd(p, q)
+        if not bp.is_const(h):
+            return (plane([h] + others, depth + 1)
+                    or plane([bp.exact_div(p, h), bp.exact_div(q, h)] + others, depth + 1))
+        R = bp.resultant(p, q)
+        if bp.is_const(R):
+            return None
+        F = up.squarefree_part(variety._to_upoly_x(R))
+        return variety._decide_fiber(F, [variety._to_ypoly(t) for t in [p, q] + others],
+                                     depth + 1)
+
+    loc = plane(list(polys), 0)
+    if loc is None:
+        return "Holds", None
+    return "Fails", variety._describe_witness(loc, list(polys))
+
+
 def cases() -> list[tuple[str, str, object, object, object]]:
     """(name, op, f, g, planted factor or roots), the same every run."""
     rng = random.Random(20091)
@@ -284,7 +339,8 @@ def cases() -> list[tuple[str, str, object, object, object]]:
         factors = _line_factors(_random_lines(rng, p))
         out.append((f"field-lines-{p}", "field", factors, None, literal_field(factors)))
     out += _resultant_cases(rng)
-    out += _confirmation_cases(rng)  # drawn last: the cases above keep their operands
+    out += _confirmation_cases(rng)  # drawn after the cases above, which keep their operands
+    out += _variety_cases(rng)
     return out
 
 
@@ -319,6 +375,7 @@ def worker() -> dict:
     from polysaddle import upoly as up
     from polysaddle.field_ops import FactoredIntegral, construct_field, reduce_field
     from polysaddle.linearize import linearize
+    from polysaddle.variety import variety_empty
 
     def roots(f, g):
         return up.rational_roots(tuple(f))
@@ -330,6 +387,9 @@ def worker() -> dict:
     def construct(F, _):
         return construct_field(F)
 
+    def variety(polys, _):
+        return variety_empty(polys)
+
     def linearize_fresh(F, X):
         vars(F).pop("H", None)
         vars(F).pop("field", None)
@@ -338,6 +398,8 @@ def worker() -> dict:
     out = {}
     signal.signal(signal.SIGALRM, _timeout)
     for name, op, f, g, planted in cases():
+        # uncapped: the reference route takes about 30 s on the degree-5 system
+        reference = reference_variety_empty(f) if op == "variety" else None
         signal.setitimer(signal.ITIMER_REAL, CAP_S)
         try:
             if op == "mul":
@@ -354,6 +416,10 @@ def worker() -> dict:
             elif op == "resultant":
                 ok = resultant(f, g) == bp.det_bareiss(sylvester_y(f, g))
                 out[name] = {"us": _time(resultant, f, g), "ok": ok}
+            elif op == "variety":
+                got = variety(f, g)
+                ok = (got.status, got.witness) == reference and got.status == planted
+                out[name] = {"us": _time(variety, f, g), "ok": ok}
             elif op == "field":
                 F = FactoredIntegral(tuple(f))
                 X, _ = reduce_field(F.field)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import upoly
-from .upoly import UPoly
+from .upoly import _PRIME, UPoly, _gcd_degree_mod_p
 
 BiPoly = dict[tuple[int, int], Fraction]
 
@@ -453,7 +453,6 @@ def _subresultant_prs(a: BiPoly, b: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly, int
 # ---------------------------------------------------------------------------
 # Coprimality from images mod a prime (Brown, J. ACM 18, 1971) and the gcd.
 
-_PRIME = (1 << 61) - 1  # a Mersenne prime
 _POINTS = 3  # good specialization points tried per direction and batch
 _FAR = 982451653  # first point of the second batch, a prime
 
@@ -468,28 +467,6 @@ def _residues(f: BiPoly) -> _Residues:
 
 def _swapped(fs: _Residues) -> _Residues:
     return [(j, i, c) for i, j, c in fs]
-
-
-def _trim(a: list[int]) -> list[int]:
-    """a without its leading zeros."""
-    return a[next((k for k, c in enumerate(a) if c), len(a)):]
-
-
-def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a, b) over Z/_PRIME, by Euclid; a and b are
-    coefficient lists, highest degree first, not both zero."""
-    a, b = _trim(a), _trim(b)
-    while b:
-        n = len(b)
-        inv = pow(b[0], -1, _PRIME)
-        r = list(a)
-        for k in range(len(r) - n + 1):
-            q = r[k] * inv % _PRIME
-            if q:
-                for m in range(1, n):
-                    r[k + m] = (r[k + m] - q * b[m]) % _PRIME
-        a, b = b, _trim(r[max(len(r) - n + 1, 0):])
-    return len(a) - 1
 
 
 def _coprime_images(fs: _Residues, gs: _Residues) -> bool:

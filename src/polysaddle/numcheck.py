@@ -87,13 +87,17 @@ def integrate_orbit(X: VectorField, x0: float, y0: float,
     return Orbit(tuple(pts), h)
 
 
-def conservation_drift(H: BiPoly, orbit: Orbit) -> float:
-    """max over the orbit of |H(x,y) - H(x0,y0)| / max(1, |H(x0,y0)|)."""
+def conservation_drift(H: BiPoly, orbit: Orbit) -> float | None:
+    """max over the orbit of |H(x,y) - H(x0,y0)| / max(1, |H(x0,y0)|), or
+    None when that is not a finite number: H overflowed on the orbit."""
     fh = compile_poly(H)
     x0, y0 = orbit.points[0]
     h0 = fh(x0, y0)
     scale = max(1.0, abs(h0))
-    return max(abs(fh(x, y) - h0) for x, y in orbit.points) / scale
+    gaps = [abs(fh(x, y) - h0) for x, y in orbit.points]
+    drift = max(gaps) / scale
+    # max skips a NaN that is not first, so the sum looks for one
+    return drift if math.isfinite(drift) and not math.isnan(sum(gaps)) else None
 
 
 def to_csv(orbit: Orbit, H: BiPoly) -> str:

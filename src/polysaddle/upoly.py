@@ -10,6 +10,10 @@ of the squarefree integer part are isolated by Sturm bisection in integer
 arithmetic (Sturm's theorem; Collins & Akritas, SYMSAC 1976, for exact
 real-root isolation), so the cost is polynomial in the bit size of the
 input.  The Sturm helpers work on lists of Python ints.
+
+Coprimality is proved, when it can be, from one image mod 2^61 - 1
+(`coprime_image`); the modular Euclid behind it is the one bipoly's
+bivariate coprimality test runs on its specializations.
 """
 
 from __future__ import annotations
@@ -168,6 +172,56 @@ def gcd_many(polys: Sequence[UPoly]) -> UPoly:
         if is_const(acc) and acc:
             return ONE
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Coprimality from one image mod a prime (Brown, J. ACM 18, 1971).
+
+_PRIME = (1 << 61) - 1  # a Mersenne prime
+
+
+def _trim(a: list[int]) -> list[int]:
+    """a without its leading zeros."""
+    return a[next((k for k, c in enumerate(a) if c), len(a)):]
+
+
+def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over Z/_PRIME, by Euclid; a and b are
+    coefficient lists, highest degree first, not both zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        n = len(b)
+        inv = pow(b[0], -1, _PRIME)
+        r = list(a)
+        for k in range(len(r) - n + 1):
+            q = r[k] * inv % _PRIME
+            if q:
+                for m in range(1, n):
+                    r[k + m] = (r[k + m] - q * b[m]) % _PRIME
+        a, b = b, _trim(r[max(len(r) - n + 1, 0):])
+    return len(a) - 1
+
+
+def _image(f: UPoly) -> list[int]:
+    """The integer multiple den(f) * f mod _PRIME, highest degree first."""
+    den = math.lcm(*(c.denominator for c in f))
+    return [c.numerator * (den // c.denominator) % _PRIME for c in reversed(f)]
+
+
+def coprime_image(f: UPoly, g: UPoly) -> bool:
+    """True when one image mod _PRIME proves that gcd(f, g) is constant;
+    False means "not proved".
+
+    Let D be a gcd of the integer multiples of f and g, primitive in Z[t].
+    By Gauss's lemma lc(D) divides both leading coefficients, so when
+    _PRIME does not divide one of them, D keeps its degree mod _PRIME and
+    divides both images: a constant gcd of the images proves D constant.
+    When neither leading coefficient survives, the images prove nothing.
+    """
+    if not (f and g):
+        return False
+    a, b = _image(f), _image(g)
+    return bool(a[0] or b[0]) and _gcd_degree_mod_p(a, b) == 0
 
 
 def content_int(f: UPoly) -> Fraction:

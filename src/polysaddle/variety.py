@@ -8,10 +8,16 @@ their gcd by a Euclidean remainder sequence that splits the fiber whenever
 a leading coefficient fails to be invertible (gcd with F), so each branch
 behaves like computation over a field.  A single surviving polynomial with
 positive y-degree on some part of the fiber always has a root there (C is
-algebraically closed), which decides the branch.  Without a fiber, a
-coprime pair is projected to the x-axis by a resultant, whose roots are a
-complete candidate set for the x-coordinates of common zeros; a common
-factor splits the variety into the factor's zero set and the cofactors'.
+algebraically closed), which decides the branch.  Without a fiber, the
+polynomial p of least y-degree and the next one, q, are split by their gcd
+if they share a factor: the variety is the factor's zero set together
+with the cofactors'.  A coprime pair is projected to the x-axis by
+Res_y(p, q), and each other polynomial r by Res_y(p, r).  Each resultant
+lies in the ideal of its pair (Cox, Little & O'Shea, Ideals, Varieties,
+and Algorithms, ch. 3), so the roots of their gcd are a complete candidate
+set for the x-coordinates of common zeros.  One image mod 2^61 - 1
+usually proves that gcd constant, and then there is no common zero;
+otherwise its squarefree part is the fiber.
 
 Witnesses are exact rational points whenever the relevant fibers have
 rational roots, and otherwise certified isolating boxes (or a textual
@@ -178,8 +184,16 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         raise ArithmeticError("resultant of a coprime pair vanished")
     if bp.is_const(R):
         return None
-    F = upoly.squarefree_part(_to_upoly_x(R))
-    return _decide_fiber(F, [_to_ypoly(t) for t in polys], depth + 1)
+    # Res_y(p, r) lies in the ideal (p, r), so every common zero projects to
+    # a root of the gcd G of the resultants; a zero one (r shares a factor
+    # with p) leaves G as it is, since gcd(G, 0) = G
+    G = _to_upoly_x(R)
+    for r in others:
+        Rr = _to_upoly_x(bp.resultant(p, r))
+        if upoly.coprime_image(G, Rr):
+            return None
+        G = upoly.gcd(G, Rr)
+    return _decide_fiber(upoly.squarefree_part(G), [_to_ypoly(t) for t in polys], depth + 1)
 
 
 def _specialize(p: YPoly, x0: Fraction) -> UPoly:

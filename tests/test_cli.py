@@ -146,6 +146,19 @@ def test_int_lines_bounded(capsys, command):
     assert code == 0, out
 
 
+def test_dense_pair_cz_bounded(capsys):
+    # two dense curves of degree 6 (every monomial, coefficients in -5..5):
+    # the transversality system u = v = u_x v_y - u_y v_x = 0 has projections
+    # of degree 36 and 60, whose gcd is 1; taking the third polynomial onto
+    # the degree-36 fiber by dynamic evaluation took more than two minutes
+    t0 = time.perf_counter()
+    code, out = run(capsys, "cz", os.path.join(HERE, "fixtures", "dense_pair_6.json"),
+                    "--format", "json")
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 0, out
+    assert json.loads(out)["results"]["overall"]["status"] == "Holds"
+
+
 @pytest.mark.parametrize("command", ["analyze", "all"])
 def test_critical_values_computed_once_per_command(capsys, monkeypatch, command):
     # analyze reads the gradient gcd off the factors and goes straight to
@@ -341,6 +354,7 @@ def _no_constants(name):
     (["--x0", "nan"], 2), (["--x0", "inf"], 2), (["--y0=-inf"], 2), (["--y0", "nan"], 2),
     (["--step", "nan"], 2), (["--step", "inf"], 2), (["--step", "-1"], 2),
     ([], 0), (["--x0", "1e100", "--y0=-1e-300"], 0), (["--x0", "0", "--step", "5e-324"], 0),
+    (["--x0", "1e300"], 0),
 ])
 def test_simulate_report_is_strict_json(capsys, command, args, code):
     # a non-finite start or step would print NaN or Infinity, which is not
@@ -353,6 +367,29 @@ def test_simulate_report_is_strict_json(capsys, command, args, code):
         assert cap.out == "" and cap.err.startswith("error: ")
     else:
         json.loads(cap.out, parse_constant=_no_constants)
+
+
+@pytest.mark.parametrize("command", ["simulate", "all"])
+@pytest.mark.parametrize("factors, args", [
+    # H(1e300, 1) overflows at the start: inf - inf over inf was NaN
+    (None, ["--x0", "1e300"]),
+    # x^30 y overflows on the orbit before |x| reaches 1e12: Infinity; by
+    # step 800 that is all, later y underflows to 0 and inf * 0 is NaN
+    ([("x", 30), ("y", 1)], ["--x0", "1", "--y0", "1", "--step", "0.03"]),
+    ([("x", 30), ("y", 1)], ["--x0", "1", "--y0", "1", "--step", "0.03", "--steps", "800"]),
+    # x^30 (y - 1) evaluates to inf - inf = NaN there, which max skipped,
+    # so the report read 1.0
+    ([("x", 30), ("y - 1", 1)], ["--x0", "1", "--y0", "2", "--step", "0.03",
+                                 "--steps", "2000"]),
+])
+def test_simulate_non_finite_drift_is_null(capsys, tmp_path, command, factors, args):
+    path = problem("cusp_level.json") if factors is None else write_problem(tmp_path, {
+        "name": "t", "factors": [{"poly": u, "exponent": k} for u, k in factors]})
+    code = cli.main([command, path, "--format", "json"] + args)
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    results = json.loads(out, parse_constant=_no_constants)["results"]
+    assert results.get("simulate", results)["drift"] is None
 
 
 # all

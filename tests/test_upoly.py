@@ -62,6 +62,34 @@ def test_gcd_common_factor_property(a, b, c):
         assert up.divides(c, g)
 
 
+@given(upolys(4), upolys(4), upolys(2))
+@settings(max_examples=200)
+def test_coprime_image_is_a_proof(a, b, c):
+    for f, g in ((a, b), (up.mul(a, c), up.mul(b, c))):
+        if up.coprime_image(f, g):
+            assert up.degree(up.gcd(f, g)) == 0
+
+
+def test_coprime_image_traps():
+    P = up._PRIME
+    D = up.make([1, P])  # P*t + 1 reduces to the constant 1 mod P
+    # both leading coefficients vanish mod P and the images t + 1, t + 2
+    # are coprime, but D divides both: the image proves nothing
+    f, g = up.mul(D, up.make([1, 1])), up.mul(D, up.make([2, 1]))
+    assert not up.coprime_image(f, g) and up.gcd(f, g) == up.monic(D)
+    f, g = up.make([Fraction(1, 3), P]), up.make([Fraction(2, 3), 2 * P])
+    assert not up.coprime_image(f, g) and up.degree(up.gcd(f, g)) == 1
+    # t and t + P share the image t, so only the exact gcd shows them coprime
+    for f in (up.make([0, 1]), up.make([0, Fraction(1, 7)])):
+        g = up.make([P, 1])
+        assert not up.coprime_image(f, g) and up.gcd(f, g) == up.ONE
+    # one surviving leading coefficient is enough for a constant image
+    assert up.coprime_image(up.make([1, 1]), up.make([1, P]))
+    assert up.coprime_image(up.make([Fraction(1, 2), Fraction(1, 3)]), up.make([2, 1]))
+    assert not up.coprime_image(up.make([1, 1]), up.make([1, 1]))
+    assert not up.coprime_image((), up.ONE) and not up.coprime_image((), ())
+
+
 @given(upolys(4), upolys(4))
 @settings(max_examples=120)
 def test_xgcd_identity(a, b):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from polysaddle import bipoly as bp
+from conftest import random_line, random_rat
+from polysaddle import bipoly as bp, upoly as up, variety
 from polysaddle.variety import variety_empty
 
 
@@ -73,6 +74,9 @@ def test_y_free_pair():
     assert x0 == 1
 
 
+P = up._PRIME
+
+
 @pytest.mark.parametrize("polys,witness", [
     # Res_y = x, and on the fiber x = 0 both reduce to nonzero constants
     (("x*y + 1", "x*y + 2"), None),
@@ -87,9 +91,17 @@ def test_y_free_pair():
     # on the fiber x (x - 1) both reduce to x*y, which vanishes
     # identically on the subfiber x = 0
     (("x^3 - x^2", "x^3*y", "x*y"), (0, 0)),
+    # Res_y(p, r) = 0: r shares the factor y - x^2 with p, so only q cuts
+    (("y - x^2", "y - 1", "(y - x^2)*(y - 3)"), (-1, 1)),
+    # both projections have leading coefficient +-P = 2^61 - 1 and images
+    # x + 1 and x + 2 mod P; the common root x = -1/P must survive
+    (("y", f"y + ({P}*x + 1)*(x + 1)", f"y + ({P}*x + 1)*(x + 2)"), (Fraction(-1, P), 0)),
+    # projections x and x + P: the images share the root 0, the exact gcd is 1
+    (("y", "y + x", f"y + x + {P}"), None),
 ])
 def test_branch_cases(polys, witness):
     fs = [bp.parse(s) for s in polys]
+    _agree(fs)
     res = variety_empty(fs)
     if witness is None:
         assert res.ok
@@ -152,3 +164,115 @@ def test_witness_points_always_reverify():
             x0, y0 = res.witness
             assert bp.evaluate(f, x0, y0) == 0
             assert bp.evaluate(g, x0, y0) == 0
+
+
+# the single-projection route as the oracle: the fiber is the squarefree
+# part of Res_y(p, q) for the first coprime pair alone, and every other
+# polynomial is taken onto it by dynamic evaluation
+
+def _reference_plane(polys, depth=0):
+    if any(bp.is_const(p) for p in polys):
+        return None
+    yfree = [p for p in polys if bp.deg_y(p) == 0]
+    if yfree or len(polys) == 1:
+        return variety._decide_plane(polys, depth)
+    p, q, *others = sorted(polys, key=bp.deg_y)
+    h = bp.gcd(p, q)
+    if not bp.is_const(h):
+        sub = _reference_plane([h] + others, depth + 1)
+        if sub is not None:
+            return sub
+        return _reference_plane([bp.exact_div(p, h), bp.exact_div(q, h)] + others, depth + 1)
+    R = bp.resultant(p, q)
+    if bp.is_const(R):
+        return None
+    F = up.squarefree_part(variety._to_upoly_x(R))
+    return variety._decide_fiber(F, [variety._to_ypoly(t) for t in [p, q] + others], depth + 1)
+
+
+def _agree(polys):
+    """variety_empty's status, checked to come with the reference's witness."""
+    loc = _reference_plane(list(polys))
+    want = ("Holds", None) if loc is None else ("Fails", variety._describe_witness(loc, polys))
+    got = variety_empty(polys)
+    assert (got.status, got.witness) == want, [bp.to_string(f) for f in polys]
+    return got.status
+
+
+def _through(f, a, b):
+    """f shifted by a constant so that it passes through (a, b)."""
+    return bp.sub(f, bp.const(bp.evaluate(f, a, b)))
+
+
+def _flatten_at(f, a, b, gx, gy):
+    """f through (a, b), with its gradient there replaced by (gx, gy)."""
+    f = _through(f, a, b)
+    dx = bp.evaluate(bp.partial(f, "x"), a, b) - gx
+    dy = bp.evaluate(bp.partial(f, "y"), a, b) - gy
+    return bp.sub(f, bp.parse(f"({dx})*(x - ({a})) + ({dy})*(y - ({b}))"))
+
+
+def _curve(rng, deg):
+    """Every monomial of total degree <= deg, integer coefficients in -3..3."""
+    while True:
+        f = {(i, j): Fraction(rng.randint(-3, 3))
+             for i in range(deg + 1) for j in range(deg + 1 - i)}
+        f = {e: c for e, c in f.items() if c}
+        if f and bp.total_degree(f) == deg:
+            return f
+
+
+def _system(*polys):
+    return [f for f in polys if not bp.is_zero(f)]
+
+
+def _jac(u, v):
+    return bp.sub(bp.mul(bp.partial(u, "x"), bp.partial(v, "y")),
+                  bp.mul(bp.partial(u, "y"), bp.partial(v, "x")))
+
+
+def test_line_triples_agree_with_single_projection():
+    rng = random.Random(1010)
+    statuses = []
+    for n in range(60):
+        lines = [random_line(rng) for _ in range(3)]
+        if n % 2:  # plant a common point: shift all three lines through (a, b)
+            a, b = random_rat(rng), random_rat(rng)
+            lines = [_through(l, a, b) for l in lines]
+        if any(bp.is_const(l) for l in lines):
+            continue
+        statuses.append(_agree(lines))
+        assert n % 2 == 0 or statuses[-1] == "Fails"
+    assert statuses.count("Fails") >= 25 and statuses.count("Holds") >= 10
+
+
+@pytest.mark.parametrize("deg", [2, 3])
+def test_transversality_systems_agree_with_single_projection(deg):
+    rng = random.Random(2020 + deg)
+    statuses = []
+    for n in range(16):
+        u, v = _curve(rng, deg), _curve(rng, deg)
+        if n % 2:  # plant a tangency at (a, b): parallel gradients there
+            a, b = random_rat(rng, 3), random_rat(rng, 3)
+            gx, gy, lam = random_rat(rng, 3), random_rat(rng, 3), random_rat(rng, 3)
+            u, v = _flatten_at(u, a, b, gx, gy), _flatten_at(v, a, b, lam * gx, lam * gy)
+        if bp.is_const(u) or bp.is_const(v) or not bp.is_const(bp.gcd(u, v)):
+            continue
+        statuses.append(_agree(_system(u, v, _jac(u, v))))
+        assert n % 2 == 0 or statuses[-1] == "Fails"
+    assert "Holds" in statuses
+
+
+@pytest.mark.parametrize("deg", [2, 3])
+def test_singularity_systems_agree_with_single_projection(deg):
+    rng = random.Random(3030 + deg)
+    statuses = []
+    for n in range(16):
+        u = _curve(rng, deg)
+        if n % 2:  # plant a singular point at (a, b)
+            u = _flatten_at(u, random_rat(rng, 3), random_rat(rng, 3), 0, 0)
+        if bp.is_const(u):
+            continue
+        statuses.append(_agree(_system(u, bp.partial(u, "x"), bp.partial(u, "y"))))
+        assert n % 2 == 0 or statuses[-1] == "Fails"
+    assert "Holds" in statuses
