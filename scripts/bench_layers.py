@@ -30,8 +30,8 @@ the Sylvester matrix built here; every variety_empty status must be the
 one the case was built for, and status and witness must equal those of
 the single-projection route kept here as the reference
 (reference_variety_empty, run outside the timed region).  Each
-construct_field or linearize call starts from an integral whose H and
-field are not yet cached.  A case whose calls run past CAP_S seconds in a
+construct_field or linearize call starts from an integral whose H, field
+and head factors' field are not yet cached.  A case whose calls run past CAP_S seconds in a
 round is recorded as a timeout instead of being waited for.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --out layers.json
@@ -385,6 +385,7 @@ def worker() -> dict:
         resultant = functools.partial(bp.resultant, var="y")
 
     def construct(F, _):
+        vars(F).pop("head_field", None)
         return construct_field(F)
 
     def variety(polys, _):
@@ -393,6 +394,7 @@ def worker() -> dict:
     def linearize_fresh(F, X):
         vars(F).pop("H", None)
         vars(F).pop("field", None)
+        vars(F).pop("head_field", None)
         return linearize(F, X)
 
     out = {}

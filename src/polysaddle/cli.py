@@ -352,7 +352,7 @@ def _render_text(obj, indent: int = 0) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="polysaddle",
         description="Construct, analyze and linearize planar polynomial "
@@ -370,7 +370,14 @@ def main(argv=None) -> int:
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--csv", default=None, help="write the simulated orbit to this file")
-    args = p.parse_args(argv)
+    return p
+
+
+_PARSER = _parser()  # built once per process; main only parses
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         spec = load_problem(args.problem)

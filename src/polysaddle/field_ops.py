@@ -13,10 +13,12 @@ appending u^k turns (P, Q, W) into
     (u P + k W u_y,  u Q - k W u_x,  W u),
 
 so W = prod u_i throughout and p factors cost O(p) products.  The
-linearizing split of `linearize` reads its half-gradients off the same
-recurrence.  This module also covers the supporting cast: coprimality and
-common-factor reduction, the exact quotient of proportional fields,
-Hamiltonian detection by divergence, and cofactors of invariant curves.
+integral keeps the triple of its head factors u_1, ..., u_{p-1}, from which
+one more step gives its field; the linearizing split of `linearize` reads
+its half-gradients off that same triple.  This module also covers the
+supporting cast: coprimality and common-factor reduction, the exact
+quotient of proportional fields, Hamiltonian detection by divergence, and
+cofactors of invariant curves.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ class FactoredIntegral:
     share a nonconstant divisor.  Irreducibility of the u_i is asserted by
     the caller, not verified; see README.
 
-    The expanded integral H and the constructed field depend on the
-    factors alone; each is built on first use and kept on the instance.
+    The expanded integral H, the constructed field and the head factors'
+    product-rule triple depend on the factors alone; each is built on first
+    use and kept on the instance.
     """
 
     factors: tuple[tuple[BiPoly, int], ...]
@@ -108,6 +111,11 @@ class FactoredIntegral:
         return expand(self)
 
     @cached_property
+    def head_field(self) -> _Triple:
+        """(P, Q, W) of the module docstring for every factor but the last."""
+        return _product_field(self.factors[:-1])
+
+    @cached_property
     def field(self) -> VectorField:
         """construct_field(self)."""
         return construct_field(self)
@@ -125,28 +133,36 @@ def expand(F: FactoredIntegral) -> BiPoly:
     return out
 
 
-def _product_field(factors: tuple[tuple[BiPoly, int], ...]) -> tuple[BiPoly, BiPoly]:
-    """(P, Q) of the module docstring for the given (u, k) pairs, by the
-    product-rule recurrence."""
-    P: BiPoly = {}
-    Q: BiPoly = {}
-    W = bp.ONE
+_Triple = tuple[BiPoly, BiPoly, BiPoly]
+
+
+def _extend(field: _Triple, u: BiPoly, k: int) -> _Triple:
+    """One product-rule step: (P, Q, W) with u^k appended."""
+    P, Q, W = field
+    kW = bp.scalar_mul(k, W)
+    return (bp.add(bp.mul(u, P), bp.mul(kW, bp.partial(u, "y"))),
+            bp.sub(bp.mul(u, Q), bp.mul(kW, bp.partial(u, "x"))),
+            bp.mul(W, u))
+
+
+def _product_field(factors: tuple[tuple[BiPoly, int], ...]) -> _Triple:
+    """(P, Q, W) of the module docstring for the given (u, k) pairs."""
+    out: _Triple = ({}, {}, bp.ONE)
     for u, k in factors:
-        kW = bp.scalar_mul(k, W)
-        P = bp.add(bp.mul(u, P), bp.mul(kW, bp.partial(u, "y")))
-        Q = bp.sub(bp.mul(u, Q), bp.mul(kW, bp.partial(u, "x")))
-        W = bp.mul(W, u)
-    return P, Q
+        out = _extend(out, u, k)
+    return out
 
 
 def construct_field(F: FactoredIntegral) -> VectorField:
     """Field annihilating expand(F); see the module docstring for the formula.
+    It is one product-rule step on F.head_field.
 
     With a single factor the empty products are 1 and the result is
     k_1-times the Hamiltonian field of u_1; the degree-minimality facts
     proved for p > 1 are not asserted here in that case.
     """
-    return VectorField(*_product_field(F.factors))
+    P, Q, _ = _extend(F.head_field, *F.factors[-1])
+    return VectorField(P, Q)
 
 
 def lie_derivative(X: VectorField, H: BiPoly) -> BiPoly:

@@ -21,7 +21,9 @@ For a factored integral G needs no gcd of the expanded H: H_y = R*P0 and
 H_x = -R*Q0 for the constructed field (P0, Q0) = F.field, so
 G = R*gcd(P0, Q0), and analyze() reads gcd(P0, Q0) off that field's
 cached common factor.  critical_remarkable_values(H) still computes G
-itself for a bare H.
+itself for a bare H.  The same two identities let the single-critical-value
+criterion test that a coprime field annihilates H by one exact division of
+F.field, with no Lie derivative of H.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from itertools import count
 from . import bipoly as bp
 from . import upoly
 from .bipoly import BiPoly, CheckResult
-from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_first_integral,
-                        is_hamiltonian, _potential)
+from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_hamiltonian,
+                        quotient_multiplier, _potential)
 from .upoly import UPoly
 
 
@@ -142,12 +144,11 @@ def analyze(F: FactoredIntegral) -> RemarkableAnalysis:
     """Full level-structure analysis of H = F.H.
 
     The gradient gcd is R * gcd(P0, Q0), read off the constructed field
-    F.field (see the module docstring).
+    F.field (see the module docstring).  R * V = H holds factor by factor,
+    since u^(k-1) * u = u^k.
     """
     R = integrating_factor(F)
     V = inverse_integrating_factor(F)
-    if bp.mul(R, V) != F.H:
-        raise ArithmeticError("factor bookkeeping broke: R*V != H")
     values, residual = critical_levels(F.H, bp.normalize(bp.mul(R, F.field.common_factor)))
     return RemarkableAnalysis(tuple(values), residual, R, V,
                               len(values), bp.total_degree(R))
@@ -160,13 +161,23 @@ def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
     degrees sum to deg(X) + 1 exactly when the integral has exactly one
     critical value.  Both directions are evaluated.  The critical values
     come from `analysis`, which must be analyze(F); it is computed here
-    when not passed."""
+    when not passed.
+
+    That X annihilates H is tested as F.field = G X for a polynomial G,
+    which for a coprime X = (P, Q) is equivalent and costs no Lie
+    derivative of H.  With (P0, Q0) = F.field, H_y = R P0 and
+    H_x = -R Q0, so X(H) = R (Q P0 - P Q0).  If F.field = G X this is
+    zero.  Conversely, X(H) = 0 gives Q P0 = P Q0; as gcd(P, Q) = 1,
+    P divides P0 (and when P = 0, Q is a nonzero constant and P0 = 0), so
+    P0 = G P, and then Q0 = G Q."""
     if not any(k > 1 for _, k in F.factors):
         raise ValueError("criterion requires some exponent k_i > 1")
     if not is_coprime(X):
         raise ValueError("criterion requires a coprime field")
-    if not is_first_integral(X, F.H):
-        raise ValueError("X does not annihilate the factored integral")
+    try:
+        quotient_multiplier(F.field, X)
+    except bp.ExactDivisionError:
+        raise ValueError("X does not annihilate the factored integral") from None
     sum_deg = sum(bp.total_degree(u) for u, _ in F.factors)
     degree_side = sum_deg == X.degree + 1
     if analysis is None:

@@ -122,6 +122,25 @@ def test_construct_matches_reference_formula():
     assert sizes == set(range(1, 7))
 
 
+def test_head_field_is_the_head_factors_triple():
+    # (P, Q, W) of every factor but the last: the head's own constructed
+    # field and the product of its factors; F.field is one step on from it
+    rng = random.Random(81)
+    for _ in range(20):
+        F = random_integral(rng, max_p=5)
+        P, Q, W = F.head_field
+        if F.p == 1:
+            assert (P, Q, W) == ({}, {}, bp.ONE)
+            continue
+        head = FactoredIntegral(F.factors[:-1])
+        assert (P, Q) == reference_field(head)
+        want_W = bp.ONE
+        for u, _ in head.factors:
+            want_W = bp.mul(want_W, u)
+        assert W == want_W
+        assert (F.field.P, F.field.Q) == reference_field(F)
+
+
 # Lie derivative
 
 def test_lie_derivative_oracle():

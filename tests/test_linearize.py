@@ -10,12 +10,13 @@ from polysaddle.field_ops import (
     VectorField,
     construct_field,
     expand,
+    is_coprime,
     lie_derivative,
     reduce_field,
 )
 from polysaddle.linearize import factor_split, k_matrix, linearize
 
-from conftest import assert_certificate, random_integral
+from conftest import assert_certificate, random_integral, reduced_constructed_field
 
 
 def fi(*pairs):
@@ -147,6 +148,63 @@ def test_wrong_field_raises_with_remainder():
     assert not bp.is_zero(ei.value.remainder)
     # the remainder is exactly the nonzero Lie derivative
     assert ei.value.remainder == lie_derivative(X, expand(TWIN))
+
+
+def _perturbed_field(F, X):
+    """X plus t in {1, x, y} on one component, kept coprime: X(H) gains
+    t H_x (or t H_y), so a field that annihilated H no longer does."""
+    H = expand(F)
+    for t in (bp.ONE, bp.parse("x"), bp.parse("y")):
+        if not bp.is_zero(bp.partial(H, "x")):
+            cand = VectorField(bp.add(X.P, t), X.Q)
+            if is_coprime(cand):
+                return cand
+        if not bp.is_zero(bp.partial(H, "y")):
+            cand = VectorField(X.P, bp.add(X.Q, t))
+            if is_coprime(cand):
+                return cand
+    return None
+
+
+def test_witness_is_the_lie_derivative_at_every_pivot():
+    # the Lie derivative of H is computed only once an identity fails, and
+    # it is still the witness, whichever identity failed first
+    rng = random.Random(1103)
+    done = 0
+    while done < 25:
+        F = random_integral(rng, max_p=4)
+        if F.p < 2:
+            continue
+        bad = _perturbed_field(F, reduced_constructed_field(F))
+        lie = lie_derivative(bad, expand(F))
+        assert not bp.is_zero(lie)
+        for pivot in range(1, F.p + 1):
+            with pytest.raises(bp.ExactDivisionError) as ei:
+                linearize(factor_split(F, pivot), bad)
+            assert ei.value.remainder == lie
+        done += 1
+
+
+def test_degenerate_split_with_wrong_field_reports_the_lie_derivative():
+    # D = 0 identically for x(x + 1), and (1, 0) does not annihilate
+    # H = x^2 + x: the witness is X(H) = 2x + 1, not the degenerate split
+    F = fi(("x", 1), ("x + 1", 1))
+    X = VectorField(bp.ONE, {})
+    K1, K2, K3, K4 = k_matrix(F)
+    assert bp.is_zero(bp.sub(bp.mul(K1, K4), bp.mul(K2, K3)))
+    with pytest.raises(bp.ExactDivisionError) as ei:
+        linearize(F, X)
+    assert ei.value.remainder == bp.parse("2*x + 1") == lie_derivative(X, expand(F))
+
+
+def test_verified_certificate_never_expands_the_integral():
+    F = fi(("x", 1), ("y", 2), ("x + y - 1", 1))
+    X = reduced_constructed_field(F)
+    assert_certificate(linearize(F, X), X)
+    assert "H" not in vars(F)
+    split = factor_split(F, 1)
+    assert_certificate(linearize(split, X), X)
+    assert "H" not in vars(F) and "H" not in vars(split)
 
 
 def test_perturbed_coefficient_raises():

@@ -12,6 +12,7 @@ from polysaddle.field_ops import (
     VectorField,
     construct_field,
     expand,
+    is_first_integral,
     reduce_field,
 )
 from polysaddle.remarkable import (
@@ -26,7 +27,8 @@ from polysaddle.remarkable import (
     verify_integrating_factor,
 )
 
-from conftest import random_integral, random_line_family, sylvester_from_coeffs
+from conftest import (random_coprime_field, random_integral, random_line_family,
+                      sylvester_from_coeffs)
 
 
 def fi(*pairs):
@@ -213,6 +215,61 @@ def test_gradient_gcd_from_factors():
         got = bp.normalize(bp.mul(integrating_factor(F), X0.common_factor))
         assert got == want, str(F)
         assert analyze(F).critical_values == tuple(critical_remarkable_values(H)[0]), str(F)
+
+
+def test_factor_bookkeeping_multiplies_back_to_the_integral():
+    # R * V = H factor by factor; analyze no longer rechecks it at run time
+    rng = random.Random(2719)
+    for p in range(1, 7):
+        for _ in range(3):
+            F = random_integral(rng, max_p=p, max_deg=2)
+            while F.p != p:
+                F = random_integral(rng, max_p=p, max_deg=2)
+            a = analyze(F)
+            assert bp.mul(a.R, a.V) == expand(F), str(F)
+            assert (a.R, a.V) == (integrating_factor(F), inverse_integrating_factor(F))
+
+
+def _annihilation_cases(rng):
+    """(F, X) with X coprime: reduced and scaled constructed fields, which
+    annihilate H, and perturbed, foreign and random fields, which do not."""
+    while True:
+        F = random_integral(rng, max_p=3, max_k=3)
+        if not any(k > 1 for _, k in F.factors):
+            continue
+        X, _ = reduce_field(construct_field(F))
+        yield F, X
+        c = Fraction(-3, 7)
+        yield F, VectorField(bp.scalar_mul(c, X.P), bp.scalar_mul(c, X.Q))
+        H = expand(F)
+        for t in (bp.ONE, bp.parse("x"), bp.parse("y")):
+            for cand in (VectorField(bp.add(X.P, t), X.Q), VectorField(X.P, bp.add(X.Q, t))):
+                if bp.is_const(bp.gcd(cand.P, cand.Q)):
+                    yield F, cand
+        other, _ = reduce_field(construct_field(random_integral(rng, max_p=2)))
+        yield F, other
+        yield F, random_coprime_field(rng)
+
+
+def test_annihilation_by_division_agrees_with_lie_derivative():
+    # the criterion tests F.field = G X instead of X(H) = 0; for coprime X
+    # the two are equivalent (proof in its docstring)
+    rng = random.Random(2720)
+    cases = _annihilation_cases(rng)
+    seen = {True: 0, False: 0}
+    analyses = {}
+    while min(seen.values()) < 40:
+        F, X = next(cases)
+        want = is_first_integral(X, expand(F))
+        seen[want] += 1
+        if str(F) not in analyses:
+            analyses[str(F)] = analyze(F)
+        a = analyses[str(F)]
+        if want:
+            single_critical_value_criterion(F, X, a)
+        else:
+            with pytest.raises(ValueError, match="does not annihilate"):
+                single_critical_value_criterion(F, X, a)
 
 
 # analysis bundle
