@@ -13,10 +13,10 @@ the last one squared, for field_ops.construct_field and
 linearize.linearize; resultants in y of dense curves u, v of degree 3 to
 6 (every monomial, integer coefficients in -5..5), of u and the Jacobian
 u_x v_y - u_y v_x, and of the shape remarkable._level_product eliminates,
-f(y) and h(y) + x; gcds with a common factor as analyze's confirmation of
-a critical value meets them (H + c0 and G in remarkable.critical_levels,
-for a 4-line family and a random-ladder shape), and two products with an
-x-free common factor; variety_empty on three lines in general position,
+f(y) and h(y) + x; gcds with a common factor of the shape gcd(H + c0, G),
+H an integral, c0 a critical value and G its gradient gcd (for a 4-line
+family and a random-ladder shape), and two products with an x-free
+common factor; variety_empty on three lines in general position,
 three concurrent lines, and the transversality system u = v = u_x v_y -
 u_y v_x = 0 of dense curves of degree 3, 4 and 5.  Every product is
 checked against a schoolbook reference kept in this file, and timed
@@ -25,7 +25,9 @@ bipoly._gcd_prs, the subresultant route, and every coprime pair's gcd
 must be 1; every root list must equal the planted one; the constructed
 field, and G times the reduced field from each linearization
 certificate, must equal the construction formula written out with
-schoolbook products; every resultant must equal bipoly.det_bareiss on
+schoolbook products, and each certificate's D = K1 K4 - K2 K3 and both
+saddle pullbacks G X(u) = D u and G X(v) = -D v are rechecked with them
+(outside the timed calls); every resultant must equal bipoly.det_bareiss on
 the Sylvester matrix built here; every variety_empty status must be the
 one the case was built for, and status and witness must equal those of
 the single-projection route kept here as the reference
@@ -140,6 +142,35 @@ def _as_line(a: int, b: int, c: int) -> dict:
     return {e: Fraction(v) for e, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}
 
 
+def _partial(f: dict, var: str) -> dict:
+    if var == "x":
+        return {(i - 1, j): i * c for (i, j), c in f.items() if i}
+    return {(i, j - 1): j * c for (i, j), c in f.items() if j}
+
+
+def _combine(*terms) -> dict:
+    """sum of sign * f over (sign, f) pairs."""
+    out: dict = {}
+    for sign, f in terms:
+        for e, c in f.items():
+            out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def certificate_holds(cert, P: dict, Q: dict) -> bool:
+    """D = K1 K4 - K2 K3 and the saddle pullbacks G X(u) = D u and
+    G X(v) = -D v for X = (P, Q), with schoolbook products."""
+    def lie(f):
+        return _combine((1, reference_mul(_partial(f, "x"), P)),
+                        (1, reference_mul(_partial(f, "y"), Q)))
+
+    D = _combine((1, reference_mul(cert.K1, cert.K4)), (-1, reference_mul(cert.K2, cert.K3)))
+    return (cert.D == D
+            and reference_mul(cert.G, lie(cert.u_expr)) == reference_mul(D, cert.u_expr)
+            and reference_mul(cert.G, lie(cert.v_expr))
+            == _combine((-1, reference_mul(D, cert.v_expr))))
+
+
 def literal_field(factors: list) -> tuple[dict, dict]:
     """The construction formula written out for (u, k) pairs:
     P = sum_l k_l prod_{i != l} u_i (u_l)_y and Q = -sum_l k_l prod_{i != l} u_i (u_l)_x."""
@@ -150,11 +181,9 @@ def literal_field(factors: list) -> tuple[dict, dict]:
         for i, (v, _) in enumerate(factors):
             if i != l:
                 others = reference_mul(others, v)
-        u_x = {(i - 1, j): i * c for (i, j), c in u.items() if i}
-        u_y = {(i, j - 1): j * c for (i, j), c in u.items() if j}
-        for e, c in reference_mul(others, u_y).items():
+        for e, c in reference_mul(others, _partial(u, "y")).items():
             P[e] = P.get(e, Fraction(0)) + k * c
-        for e, c in reference_mul(others, u_x).items():
+        for e, c in reference_mul(others, _partial(u, "x")).items():
             Q[e] = Q.get(e, Fraction(0)) - k * c
     return ({e: c for e, c in P.items() if c}, {e: c for e, c in Q.items() if c})
 
@@ -197,8 +226,8 @@ def _integral(factors: list) -> dict:
 
 
 def _confirmation_cases(rng: random.Random) -> list:
-    """gcd(H + c0, G) as remarkable.critical_levels confirms a critical
-    value c0: H the integral, G its gradient gcd.  On a 4-line family and
+    """gcd(H + c0, G) for a critical value c0: H the integral, G its
+    gradient gcd.  On a 4-line family and
     on random-ladder's random-6 shape (two lines and a conic, coefficients
     of 16..31 in size, the conic squared), c0 = 0 and G is the squared
     factor; and a pair whose common factor is free of x, so that only the
@@ -242,13 +271,8 @@ def _curve(rng: random.Random, d: int) -> dict:
 
 def _jacobian(u: dict, v: dict) -> dict:
     """u_x v_y - u_y v_x, with schoolbook products."""
-    out: dict = {}
-    for a, b, sign in ((u, v, 1), (v, u, -1)):
-        a_x = {(i - 1, j): i * c for (i, j), c in a.items() if i}
-        b_y = {(i, j - 1): j * c for (i, j), c in b.items() if j}
-        for e, c in reference_mul(a_x, b_y).items():
-            out[e] = out.get(e, Fraction(0)) + sign * c
-    return {e: c for e, c in out.items() if c}
+    return _combine((1, reference_mul(_partial(u, "x"), _partial(v, "y"))),
+                    (-1, reference_mul(_partial(v, "x"), _partial(u, "y"))))
 
 
 def _resultant_cases(rng: random.Random) -> list:
@@ -428,7 +452,8 @@ def worker() -> dict:
                 field = construct(F, None)
                 cert = linearize_fresh(F, X)
                 ok = ((field.P, field.Q) == planted
-                      == (bp.mul(cert.G, X.P), bp.mul(cert.G, X.Q)))
+                      == (bp.mul(cert.G, X.P), bp.mul(cert.G, X.Q))
+                      and certificate_holds(cert, X.P, X.Q))
                 out[name] = {"us": _time(construct, F, None),
                              "linearize_us": _time(linearize_fresh, F, X), "ok": ok}
             else:

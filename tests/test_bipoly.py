@@ -338,24 +338,29 @@ def test_gcd_heuristic_fixed_cases(f, g, want, decided):
         assert bp.gcd(p, q) == want
 
 
-def test_analyze_confirmation_skips_prs(monkeypatch):
-    # analyze confirms every rational critical value c0 by gcd(H + c0, G),
-    # a pair with a common factor; the heuristic decides it, not the PRS
-    calls = []
-
-    def counting(f, g):
-        calls.append((f, g))
-        return prs_gcd(f, g)
-
-    monkeypatch.setattr(bp, "_gcd_prs", counting)
+def test_analyze_makes_one_gcd(monkeypatch):
+    # the only bivariate gcd in analyze is the constructed field's common
+    # factor; its critical values need no confirming gcd(H + c0, G)
+    # (proof in the remarkable module docstring)
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "problems")
     paths = sorted(glob.glob(os.path.join(root, "*.json")))
     rng = random.Random("confirmation")
     integrals = ([cli.load_problem(p).integral for p in paths]
                  + [random_line_family(rng, max_p=4) for _ in range(6)])
+    calls = []
+    inner = bp.gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return inner(f, g)
+
+    monkeypatch.setattr(bp, "gcd", counting)
+    values = 0
     for F in integrals:
-        remarkable.analyze(F)
-    assert calls == []
+        calls.clear()
+        values += remarkable.analyze(F).s
+        assert calls == [(F.field.P, F.field.Q)], str(F)
+    assert values >= 8  # each one confirmed by a gcd of its own, once
 
 
 # resultants

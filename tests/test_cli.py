@@ -201,9 +201,9 @@ def test_integral_expanded_once_per_command(capsys, monkeypatch, command, expans
 
 @pytest.mark.parametrize(
     "command,pivot,code,gcds,expansions",
-    [("all", [], 1, 15, 1), ("all", ["--pivot", "1"], 1, 18, 1),
+    [("all", [], 1, 14, 1), ("all", ["--pivot", "1"], 1, 17, 1),
      ("linearize", ["--pivot", "1"], 0, 7, 0)],
-    ids=["pivot0-15", "pivot1-18", "linearize-pivot1-7"])
+    ids=["pivot0-14", "pivot1-17", "linearize-pivot1-7"])
 def test_pivot_reuses_expansion(capsys, monkeypatch, command, pivot, code, gcds, expansions):
     # the reordered integral shares the loaded one's constructed field, and
     # its H once expanded; its pairwise factor check (three gcds for three

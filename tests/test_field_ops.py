@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polysaddle import bipoly as bp
 from polysaddle.field_ops import (
@@ -208,6 +210,19 @@ def test_is_hamiltonian_positive():
 
 def test_is_hamiltonian_negative():
     assert is_hamiltonian(VectorField(bp.parse("x"), bp.parse("-2*y"))) is None
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                       max_size=6))
+@settings(max_examples=150)
+def test_is_hamiltonian_recovers_the_potential(h):
+    # _potential no longer rechecks its partials: the Hamiltonian of
+    # (h_y, -h_x) must be h itself, less its constant term
+    h = {e: c for e, c in h.items() if c}
+    assume(not bp.is_const(h))
+    X = VectorField(bp.partial(h, "y"), bp.neg(bp.partial(h, "x")))
+    assert is_hamiltonian(X) == bp.sub(h, bp.const(bp.evaluate(h, 0, 0)))
 
 
 def test_all_unit_exponents_give_hamiltonian_field():

@@ -1,10 +1,12 @@
 """Saddle linearization certificates with exact identity checks."""
 
+import importlib
 import random
 
 import pytest
 
 from polysaddle import bipoly as bp
+from polysaddle import field_ops
 from polysaddle.field_ops import (
     FactoredIntegral,
     VectorField,
@@ -17,6 +19,9 @@ from polysaddle.field_ops import (
 from polysaddle.linearize import factor_split, k_matrix, linearize
 
 from conftest import assert_certificate, random_integral, reduced_constructed_field
+
+# the package exports the function under the module's name
+linearize_module = importlib.import_module("polysaddle.linearize")
 
 
 def fi(*pairs):
@@ -197,14 +202,28 @@ def test_degenerate_split_with_wrong_field_reports_the_lie_derivative():
     assert ei.value.remainder == bp.parse("2*x + 1") == lie_derivative(X, expand(F))
 
 
-def test_verified_certificate_never_expands_the_integral():
+def test_verified_certificate_never_expands_the_integral(monkeypatch):
+    # G X = F.field and D != 0 imply X(H) = 0 and both saddle pullbacks
+    # (module docstring), so a certificate that verifies expands no H and
+    # takes no Lie derivative; assert_certificate rechecks the pullbacks
+    calls = []
+    inner = field_ops.lie_derivative
+
+    def counted(X, H):
+        calls.append(H)
+        return inner(X, H)
+
+    monkeypatch.setattr(field_ops, "lie_derivative", counted)
+    monkeypatch.setattr(linearize_module, "lie_derivative", counted)
     F = fi(("x", 1), ("y", 2), ("x + y - 1", 1))
     X = reduced_constructed_field(F)
-    assert_certificate(linearize(F, X), X)
-    assert "H" not in vars(F)
-    split = factor_split(F, 1)
-    assert_certificate(linearize(split, X), X)
-    assert "H" not in vars(F) and "H" not in vars(split)
+    splits = [F] + [factor_split(F, pivot) for pivot in range(1, F.p + 1)]
+    certs = [linearize(G, X) for G in splits]
+    assert not any("H" in vars(G) for G in splits)
+    assert calls == []
+    monkeypatch.undo()
+    for cert in certs:
+        assert_certificate(cert, X)
 
 
 def test_perturbed_coefficient_raises():

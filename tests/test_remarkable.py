@@ -1,12 +1,14 @@
 """Integrating factors, critical remarkable values, degree relations."""
 
+import glob
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from polysaddle import bipoly as bp
-from polysaddle import upoly
+from polysaddle import cli, upoly
 from polysaddle.field_ops import (
     FactoredIntegral,
     VectorField,
@@ -102,13 +104,50 @@ def test_critical_values_isolated_singularity_invisible():
     assert critical_remarkable_values(bp.parse("x^2 + y^3")) == ([], None)
 
 
-def test_critical_values_every_confirmed_value_reverifies():
-    H = bp.parse("x*y*(x*y - 1)^2")
+def _assert_levels_reverify(H, vals, residual):
+    """Each value c is critical by the gcd of the definition, and the
+    residual keeps no rational root that should have been a value."""
     Hx, Hy = bp.partial(H, "x"), bp.partial(H, "y")
-    vals, _ = critical_remarkable_values(H)
     for c in vals:
         g = bp.gcd_many([bp.add(H, bp.const(c)), Hx, Hy])
-        assert not bp.is_const(g)
+        assert not bp.is_const(g), (bp.to_string(H), c)
+    assert residual is None or upoly.rational_roots(residual) == [], bp.to_string(H)
+
+
+def _reverify_integrals():
+    """Seeded factored integrals: line families, random integrals with
+    p = 1..4, x-free and y-free integrals, and the problem files."""
+    rng = random.Random(1201)
+    out = [random_line_family(rng, max_p=4) for _ in range(12)]
+    for p in range(1, 5):
+        for _ in range(6):
+            F = random_integral(rng, max_p=p, max_deg=2 if p > 2 else 3)
+            while F.p != p:
+                F = random_integral(rng, max_p=p, max_deg=2 if p > 2 else 3)
+            out.append(F)
+    out += [fi(("y", 2), ("y + 1", 1)), fi(("x^3 - 2*x + 1", 2)),
+            fi(("x", 2), ("x - 1", 1), ("x + 2", 3)), fi(("y^2 - 2", 2), ("y", 1))]
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "problems")
+    out += [cli.load_problem(p).integral for p in sorted(glob.glob(os.path.join(root, "*.json")))]
+    return out
+
+
+def test_critical_values_every_confirmed_value_reverifies():
+    # values are read off the components of G = 0 with no confirming gcd
+    # (proof in the remarkable module docstring); recheck each by the
+    # definition, on the bare-H route and on the factored one
+    H = bp.parse("x*y*(x*y - 1)^2")
+    vals, residual = critical_remarkable_values(H)
+    assert vals == [Fraction(-4, 27), Fraction(0)]
+    _assert_levels_reverify(H, vals, residual)
+    seen = 0
+    for F in _reverify_integrals():
+        H = expand(F)
+        a = analyze(F)
+        _assert_levels_reverify(H, a.critical_values, a.residual)
+        assert (list(a.critical_values), a.residual) == critical_remarkable_values(H), str(F)
+        seen += len(a.critical_values)
+    assert seen >= 40
 
 
 def test_critical_values_degenerate_inputs():
