@@ -13,12 +13,11 @@ the last one squared, for field_ops.construct_field and
 linearize.linearize; resultants in y of dense curves u, v of degree 3 to
 6 (every monomial, integer coefficients in -5..5), of u and the Jacobian
 u_x v_y - u_y v_x, and of the shape remarkable._level_product eliminates,
-f(y) and h(y) + x; gcds with a common factor of the shape gcd(H + c0, G),
-H an integral, c0 a critical value and G its gradient gcd (for a 4-line
-family and a random-ladder shape), and two products with an x-free
-common factor; variety_empty on three lines in general position,
-three concurrent lines, and the transversality system u = v = u_x v_y -
-u_y v_x = 0 of dense curves of degree 3, 4 and 5.  Every product is
+f(y) and h(y) + x; two products with an x-free common factor;
+variety_empty on three lines in general position, three concurrent
+lines, and the transversality system u = v = u_x v_y - u_y v_x = 0 of
+dense curves of degree 3, 4 and 5.  A coefficient is an int where it is
+an integer, as the program holds it (bipoly).  Every product is
 checked against a schoolbook reference kept in this file, and timed
 beside it; every gcd must be divisible by the planted factor and equal
 bipoly._gcd_prs, the subresultant route, and every coprime pair's gcd
@@ -75,21 +74,26 @@ def reference_mul(f: dict, g: dict) -> dict:
     for (i1, j1), c1 in f.items():
         for (i2, j2), c2 in g.items():
             e = (i1 + i2, j1 + j2)
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
+            out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def _coeff(v: Fraction) -> int | Fraction:
+    """v as the program holds a coefficient: an int when it is an integer."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def _dense(rng: random.Random, d: int, bits: int = 5, den: int = 1) -> dict:
     out = {}
     for i in range(d + 1):
         for j in range(d + 1 - i):
-            out[(i, j)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**bits),
-                                   rng.randint(1, den))
+            out[(i, j)] = _coeff(Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**bits),
+                                          rng.randint(1, den)))
     return out
 
 
 def _sparse(rng: random.Random, terms: int, deg: int) -> dict:
-    return {(rng.randint(0, deg), rng.randint(0, deg)): Fraction(rng.randint(1, 31))
+    return {(rng.randint(0, deg), rng.randint(0, deg)): rng.randint(1, 31)
             for _ in range(terms)}
 
 
@@ -139,7 +143,7 @@ MANY_LINES = ((7, -12, -5), (2, 0, -7), (25, -40, -18), (16, 7, 28), (2, 3, -9),
 
 
 def _as_line(a: int, b: int, c: int) -> dict:
-    return {e: Fraction(v) for e, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}
+    return {e: v for e, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}
 
 
 def _partial(f: dict, var: str) -> dict:
@@ -153,7 +157,7 @@ def _combine(*terms) -> dict:
     out: dict = {}
     for sign, f in terms:
         for e, c in f.items():
-            out[e] = out.get(e, Fraction(0)) + sign * c
+            out[e] = out.get(e, 0) + sign * c
     return {e: c for e, c in out.items() if c}
 
 
@@ -177,14 +181,14 @@ def literal_field(factors: list) -> tuple[dict, dict]:
     P: dict = {}
     Q: dict = {}
     for l, (u, k) in enumerate(factors):
-        others = {(0, 0): Fraction(1)}
+        others = {(0, 0): 1}
         for i, (v, _) in enumerate(factors):
             if i != l:
                 others = reference_mul(others, v)
         for e, c in reference_mul(others, _partial(u, "y")).items():
-            P[e] = P.get(e, Fraction(0)) + k * c
+            P[e] = P.get(e, 0) + k * c
         for e, c in reference_mul(others, _partial(u, "x")).items():
-            Q[e] = Q.get(e, Fraction(0)) - k * c
+            Q[e] = Q.get(e, 0) - k * c
     return ({e: c for e, c in P.items() if c}, {e: c for e, c in Q.items() if c})
 
 
@@ -209,7 +213,7 @@ def _random_lines(rng: random.Random, p: int) -> list:
 
 
 def _homogeneous(rng: random.Random, d: int) -> dict:
-    return {(i, d - i): Fraction(rng.choice((-1, 1)) * rng.randint(1, 32)) for i in range(d + 1)}
+    return {(i, d - i): rng.choice((-1, 1)) * rng.randint(1, 32) for i in range(d + 1)}
 
 
 def _coprime_cases(rng: random.Random) -> list:
@@ -220,32 +224,12 @@ def _coprime_cases(rng: random.Random) -> list:
             ("coprime-factors-d3", "coprime", _dense(rng, 3), _dense(rng, 3), None)]
 
 
-def _integral(factors: list) -> dict:
-    """prod u^k over the (u, k) pairs, with schoolbook products."""
-    return functools.reduce(reference_mul, (u for u, k in factors for _ in range(k)))
-
-
-def _confirmation_cases(rng: random.Random) -> list:
-    """gcd(H + c0, G) for a critical value c0: H the integral, G its
-    gradient gcd.  On a 4-line family and
-    on random-ladder's random-6 shape (two lines and a conic, coefficients
-    of 16..31 in size, the conic squared), c0 = 0 and G is the squared
-    factor; and a pair whose common factor is free of x, so that only the
+def _x_free_case(rng: random.Random) -> tuple:
+    """A gcd pair whose common factor is free of x, so that only the
     y = t images could pass."""
-    out = []
-    lines = _line_factors(_random_lines(rng, 4))
-    out.append(("gcd-confirm-lines-4", "gcd", _integral(lines), lines[-1][0], lines[-1][0]))
-
-    def draw(support):
-        return {e: Fraction(rng.choice((-1, 1)) * rng.randint(16, 31)) for e in support}
-
-    conic = draw(((2, 0), (0, 2), (0, 0)))
-    shape = [(draw(((1, 0), (0, 1), (0, 0))), 1), (draw(((1, 0), (0, 1), (0, 0))), 1), (conic, 2)]
-    out.append(("gcd-confirm-random-6", "gcd", _integral(shape), conic, conic))
-    c = {(0, 2): Fraction(3), (0, 1): Fraction(-5), (0, 0): Fraction(7)}
-    out.append(("gcd-x-free-common-d2", "gcd", reference_mul(_dense(rng, 3), c),
-                reference_mul(_dense(rng, 3), c), c))
-    return out
+    c = {(0, 2): 3, (0, 1): -5, (0, 0): 7}
+    return ("gcd-x-free-common-d2", "gcd", reference_mul(_dense(rng, 3), c),
+            reference_mul(_dense(rng, 3), c), c)
 
 
 def sylvester_y(f: dict, g: dict) -> list[list[dict]]:
@@ -265,7 +249,7 @@ def sylvester_y(f: dict, g: dict) -> list[list[dict]]:
 
 def _curve(rng: random.Random, d: int) -> dict:
     """Total degree d, coefficients uniform in -5..5 on every monomial."""
-    out = {(i, j): Fraction(rng.randint(-5, 5)) for i in range(d + 1) for j in range(d + 1 - i)}
+    out = {(i, j): rng.randint(-5, 5) for i in range(d + 1) for j in range(d + 1 - i)}
     return {e: c for e, c in out.items() if c}
 
 
@@ -282,9 +266,9 @@ def _resultant_cases(rng: random.Random) -> list:
         out += [(f"resultant-uv-d{d}", "resultant", u, v, None),
                 (f"resultant-ujac-d{d}", "resultant", u, _jacobian(u, v), None)]
     # Res_t(f, h + c) with c in the x slot: f of degree 8, h reduced below it
-    f = {(0, j): Fraction(rng.choice((-1, 1)) * rng.randint(1, 32)) for j in range(9)}
-    h = {(0, j): Fraction(rng.choice((-1, 1)) * rng.randint(1, 32)) for j in range(8)}
-    out.append(("resultant-level-d8", "resultant", f, {**h, (1, 0): Fraction(1)}, None))
+    f = {(0, j): rng.choice((-1, 1)) * rng.randint(1, 32) for j in range(9)}
+    h = {(0, j): rng.choice((-1, 1)) * rng.randint(1, 32) for j in range(8)}
+    out.append(("resultant-level-d8", "resultant", f, {**h, (1, 0): 1}, None))
     return out
 
 
@@ -340,7 +324,7 @@ def reference_variety_empty(polys: list) -> tuple:
 def cases() -> list[tuple[str, str, object, object, object]]:
     """(name, op, f, g, planted factor or roots), the same every run."""
     rng = random.Random(20091)
-    one = Fraction(1)
+    one = 1
     out = [(f"mul-dense-d{d}", "mul", _dense(rng, d), _dense(rng, d), None)
            for d in range(11)]
     out += [
@@ -363,7 +347,7 @@ def cases() -> list[tuple[str, str, object, object, object]]:
         factors = _line_factors(_random_lines(rng, p))
         out.append((f"field-lines-{p}", "field", factors, None, literal_field(factors)))
     out += _resultant_cases(rng)
-    out += _confirmation_cases(rng)  # drawn after the cases above, which keep their operands
+    out.append(_x_free_case(rng))  # drawn after the cases above, which keep their operands
     out += _variety_cases(rng)
     return out
 

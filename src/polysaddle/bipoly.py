@@ -1,10 +1,23 @@
 """Sparse exact bivariate polynomial ring Q[x,y].
 
-A polynomial is a dict mapping exponent pairs (i, j) to nonzero Fraction
+A polynomial is a dict mapping exponent pairs (i, j) to nonzero
 coefficients and represents sum c_ij x^i y^j; the zero polynomial is the
 empty dict.  Callers must treat values as immutable.  The monomial order
 used for leading terms and canonical printing is graded lex with x > y:
 compare total degree first, then the x exponent.
+
+A coefficient is an int or a Fraction, never a float; integers stay ints,
+since int arithmetic is two orders of magnitude cheaper than Fraction
+arithmetic.  The constants ONE, X and Y, const, scalar_mul, the parser,
+mul's unpacking, normalize and GCDHEU's candidate yield an int for every
+integer value, and the two true divisions (in divmod_lt and in the
+antiderivatives of field_ops) go through _div, which returns an int when
+the quotient is one.  A Fraction is left for a value that is not an
+integer, for the integer-valued result of arithmetic on Fractions
+(1/2 + 1/2, or a product of operands with denominators), and for a value
+taken over from upoly, whose coefficients are Fractions.  An int and
+Fraction(n, 1) are equal, hash alike and print alike, so no result or
+report depends on which of the two a coefficient is.
 
 Products use Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic
 Comput. 44, 2009): denominators are cleared, each operand is packed into
@@ -43,16 +56,35 @@ from fractions import Fraction
 from . import upoly
 from .upoly import _PRIME, UPoly, _gcd_degree_mod_p
 
-BiPoly = dict[tuple[int, int], Fraction]
+# coefficients are int or Fraction, never float (module docstring)
+BiPoly = dict[tuple[int, int], int | Fraction]
 
 ZERO: BiPoly = {}
-ONE: BiPoly = {(0, 0): Fraction(1)}
-X: BiPoly = {(1, 0): Fraction(1)}
-Y: BiPoly = {(0, 1): Fraction(1)}
+ONE: BiPoly = {(0, 0): 1}
+X: BiPoly = {(1, 0): 1}
+Y: BiPoly = {(0, 1): 1}
+
+
+def _coeff(c: Fraction | int) -> int | Fraction:
+    """c as a coefficient: an int when c is an integer, else a Fraction
+    (a float is converted exactly)."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a / b, b nonzero: an int when the quotient is one, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def const(c: Fraction | int) -> BiPoly:
-    c = Fraction(c)
+    c = _coeff(c)
     return {(0, 0): c} if c else {}
 
 
@@ -80,7 +112,7 @@ def deg_y(f: BiPoly) -> int:
 def add(f: BiPoly, g: BiPoly) -> BiPoly:
     out = dict(f)
     for e, c in g.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -183,8 +215,9 @@ def mul(f: BiPoly, g: BiPoly) -> BiPoly:
     prod = (_pack(zip(f, fv), fi0, fj0, w, fsize, nb)
             * _pack(zip(g, gv), gi0, gj0, w, gsize, nb))
     i0, j0, den = fi0 + gi0, fj0 + gj0, fden * gden
-    return {(i + i0, j + j0): Fraction(d, den) if den != 1 else Fraction(d)
-            for (i, j), d in _unpack(prod, w, nb)}
+    if den == 1:
+        return {(i + i0, j + j0): d for (i, j), d in _unpack(prod, w, nb)}
+    return {(i + i0, j + j0): Fraction(d, den) for (i, j), d in _unpack(prod, w, nb)}
 
 
 def _pack(terms, i0: int, j0: int, w: int, size: int, nb: int) -> int:
@@ -208,7 +241,7 @@ def _unpack(n: int, w: int, nb: int) -> list[tuple[tuple[int, int], int]]:
 
 
 def scalar_mul(c: Fraction | int, f: BiPoly) -> BiPoly:
-    c = Fraction(c)
+    c = _coeff(c)
     if not c:
         return {}
     return {e: c * a for e, a in f.items()}
@@ -257,7 +290,7 @@ def _ordkey(e: tuple[int, int]) -> tuple[int, int]:
     return (e[0] + e[1], e[0])
 
 
-def leading_term(f: BiPoly) -> tuple[tuple[int, int], Fraction]:
+def leading_term(f: BiPoly) -> tuple[tuple[int, int], int | Fraction]:
     if not f:
         raise ValueError("zero polynomial has no leading term")
     e = max(f, key=_ordkey)
@@ -299,11 +332,11 @@ def divmod_lt(f: BiPoly, g: BiPoly) -> tuple[BiPoly, BiPoly]:
         i, j = e
         if i >= gi and j >= gj:
             me = (i - gi, j - gj)
-            mc = c / gc
-            q[me] = q.get(me, Fraction(0)) + mc
+            mc = _div(c, gc)
+            q[me] = q.get(me, 0) + mc
             for (bi, bj), bc in g.items():
                 te = (bi + me[0], bj + me[1])
-                s = work.get(te, Fraction(0)) - mc * bc
+                s = work.get(te, 0) - mc * bc
                 if s:
                     work[te] = s
                 else:
@@ -375,18 +408,19 @@ def _div_by_xpoly(f: BiPoly, d: UPoly) -> BiPoly:
 
 def normalize(f: BiPoly) -> BiPoly:
     """Primitive representative: coprime integer coefficients and positive
-    leading coefficient under graded lex."""
+    leading coefficient under graded lex.  With den the lcm of the
+    denominators and num the gcd of the numerators, a/b becomes the
+    integer a * (den / b) / num, up to the sign."""
     if not f:
         return {}
     num = 0
     den = 1
     for c in f.values():
-        num = math.gcd(num, abs(c.numerator))
+        num = math.gcd(num, c.numerator)
         den = den * c.denominator // math.gcd(den, c.denominator)
-    scale = Fraction(den, num)
     if leading_term(f)[1] < 0:
-        scale = -scale
-    return scalar_mul(scale, f)
+        den = -den
+    return {e: c.numerator * (den // c.denominator) // num for e, c in f.items()}
 
 
 def _lc_y(f: BiPoly) -> BiPoly:
@@ -395,7 +429,7 @@ def _lc_y(f: BiPoly) -> BiPoly:
 
 
 def _ypow(n: int) -> BiPoly:
-    return {(0, n): Fraction(1)}
+    return {(0, n): 1}
 
 
 def _prem_y(a: BiPoly, b: BiPoly) -> BiPoly:
@@ -585,7 +619,7 @@ def _gcd_heuristic(f: BiPoly, g: BiPoly) -> BiPoly | None:
         C = [(e, v // cont) for e, v in h]
         c = gamma // cont
         if _divides_packed(C, c, a, w, nb) and _divides_packed(C, c, b, w, nb):
-            return normalize({e: Fraction(v) for e, v in C})
+            return normalize(dict(C))
         nb *= 2
     return None
 
@@ -755,7 +789,7 @@ class _Parser:
             self.fail("expected a natural number")
         return int(self.src[start:self.i])
 
-    def _rational(self) -> Fraction:
+    def _rational(self) -> int | Fraction:
         num = self._nat()
         if self.peek() == "/":
             self.i += 1
@@ -763,8 +797,8 @@ class _Parser:
             den = self._nat()
             if den == 0:
                 raise ParseError("zero denominator", pos + 1)
-            return Fraction(num, den)
-        return Fraction(num)
+            return _div(num, den)
+        return num
 
     def expr(self) -> BiPoly:
         acc = self.term()

@@ -26,9 +26,9 @@ from . import bipoly as bp
 from . import numcheck, upoly
 from .bipoly import BiPoly, CheckResult, ParseError
 from .cz_check import cz_report
-from .field_ops import (FactoredIntegral, VectorField, is_first_integral,
+from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_first_integral,
                         is_hamiltonian, cofactor, lie_derivative,
-                        minimal_degree_check, reduce_field)
+                        minimal_degree_check, quotient_multiplier, reduce_field)
 from .linearize import factor_split, linearize
 from .remarkable import (analyze, integral_degree_check,
                          inverse_factor_degree_check,
@@ -43,8 +43,9 @@ class ProblemError(Exception):
 class ProblemSpec:
     """A loaded problem.  The expanded integral and the constructed field
     live on the integral (integral.H, integral.field); the reduction of
-    the constructed field is built here on first use and shared by every
-    command run on the problem."""
+    the constructed field and the multiplier of the field under study are
+    built here on first use and shared by every command run on the
+    problem."""
 
     name: str
     integral: FactoredIntegral
@@ -64,6 +65,20 @@ class ProblemSpec:
         """The field under study: the given one, else the reduced
         constructed one."""
         return self.reduced[0] if self.given_field is None else self.given_field
+
+    @cached_property
+    def multiplier(self) -> BiPoly | None:
+        """G with G * field = integral.field, which the criterion of
+        `analyze` and `linearize` both need (a pivot reorders the factors
+        but keeps integral.field); the zero polynomial when there is no
+        such G, and None when the field is not coprime, which both
+        refuse."""
+        if not is_coprime(self.field):
+            return None
+        try:
+            return quotient_multiplier(self.integral.field, self.field)
+        except bp.ExactDivisionError:
+            return bp.ZERO
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -236,7 +251,8 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
     out["deg_R"] = a.d
     checks: dict = {}
     for key, run in (
-        ("single_critical_value", lambda: single_critical_value_criterion(F, X, a)),
+        ("single_critical_value",
+         lambda: single_critical_value_criterion(F, X, a, spec.multiplier)),
         ("inverse_factor_degree", lambda: inverse_factor_degree_check(a, X.degree)),
         ("integral_degree", lambda: integral_degree_check(F, X)),
     ):
@@ -267,7 +283,7 @@ def cmd_linearize(spec: ProblemSpec, pivot: int | None) -> dict:
         except ValueError as e:
             raise ProblemError(str(e)) from e
     try:
-        cert = linearize(F, spec.field)
+        cert = linearize(F, spec.field, spec.multiplier)
     except bp.ExactDivisionError as e:
         return {"certificate": _cd(bp.fails(
             bp.to_string(e.remainder),

@@ -207,11 +207,11 @@ def quotient_multiplier(X2: VectorField, X1: VectorField) -> BiPoly:
 
 
 def _antider_y(f: BiPoly) -> BiPoly:
-    return {(i, j + 1): c / (j + 1) for (i, j), c in f.items()}
+    return {(i, j + 1): bp._div(c, j + 1) for (i, j), c in f.items()}
 
 
 def _antider_x(f: BiPoly) -> BiPoly:
-    return {(i + 1, j): c / (i + 1) for (i, j), c in f.items()}
+    return {(i + 1, j): bp._div(c, i + 1) for (i, j), c in f.items()}
 
 
 def _potential(P: BiPoly, Q: BiPoly) -> BiPoly | None:

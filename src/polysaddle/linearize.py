@@ -101,12 +101,17 @@ class LinearizationCertificate:
     time_change: str
 
 
-def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
+def linearize(F: FactoredIntegral, X: VectorField,
+              multiplier: BiPoly | None = None) -> LinearizationCertificate:
     """Build and exactly verify the saddle certificate for (F, X).
 
     The multiplier G is the exact quotient with G X = F.field, the
     constructed field of F, cross-checked on both components; with
-    D != 0 it makes the certificate (module docstring).
+    D != 0 it makes the certificate (module docstring).  A caller that
+    has tried the quotient already passes the outcome as `multiplier`:
+    G, or the zero polynomial when there is no G (no polynomial times X
+    is F.field then, since F.field is not zero); otherwise it is
+    computed here.
 
     Errors: fewer than two factors or a non-coprime field raise
     ValueError; a field that does not actually annihilate F.H raises
@@ -120,17 +125,23 @@ def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
         raise ValueError("linearize needs at least two factors")
     if not is_coprime(X):
         raise ValueError("linearize requires a coprime field")
-    try:
-        G = quotient_multiplier(F.field, X)
-    except bp.ExactDivisionError:
-        raise bp.ExactDivisionError(lie_derivative(X, F.H)) from None
+    G = multiplier
+    if G is None:
+        try:
+            G = quotient_multiplier(F.field, X)
+        except bp.ExactDivisionError:
+            G = bp.ZERO
+    if not G:
+        raise bp.ExactDivisionError(lie_derivative(X, F.H))
     K1, K2, K3, K4 = k_matrix(F)
     D = bp.sub(bp.mul(K1, K4), bp.mul(K2, K3))
     if bp.is_zero(D):
         raise ArithmeticError("degenerate split: the determinant D vanishes identically")
-    u_expr = bp.ONE
+    # u = W R~ with W = prod_{i<p} u_i and R~ = prod_{i<p} u_i^{k_i-1}
+    u_expr = F.head_field[2]
     for u, k in F.factors[:-1]:
-        u_expr = bp.mul(u_expr, bp.power(u, k))
+        if k > 1:
+            u_expr = bp.mul(u_expr, bp.power(u, k - 1))
     up, kp = F.factors[-1]
     return LinearizationCertificate(
         u_expr=u_expr, v_expr=bp.power(up, kp), K1=K1, K2=K2, K3=K3, K4=K4, D=D, G=G,

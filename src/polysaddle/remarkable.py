@@ -161,13 +161,15 @@ def analyze(F: FactoredIntegral) -> RemarkableAnalysis:
 
 
 def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
-                                    analysis: RemarkableAnalysis | None = None
-                                    ) -> CheckResult:
+                                    analysis: RemarkableAnalysis | None = None,
+                                    multiplier: BiPoly | None = None) -> CheckResult:
     """Equivalence check for integrals with a repeated factor: the factor
     degrees sum to deg(X) + 1 exactly when the integral has exactly one
     critical value.  Both directions are evaluated.  The critical values
-    come from `analysis`, which must be analyze(F); it is computed here
-    when not passed.
+    come from `analysis`, which must be analyze(F), and `multiplier` is
+    the outcome of quotient_multiplier(F.field, X) as linearize takes it
+    (the zero polynomial when there is no quotient); each is computed
+    here when not passed.
 
     That X annihilates H is tested as F.field = G X for a polynomial G,
     which for a coprime X = (P, Q) is equivalent and costs no Lie
@@ -180,10 +182,13 @@ def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
         raise ValueError("criterion requires some exponent k_i > 1")
     if not is_coprime(X):
         raise ValueError("criterion requires a coprime field")
-    try:
-        quotient_multiplier(F.field, X)
-    except bp.ExactDivisionError:
-        raise ValueError("X does not annihilate the factored integral") from None
+    if multiplier is None:
+        try:
+            multiplier = quotient_multiplier(F.field, X)
+        except bp.ExactDivisionError:
+            multiplier = bp.ZERO
+    if not multiplier:
+        raise ValueError("X does not annihilate the factored integral")
     sum_deg = sum(bp.total_degree(u) for u, _ in F.factors)
     degree_side = sum_deg == X.degree + 1
     if analysis is None:

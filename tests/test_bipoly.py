@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from polysaddle import bipoly as bp
 from polysaddle import cli, remarkable
+from polysaddle.field_ops import VectorField, is_hamiltonian
+from polysaddle.variety import variety_empty
 
 from conftest import random_line_family, random_rat, sylvester_y
 
@@ -483,3 +485,85 @@ def test_check_result_invariants():
     assert bp.holds("fine").ok
     assert not bp.fails("w", "r").ok
     assert bp.inconclusive("because").status == "Inconclusive"
+
+
+# coefficient representation: int or Fraction, never float
+
+ints = st.integers(min_value=-9, max_value=9)
+
+
+def int_bipolys(max_terms=5):
+    return st.dictionaries(exps, ints, max_size=max_terms).map(
+        lambda d: {e: c for e, c in d.items() if c})
+
+
+def _typed(f):
+    """f, after checking that every coefficient is an int or a Fraction."""
+    assert all(type(c) in (int, Fraction) for c in f.values()), f
+    return f
+
+
+def _all_int(f):
+    return all(type(c) is int for c in f.values())
+
+
+@given(st.one_of(int_bipolys(), bipolys()), st.one_of(int_bipolys(), bipolys()),
+       st.one_of(ints, rats))
+@settings(max_examples=150, deadline=None)
+def test_coefficients_are_int_or_fraction(f, g, c):
+    integral = _all_int(f) and _all_int(g)
+    parsed = _typed(bp.parse(bp.to_string(f)))
+    prod = _typed(bp.mul(f, g))
+    for h in (bp.add(f, g), bp.sub(f, g), bp.scalar_mul(c, f), bp.power(f, 3),
+              bp.partial(f, "x"), bp.partial(f, "y")):
+        _typed(h)
+    if integral:
+        assert _all_int(parsed) and _all_int(prod)
+    if f:
+        assert _all_int(_typed(bp.normalize(f)))
+    if g:
+        q, r = bp.divmod_lt(f, g)
+        _typed(q)
+        _typed(r)
+        assert bp.add(bp.mul(q, g), r) == f
+        assert _typed(bp.exact_div(prod, g)) == f
+    if f or g:
+        assert _all_int(_typed(bp.gcd(f, g)))
+    if bp.deg_y(f) >= 1 and bp.deg_y(g) >= 1:
+        _typed(bp.resultant(f, g))
+    if bp.total_degree(f) >= 1:
+        # (f_y, -f_x) is divergence-free, so it has a potential
+        _typed(is_hamiltonian(VectorField(bp.partial(f, "y"), bp.neg(bp.partial(f, "x")))))
+
+
+def test_integer_results_are_ints():
+    f = bp.parse("(3*x - 2*y + 1)^3 - 4/2*x")
+    assert _all_int(f) and f[(1, 0)] == 9 - 2
+    assert _all_int(bp.mul(f, bp.parse("x*y - 5")))
+    # a product of operands with denominators may keep integer-valued Fractions
+    assert bp.mul(bp.parse("1/2*x + 1/3"), bp.parse("6*x - 12")) == bp.parse("3*x^2 - 4*x - 4")
+    assert bp.normalize(bp.parse("-1/2*x + 1/3*y")) == {(1, 0): 3, (0, 1): -2}
+    assert _all_int(bp.normalize(bp.parse("-1/2*x + 1/3*y")))
+    assert all(type(c) is int for c in (*bp.ONE.values(), *bp.X.values(), *bp.Y.values()))
+    assert bp.const(Fraction(4, 2)) == {(0, 0): 2} and _all_int(bp.const(Fraction(4, 2)))
+    assert bp.const(0.5) == {(0, 0): Fraction(1, 2)}  # a float is converted exactly
+    assert type(bp.scalar_mul(2.0, bp.X)[(1, 0)]) is int
+
+
+def test_true_divisions_keep_fractions():
+    # the two division sites an int pair can reach: they must not floor
+    # or give a float
+    q, r = bp.divmod_lt(bp.parse("x + 1"), bp.parse("2*x + 1"))
+    assert q == {(0, 0): Fraction(1, 2)} and type(q[(0, 0)]) is Fraction
+    assert r == {(0, 0): Fraction(1, 2)}
+    H = is_hamiltonian(VectorField(bp.parse("y"), {}))
+    assert H == {(0, 2): Fraction(1, 2)} and type(H[(0, 2)]) is Fraction
+    assert bp.exact_div(bp.parse("4*x^2 - 2"), bp.parse("2*x^2 - 1")) == {(0, 0): 2}
+
+
+def test_rational_witness_renders_as_a_point():
+    # three lines through (1/2, 3)
+    r = variety_empty([bp.parse("2*x - 1"), bp.parse("y - 3"), bp.parse("2*x + 2*y - 7")])
+    assert r.status == "Fails" and r.witness == (Fraction(1, 2), Fraction(3))
+    assert all(type(c) is Fraction for c in r.witness)
+    assert cli._wit(r.witness) == {"x": "1/2", "y": "3"}

@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import time
@@ -229,6 +230,34 @@ def test_pivot_reuses_expansion(capsys, monkeypatch, command, pivot, code, gcds,
     got, out = run(capsys, command, problem("three_lines.json"), *pivot)
     assert got == code, out
     assert counts == {"expand": expansions, "construct_field": 1, "gcd": gcds}
+
+
+@pytest.mark.parametrize("command,pivot", [("all", []), ("all", ["--pivot", "1"]),
+                                           ("analyze", []), ("linearize", [])])
+@pytest.mark.parametrize("field", [None, {"p": "1", "q": "x"}], ids=["constructed", "wrong"])
+def test_multiplier_computed_once(capsys, tmp_path, monkeypatch, command, pivot, field):
+    # the single-critical-value criterion and linearize share the quotient
+    # G with G X = F.field, computed once per problem, also when a given
+    # field has none
+    doc = json.loads(open(problem("twin_parabolas.json")).read())
+    if field:
+        doc["field"] = field
+    path = write_problem(tmp_path, doc)
+    linearize_module = importlib.import_module("polysaddle.linearize")
+    calls = []
+    inner = field_ops.quotient_multiplier
+
+    def counted(X2, X1):
+        calls.append(X1)
+        return inner(X2, X1)
+
+    for module in (cli, remarkable, linearize_module):
+        monkeypatch.setattr(module, "quotient_multiplier", counted)
+    code, out = run(capsys, command, path, *pivot)
+    assert code in (0, 1), out
+    assert len(calls) == 1
+    if field and command != "analyze":
+        assert "nonzero remainder" in out
 
 
 @pytest.mark.parametrize("command", ["construct", "all"])
@@ -536,7 +565,7 @@ def test_strict_flag_surfaces_inconclusive(capsys, tmp_path, monkeypatch):
         "factors": [{"poly": "x", "exponent": 2}, {"poly": "y", "exponent": 1}]})
     monkeypatch.setattr(
         cli, "single_critical_value_criterion",
-        lambda F, X, analysis: bp.inconclusive("forced for the exit-code test"))
+        lambda F, X, analysis, multiplier: bp.inconclusive("forced for the exit-code test"))
     code, out = run(capsys, "analyze", path, "--strict", "--format", "json")
     assert code == 3
     r = json.loads(out)["results"]

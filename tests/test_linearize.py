@@ -89,6 +89,31 @@ def test_k_matrix_rebuilds_constructed_field():
         done += 1
 
 
+def test_u_expr_is_the_head_product():
+    # u = W R~ (the head triple's W times prod_{i<p} u_i^{k_i-1}) is the
+    # product prod_{i<p} u_i^{k_i}, at every pivot
+    rng = random.Random(80)
+    done = 0
+    while done < 10:
+        F = random_integral(rng, max_p=4)
+        if F.p < 2 or all(k == 1 for _, k in F.factors):
+            continue
+        X = reduced_constructed_field(F)
+        for pivot in range(1, F.p + 1):
+            S = factor_split(F, pivot)
+            try:
+                cert = linearize(S, X)
+            except bp.ExactDivisionError:
+                raise
+            except ArithmeticError:
+                continue  # D = 0: a degenerate split has no certificate
+            u = bp.ONE
+            for f, k in S.factors[:-1]:
+                u = bp.mul(u, bp.power(f, k))
+            assert cert.u_expr == u
+            done += 1
+
+
 def test_k_matrix_needs_two_factors():
     with pytest.raises(ValueError):
         k_matrix(fi(("x", 2)))
