@@ -1,6 +1,6 @@
 """Layer microbenchmark: bipoly.mul, bipoly.gcd, bipoly.resultant,
-upoly.rational_roots, the constructed field and variety.variety_empty on a
-fixed operand ladder.
+upoly.rational_roots, the constructed field, variety.variety_empty and RK4
+orbits on a fixed operand ladder.
 
 The operands are drawn from a fixed seed: dense products from 1x1 terms
 up to total degree 10, rational and 200-bit coefficients, a single-term
@@ -16,7 +16,11 @@ u_x v_y - u_y v_x, and of the shape remarkable._level_product eliminates,
 f(y) and h(y) + x; two products with an x-free common factor;
 variety_empty on three lines in general position, three concurrent
 lines, and the transversality system u = v = u_x v_y - u_y v_x = 0 of
-dense curves of degree 3, 4 and 5.  A coefficient is an int where it is
+dense curves of degree 3, 4 and 5; and ORBIT_STEPS RK4 steps plus the
+drift of H (numcheck.integrate_orbit and conservation_drift) on fields
+of degree 1, 3 and 5, each built from random lines with H their product,
+timed warm and cold (in trees that cache float kernels, a cold call
+clears the caches first).  A coefficient is an int where it is
 an integer, as the program holds it (bipoly).  Every product is
 checked against a schoolbook reference kept in this file, and timed
 beside it; every gcd must be divisible by the planted factor and equal
@@ -30,7 +34,9 @@ saddle pullbacks G X(u) = D u and G X(v) = -D v are rechecked with them
 the Sylvester matrix built here; every variety_empty status must be the
 one the case was built for, and status and witness must equal those of
 the single-projection route kept here as the reference
-(reference_variety_empty, run outside the timed region).  Each
+(reference_variety_empty, run outside the timed region); every orbit and
+drift, warm and cold, must equal bit for bit those of the plain-loop RK4
+kept here (reference_orbit).  Each
 construct_field or linearize call starts from an integral whose H, field
 and head factors' field are not yet cached.  A case whose calls run past CAP_S seconds in a
 round is recorded as a timeout instead of being waited for.
@@ -44,7 +50,8 @@ alternating order, so a drift in host speed hits them alike.  A round
 times each case as the median of five batches of calls; the JSON holds,
 per tree and case, the median and quartiles of the per-call times over
 the rounds, in microseconds ("reference" for the schoolbook product,
-"linearize" for the second timing of a field case).
+"linearize" for the second timing of a field case, "cold" for an orbit
+case's cold calls).
 """
 
 from __future__ import annotations
@@ -321,6 +328,68 @@ def reference_variety_empty(polys: list) -> tuple:
     return "Fails", variety._describe_witness(loc, list(polys))
 
 
+ORBIT_STEPS = 1000  # RK4 steps per orbit case, as perfbench/run.py takes
+
+
+def _orbit_cases(rng: random.Random) -> list:
+    """Fields of degree 1, 3 and 5 built from d + 1 random lines, each with
+    its integral H (the product of the lines), a start and a step that
+    keeps the orbit short of the lines' blow-ups."""
+    out = []
+    for d in (1, 3, 5):
+        lines = [_as_line(*abc) for abc in _random_lines(rng, d + 1)]
+        P, Q = literal_field([(u, 1) for u in lines])
+        H = functools.reduce(reference_mul, lines)
+        x0, y0 = 0.1, 0.2
+        speed = abs(reference_eval(P)(x0, y0)) + abs(reference_eval(Q)(x0, y0))
+        out.append((f"orbit-d{d}", "orbit", P, Q, (H, x0, y0, 1e-4 / max(1.0, speed))))
+    return out
+
+
+def reference_eval(f: dict):
+    """Float evaluator of f as a Horner form in y over Horner forms in x,
+    with plain loops: the operations numcheck performs, in its order."""
+    rows: list = [[] for _ in range(max((j for _, j in f), default=-1) + 1)]
+    for (i, j), c in f.items():
+        rows[j] += [0.0] * (i + 1 - len(rows[j]))
+        rows[j][i] = float(c)
+
+    def ev(x, y):
+        acc = None
+        for row in reversed(rows):
+            r = row[-1] if row else 0.0
+            for c in reversed(row[:-1]):
+                r = r * x + c
+            acc = r if acc is None else acc * y + r
+        return 0.0 if acc is None else acc
+
+    return ev
+
+
+def reference_orbit(P: dict, Q: dict, H: dict, x: float, y: float, h: float, n: int):
+    """(points, drift) of classical RK4 and the drift of H along it, as
+    numcheck.integrate_orbit and conservation_drift define them."""
+    fp, fq, fh = reference_eval(P), reference_eval(Q), reference_eval(H)
+    pts = [(x, y)]
+    for _ in range(n):
+        k1x, k1y = fp(x, y), fq(x, y)
+        x2, y2 = x + 0.5 * h * k1x, y + 0.5 * h * k1y
+        k2x, k2y = fp(x2, y2), fq(x2, y2)
+        x3, y3 = x + 0.5 * h * k2x, y + 0.5 * h * k2y
+        k3x, k3y = fp(x3, y3), fq(x3, y3)
+        x4, y4 = x + h * k3x, y + h * k3y
+        k4x, k4y = fp(x4, y4), fq(x4, y4)
+        x += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        if not (math.isfinite(x) and math.isfinite(y)) or abs(x) > 1e12 or abs(y) > 1e12:
+            break
+        pts.append((x, y))
+    h0 = fh(*pts[0])
+    gaps = [abs(fh(a, b) - h0) for a, b in pts]
+    drift = max(gaps) / max(1.0, abs(h0))
+    return pts, (drift if math.isfinite(drift) and not math.isnan(sum(gaps)) else None)
+
+
 def cases() -> list[tuple[str, str, object, object, object]]:
     """(name, op, f, g, planted factor or roots), the same every run."""
     rng = random.Random(20091)
@@ -349,6 +418,7 @@ def cases() -> list[tuple[str, str, object, object, object]]:
     out += _resultant_cases(rng)
     out.append(_x_free_case(rng))  # drawn after the cases above, which keep their operands
     out += _variety_cases(rng)
+    out += _orbit_cases(rng)
     return out
 
 
@@ -380,8 +450,9 @@ def worker() -> dict:
     "linearize_us" (field), "ok"}}, or {case: {"timeout": true}} when the
     case ran past CAP_S seconds."""
     from polysaddle import bipoly as bp
+    from polysaddle import numcheck
     from polysaddle import upoly as up
-    from polysaddle.field_ops import FactoredIntegral, construct_field, reduce_field
+    from polysaddle.field_ops import FactoredIntegral, VectorField, construct_field, reduce_field
     from polysaddle.linearize import linearize
     from polysaddle.variety import variety_empty
 
@@ -404,6 +475,24 @@ def worker() -> dict:
         vars(F).pop("field", None)
         vars(F).pop("head_field", None)
         return linearize(F, X)
+
+    # trees that cache their float kernels: a cold call clears them first
+    kernels = [getattr(numcheck, k) for k in ("_rk4_kernel", "_value_kernel")
+               if hasattr(numcheck, k)]
+
+    def orbit(X, start):
+        H, x0, y0, step = start
+        orb = numcheck.integrate_orbit(X, x0, y0, step, ORBIT_STEPS)
+        return orb.points, numcheck.conservation_drift(H, orb)
+
+    def orbit_cold(X, start):
+        for k in kernels:
+            k.cache_clear()
+        return orbit(X, start)
+
+    def hexes(run):
+        pts, drift = run
+        return [(a.hex(), b.hex()) for a, b in pts], None if drift is None else drift.hex()
 
     out = {}
     signal.signal(signal.SIGALRM, _timeout)
@@ -440,6 +529,13 @@ def worker() -> dict:
                       and certificate_holds(cert, X.P, X.Q))
                 out[name] = {"us": _time(construct, F, None),
                              "linearize_us": _time(linearize_fresh, F, X), "ok": ok}
+            elif op == "orbit":
+                X = VectorField(f, g)
+                H, x0, y0, step = planted
+                ok = (hexes(orbit_cold(X, planted)) == hexes(orbit(X, planted))
+                      == hexes(reference_orbit(f, g, H, x0, y0, step, ORBIT_STEPS)))
+                out[name] = {"us": _time(orbit, X, planted),
+                             "cold_us": _time(orbit_cold, X, planted), "ok": ok}
             else:
                 out[name] = {"us": _time(roots, f, g), "ok": roots(f, g) == planted}
         except TimeoutError:

@@ -7,9 +7,10 @@ Usage (any working directory):
 
 Every call is `polysaddle.cli.main(argv)`, made in this process with
 standard output and standard error captured; a line holds the first 16 hex
-digits of the SHA-256 of (exit code, stdout, stderr) and the call.  The
-last line hashes them all: two trees print the same total when every call
-gives the same exit code and the same bytes on both streams.
+digits of the SHA-256 of (exit code, stdout, stderr), with the bytes of
+the file a `--csv` call writes, and the call.  The last line hashes them
+all: two trees print the same total when every call gives the same exit
+code, the same bytes on both streams and the same CSV file.
 
 The calls: all six commands, in json and in text, on every problem of
 `problems/` and `tests/fixtures/`, on the perfbench corpora (the
@@ -17,7 +18,9 @@ workloads of `perfbench/corpus.py`, seeds 1-3, written to a temporary
 directory whose path is masked in the output), and on problems with a
 given field; and `linearize` and `all` at every `--pivot` of each problem
 with two or more factors.  `simulate` and `all` take the perfbench
-instance's start and step, and the CLI defaults elsewhere.  The given
+instance's start and step, and the CLI defaults elsewhere; each problem
+also gets `simulate --csv` (the hash then covers the file's bytes too)
+and `simulate --x0 1e300`, a start whose first step overflows.  The given
 fields are built with sympy, apart from the program, from the factors of
 `problems/` and of the valid fixtures: the constructed field, its coprime
 reduction, the reduction perturbed by 1 in P and by x in Q, the reduction
@@ -109,8 +112,9 @@ def perfbench_problems() -> list[tuple[str, dict, list[str]]]:
     return out
 
 
-def calls(path: str, flags: list[str], factors: int) -> list[list[str]]:
-    """The argv lists run on one problem file."""
+def calls(path: str, flags: list[str], factors: int, csv: str) -> list[list[str]]:
+    """The argv lists run on one problem file; csv is where `simulate
+    --csv` writes."""
     out = []
     for cmd in COMMANDS:
         extra = flags if cmd in ("simulate", "all") else []
@@ -119,20 +123,29 @@ def calls(path: str, flags: list[str], factors: int) -> list[list[str]]:
         for fmt in FORMATS:
             for pivot in pivots:
                 out.append([cmd, path, "--format", fmt, *extra, *pivot])
+    out += [["simulate", path, "--format", "json", *flags, "--csv", csv],
+            ["simulate", path, "--format", "json", *flags, "--x0", "1e300"]]
     return out
 
 
 def digest(cli, argv: list[str], mask: str) -> str:
+    """The hash of (exit code, stdout, stderr) of one call, and of the bytes
+    of the file that --csv names, if it does (none when it was not written)."""
+    csv = Path(argv[argv.index("--csv") + 1]) if "--csv" in argv else None
+    if csv is not None:
+        csv.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(argv)
         except SystemExit as e:  # argparse rejected the flags
             rc = e.code
+    data = csv.read_bytes() if csv is not None and csv.exists() else b""
     text = f"{rc}\0{out.getvalue()}\0{err.getvalue()}"
     if mask:
         text = text.replace(mask, "<tmp>")
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    payload = text.encode() + (b"\0" + data if csv is not None else b"")
+    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def main(argv=None) -> int:
@@ -159,8 +172,9 @@ def main(argv=None) -> int:
             path = Path(tmp) / f"{label.replace('/', '_').replace(':', '_')}.json"
             path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
             jobs.append((str(path), flags, len(doc["factors"])))
+        csv = str(Path(tmp) / "orbit.csv")
         for path, flags, factors in jobs:
-            for call in calls(path, flags, factors):
+            for call in calls(path, flags, factors, csv):
                 h = digest(cli, call, tmp)
                 total.update(h.encode())
                 count += 1

@@ -783,7 +783,7 @@ class _Parser:
     def _nat(self) -> int:
         self._ws()
         start = self.i
-        while self.i < len(self.src) and self.src[self.i].isdigit():
+        while self.i < len(self.src) and self.src[self.i].isdecimal():
             self.i += 1
         if self.i == start:
             self.fail("expected a natural number")
@@ -833,7 +833,7 @@ class _Parser:
         b = self.base()
         if self.peek() == "^":
             self.i += 1
-            if not self.peek().isdigit():
+            if not self.peek().isdecimal():
                 self.fail("exponent must be a natural number")
             pos = self.i
             n = self._nat()
@@ -858,7 +858,7 @@ class _Parser:
         if ch == "y":
             self.i += 1
             return dict(Y)
-        if ch.isdigit():
+        if ch.isdecimal():
             return const(self._rational())
         if ch.isalpha():
             self.fail(f"unknown variable {ch!r}")

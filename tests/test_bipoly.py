@@ -63,6 +63,15 @@ def test_parse_degree_budget():
             bp.parse(src)
 
 
+def test_parse_takes_only_decimal_digits():
+    # '²' is a digit to str.isdigit but not a decimal one, and int() refuses it
+    with pytest.raises(bp.ParseError, match=r"exponent must be a natural number \(column 3\)"):
+        bp.parse("x^²")
+    with pytest.raises(bp.ParseError, match=r"unexpected character '²' \(column 1\)"):
+        bp.parse("²")
+    assert bp.parse("٣*x") == bp.parse("3*x")  # an Arabic-Indic three is decimal
+
+
 def test_to_string_canonical():
     assert bp.to_string(bp.parse("y - x^2")) == "-x^2 + y"
     assert bp.to_string({}) == "0"

@@ -425,6 +425,24 @@ def test_simulate_non_finite_drift_is_null(capsys, tmp_path, command, factors, a
     assert results.get("simulate", results)["drift"] is None
 
 
+@pytest.mark.parametrize("factors, drift_is_null", [
+    # H of degree 200: one Horner form nests 200 deep, past the parser's limit
+    ([("x + y + 1", 100), ("x - y", 100)], False),
+    # a 400-digit coefficient is too large for a float: it becomes an
+    # infinity, the orbit stops at its start and H there is not finite
+    ([("1" + "0" * 399 + "*x + y", 2), ("x - y + 1", 1)], True),
+])
+def test_simulate_float_layer_limits(capsys, tmp_path, factors, drift_is_null):
+    path = write_problem(tmp_path, {
+        "name": "t", "factors": [{"poly": u, "exponent": k} for u, k in factors]})
+    code = cli.main(["simulate", path, "--format", "json", "--steps", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    results = json.loads(out, parse_constant=_no_constants)["results"]
+    assert (results["drift"] is None) == drift_is_null
+    assert results["points"] == (1 if drift_is_null else 2)
+
+
 # all
 
 def test_all_cusp(capsys):
@@ -451,6 +469,15 @@ def test_unknown_variable_message(capsys, tmp_path):
     code, out = run(capsys, "analyze", path)
     assert code == 2
     assert "factor 1" in out and "unknown variable" in out and "column 5" in out
+
+
+def test_superscript_exponent_exit_2(capsys, tmp_path):
+    # '²' passed str.isdigit, and int() then raised: exit 4
+    path = write_problem(tmp_path, {
+        "name": "t", "factors": [{"poly": "x^²", "exponent": 1}, {"poly": "y", "exponent": 1}]})
+    code, out = run(capsys, "simulate", path)
+    assert code == 2
+    assert "factor 1: exponent must be a natural number (column 3)" in out
 
 
 def test_empty_factors_exit_2(capsys, tmp_path):
