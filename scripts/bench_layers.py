@@ -37,8 +37,8 @@ the single-projection route kept here as the reference
 (reference_variety_empty, run outside the timed region); every orbit and
 drift, warm and cold, must equal bit for bit those of the plain-loop RK4
 kept here (reference_orbit).  Each
-construct_field or linearize call starts from an integral whose H, field
-and head factors' field are not yet cached.  A case whose calls run past CAP_S seconds in a
+construct_field or linearize call starts from an integral with nothing
+cached but its factors.  A case whose calls run past CAP_S seconds in a
 round is recorded as a timeout instead of being waited for.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --out layers.json
@@ -463,18 +463,20 @@ def worker() -> dict:
     if "var" in inspect.signature(resultant).parameters:  # trees that name y explicitly
         resultant = functools.partial(bp.resultant, var="y")
 
+    def cold(F):
+        """F with every cached attribute but its factors cleared."""
+        for name in [n for n in vars(F) if n != "factors"]:
+            del vars(F)[name]
+        return F
+
     def construct(F, _):
-        vars(F).pop("head_field", None)
-        return construct_field(F)
+        return construct_field(cold(F))
 
     def variety(polys, _):
         return variety_empty(polys)
 
     def linearize_fresh(F, X):
-        vars(F).pop("H", None)
-        vars(F).pop("field", None)
-        vars(F).pop("head_field", None)
-        return linearize(F, X)
+        return linearize(cold(F), X)
 
     # trees that cache their float kernels: a cold call clears them first
     kernels = [getattr(numcheck, k) for k in ("_rk4_kernel", "_value_kernel")

@@ -27,8 +27,8 @@ from . import numcheck, upoly
 from .bipoly import BiPoly, CheckResult, ParseError
 from .cz_check import cz_report
 from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_first_integral,
-                        is_hamiltonian, cofactor, lie_derivative,
-                        minimal_degree_check, quotient_multiplier, reduce_field)
+                        cofactor, lie_derivative, minimal_degree_check, reduce_field,
+                        _divergence, _multiplier, _potential)
 from .linearize import factor_split, linearize
 from .remarkable import (analyze, integral_degree_check,
                          inverse_factor_degree_check,
@@ -73,12 +73,7 @@ class ProblemSpec:
         but keeps integral.field); the zero polynomial when there is no
         such G, and None when the field is not coprime, which both
         refuse."""
-        if not is_coprime(self.field):
-            return None
-        try:
-            return quotient_multiplier(self.integral.field, self.field)
-        except bp.ExactDivisionError:
-            return bp.ZERO
+        return _multiplier(self.integral, self.field) if is_coprime(self.field) else None
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -221,11 +216,11 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
     F, X = spec.integral, spec.field
     out: dict = {"integral": bp.to_string(F.H), "degree_m": X.degree}
     if all(k == 1 for _, k in F.factors):
-        Hp = is_hamiltonian(X)
-        if Hp is None:
-            div = bp.add(bp.partial(X.P, "x"), bp.partial(X.Q, "y"))
+        div = _divergence(X)
+        if not bp.is_zero(div):
             out["hamiltonian"] = _cd(bp.fails(bp.to_string(div), "nonzero divergence"))
             return out
+        Hp = _potential(X.P, X.Q)
         # Hp_y = P and Hp_x = -Q, so X(Hp) = Hp_x P + Hp_y Q = 0
         branch = {
             "potential": bp.to_string(Hp),

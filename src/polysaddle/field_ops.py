@@ -7,18 +7,18 @@ The central construction: given H = u_1^{k_1} * ... * u_p^{k_p}, the field
 
 annihilates H exactly (its Lie derivative of H is zero), which is the
 identity everything else in the package leans on.  It is built by the
-product rule, one factor at a time: starting from (P, Q, W) = (0, 0, 1),
-appending u^k turns (P, Q, W) into
+product rule, one factor at a time: starting from (P, Q, W, R) =
+(0, 0, 1, 1), appending u^k turns (P, Q, W, R) into
 
-    (u P + k W u_y,  u Q - k W u_x,  W u),
+    (u P + k W u_y,  u Q - k W u_x,  W u,  R u^{k-1}),
 
-so W = prod u_i throughout and p factors cost O(p) products.  The
-integral keeps the triple of its head factors u_1, ..., u_{p-1}, from which
-one more step gives its field; the linearizing split of `linearize` reads
-its half-gradients off that same triple.  This module also covers the
-supporting cast: coprimality and common-factor reduction, the exact
-quotient of proportional fields, Hamiltonian detection by divergence, and
-cofactors of invariant curves.
+so W = prod u_i and R = prod u_i^{k_i-1} throughout, p factors cost O(p)
+products, and H = R W.  The integral keeps the quadruple of its head
+factors u_1, ..., u_{p-1}, off which `linearize` reads its split; one more
+step gives its own (P, Q, V, R): its field, V = prod u_i and R.  This
+module also covers the supporting cast: coprimality and common-factor
+reduction, the exact quotient of proportional fields, Hamiltonian
+detection by divergence, and cofactors of invariant curves.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ class FactoredIntegral:
     share a nonconstant divisor.  Irreducibility of the u_i is asserted by
     the caller, not verified; see README.
 
-    The expanded integral H, the constructed field and the head factors'
-    product-rule triple depend on the factors alone; each is built on first
-    use and kept on the instance.
+    The expanded integral H, the constructed field and the product-rule
+    quadruples of the head factors and of all the factors depend on the
+    factors alone; each is built on first use and kept on the instance.
     """
 
     factors: tuple[tuple[BiPoly, int], ...]
@@ -111,9 +111,14 @@ class FactoredIntegral:
         return expand(self)
 
     @cached_property
-    def head_field(self) -> _Triple:
-        """(P, Q, W) of the module docstring for every factor but the last."""
+    def head_field(self) -> _Quad:
+        """(P, Q, W, R) of the module docstring for every factor but the last."""
         return _product_field(self.factors[:-1])
+
+    @cached_property
+    def product_field(self) -> _Quad:
+        """(P, Q, V, R) of the module docstring: one step on head_field."""
+        return _extend(self.head_field, *self.factors[-1])
 
     @cached_property
     def field(self) -> VectorField:
@@ -126,28 +131,27 @@ class FactoredIntegral:
 
 
 def expand(F: FactoredIntegral) -> BiPoly:
-    """The integral itself: prod u_i^{k_i}."""
-    out = bp.ONE
-    for u, k in F.factors:
-        out = bp.mul(out, bp.power(u, k))
-    return out
+    """The integral itself: prod u_i^{k_i} = R V."""
+    _, _, V, R = F.product_field
+    return bp.mul(R, V)
 
 
-_Triple = tuple[BiPoly, BiPoly, BiPoly]
+_Quad = tuple[BiPoly, BiPoly, BiPoly, BiPoly]
 
 
-def _extend(field: _Triple, u: BiPoly, k: int) -> _Triple:
-    """One product-rule step: (P, Q, W) with u^k appended."""
-    P, Q, W = field
+def _extend(field: _Quad, u: BiPoly, k: int) -> _Quad:
+    """One product-rule step: (P, Q, W, R) with u^k appended."""
+    P, Q, W, R = field
     kW = bp.scalar_mul(k, W)
     return (bp.add(bp.mul(u, P), bp.mul(kW, bp.partial(u, "y"))),
             bp.sub(bp.mul(u, Q), bp.mul(kW, bp.partial(u, "x"))),
-            bp.mul(W, u))
+            bp.mul(W, u),
+            bp.mul(R, bp.power(u, k - 1)) if k > 1 else R)
 
 
-def _product_field(factors: tuple[tuple[BiPoly, int], ...]) -> _Triple:
-    """(P, Q, W) of the module docstring for the given (u, k) pairs."""
-    out: _Triple = ({}, {}, bp.ONE)
+def _product_field(factors: tuple[tuple[BiPoly, int], ...]) -> _Quad:
+    """(P, Q, W, R) of the module docstring for the given (u, k) pairs."""
+    out: _Quad = ({}, {}, bp.ONE, bp.ONE)
     for u, k in factors:
         out = _extend(out, u, k)
     return out
@@ -155,13 +159,13 @@ def _product_field(factors: tuple[tuple[BiPoly, int], ...]) -> _Triple:
 
 def construct_field(F: FactoredIntegral) -> VectorField:
     """Field annihilating expand(F); see the module docstring for the formula.
-    It is one product-rule step on F.head_field.
+    It is read off F.product_field.
 
     With a single factor the empty products are 1 and the result is
     k_1-times the Hamiltonian field of u_1; the degree-minimality facts
     proved for p > 1 are not asserted here in that case.
     """
-    P, Q, _ = _extend(F.head_field, *F.factors[-1])
+    P, Q, _, _ = F.product_field
     return VectorField(P, Q)
 
 
@@ -206,6 +210,15 @@ def quotient_multiplier(X2: VectorField, X1: VectorField) -> BiPoly:
     return G
 
 
+def _multiplier(F: FactoredIntegral, X: VectorField) -> BiPoly:
+    """quotient_multiplier(F.field, X) for a coprime X, or the zero
+    polynomial when there is none (F.field is never zero)."""
+    try:
+        return quotient_multiplier(F.field, X)
+    except bp.ExactDivisionError:
+        return bp.ZERO
+
+
 def _antider_y(f: BiPoly) -> BiPoly:
     return {(i, j + 1): bp._div(c, j + 1) for (i, j), c in f.items()}
 
@@ -231,12 +244,15 @@ def _potential(P: BiPoly, Q: BiPoly) -> BiPoly | None:
     return bp.add(base, _antider_x(rest))
 
 
+def _divergence(X: VectorField) -> BiPoly:
+    """P_x + Q_y, zero exactly when X is Hamiltonian (see _potential)."""
+    return bp.add(bp.partial(X.P, "x"), bp.partial(X.Q, "y"))
+
+
 def is_hamiltonian(X: VectorField) -> BiPoly | None:
     """If div X = 0, the Hamiltonian H with P = H_y, Q = -H_x (constant
-    term 0); otherwise None.  A divergence-free field always has one
-    (see _potential)."""
-    div = bp.add(bp.partial(X.P, "x"), bp.partial(X.Q, "y"))
-    if not bp.is_zero(div):
+    term 0); otherwise None."""
+    if not bp.is_zero(_divergence(X)):
         return None
     return _potential(X.P, X.Q)
 

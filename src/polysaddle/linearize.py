@@ -10,14 +10,14 @@ half-gradients of the split:
     K2 = the same with d/dy
     K3 = k_p (u_p)_x,   K4 = k_p (u_p)_y                  (so v_x = u_p^{k_p-1} K3)
 
-(K2, -K1) is the constructed field of the head factors u_1, ..., u_{p-1},
-F.head_field, and the last step of the product-rule recurrence in
-`field_ops` turns it into the constructed field of F:
-F.field = (K4 W + K2 u_p, -K1 u_p - K3 W) with W = prod_{i<p} u_i.  The
-certificate records the K's, the determinant D = K1 K4 - K2 K3 and the
-common multiplier G defined by G (P, Q) = F.field; the time rescale
-d(tau) = (D/G) dt is recorded symbolically and is valid off the zero sets
-of D and G.
+The product-rule quadruple of the head factors u_1, ..., u_{p-1} is
+F.head_field = (K2, -K1, W, R~) with W = prod_{i<p} u_i and
+R~ = prod_{i<p} u_i^{k_i-1}, so u = W R~ is one product, and the last step
+of the recurrence in `field_ops` turns it into the constructed field of F:
+F.field = (K4 W + K2 u_p, -K1 u_p - K3 W).  The certificate records the
+K's, the determinant D = K1 K4 - K2 K3 and the common multiplier G defined
+by G (P, Q) = F.field; the time rescale d(tau) = (D/G) dt is recorded
+symbolically and is valid off the zero sets of D and G.
 
 Two things are checked at run time: D is not identically zero, and the
 exact quotient G exists, cross-checked on both components.  The rest is
@@ -26,12 +26,11 @@ algebra.  With G (P, Q) = F.field,
     G (K1 P + K2 Q) = K1 (K4 W + K2 u_p) - K2 (K1 u_p + K3 W) =  D W,
     G (K3 P + K4 Q) = K3 (K4 W + K2 u_p) - K4 (K1 u_p + K3 W) = -D u_p,
 
-and multiplying the first by R~ = prod_{i<p} u_i^{k_i-1} (u = R~ W,
-u_x = R~ K1, u_y = R~ K2) and the second by u_p^{k_p-1} gives the saddle
-pullbacks G X(u) = D u and G X(v) = -D v.  G (P, Q) = F.field also proves
-that (P, Q) annihilates H = F.H, since F.field does, so a verified run
-never expands H.  The tests recheck both pullbacks from the certificate's
-own polynomials.
+and multiplying the first by R~ (u = R~ W, u_x = R~ K1, u_y = R~ K2) and
+the second by u_p^{k_p-1} gives the saddle pullbacks G X(u) = D u and
+G X(v) = -D v.  G (P, Q) = F.field also proves that (P, Q) annihilates
+H = F.H, since F.field does, so a verified run never expands H.  The
+tests recheck both pullbacks from the certificate's own polynomials.
 """
 
 from __future__ import annotations
@@ -40,16 +39,17 @@ from dataclasses import dataclass
 
 from . import bipoly as bp
 from .bipoly import BiPoly
-from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_hamiltonian,
-                        lie_derivative, quotient_multiplier)
+from .field_ops import (FactoredIntegral, VectorField, is_coprime, lie_derivative,
+                        _divergence, _multiplier)
 
 
 def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
     """Reorder so the 1-based pivot factor comes last (it becomes the
-    v-variable of the split).  Neither the product H nor the constructed
-    field depends on the order, so the reordered integral shares F's field,
-    and F's H when that has been expanded; the head factors' field does
-    depend on which factor is last and is not shared."""
+    v-variable of the split).  Neither the product H nor the quadruple
+    (P, Q, V, R) of all the factors depends on the order, so the reordered
+    integral shares F's product_field and field, and F's H when that has
+    been expanded; the head factors' quadruple does depend on which factor
+    is last and is not shared."""
     if not 1 <= pivot <= F.p:
         raise ValueError(f"pivot {pivot} out of range 1..{F.p}")
     fs = list(F.factors)
@@ -58,6 +58,7 @@ def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
     if "H" in vars(F):
         vars(out)["H"] = F.H
     vars(out)["field"] = F.field
+    vars(out)["product_field"] = F.product_field
     return out
 
 
@@ -66,7 +67,7 @@ def k_matrix(F: FactoredIntegral) -> tuple[BiPoly, BiPoly, BiPoly, BiPoly]:
     that keeps the last factor apart; needs at least two factors."""
     if F.p < 2:
         raise ValueError("k_matrix needs at least two factors")
-    K2, neg_K1, _ = F.head_field
+    K2, neg_K1, _, _ = F.head_field
     up, kp = F.factors[-1]
     K3 = bp.scalar_mul(kp, bp.partial(up, "x"))
     K4 = bp.scalar_mul(kp, bp.partial(up, "y"))
@@ -125,25 +126,16 @@ def linearize(F: FactoredIntegral, X: VectorField,
         raise ValueError("linearize needs at least two factors")
     if not is_coprime(X):
         raise ValueError("linearize requires a coprime field")
-    G = multiplier
-    if G is None:
-        try:
-            G = quotient_multiplier(F.field, X)
-        except bp.ExactDivisionError:
-            G = bp.ZERO
+    G = _multiplier(F, X) if multiplier is None else multiplier
     if not G:
         raise bp.ExactDivisionError(lie_derivative(X, F.H))
     K1, K2, K3, K4 = k_matrix(F)
     D = bp.sub(bp.mul(K1, K4), bp.mul(K2, K3))
     if bp.is_zero(D):
         raise ArithmeticError("degenerate split: the determinant D vanishes identically")
-    # u = W R~ with W = prod_{i<p} u_i and R~ = prod_{i<p} u_i^{k_i-1}
-    u_expr = F.head_field[2]
-    for u, k in F.factors[:-1]:
-        if k > 1:
-            u_expr = bp.mul(u_expr, bp.power(u, k - 1))
+    _, _, W, R = F.head_field
     up, kp = F.factors[-1]
     return LinearizationCertificate(
-        u_expr=u_expr, v_expr=bp.power(up, kp), K1=K1, K2=K2, K3=K3, K4=K4, D=D, G=G,
-        hamiltonian_input=is_hamiltonian(X) is not None,
+        u_expr=bp.mul(W, R), v_expr=bp.power(up, kp), K1=K1, K2=K2, K3=K3, K4=K4, D=D, G=G,
+        hamiltonian_input=bp.is_zero(_divergence(X)),
         time_change=f"dtau = ({bp.to_string(D)}) / ({bp.to_string(G)}) dt")

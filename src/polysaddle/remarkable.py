@@ -2,7 +2,9 @@
 
 For H = prod u_i^{k_i}, the products R = prod u_i^{k_i-1} (an integrating
 factor of the constructed field) and V = prod u_i (an inverse integrating
-factor) control the degree bookkeeping implemented here.
+factor) control the degree bookkeeping implemented here.  Both are read
+off the product-rule recurrence of `field_ops`: F.product_field is
+(P0, Q0, V, R), and H = R V.
 
 A level value c is *critical* when H + c acquires a repeated factor, that
 is when gcd(H+c, H_x, H_y) is nonconstant.  Such a factor divides the
@@ -41,26 +43,19 @@ from itertools import count
 from . import bipoly as bp
 from . import upoly
 from .bipoly import BiPoly, CheckResult
-from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_hamiltonian,
-                        quotient_multiplier, _potential)
+from .field_ops import (FactoredIntegral, VectorField, is_coprime, _divergence,
+                        _multiplier, _potential)
 from .upoly import UPoly
 
 
 def integrating_factor(F: FactoredIntegral) -> BiPoly:
-    """prod u_i^{k_i - 1}; factors with exponent 1 contribute nothing."""
-    out = bp.ONE
-    for u, k in F.factors:
-        if k > 1:
-            out = bp.mul(out, bp.power(u, k - 1))
-    return out
+    """R = prod u_i^{k_i - 1}, read off F.product_field."""
+    return F.product_field[3]
 
 
 def inverse_integrating_factor(F: FactoredIntegral) -> BiPoly:
-    """prod u_i, each factor once."""
-    out = bp.ONE
-    for u, _ in F.factors:
-        out = bp.mul(out, u)
-    return out
+    """V = prod u_i, read off F.product_field."""
+    return F.product_field[2]
 
 
 def verify_integrating_factor(X: VectorField, R: BiPoly) -> bool:
@@ -149,9 +144,9 @@ class RemarkableAnalysis:
 def analyze(F: FactoredIntegral) -> RemarkableAnalysis:
     """Full level-structure analysis of H = F.H.
 
-    The gradient gcd is R * gcd(P0, Q0), read off the constructed field
-    F.field (see the module docstring).  R * V = H holds factor by factor,
-    since u^(k-1) * u = u^k.
+    R and V are read off F.product_field, and F.H = R * V.  The gradient
+    gcd is R * gcd(P0, Q0), read off the constructed field F.field (see the
+    module docstring).
     """
     R = integrating_factor(F)
     V = inverse_integrating_factor(F)
@@ -183,10 +178,7 @@ def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
     if not is_coprime(X):
         raise ValueError("criterion requires a coprime field")
     if multiplier is None:
-        try:
-            multiplier = quotient_multiplier(F.field, X)
-        except bp.ExactDivisionError:
-            multiplier = bp.ZERO
+        multiplier = _multiplier(F, X)
     if not multiplier:
         raise ValueError("X does not annihilate the factored integral")
     sum_deg = sum(bp.total_degree(u) for u, _ in F.factors)
@@ -230,7 +222,7 @@ def integral_degree_check(F: FactoredIntegral, X: VectorField) -> CheckResult:
         raise ValueError("degree relation requires some exponent k_i > 1")
     if not is_coprime(X):
         raise ValueError("degree relation requires a coprime field")
-    if is_hamiltonian(X) is not None:
+    if bp.is_zero(_divergence(X)):
         raise ValueError("degree relation is stated for non-Hamiltonian fields")
     degH = sum(k * bp.total_degree(u) for u, k in F.factors)
     degR = sum((k - 1) * bp.total_degree(u) for u, k in F.factors)

@@ -160,6 +160,17 @@ def random_coprime_field(rng: random.Random, max_deg: int = 3) -> VectorField:
             return VectorField(P, Q)
 
 
+def naive_product(pairs) -> bp.BiPoly:
+    """prod f^k over the (f, k) pairs by a plain chain, one multiplication
+    per copy of f: the oracle for the products that the package reads off
+    the product-rule quadruples."""
+    out = bp.ONE
+    for f, k in pairs:
+        for _ in range(k):
+            out = bp.mul(out, f)
+    return out
+
+
 def reduced_constructed_field(F: FactoredIntegral) -> VectorField:
     X, _ = reduce_field(construct_field(F))
     return X

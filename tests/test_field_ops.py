@@ -125,21 +125,25 @@ def test_construct_matches_reference_formula():
 
 
 def test_head_field_is_the_head_factors_triple():
-    # (P, Q, W) of every factor but the last: the head's own constructed
-    # field and the product of its factors; F.field is one step on from it
+    # (P, Q, W, R) of every factor but the last: the head's own constructed
+    # field, the product of its factors and prod u_i^{k_i-1} over them;
+    # F.field is one step on from it
     rng = random.Random(81)
     for _ in range(20):
         F = random_integral(rng, max_p=5)
-        P, Q, W = F.head_field
+        P, Q, W, R = F.head_field
         if F.p == 1:
-            assert (P, Q, W) == ({}, {}, bp.ONE)
+            assert (P, Q, W, R) == ({}, {}, bp.ONE, bp.ONE)
             continue
         head = FactoredIntegral(F.factors[:-1])
         assert (P, Q) == reference_field(head)
         want_W = bp.ONE
-        for u, _ in head.factors:
+        want_R = bp.ONE
+        for u, k in head.factors:
             want_W = bp.mul(want_W, u)
+            want_R = bp.mul(want_R, bp.power(u, k - 1))
         assert W == want_W
+        assert R == want_R
         assert (F.field.P, F.field.Q) == reference_field(F)
 
 

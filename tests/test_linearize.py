@@ -17,8 +17,10 @@ from polysaddle.field_ops import (
     reduce_field,
 )
 from polysaddle.linearize import factor_split, k_matrix, linearize
+from polysaddle.remarkable import integrating_factor, inverse_integrating_factor
 
-from conftest import assert_certificate, random_integral, reduced_constructed_field
+from conftest import (assert_certificate, naive_product, random_integral,
+                      reduced_constructed_field)
 
 # the package exports the function under the module's name
 linearize_module = importlib.import_module("polysaddle.linearize")
@@ -89,29 +91,35 @@ def test_k_matrix_rebuilds_constructed_field():
         done += 1
 
 
-def test_u_expr_is_the_head_product():
-    # u = W R~ (the head triple's W times prod_{i<p} u_i^{k_i-1}) is the
-    # product prod_{i<p} u_i^{k_i}, at every pivot
+@pytest.mark.parametrize("all_k_one", [False, True])
+def test_products_match_naive_chains_at_every_pivot(all_k_one):
+    # R, V and H are read off the quadruple of all the factors, u = W R~
+    # off the head quadruple; each equals its plain chain of products, at
+    # every pivot, also for p = 1 and when every k_i = 1
     rng = random.Random(80)
-    done = 0
-    while done < 10:
-        F = random_integral(rng, max_p=4)
-        if F.p < 2 or all(k == 1 for _, k in F.factors):
-            continue
+    sizes, certs = set(), 0
+    for _ in range(16):
+        F = random_integral(rng, max_p=4, all_k_one=all_k_one)
+        sizes.add(F.p)
         X = reduced_constructed_field(F)
         for pivot in range(1, F.p + 1):
             S = factor_split(F, pivot)
+            assert integrating_factor(S) == naive_product((u, k - 1) for u, k in S.factors)
+            assert inverse_integrating_factor(S) == naive_product((u, 1) for u, _ in S.factors)
+            assert expand(S) == naive_product(S.factors)
+            if S.p < 2:
+                continue
             try:
                 cert = linearize(S, X)
             except bp.ExactDivisionError:
                 raise
             except ArithmeticError:
                 continue  # D = 0: a degenerate split has no certificate
-            u = bp.ONE
-            for f, k in S.factors[:-1]:
-                u = bp.mul(u, bp.power(f, k))
-            assert cert.u_expr == u
-            done += 1
+            assert cert.u_expr == naive_product(S.factors[:-1])
+            assert cert.v_expr == naive_product(S.factors[-1:])
+            certs += 1
+    assert sizes == {1, 2, 3, 4}
+    assert certs >= 10
 
 
 def test_k_matrix_needs_two_factors():

@@ -29,8 +29,8 @@ from polysaddle.remarkable import (
     verify_integrating_factor,
 )
 
-from conftest import (random_coprime_field, random_integral, random_line_family,
-                      sylvester_from_coeffs)
+from conftest import (naive_product, random_coprime_field, random_integral,
+                      random_line_family, sylvester_from_coeffs)
 
 
 def fi(*pairs):
@@ -257,7 +257,8 @@ def test_gradient_gcd_from_factors():
 
 
 def test_factor_bookkeeping_multiplies_back_to_the_integral():
-    # R * V = H factor by factor; analyze no longer rechecks it at run time
+    # R, V and H = R * V are read off the product-rule quadruple; each is
+    # checked against its plain chain of products
     rng = random.Random(2719)
     for p in range(1, 7):
         for _ in range(3):
@@ -265,8 +266,10 @@ def test_factor_bookkeeping_multiplies_back_to_the_integral():
             while F.p != p:
                 F = random_integral(rng, max_p=p, max_deg=2)
             a = analyze(F)
-            assert bp.mul(a.R, a.V) == expand(F), str(F)
-            assert (a.R, a.V) == (integrating_factor(F), inverse_integrating_factor(F))
+            H = naive_product(F.factors)
+            assert bp.mul(a.R, a.V) == H == expand(F), str(F)
+            assert a.R == naive_product((u, k - 1) for u, k in F.factors)
+            assert a.V == naive_product((u, 1) for u, _ in F.factors)
 
 
 def _annihilation_cases(rng):
