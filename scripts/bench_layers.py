@@ -20,7 +20,9 @@ dense curves of degree 3, 4 and 5; and ORBIT_STEPS RK4 steps plus the
 drift of H (numcheck.integrate_orbit and conservation_drift) on fields
 of degree 1, 3 and 5, each built from random lines with H their product,
 timed warm and cold (in trees that cache float kernels, a cold call
-clears the caches first).  A coefficient is an int where it is
+clears the caches first); and the gcd pairs the commands meet most: two
+coprime lines, the leading forms ax + by of two lines, and two dense
+conics times x^2 y and x y^3.  A coefficient is an int where it is
 an integer, as the program holds it (bipoly).  Every product is
 checked against a schoolbook reference kept in this file, and timed
 beside it; every gcd must be divisible by the planted factor and equal
@@ -43,6 +45,10 @@ round is recorded as a timeout instead of being waited for.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --out layers.json
     python3 scripts/bench_layers.py --out BENCH.json --src parent=../old/src --src change=src
+    python3 scripts/bench_layers.py --out gcd.json --only '^gcd-|^coprime-'
+
+--only PATTERN runs just the cases whose names match the regular
+expression (Python's re.search).
 
 Each --src tree (default: the `src` next to this script) is imported in
 its own worker process.  The trees take turns for --rounds rounds, in
@@ -64,6 +70,7 @@ import math
 import os
 import platform
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -390,8 +397,22 @@ def reference_orbit(P: dict, Q: dict, H: dict, x: float, y: float, h: float, n: 
     return pts, (drift if math.isfinite(drift) and not math.isnan(sum(gaps)) else None)
 
 
-def cases() -> list[tuple[str, str, object, object, object]]:
-    """(name, op, f, g, planted factor or roots), the same every run."""
+def _gcd_path_cases(rng: random.Random) -> list:
+    """The pairs bipoly.gcd gets most often: two coprime lines, the
+    homogeneous leading forms ax + by of two lines, and two dense conics
+    times the monomials x^2 y and x y^3, which share x y."""
+    (l1, l2), (f1, f2) = _random_lines(rng, 2), _random_lines(rng, 2)
+    a, b = _dense(rng, 2), _dense(rng, 2)
+    return [("gcd-lines-coprime", "coprime", _as_line(*l1), _as_line(*l2), None),
+            ("gcd-leading-forms-d1", "coprime", _as_line(*f1[:2], 0), _as_line(*f2[:2], 0),
+             None),
+            ("gcd-monomial-content", "gcd", reference_mul({(2, 1): 1}, a),
+             reference_mul({(1, 3): 1}, b), {(1, 1): 1})]
+
+
+def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
+    """(name, op, f, g, planted factor or roots), the same every run, for
+    the cases whose names match the regular expression `only`."""
     rng = random.Random(20091)
     one = 1
     out = [(f"mul-dense-d{d}", "mul", _dense(rng, d), _dense(rng, d), None)
@@ -419,7 +440,8 @@ def cases() -> list[tuple[str, str, object, object, object]]:
     out.append(_x_free_case(rng))  # drawn after the cases above, which keep their operands
     out += _variety_cases(rng)
     out += _orbit_cases(rng)
-    return out
+    out += _gcd_path_cases(rng)  # drawn last, so no earlier operand changes
+    return [case for case in out if re.search(only, case[0])]
 
 
 def _time(fn, f, g) -> float:
@@ -445,8 +467,9 @@ def _timeout(signum, frame):
     raise TimeoutError
 
 
-def worker() -> dict:
-    """One round in this process: {case: {"us", "reference_us" (mul),
+def worker(only: str = "") -> dict:
+    """One round in this process over the cases whose names match the
+    regular expression `only`: {case: {"us", "reference_us" (mul),
     "linearize_us" (field), "ok"}}, or {case: {"timeout": true}} when the
     case ran past CAP_S seconds."""
     from polysaddle import bipoly as bp
@@ -498,7 +521,7 @@ def worker() -> dict:
 
     out = {}
     signal.signal(signal.SIGALRM, _timeout)
-    for name, op, f, g, planted in cases():
+    for name, op, f, g, planted in cases(only):
         # uncapped: the reference route takes about 30 s on the degree-5 system
         reference = reference_variety_empty(f) if op == "variety" else None
         signal.setitimer(signal.ITIMER_REAL, CAP_S)
@@ -558,11 +581,15 @@ def main(argv=None) -> int:
     ap.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
                     help="a tree to measure (repeatable); default change=<repo>/src")
     ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--only", default="", metavar="PATTERN",
+                    help="run only the cases whose names match this regular expression")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker()))
+        print(json.dumps(worker(args.only)))
         return 0
+    if not cases(args.only):
+        ap.error(f"no case matches --only {args.only!r}")
     if not args.out:
         ap.error("--out is required")
     trees = [s.split("=", 1) for s in args.src] or [["change", os.path.join(HERE, "..", "src")]]
@@ -570,7 +597,7 @@ def main(argv=None) -> int:
     for r in range(args.rounds):
         for label, src in (trees if r % 2 == 0 else trees[::-1]):
             env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-            proc = subprocess.run([sys.executable, __file__, "--worker"],
+            proc = subprocess.run([sys.executable, __file__, "--worker", "--only", args.only],
                                   env=env, capture_output=True, text=True, check=True)
             runs[label].append(json.loads(proc.stdout))
             print(f"round {r + 1}/{args.rounds} {label} done", file=sys.stderr)
@@ -594,7 +621,7 @@ def main(argv=None) -> int:
         "cap_s": CAP_S,
         "trees": [label for label, _ in trees],
         "cases": {name: {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])}
-                  for name, op, f, g, _ in cases()},
+                  for name, op, f, g, _ in cases(args.only)},
         "results": results,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

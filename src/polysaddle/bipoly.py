@@ -27,14 +27,20 @@ signed digits are unpacked in linear time.  A single-term operand is
 shifted and scaled instead, and a sparse high-degree pair, whose packed
 span far exceeds its number of term pairs, keeps the schoolbook loop.
 
-GCDs first try to prove coprimality: if for some integer t the images
-f(t, y) and g(t, y) mod p = 2^61 - 1 have a constant gcd, where lc_y(f) or
-lc_y(g) does not vanish at t mod p, then f and g share no factor of
-positive y-degree, and the same test at y = t rules out positive x-degree.
-Up to three small t are tried per direction, then three large ones.
-Otherwise (a common factor, or a leading coefficient that vanishes at
-every t tried) the heuristic gcd (GCDHEU: Char, Geddes & Gonnet, J.
-Symbolic Comput. 7, 1989) runs on the Kronecker images that mul packs:
+A gcd with a nonzero constant operand is 1 at once.  Otherwise the
+monomial content x^a y^b of each operand is split off first, and the gcd
+is x^min y^min times the gcd of what is left, which x and y do not
+divide.  That gcd first tries to prove coprimality: if for some integer
+t the images f(t, y) and g(t, y) mod p = 2^61 - 1 have a constant gcd,
+where lc_y(f) or lc_y(g) does not vanish at t mod p, then f and g share
+no factor of positive y-degree, and the same test at y = t rules out
+positive x-degree.  Up to three small t are tried per direction, then
+three large ones; at t = 0 the image is read off the terms free of the
+variable set to t, and two images of degree 1 are decided by one 2x2
+determinant mod p.  Otherwise (a common factor, or a leading coefficient
+that vanishes at every t tried) the heuristic gcd (GCDHEU: Char, Geddes
+& Gonnet, J. Symbolic Comput. 7, 1989) runs on the Kronecker images that
+mul packs:
 one integer gcd gives a candidate, which is kept only once an exact
 divisibility proof in Z[x, y] shows it divides both primitive parts, and
 is then the gcd.  If no candidate passes at three bases, a subresultant
@@ -93,7 +99,7 @@ def is_zero(f: BiPoly) -> bool:
 
 
 def is_const(f: BiPoly) -> bool:
-    return all(e == (0, 0) for e in f)
+    return not f or (len(f) == 1 and (0, 0) in f)
 
 
 def total_degree(f: BiPoly) -> int:
@@ -499,13 +505,11 @@ def _residues(f: BiPoly) -> _Residues:
     return [(i, j, v % _PRIME) for (i, j), v in zip(f, vals)]
 
 
-def _swapped(fs: _Residues) -> _Residues:
-    return [(j, i, c) for i, j, c in fs]
-
-
-def _coprime_images(fs: _Residues, gs: _Residues) -> bool:
+def _coprime_images(fs: _Residues, gs: _Residues, swap: bool = False) -> bool:
     """True when images at x = t prove that f and g share no factor of
-    positive y-degree; fs, gs are their _residues.
+    positive y-degree; fs, gs are their _residues.  With swap, the roles
+    of x and y are exchanged: images at y = t, and factors of positive
+    x-degree.
 
     Let G be such a factor, primitive in Z[x, y].  By Gauss's lemma it
     divides the integer multiples F and F' of f and g in Z[x, y], so
@@ -516,23 +520,41 @@ def _coprime_images(fs: _Residues, gs: _Residues) -> bool:
     in 0, 1, 2, ...; two forms like ax + by and cx + dy share the image
     root y = 0 at t = 0 only.  Curves with small integer coefficients
     can meet on every small line x = t, so when those fail, up to
-    _POINTS more t are tried from _FAR on.  False means "not proved".
+    _POINTS more t are tried from _FAR on.  The image at t = 0 is read
+    off the x-free terms.  False means "not proved".
     """
-    degs = [max(j for _, j, _ in fs), max(j for _, j, _ in gs)]
-    dx = max(i for i, _, _ in fs + gs)
+    s, r = (1, 0) if swap else (0, 1)  # t replaces the exponent s; r is kept
+    dx = 0
+    degs = []
+    for terms in (fs, gs):
+        d = 0
+        for e in terms:
+            if e[r] > d:
+                d = e[r]
+            if e[s] > dx:
+                dx = e[s]
+        degs.append(d)
     for start in (0, _FAR):
         tried = 0
         # a leading coefficient that is nonzero mod _PRIME has at most dx roots
         for t in range(start, start + dx + _POINTS):
-            tp = [1] * (dx + 1)
-            for i in range(1, dx + 1):
-                tp[i] = tp[i - 1] * t % _PRIME
             images = []
-            for terms, d in zip((fs, gs), degs):
-                img = [0] * (d + 1)
-                for i, j, c in terms:
-                    img[d - j] += c * tp[i]
-                images.append([c % _PRIME for c in img])
+            if t:
+                tp = [1] * (dx + 1)
+                for i in range(1, dx + 1):
+                    tp[i] = tp[i - 1] * t % _PRIME
+                for terms, d in zip((fs, gs), degs):
+                    img = [0] * (d + 1)
+                    for e in terms:
+                        img[d - e[r]] += e[2] * tp[e[s]]
+                    images.append([c % _PRIME for c in img])
+            else:
+                for terms, d in zip((fs, gs), degs):
+                    img = [0] * (d + 1)
+                    for e in terms:
+                        if not e[s]:
+                            img[d - e[r]] = e[2]
+                    images.append(img)
             if not (images[0][0] or images[1][0]):
                 continue  # lc_y(F) and lc_y(F') both vanish at t
             if _gcd_degree_mod_p(*images) == 0:
@@ -543,15 +565,32 @@ def _coprime_images(fs: _Residues, gs: _Residues) -> bool:
     return False
 
 
+def _split_monomial(f: BiPoly) -> tuple[tuple[int, int], BiPoly]:
+    """((a, b), f') with f = x^a y^b f' and f' divisible by neither x nor y."""
+    if (0, 0) in f:
+        return (0, 0), f
+    a = min(i for i, _ in f)
+    b = min(j for _, j in f)
+    if a or b:
+        f = {(i - a, j - b): c for (i, j), c in f.items()}
+    return (a, b), f
+
+
 def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     """A gcd in Q[x,y], primitive with positive graded-lex leading
     coefficient.  gcd(f, 0) = normalize(f); gcd(0, 0) is an error.
 
-    Coprimality is proved first from images mod _PRIME: when the images
+    A nonzero constant operand gives 1 at once.  Otherwise the monomial
+    content is split off first: gcd(x^a y^b f', x^c y^d g') =
+    x^min(a, c) y^min(b, d) gcd(f', g') when neither f' nor g' is
+    divisible by x or y, and the shifted gcd stays normalized, since
+    graded lex is a monomial order and keeps its leading term.  A
+    single-term operand leaves a constant, so its gcd is that monomial.
+    Then coprimality is proved from images mod _PRIME: when the images
     at x = t rule out a common factor of positive y-degree and those at
-    y = t one of positive x-degree, the gcd is 1 (see
-    _coprime_images).  If only the first holds, the gcd is the gcd of
-    the y-contents.  Otherwise (a common factor, or no good point) the
+    y = t one of positive x-degree, gcd(f', g') is 1 (see
+    _coprime_images).  If only the first holds, it is the gcd of the
+    y-contents.  Otherwise (a common factor, or no good point) the
     heuristic gcd on the Kronecker images decides when a candidate passes
     its divisibility proof (_gcd_heuristic), and the subresultant PRS
     (_gcd_prs) when none does.
@@ -562,9 +601,27 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
         return normalize(g)
     if not g:
         return normalize(f)
+    return _gcd(f, g)
+
+
+def _gcd(f: BiPoly, g: BiPoly) -> BiPoly:
+    """gcd(f, g) for nonzero f and g, as gcd describes it."""
+    if is_const(f) or is_const(g):
+        return ONE
+    (a, b), f = _split_monomial(f)
+    (c, d), g = _split_monomial(g)
+    a, b = min(a, c), min(b, d)
+    h = ONE if is_const(f) or is_const(g) else _gcd_no_monomial(f, g)
+    if a or b:
+        return {(i + a, j + b): v for (i, j), v in h.items()}
+    return h
+
+
+def _gcd_no_monomial(f: BiPoly, g: BiPoly) -> BiPoly:
+    """gcd(f, g) for nonconstant f and g that x and y do not divide."""
     fs, gs = _residues(f), _residues(g)
     if _coprime_images(fs, gs):
-        if _coprime_images(_swapped(fs), _swapped(gs)):
+        if _coprime_images(fs, gs, swap=True):
             return ONE
         return normalize(from_upoly_x(upoly.gcd(content_y(f), content_y(g))))
     return _gcd_heuristic(f, g) or _gcd_prs(f, g)
@@ -764,10 +821,17 @@ class ParseError(ValueError):
         super().__init__(f"{msg} (column {pos})")
 
 
+# Deepest nesting of parentheses and unary minus signs the parser takes;
+# each level is a few Python frames, so deeper input is refused with a
+# ParseError instead of running out of stack.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.i = 0
+        self.depth = 0  # parentheses and unary minus signs now open
 
     def _ws(self) -> None:
         while self.i < len(self.src) and self.src[self.i].isspace():
@@ -779,6 +843,12 @@ class _Parser:
 
     def fail(self, msg: str) -> None:
         raise ParseError(msg, self.i + 1)
+
+    def _enter(self) -> None:
+        """Open one nesting level at the current character."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            self.fail("nesting too deep")
 
     def _nat(self) -> int:
         self._ws()
@@ -828,8 +898,11 @@ class _Parser:
     def factor(self) -> BiPoly:
         # unary minus binds looser than ^, so -x^2 means -(x^2)
         if self.peek() == "-":
+            self._enter()
             self.i += 1
-            return neg(self.factor())
+            out = neg(self.factor())
+            self.depth -= 1
+            return out
         b = self.base()
         if self.peek() == "^":
             self.i += 1
@@ -846,11 +919,13 @@ class _Parser:
     def base(self) -> BiPoly:
         ch = self.peek()
         if ch == "(":
+            self._enter()
             self.i += 1
             inner = self.expr()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.i += 1
+            self.depth -= 1
             return inner
         if ch == "x":
             self.i += 1
@@ -872,7 +947,8 @@ def parse(src: str) -> BiPoly:
     """Parse the expression grammar: +, -, explicit *, ^ with natural
     exponents, rationals p/q, variables x and y, parentheses.  A power or
     product over MAX_TOTAL_DEGREE is a ParseError, raised before it is
-    expanded."""
+    expanded, and so is nesting of parentheses and unary minus signs
+    deeper than _MAX_NESTING."""
     p = _Parser(src)
     out = p.expr()
     p._ws()

@@ -181,24 +181,47 @@ _PRIME = (1 << 61) - 1  # a Mersenne prime
 
 
 def _trim(a: list[int]) -> list[int]:
-    """a without its leading zeros."""
-    return a[next((k for k, c in enumerate(a) if c), len(a)):]
+    """a without its leading zeros; a itself when it has none."""
+    k = 0
+    while k < len(a) and not a[k]:
+        k += 1
+    return a[k:] if k else a
 
 
 def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a, b) over Z/_PRIME, by Euclid; a and b are
-    coefficient lists, highest degree first, not both zero."""
+    """Degree of gcd(a, b) over Z/_PRIME, by Euclid; a and b are lists of
+    residues in [0, _PRIME), highest degree first, not both zero.
+
+    A nonzero constant divisor ends the loop with degree 0, and two
+    polynomials of degree 1 share their root exactly when the 2x2
+    determinant of their coefficients is 0 mod _PRIME.  Otherwise a is
+    reduced by b without an inverse: row k takes lc(b) r - q x^j b, so the
+    remainder is lc(b)^m times that of a by b, with the same gcd with b.
+    A row touches only the n - 1 entries under b's tail; an entry further
+    right is instead multiplied in advance by lc(b) to the power of the
+    rows that pass before it is first touched.
+    """
     a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
         n = len(b)
-        inv = pow(b[0], -1, _PRIME)
+        if n == 1:
+            return 0
+        if len(a) == 2:  # and so n == 2
+            return 0 if (a[0] * b[1] - a[1] * b[0]) % _PRIME else 1
+        lead, tail = b[0], b[1:]
         r = list(a)
-        for k in range(len(r) - n + 1):
-            q = r[k] * inv % _PRIME
-            if q:
-                for m in range(1, n):
-                    r[k + m] = (r[k + m] - q * b[m]) % _PRIME
-        a, b = b, _trim(r[max(len(r) - n + 1, 0):])
+        m = len(r) - n + 1
+        s = 1
+        for i in range(n, len(r)):
+            s = s * lead % _PRIME
+            r[i] = r[i] * s % _PRIME
+        for k in range(m):
+            q = r[k]
+            r[k + 1:k + n] = [(lead * c - q * t) % _PRIME
+                              for c, t in zip(r[k + 1:k + n], tail)]
+        a, b = b, _trim(r[m:])
     return len(a) - 1
 
 

@@ -171,6 +171,27 @@ def naive_product(pairs) -> bp.BiPoly:
     return out
 
 
+def reference_gcd_degree_mod_p(a: list[int], b: list[int], p: int) -> int:
+    """Degree of gcd(a, b) over Z/p by the plain Euclid loop, every entry
+    reduced after each step; a and b are residue lists, highest degree
+    first, not both zero.  The oracle for upoly._gcd_degree_mod_p."""
+    def trim(c):
+        return c[next((k for k, v in enumerate(c) if v), len(c)):]
+
+    a, b = trim(a), trim(b)
+    while b:
+        n = len(b)
+        inv = pow(b[0], -1, p)
+        r = list(a)
+        for k in range(len(r) - n + 1):
+            q = r[k] * inv % p
+            if q:
+                for m in range(1, n):
+                    r[k + m] = (r[k + m] - q * b[m]) % p
+        a, b = b, trim(r[max(len(r) - n + 1, 0):])
+    return len(a) - 1
+
+
 def reduced_constructed_field(F: FactoredIntegral) -> VectorField:
     X, _ = reduce_field(construct_field(F))
     return X

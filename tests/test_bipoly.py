@@ -72,6 +72,23 @@ def test_parse_takes_only_decimal_digits():
     assert bp.parse("٣*x") == bp.parse("3*x")  # an Arabic-Indic three is decimal
 
 
+def test_parse_nesting_cap():
+    # each level is a few Python frames: 250 parentheses or 1000 unary
+    # minus signs used to raise RecursionError
+    cap = bp._MAX_NESTING
+    assert bp.parse("(" * cap + "x" + ")" * cap) == bp.X
+    assert bp.parse("-" * cap + "x") == bp.X
+    assert bp.parse("-(" * (cap // 2) + "x" + ")" * (cap // 2)) == bp.X
+    # levels that close again do not add up
+    assert bp.parse(" + ".join(["(" * cap + "y" + ")" * cap] * 3)) == bp.parse("3*y")
+    for src, col in (("(" * (cap + 1) + "x" + ")" * (cap + 1), cap + 1),
+                     ("(" * 250 + "x" + ")" * 250, cap + 1),
+                     ("-" * 1000 + "x", cap + 1),
+                     ("x + " + "-(" * cap + "y" + ")" * cap, 5 + cap)):
+        with pytest.raises(bp.ParseError, match=rf"nesting too deep \(column {col}\)"):
+            bp.parse(src)
+
+
 def test_to_string_canonical():
     assert bp.to_string(bp.parse("y - x^2")) == "-x^2 + y"
     assert bp.to_string({}) == "0"
@@ -283,11 +300,56 @@ P61 = 2**61 - 1
     # a common factor of positive degree in both variables
     ("(x + y)*(x - 1)", "(x + y)*(y + 2)", "x + y"),
     ("1/2*(x + y)^2*(x - 1/3)", "(x + y)*(y - x^2)", "x + y"),
+    # monomial content, split off before any image is taken
+    ("x^2", "2*x", "x"),
+    ("x*y", "y", "y"),
+    ("x^2*y + x*y^2", "2*x*y + y^2", "y"),
+    ("-x^3*y", "x*y^2", "x*y"),
+    ("3", "x^2*y", "1"),
 ])
 def test_gcd_fixed_cases(f, g, want):
     f, g = bp.parse(f), bp.parse(g)
     assert bp.gcd(f, g) == prs_gcd(f, g) == bp.parse(want)
     assert bp.gcd(g, f) == bp.parse(want)
+
+
+def test_coprime_images_start_from_the_free_terms(monkeypatch):
+    # the image at t = 0 is read off the terms free of the variable set to
+    # t: at x = 0 for the first direction, at y = 0 for the swapped one
+    seen = []
+    kernel = bp._gcd_degree_mod_p
+
+    def recording(a, b):
+        seen.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(bp, "_gcd_degree_mod_p", recording)
+    assert bp.gcd(bp.parse("3*x + 2*y + 1"), bp.parse("x - 5*y + 7")) == bp.ONE
+    assert seen == [([2, 1], [P61 - 5, 7]), ([3, 1], [1, 7])]
+    seen.clear()
+    f, g = bp.parse("x*y^2 + 4*y^2 + x + 2*y + 3"), bp.parse("y^2 + x*y - 5")
+    assert bp.gcd(f, g) == bp.ONE
+    assert seen == [([4, 2, 3], [1, 0, P61 - 5]), ([1, 3], [0, P61 - 5])]
+
+
+single_terms = st.builds(lambda e, c: {e: c}, exps, rats.filter(bool))
+
+
+@given(st.one_of(bipolys(4), single_terms), st.one_of(bipolys(4), single_terms),
+       bipolys(3), exps, exps, st.sampled_from([1, -1, Fraction(-2, 3), Fraction(5, 7)]))
+@settings(max_examples=300, deadline=None)
+def test_gcd_splits_monomial_content(a, b, c, m, n, s):
+    # planted monomial content x^m and x^n beside a planted common factor
+    # c: the gcd is a multiple of x^min(m, n), with Fraction coefficients,
+    # single-term operands and negative leading terms (s < 0 flips one)
+    # included, in both argument orders
+    f = bp.mul({m: 1}, bp.mul(a, c))
+    g = bp.scalar_mul(s, bp.mul({n: 1}, bp.mul(b, c)))
+    if bp.is_zero(f) or bp.is_zero(g):
+        return
+    want = prs_gcd(f, g)
+    assert bp.gcd(f, g) == bp.gcd(g, f) == want
+    assert bp.divides({(min(m[0], n[0]), min(m[1], n[1])): 1}, want)
 
 
 # The heuristic gcd on the Kronecker image decides the pairs the modular

@@ -483,6 +483,22 @@ def test_superscript_exponent_exit_2(capsys, tmp_path):
     assert "factor 1: exponent must be a natural number (column 3)" in out
 
 
+@pytest.mark.parametrize("command", ["construct", "analyze", "cz", "linearize", "simulate"])
+@pytest.mark.parametrize("where", ["factor", "field"])
+@pytest.mark.parametrize("deep", ["(" * 250 + "x" + ")" * 250, "-" * 1000 + "x"])
+def test_deep_nesting_exit_2(capsys, tmp_path, command, where, deep):
+    # such strings used to exit 4 with a RecursionError
+    doc = {"name": "t", "factors": [{"poly": "x", "exponent": 1}, {"poly": "y", "exponent": 1}]}
+    if where == "factor":
+        doc["factors"][0]["poly"] = deep
+    else:
+        doc["field"] = {"p": deep, "q": "-y"}
+    code, out = run(capsys, command, write_problem(tmp_path, doc))
+    assert code == 2
+    assert f"nesting too deep (column {bp._MAX_NESTING + 1})" in out
+    assert "internal error" not in out
+
+
 def test_empty_factors_exit_2(capsys, tmp_path):
     path = write_problem(tmp_path, {"name": "t", "factors": []})
     code, _ = run(capsys, "analyze", path)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from polysaddle import upoly as up
 
+from conftest import reference_gcd_degree_mod_p
+
 rats = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
@@ -88,6 +90,54 @@ def test_coprime_image_traps():
     assert up.coprime_image(up.make([Fraction(1, 2), Fraction(1, 3)]), up.make([2, 1]))
     assert not up.coprime_image(up.make([1, 1]), up.make([1, 1]))
     assert not up.coprime_image((), up.ONE) and not up.coprime_image((), ())
+
+
+def _mul_mod(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = (out[i + j] + u * v) % p
+    return out
+
+
+def test_gcd_degree_mod_p_matches_euclid():
+    # the kernel, with its degree-1 determinant and deferred reductions,
+    # against the plain Euclid loop it replaced
+    P = up._PRIME
+    rng = random.Random("gcd-degree-mod-p")
+
+    def draw(n):
+        return [rng.choice((0, 1, P - 1, rng.randrange(P), rng.randrange(4))) for _ in range(n)]
+
+    pairs = []
+    for _ in range(3000):
+        shape = rng.randrange(4)
+        if shape == 0:  # any lengths, leading zeros and constants included
+            a, b = draw(rng.randint(1, 7)), draw(rng.randint(1, 7))
+        elif shape == 1:  # degree-1 pairs, a shared root planted in half
+            a, b = [rng.randrange(1, P), rng.randrange(P)], [rng.randrange(1, P), rng.randrange(P)]
+            if rng.random() < 0.5:
+                r = rng.randrange(P)
+                a[1], b[1] = (-a[0] * r) % P, (-b[0] * r) % P
+        else:  # a planted common factor of degree 0 to 3, with leading zeros
+            c = [rng.randrange(1, P)] + [rng.randrange(P) for _ in range(rng.randint(0, 3))]
+            a = _mul_mod(c, [rng.randrange(1, P)] + draw(rng.randint(0, 4)), P)
+            b = _mul_mod(c, [rng.randrange(1, P)] + draw(rng.randint(0, 4)), P)
+            a, b = [0] * rng.randint(0, 2) + a, [0] * rng.randint(0, 2) + b
+        if any(a) or any(b):
+            pairs.append((a, b))
+    # the trap: the determinant of y + 2 and (P + 1)/2*y + 1 is -P, a
+    # nonzero integer, but (P + 1)/2 is 1/2 mod P and the two share y = -2
+    trap = [1, 2], [(P + 1) // 2, 1]
+    assert 1 * 1 - 2 * ((P + 1) // 2) == -P
+    pairs += [trap, trap[::-1], ([0] + trap[0], trap[1]), ([5], [0, 0]), ([0, 0, 3], [7])]
+    degrees = set()
+    for a, b in pairs:
+        want = reference_gcd_degree_mod_p(a, b, P)
+        assert up._gcd_degree_mod_p(a, b) == up._gcd_degree_mod_p(b, a) == want, (a, b)
+        degrees.add(want)
+    assert up._gcd_degree_mod_p(*trap) == 1
+    assert {0, 1, 2, 3} <= degrees
 
 
 @given(upolys(4), upolys(4))
