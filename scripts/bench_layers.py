@@ -332,7 +332,7 @@ def reference_variety_empty(polys: list) -> tuple:
     loc = plane(list(polys), 0)
     if loc is None:
         return "Holds", None
-    return "Fails", variety._describe_witness(loc, list(polys))
+    return "Fails", variety._describe_witness(loc)
 
 
 ORBIT_STEPS = 1000  # RK4 steps per orbit case, as perfbench/run.py takes

@@ -384,15 +384,6 @@ def coeffs_wrt_y(f: BiPoly) -> list[UPoly]:
     return [upoly.make(row) for row in out]
 
 
-def from_coeffs_y(coeffs: list[UPoly]) -> BiPoly:
-    out: BiPoly = {}
-    for j, p in enumerate(coeffs):
-        for i, c in enumerate(p):
-            if c:
-                out[(i, j)] = c
-    return out
-
-
 def from_upoly_x(p: UPoly) -> BiPoly:
     return {(i, 0): c for i, c in enumerate(p) if c}
 
@@ -404,12 +395,6 @@ def from_upoly_y(p: UPoly) -> BiPoly:
 def content_y(f: BiPoly) -> UPoly:
     """Monic gcd in Q[x] of the y-coefficients; zero polynomial for f = 0."""
     return upoly.gcd_many(coeffs_wrt_y(f))
-
-
-def _div_by_xpoly(f: BiPoly, d: UPoly) -> BiPoly:
-    if d == upoly.ONE:
-        return f
-    return from_coeffs_y([upoly.divmod_exact_field(p, d)[0] for p in coeffs_wrt_y(f)])
 
 
 def normalize(f: BiPoly) -> BiPoly:
@@ -432,6 +417,15 @@ def normalize(f: BiPoly) -> BiPoly:
 def _lc_y(f: BiPoly) -> BiPoly:
     d = deg_y(f)
     return {(i, 0): c for (i, j), c in f.items() if j == d}
+
+
+def first_regular_x(f: BiPoly) -> int:
+    """The least natural x0 at which lc_y(f) does not vanish, so that
+    f(x0, y) keeps the y-degree of f; f must be nonzero."""
+    d, x0 = deg_y(f), 0
+    while not sum(c * x0 ** i for (i, j), c in f.items() if j == d):
+        x0 += 1
+    return x0
 
 
 def _ypow(n: int) -> BiPoly:
@@ -601,11 +595,6 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
         return normalize(g)
     if not g:
         return normalize(f)
-    return _gcd(f, g)
-
-
-def _gcd(f: BiPoly, g: BiPoly) -> BiPoly:
-    """gcd(f, g) for nonzero f and g, as gcd describes it."""
     if is_const(f) or is_const(g):
         return ONE
     (a, b), f = _split_monomial(f)
@@ -660,6 +649,13 @@ def _gcd_heuristic(f: BiPoly, g: BiPoly) -> BiPoly | None:
     and |E(B)| > B/2.  Hence E = +-1.  A candidate that fails is retried
     with digits twice as wide, _HEU_BASES times in all; None means that
     no candidate passed.
+
+    Some pairs fail at every base: for (x - y^2)(x + y + 2) against
+    (y - 1)(x + y + 2) the cofactor images B^w - B^2 and B - 1 always
+    share the factor B - 1, and the subresultant PRS (_gcd_prs) decides.
+    Past such small pairs the PRS is far slower: with GCDHEU bypassed,
+    gcd(P g, Q g) on the field (P, Q) of tests/fixtures/many_lines_16.json
+    took 37-73 s instead of 5-21 ms (2-CPU x86_64 host).
     """
     F, G = _primitive_terms(f), _primitive_terms(g)
     w = max(deg_y(f), deg_y(g)) + 1
@@ -704,12 +700,14 @@ def _gcd_prs(f: BiPoly, g: BiPoly) -> BiPoly:
     subresultant PRS gcd of the primitive parts."""
     cf, cg = content_y(f), content_y(g)
     cont = upoly.gcd(cf, cg)
-    fp, gp = _div_by_xpoly(f, cf), _div_by_xpoly(g, cg)
+    fp = f if cf == upoly.ONE else exact_div(f, from_upoly_x(cf))
+    gp = g if cg == upoly.ONE else exact_div(g, from_upoly_x(cg))
     pp = ONE
     if deg_y(fp) > 0 and deg_y(gp) > 0:
         s, r, _, _ = _subresultant_prs(fp, gp)
         if not r:
-            pp = _div_by_xpoly(s, content_y(s))
+            cs = content_y(s)
+            pp = s if cs == upoly.ONE else exact_div(s, from_upoly_x(cs))
     return normalize(mul(from_upoly_x(cont), pp))
 
 
@@ -780,28 +778,6 @@ def det_bareiss(mat: list[list[BiPoly]]) -> BiPoly:
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return neg(d) if sign < 0 else d
-
-
-def is_squarefree(f: BiPoly) -> bool:
-    """True iff f has no repeated factor over C.
-
-    Criterion: gcd(f, f_x, f_y) is constant.  In characteristic zero a
-    repeated factor divides both partials, and conversely a nonconstant
-    common divisor of f and its gradient forces a repeated factor; working
-    over Q decides the question over C since gcds are field-stable.
-    """
-    if not f:
-        raise ValueError("is_squarefree of the zero polynomial")
-    if is_const(f):
-        return True
-    fx = partial(f, "x")
-    fy = partial(f, "y")
-    g = f
-    if fx:
-        g = gcd(g, fx)
-    if fy:
-        g = gcd(g, fy)
-    return is_const(g)
 
 
 # ---------------------------------------------------------------------------

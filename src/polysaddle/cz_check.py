@@ -6,7 +6,8 @@ The four classical conditions (Christopher-Zoladek) for a curve family:
 (iv) leading forms are pairwise coprime.  All conditions are decided over
 C^2: zero sets and tangencies live in the complex plane, and squarefree
 or coprimality questions are settled by exact gcds, so no factorization
-over C is ever needed.
+over C is ever needed.  Pairwise coprimality is proved once, when the
+FactoredIntegral is built; condition (iii) takes no gcd of its own.
 """
 
 from __future__ import annotations
@@ -51,12 +52,13 @@ def check_leading_squarefree(u: BiPoly) -> CheckResult:
 
 def check_pair_transversal(u: BiPoly, v: BiPoly) -> CheckResult:
     """Holds iff u and v never meet with parallel gradients: the system
-    u = v = (u_x v_y - u_y v_x) = 0 has no solution."""
+    u = v = (u_x v_y - u_y v_x) = 0 has no solution.  A shared component
+    h needs no gcd to refuse it: with u = h a and v = h b, on h = 0 we get
+    u = v = 0 and u_x v_y - u_y v_x = a b (h_x h_y - h_y h_x) = 0, so the
+    pair Fails with a witness on h = 0."""
     for w in (u, v):
         if bp.is_zero(w) or bp.is_const(w):
             raise ValueError("transversality check requires nonconstant curves")
-    if not bp.is_const(bp.gcd(u, v)):
-        raise ValueError("transversality check requires coprime curves")
     jac = bp.sub(bp.mul(bp.partial(u, "x"), bp.partial(v, "y")),
                  bp.mul(bp.partial(u, "y"), bp.partial(v, "x")))
     return variety_empty(_nonzero([u, v, jac]))

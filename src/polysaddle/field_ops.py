@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from . import bipoly as bp
 from .bipoly import BiPoly, CheckResult
@@ -94,12 +95,10 @@ class FactoredIntegral:
                 raise ValueError(
                     f"factor {idx + 1} ({bp.to_string(u)}) is not primitive; "
                     "clear the rational content first")
-        for i in range(len(self.factors)):
-            for j in range(i + 1, len(self.factors)):
-                g = bp.gcd(self.factors[i][0], self.factors[j][0])
-                if not bp.is_const(g):
-                    raise ValueError(
-                        f"factors {i + 1} and {j + 1} share the divisor {bp.to_string(g)}")
+        for (i, (u, _)), (j, (v, _)) in combinations(enumerate(self.factors, 1), 2):
+            g = bp.gcd(u, v)
+            if not bp.is_const(g):
+                raise ValueError(f"factors {i} and {j} share the divisor {bp.to_string(g)}")
 
     @property
     def p(self) -> int:
@@ -194,19 +193,20 @@ def reduce_field(X: VectorField) -> tuple[VectorField, BiPoly]:
 def quotient_multiplier(X2: VectorField, X1: VectorField) -> BiPoly:
     """The polynomial G with X2 = G * X1, when it exists.
 
-    X1 must have coprime components.  Both components are cross-checked;
-    a failure raises ExactDivisionError carrying the nonzero remainder.
+    X1 must have coprime components.  exact_div proves G exact on one
+    component; only the other residual is computed (X2.P when X1.P = 0,
+    else X2.Q - G X1.Q), and a nonzero one raises ExactDivisionError.
     """
     if not is_coprime(X1):
         raise ValueError("reference field must have coprime components")
     if bp.is_zero(X1.P):
         G = bp.exact_div(X2.Q, X1.Q)
+        resid = X2.P
     else:
         G = bp.exact_div(X2.P, X1.P)
-    resid_p = bp.sub(X2.P, bp.mul(G, X1.P))
-    resid_q = bp.sub(X2.Q, bp.mul(G, X1.Q))
-    if resid_p or resid_q:
-        raise bp.ExactDivisionError(resid_p if resid_p else resid_q)
+        resid = bp.sub(X2.Q, bp.mul(G, X1.Q))
+    if resid:
+        raise bp.ExactDivisionError(resid)
     return G
 
 

@@ -38,13 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 
 from . import bipoly as bp
 from . import upoly
 from .bipoly import BiPoly, CheckResult
-from .field_ops import (FactoredIntegral, VectorField, is_coprime, _divergence,
-                        _multiplier, _potential)
+from .field_ops import FactoredIntegral, VectorField, is_coprime, _divergence, _multiplier
 from .upoly import UPoly
 
 
@@ -56,22 +54,6 @@ def integrating_factor(F: FactoredIntegral) -> BiPoly:
 def inverse_integrating_factor(F: FactoredIntegral) -> BiPoly:
     """V = prod u_i, read off F.product_field."""
     return F.product_field[2]
-
-
-def verify_integrating_factor(X: VectorField, R: BiPoly) -> bool:
-    """True iff d(RP)/dx + d(RQ)/dy = 0 exactly."""
-    return bp.is_zero(bp.add(bp.partial(bp.mul(R, X.P), "x"),
-                             bp.partial(bp.mul(R, X.Q), "y")))
-
-
-def integral_from_factor(X: VectorField, R: BiPoly) -> BiPoly:
-    """Reconstruct an integral from an integrating factor:
-    H = int R*P dy + f(x), with f matched so that H_x = -R*Q; constant
-    term 0.  Errors when R is not an integrating factor of X."""
-    H = _potential(bp.mul(R, X.P), bp.mul(R, X.Q))
-    if H is None:
-        raise ArithmeticError("matching failed: not an integrating factor of the field")
-    return H
 
 
 def _at(f: BiPoly, x0: int) -> UPoly:
@@ -113,8 +95,7 @@ def critical_levels(H: BiPoly, G: BiPoly) -> tuple[list[Fraction], UPoly | None]
     N = upoly.ONE
     if bp.deg_y(G) >= 1:
         # the line x = x0 meets every component of positive y-degree
-        lc = bp.coeffs_wrt_y(G)[-1]
-        x0 = next(t for t in count() if upoly.evaluate(lc, Fraction(t)))
+        x0 = bp.first_regular_x(G)
         N = _level_product(_at(G, x0), _at(H, x0))
     cont = bp.content_y(G)
     if upoly.degree(cont) >= 1:

@@ -145,8 +145,7 @@ def _decide_fiber(F: UPoly, polys: list[YPoly], depth: int) -> Locus | None:
 
 
 def _to_upoly_x(f: BiPoly) -> UPoly:
-    if bp.deg_y(f) > 0:
-        raise ValueError("not y-free")
+    """f, free of y, as a polynomial in x."""
     return upoly.make([f.get((i, 0), Fraction(0)) for i in range(bp.deg_x(f) + 1)])
 
 
@@ -164,12 +163,8 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         rest = [_to_ypoly(p) for p in polys if bp.deg_y(p) > 0]
         return _decide_fiber(F, rest, depth + 1)
     if len(polys) == 1:
-        p = polys[0]
-        lc = bp.coeffs_wrt_y(p)[-1]
-        k = 0
-        while upoly.evaluate(lc, Fraction(k)) == 0:
-            k += 1
-        return _decide_fiber(upoly.make([-k, 1]), [_to_ypoly(p)], depth + 1)
+        x0 = bp.first_regular_x(polys[0])
+        return _decide_fiber(upoly.make([-x0, 1]), [_to_ypoly(polys[0])], depth + 1)
     polys = sorted(polys, key=bp.deg_y)
     p, q = polys[0], polys[1]
     others = polys[2:]
@@ -179,9 +174,7 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         if sub is not None:
             return sub
         return _decide_plane([bp.exact_div(p, h), bp.exact_div(q, h)] + others, depth + 1)
-    R = bp.resultant(p, q)
-    if bp.is_zero(R):
-        raise ArithmeticError("resultant of a coprime pair vanished")
+    R = bp.resultant(p, q)  # not zero: p and q are coprime, of positive y-degree
     if bp.is_const(R):
         return None
     # Res_y(p, r) lies in the ideal (p, r), so every common zero projects to
@@ -200,24 +193,16 @@ def _specialize(p: YPoly, x0: Fraction) -> UPoly:
     return upoly.make([upoly.evaluate(c, x0) for c in p])
 
 
-def _verify_point(originals: list[BiPoly], x0: Fraction, y0: Fraction) -> None:
-    for f in originals:
-        if bp.evaluate(f, x0, y0) != 0:
-            raise AssertionError("witness failed exact re-evaluation")
-
-
-def _describe_witness(loc: Locus, originals: list[BiPoly]) -> object:
-    """Exact rational point when available, else a certificate."""
+def _describe_witness(loc: Locus) -> object:
+    """Exact rational point when available, else a certificate.  A point
+    is a common zero by the contract of Locus, so it is not re-evaluated."""
     for x0, _ in upoly.rational_roots(loc.F):
         if loc.poly is None:
-            _verify_point(originals, x0, Fraction(0))
             return (x0, Fraction(0))
         spec = _specialize(loc.poly, x0)
         rr = upoly.rational_roots(spec) if not upoly.is_zero(spec) else [(Fraction(0), 1)]
         if rr:
-            y0 = rr[0][0]
-            _verify_point(originals, x0, y0)
-            return (x0, y0)
+            return (x0, rr[0][0])
         box = arith.isolate_complex_roots(list(spec))[0]
         return f"x = {x0}, y in certified box {box.describe()}"
     xboxes = arith.isolate_complex_roots(list(loc.F))
@@ -255,4 +240,4 @@ def variety_empty(polys: list[BiPoly]) -> CheckResult:
         return bp.inconclusive("decision recursion exceeded the safety depth")
     if loc is None:
         return bp.holds("no common zero in C^2")
-    return bp.fails(_describe_witness(loc, list(polys)), "common zero exists")
+    return bp.fails(_describe_witness(loc), "common zero exists")

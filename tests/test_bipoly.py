@@ -523,12 +523,18 @@ def test_resultant_matches_bareiss_on_sylvester():
 
 # squarefree and leading form
 
-def test_is_squarefree():
-    assert bp.is_squarefree(bp.parse("x*y"))
-    assert bp.is_squarefree(bp.parse("y - x^2"))
-    assert not bp.is_squarefree(bp.parse("x^2*y"))
-    assert not bp.is_squarefree(bp.parse("(x + y)^2"))
-    assert not bp.is_squarefree(bp.parse("(y - x^2)*(y - x^2)"))
+def test_squarefree_by_gradient_gcd():
+    # in characteristic zero f has a repeated factor exactly when
+    # gcd(f, f_x, f_y) is not constant
+    def squarefree(s):
+        f = bp.parse(s)
+        return bp.is_const(bp.gcd_many([f, bp.partial(f, "x"), bp.partial(f, "y")]))
+
+    assert squarefree("x*y")
+    assert squarefree("y - x^2")
+    assert not squarefree("x^2*y")
+    assert not squarefree("(x + y)^2")
+    assert not squarefree("(y - x^2)*(y - x^2)")
 
 
 def test_leading_form():

@@ -1,6 +1,7 @@
 """Christopher-Zoladek genericity conditions on curve families."""
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from polysaddle.cz_check import (
     cz_report,
 )
 from polysaddle.field_ops import FactoredIntegral
+
+from conftest import random_factor
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -96,9 +99,35 @@ def test_complex_transversal_intersection():
     assert check_pair_transversal(bp.parse("x^2 + y^2 + 1"), bp.parse("y - x")).ok
 
 
-def test_transversal_requires_coprime():
-    with pytest.raises(ValueError, match="coprime"):
-        check_pair_transversal(bp.parse("x*y"), bp.parse("x"))
+# planted common components: a y-free one, curves with rational points,
+# and one with none
+PLANTED = ["x - 2", "x + y - 1", "y - x^2", "x*y - 3", "x^2 + y^2 + 1"]
+
+
+def test_shared_component_fails_transversal():
+    # u = h a and v = h b meet on h = 0 with u_x v_y - u_y v_x = 0 there,
+    # so no coprimality guard is needed: the pair Fails on its own
+    rng = random.Random(1717)
+    for hs in PLANTED:
+        h = bp.parse(hs)
+        for _ in range(6):
+            a, b = (random_factor(rng, 2) if rng.random() < 0.8
+                    else bp.const(rng.choice([1, -2, 3])) for _ in range(2))
+            u, v = bp.mul(h, a), bp.mul(h, b)
+            res = check_pair_transversal(u, v)
+            assert res.status == "Fails", (hs, bp.to_string(a), bp.to_string(b))
+            if isinstance(res.witness, tuple):
+                jac = bp.sub(bp.mul(bp.partial(u, "x"), bp.partial(v, "y")),
+                             bp.mul(bp.partial(u, "y"), bp.partial(v, "x")))
+                assert [bp.evaluate(f, *res.witness) for f in (u, v, jac)] == [0, 0, 0]
+            else:
+                assert isinstance(res.witness, str)
+    # off x^2 + y^2 + 1 = 0 the lines x, y meet transversally at the origin,
+    # so the only witnesses have no rational point: certificate text
+    h = bp.parse("x^2 + y^2 + 1")
+    res = check_pair_transversal(bp.mul(h, bp.X), bp.mul(h, bp.Y))
+    assert res.status == "Fails"
+    assert isinstance(res.witness, str) and "certified box" in res.witness
 
 
 def test_no_triple_points():
@@ -120,8 +149,9 @@ def test_no_triple_points():
 
 
 def test_cz_pairwise_gcds_not_repeated(capsys, monkeypatch):
-    # FactoredIntegral already refuses non-coprime factors, so the triple
-    # check computes no pairwise gcd of its own: 13 calls where 16 were made
+    # FactoredIntegral proves the factors pairwise coprime at load, so
+    # neither the transversality pairs nor the triple check take a pairwise
+    # gcd of their own: 10 calls where 16 were made
     calls = []
     inner = bp.gcd
 
@@ -133,7 +163,7 @@ def test_cz_pairwise_gcds_not_repeated(capsys, monkeypatch):
     path = os.path.join(os.path.dirname(HERE), "problems", "three_lines.json")
     assert cli.main(["cz", path, "--format", "json"]) == 1
     capsys.readouterr()
-    assert len(calls) == 13
+    assert len(calls) == 10
 
 
 # condition (iv): leading forms coprime

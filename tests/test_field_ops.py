@@ -189,11 +189,30 @@ def test_quotient_multiplier_round_trip():
 
 
 def test_quotient_multiplier_failure_carries_remainder():
+    # G = x^2 / x = x, and the witness is Q2 - G Q1 = y - x*(-y)
     X = VectorField(bp.parse("x"), bp.parse("-y"))
     X2 = VectorField(bp.parse("x^2"), bp.parse("y"))
     with pytest.raises(bp.ExactDivisionError) as ei:
         quotient_multiplier(X2, X)
-    assert not bp.is_zero(ei.value.remainder)
+    assert ei.value.remainder == bp.parse("x*y + y")
+
+
+def test_quotient_multiplier_witness_when_p_vanishes():
+    # P1 = 0: G = Q2 / Q1 = y, and the witness is P2 itself
+    X = VectorField(bp.ZERO, bp.parse("2"))
+    X2 = VectorField(bp.parse("x^2 + y"), bp.parse("2*y"))
+    with pytest.raises(bp.ExactDivisionError) as ei:
+        quotient_multiplier(X2, X)
+    assert ei.value.remainder == bp.parse("x^2 + y")
+
+
+def test_quotient_multiplier_p_does_not_divide():
+    # x does not divide x^2 + y: exact_div's remainder is the witness
+    X = VectorField(bp.parse("x"), bp.parse("-y"))
+    X2 = VectorField(bp.parse("x^2 + y"), bp.parse("x*y"))
+    with pytest.raises(bp.ExactDivisionError) as ei:
+        quotient_multiplier(X2, X)
+    assert ei.value.remainder == bp.parse("y")
 
 
 def test_quotient_multiplier_requires_coprime_reference():

@@ -16,17 +16,17 @@ from polysaddle.field_ops import (
     expand,
     is_first_integral,
     reduce_field,
+    _divergence,
+    _potential,
 )
 from polysaddle.remarkable import (
     analyze,
     critical_remarkable_values,
     integral_degree_check,
-    integral_from_factor,
     integrating_factor,
     inverse_factor_degree_check,
     inverse_integrating_factor,
     single_critical_value_criterion,
-    verify_integrating_factor,
 )
 
 from conftest import (naive_product, random_coprime_field, random_integral,
@@ -49,23 +49,26 @@ def test_factor_formulas():
     assert integrating_factor(fi(("x", 1), ("y", 1))) == bp.ONE
 
 
-def test_verify_integrating_factor():
+def scaled(R, X):
+    return VectorField(bp.mul(R, X.P), bp.mul(R, X.Q))
+
+
+def test_integrating_factor_makes_field_divergence_free():
     X = construct_field(TWIN)
-    assert verify_integrating_factor(X, integrating_factor(TWIN))
-    assert not verify_integrating_factor(X, bp.parse("x"))
+    assert bp.is_zero(_divergence(scaled(integrating_factor(TWIN), X)))
+    assert not bp.is_zero(_divergence(scaled(bp.parse("x"), X)))
 
 
 def test_integral_from_factor_round_trip():
-    X = construct_field(CUSP)
-    H = integral_from_factor(X, integrating_factor(CUSP))
-    # same integral up to the stated normalization (constant term 0)
-    assert bp.is_zero(bp.sub(H, expand(CUSP))) or bp.is_const(bp.sub(H, expand(CUSP)))
+    # the potential of R X is the integral, up to the constant term
+    RX = scaled(integrating_factor(CUSP), construct_field(CUSP))
+    H = _potential(RX.P, RX.Q)
+    assert bp.is_const(bp.sub(H, expand(CUSP)))
 
 
-def test_integral_from_factor_rejects_non_factor():
-    X = construct_field(CUSP)
-    with pytest.raises(ArithmeticError):
-        integral_from_factor(X, bp.parse("y"))
+def test_integral_from_non_factor_has_no_potential():
+    Xy = scaled(bp.parse("y"), construct_field(CUSP))
+    assert _potential(Xy.P, Xy.Q) is None
 
 
 # critical remarkable values: frozen oracles

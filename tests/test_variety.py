@@ -193,7 +193,7 @@ def _reference_plane(polys, depth=0):
 def _agree(polys):
     """variety_empty's status, checked to come with the reference's witness."""
     loc = _reference_plane(list(polys))
-    want = ("Holds", None) if loc is None else ("Fails", variety._describe_witness(loc, polys))
+    want = ("Holds", None) if loc is None else ("Fails", variety._describe_witness(loc))
     got = variety_empty(polys)
     assert (got.status, got.witness) == want, [bp.to_string(f) for f in polys]
     return got.status
