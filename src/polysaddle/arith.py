@@ -205,7 +205,7 @@ def isolate_complex_roots(coeffs: Sequence[Rat]) -> list[RootBox]:
     out: list[RootBox] = []
     for g, mult in upoly.squarefree_decomposition(f):
         # exact rational roots of this factor come out as point boxes
-        for r, _ in upoly.rational_roots(g):
+        for r in upoly.rational_roots(g):
             out.append(RootBox(r, r, Fraction(0), Fraction(0), mult, g))
             g = upoly.divmod_exact_field(g, upoly.make([-r, 1]))[0]
         if upoly.degree(g) < 1:

@@ -933,23 +933,23 @@ def parse(src: str) -> BiPoly:
     return out
 
 
-def _mono_str(i: int, j: int, xname: str, yname: str) -> str:
+def _mono_str(i: int, j: int) -> str:
     parts = []
     if i:
-        parts.append(xname if i == 1 else f"{xname}^{i}")
+        parts.append("x" if i == 1 else f"x^{i}")
     if j:
-        parts.append(yname if j == 1 else f"{yname}^{j}")
+        parts.append("y" if j == 1 else f"y^{j}")
     return "*".join(parts)
 
 
-def to_string(f: BiPoly, xname: str = "x", yname: str = "y") -> str:
+def to_string(f: BiPoly) -> str:
     """Canonical form: terms in descending graded lex order."""
     if not f:
         return "0"
     parts: list[str] = []
     for e in sorted(f, key=_ordkey, reverse=True):
         c = f[e]
-        mono = _mono_str(e[0], e[1], xname, yname)
+        mono = _mono_str(*e)
         mag = abs(c)
         if not mono:
             body = str(mag)

@@ -40,11 +40,9 @@ def check_leading_squarefree(u: BiPoly) -> CheckResult:
     if bp.is_zero(u) or bp.is_const(u):
         raise ValueError("leading-form check requires a nonconstant curve")
     L = bp.leading_form(u)
-    g = L
-    for var in ("x", "y"):
-        d = bp.partial(L, var)
-        if d:
-            g = bp.gcd(g, d)
+    # Euler's identity x L_x + y L_y = deg(L) L: gcd(L_x, L_y) divides L, so
+    # it is gcd(L, L_x, L_y); L is nonconstant, so not both partials are 0
+    g = bp.gcd(bp.partial(L, "x"), bp.partial(L, "y"))
     if bp.is_const(g):
         return bp.holds("leading form is squarefree")
     return bp.fails(bp.to_string(g), "leading form has a repeated factor")

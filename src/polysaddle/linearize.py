@@ -49,16 +49,16 @@ def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
     (P, Q, V, R) of all the factors depends on the order, so the reordered
     integral shares F's product_field and field, and F's H when that has
     been expanded; the head factors' quadruple does depend on which factor
-    is last and is not shared."""
+    is last and is not shared.  What FactoredIntegral proves of the
+    factors does not depend on their order, so it is not proved again."""
     if not 1 <= pivot <= F.p:
         raise ValueError(f"pivot {pivot} out of range 1..{F.p}")
     fs = list(F.factors)
     fs.append(fs.pop(pivot - 1))
-    out = FactoredIntegral(tuple(fs))
+    out = object.__new__(FactoredIntegral)
+    vars(out).update(factors=tuple(fs), field=F.field, product_field=F.product_field)
     if "H" in vars(F):
         vars(out)["H"] = F.H
-    vars(out)["field"] = F.field
-    vars(out)["product_field"] = F.product_field
     return out
 
 

@@ -104,7 +104,7 @@ def critical_levels(H: BiPoly, G: BiPoly) -> tuple[list[Fraction], UPoly | None]
     if upoly.is_const(N):
         return [], None
     residual = upoly.squarefree_part(N)
-    values = [c0 for c0, _ in upoly.rational_roots(residual)]
+    values = upoly.rational_roots(residual)
     for c0 in values:
         residual = upoly.divmod_exact_field(residual, upoly.make([-c0, 1]))[0]
     return values, (None if upoly.is_const(residual) else residual)

@@ -141,28 +141,20 @@ def gcd(f: UPoly, g: UPoly) -> UPoly:
     return monic(a)
 
 
-def xgcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
-    """Extended gcd: (g, s, t) with s*a + t*b = g, g monic (or zero)."""
+def xgcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
+    """(g, s) with s*a = g mod b, g monic (or zero); b's cofactor is not
+    kept.  When deg a < deg b, deg s < deg b - deg g, so for g = 1 s is
+    already the reduced inverse of a mod b."""
     r0, r1 = a, b
     s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
     while r1:
         q, r = divmod_exact_field(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, sub(s0, mul(q, s1))
-        t0, t1 = t1, sub(t0, mul(q, t1))
     if r0:
         c = 1 / r0[-1]
-        r0, s0, t0 = scale(r0, c), scale(s0, c), scale(t0, c)
-    return r0, s0, t0
-
-
-def invert_mod(a: UPoly, f: UPoly) -> UPoly:
-    """Inverse of a modulo f; requires gcd(a, f) = 1."""
-    g, s, _ = xgcd(a, f)
-    if degree(g) != 0:
-        raise ArithmeticError("not invertible: arguments share a factor")
-    return rem(s, f)
+        r0, s0 = scale(r0, c), scale(s0, c)
+    return r0, s0
 
 
 def gcd_many(polys: Sequence[UPoly]) -> UPoly:
@@ -378,9 +370,8 @@ def _integer_roots(seq: list[list[int]]) -> list[int]:
     return roots
 
 
-def rational_roots(f: UPoly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, sorted, each confirmed by
-    exact deflation.
+def rational_roots(f: UPoly) -> list[Fraction]:
+    """The distinct rational roots of f, sorted.
 
     With the root 0 divided out, let p be the squarefree part of f with
     coprime integer coefficients and leading coefficient a > 0.  By the
@@ -388,18 +379,16 @@ def rational_roots(f: UPoly) -> list[tuple[Fraction, int]]:
     m, a root of the monic k(s) = a^(n-1) p(s/a) in Z[s].  A Sturm sequence
     of p, built from integer pseudo-remainders, is rescaled to one of k,
     and k's integer roots are isolated by bisection (`_integer_roots`).
-    The cost is polynomial in the bit size of f: no coefficient is factored.
+    That keeps an m only where k(m) = 0 in exact integer arithmetic, so
+    p(m/a) = 0 and every m/a returned is a root of f: none is divided out
+    to confirm it.  The cost is polynomial in the bit size of f: no
+    coefficient is factored.
     """
     if not f:
         raise ValueError("rational_roots of the zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    # strip the root at 0
-    v = 0
-    while v < len(f) and f[v] == 0:
-        v += 1
-    if v:
-        roots.append((Fraction(0), v))
-        f = f[v:]
+    v = next(i for i, c in enumerate(f) if c)  # strip the root at 0
+    roots = [Fraction(0)] if v else []
+    f = f[v:]
     if is_const(f):
         return roots
     p = [int(c) for c in primitive(f)]
@@ -409,20 +398,9 @@ def rational_roots(f: UPoly) -> list[tuple[Fraction, int]]:
         p = [int(c) for c in primitive(divmod_exact_field(make(p), make(seq[-1]))[0])]
         seq = _sturm(p)
     a = p[-1]
-    for m in _integer_roots([[c * a ** (len(q) - 1 - j) for j, c in enumerate(q)]
-                             for q in seq]):
-        r = Fraction(m, a)
-        lin = make([-r, 1])
-        mult = 0
-        while True:
-            q, rest = divmod_exact_field(f, lin)
-            if rest:
-                break
-            mult += 1
-            f = q
-        roots.append((r, mult))
-    roots.sort(key=lambda t: t[0])
-    return roots
+    roots += (Fraction(m, a) for m in _integer_roots(
+        [[c * a ** (len(q) - 1 - j) for j, c in enumerate(q)] for q in seq]))
+    return sorted(roots)
 
 
 def to_string(f: UPoly, var: str = "t") -> str:

@@ -80,30 +80,30 @@ def _ymod(a: YPoly, b: YPoly, F: UPoly, inv_lc: UPoly) -> YPoly:
 
 
 def _fiber_gcd(F: UPoly, a: YPoly, b: YPoly) -> list[tuple[UPoly, YPoly]]:
-    """Dynamic-evaluation gcd of a and b over the squarefree fiber F.
+    """Dynamic-evaluation gcd over the squarefree fiber F of a and b, both
+    already reduced mod F.
 
     Returns subfibers covering all roots of F, each paired with a
     polynomial whose roots over that subfiber are exactly the common roots
     of a and b there; () means both vanish identically (no constraint),
     and a y-free polynomial has a root exactly where it vanishes on the
     subfiber.
+
+    A step runs one Euclid, xgcd(lc(b), F).  A nonconstant gcd h splits F
+    into h, where b loses its top coefficient, and F/h, nonconstant since
+    h divides lc(b), of lower degree than F; only what moves onto a smaller
+    fiber is reduced again.  Otherwise the cofactor inverts lc(b).
     """
-    a, b = _reduce(a, F), _reduce(b, F)
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return [(F, a)]
-    lc = b[-1]
-    h = upoly.gcd(F, lc)
+    h, inv = upoly.xgcd(b[-1], F)
     if upoly.degree(h) >= 1:
-        out = _fiber_gcd(h, a, _trim(list(b[:-1])))
         rest = upoly.divmod_exact_field(F, h)[0]
-        if upoly.degree(rest) >= 1:
-            out = out + _fiber_gcd(rest, a, b)
-        return out
-    inv = upoly.invert_mod(lc, F)
-    r = _ymod(a, b, F, inv)
-    return _fiber_gcd(F, b, r)
+        return (_fiber_gcd(h, _reduce(a, h), _reduce(b[:-1], h))
+                + _fiber_gcd(rest, _reduce(a, rest), _reduce(b, rest)))
+    return _fiber_gcd(F, b, _ymod(a, b, F, inv))
 
 
 def _decide_fiber(F: UPoly, polys: list[YPoly], depth: int) -> Locus | None:
@@ -134,7 +134,7 @@ def _decide_fiber(F: UPoly, polys: list[YPoly], depth: int) -> Locus | None:
         good = upoly.divmod_exact_field(F, bad)[0] if upoly.degree(bad) >= 1 else F
         # p is trimmed mod F, so its top coefficient cannot vanish on all of F
         return Locus(good, p)
-    polys.sort(key=len)
+    polys.sort(key=len)  # reduced mod F, as _fiber_gcd requires
     a, b = polys[1], polys[0]
     others = polys[2:]
     for Fi, g in _fiber_gcd(F, a, b):
@@ -196,13 +196,13 @@ def _specialize(p: YPoly, x0: Fraction) -> UPoly:
 def _describe_witness(loc: Locus) -> object:
     """Exact rational point when available, else a certificate.  A point
     is a common zero by the contract of Locus, so it is not re-evaluated."""
-    for x0, _ in upoly.rational_roots(loc.F):
+    for x0 in upoly.rational_roots(loc.F):
         if loc.poly is None:
             return (x0, Fraction(0))
         spec = _specialize(loc.poly, x0)
-        rr = upoly.rational_roots(spec) if not upoly.is_zero(spec) else [(Fraction(0), 1)]
+        rr = upoly.rational_roots(spec) if not upoly.is_zero(spec) else [Fraction(0)]
         if rr:
-            return (x0, rr[0][0])
+            return (x0, rr[0])
         box = arith.isolate_complex_roots(list(spec))[0]
         return f"x = {x0}, y in certified box {box.describe()}"
     xboxes = arith.isolate_complex_roots(list(loc.F))
@@ -215,7 +215,7 @@ def _describe_witness(loc: Locus) -> object:
         rr = upoly.rational_roots(spec)
         if rr:
             return (f"x in certified boxes {xdesc} (roots of "
-                    f"{upoly.to_string(loc.F, 'x')}), y = {rr[0][0]}")
+                    f"{upoly.to_string(loc.F, 'x')}), y = {rr[0]}")
         ybox = arith.isolate_complex_roots(list(spec))[0]
         return (f"x in certified boxes {xdesc}, y in certified box {ybox.describe()}")
     ys = " + ".join(f"({upoly.to_string(c, 'x')})*y^{j}" for j, c in enumerate(loc.poly) if c)

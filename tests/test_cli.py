@@ -202,13 +202,13 @@ def test_integral_expanded_once_per_command(capsys, monkeypatch, command, expans
 
 @pytest.mark.parametrize(
     "command,pivot,code,gcds,expansions",
-    [("all", [], 1, 11, 1), ("all", ["--pivot", "1"], 1, 14, 1),
-     ("linearize", ["--pivot", "1"], 0, 7, 0)],
-    ids=["pivot0-11", "pivot1-14", "linearize-pivot1-7"])
+    [("all", [], 1, 10, 1), ("all", ["--pivot", "1"], 1, 10, 1),
+     ("linearize", ["--pivot", "1"], 0, 4, 0)],
+    ids=["pivot0-10", "pivot1-10", "linearize-pivot1-4"])
 def test_pivot_reuses_expansion(capsys, monkeypatch, command, pivot, code, gcds, expansions):
     # the reordered integral shares the loaded one's constructed field, and
-    # its H once expanded; its pairwise factor check (three gcds for three
-    # lines) is the only extra work
+    # its H once expanded, and does not prove its factors coprime again: a
+    # pivot costs no gcd
     counts = {"expand": 0, "construct_field": 0, "gcd": 0}
     inner_expand, inner_construct, inner_gcd = field_ops.expand, field_ops.construct_field, bp.gcd
 

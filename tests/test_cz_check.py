@@ -151,7 +151,8 @@ def test_no_triple_points():
 def test_cz_pairwise_gcds_not_repeated(capsys, monkeypatch):
     # FactoredIntegral proves the factors pairwise coprime at load, so
     # neither the transversality pairs nor the triple check take a pairwise
-    # gcd of their own: 10 calls where 16 were made
+    # gcd of their own, and a leading form takes one gcd, of its two
+    # partials: 9 calls where 16 were made
     calls = []
     inner = bp.gcd
 
@@ -163,7 +164,7 @@ def test_cz_pairwise_gcds_not_repeated(capsys, monkeypatch):
     path = os.path.join(os.path.dirname(HERE), "problems", "three_lines.json")
     assert cli.main(["cz", path, "--format", "json"]) == 1
     capsys.readouterr()
-    assert len(calls) == 10
+    assert len(calls) == 9
 
 
 # condition (iv): leading forms coprime

@@ -196,12 +196,16 @@ def _route_candidates(H, deriv, main):
 
 
 def shift_out_rational_roots(f):
-    """Divide out every rational linear factor, returning the rootless cofactor."""
+    """Divide out every rational linear factor, as often as it divides,
+    returning the rootless cofactor."""
     g = f
-    for r, m in upoly.rational_roots(f):
+    for r in upoly.rational_roots(f):
         lin = upoly.make([-r, 1])
-        for _ in range(m):
-            g = upoly.divmod_exact_field(g, lin)[0]
+        while True:
+            q, rest = upoly.divmod_exact_field(g, lin)
+            if rest:
+                break
+            g = q
     return g
 
 
@@ -213,7 +217,7 @@ def elimination_critical_values(H):
             N = upoly.mul(N, route)
     if upoly.is_const(N):
         return [], None
-    vals = [c0 for c0, _ in upoly.rational_roots(N)
+    vals = [c0 for c0 in upoly.rational_roots(N)
             if not bp.is_const(bp.gcd_many([bp.add(H, bp.const(c0)), Hx, Hy]))]
     residual = shift_out_rational_roots(upoly.squarefree_part(N))
     return vals, (None if upoly.is_const(residual) else residual)

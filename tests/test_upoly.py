@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polysaddle import upoly as up
@@ -141,20 +141,17 @@ def test_gcd_degree_mod_p_matches_euclid():
 
 
 @given(upolys(4), upolys(4))
+@example(up.make([1, 1]), up.make([1, 0, 1]))  # x + 1 is a unit mod x^2 + 1
+@example(up.make([1, 0, 1]), up.make([1, 0, 1]))  # x^2 + 1 is not a unit mod itself
 @settings(max_examples=120)
 def test_xgcd_identity(a, b):
-    g, s, t = up.xgcd(a, b)
-    assert up.add(up.mul(s, a), up.mul(t, b)) == g
+    g, s = up.xgcd(a, b)
     assert g == up.gcd(a, b)
-
-
-def test_invert_mod():
-    m = up.make([1, 0, 1])        # x^2 + 1
-    a = up.make([1, 1])           # x + 1
-    inv = up.invert_mod(a, m)
-    assert up.rem(up.mul(a, inv), m) == up.make([1])
-    with pytest.raises(ArithmeticError):
-        up.invert_mod(up.make([1, 0, 1]), m)  # not a unit mod itself
+    diff = up.sub(up.mul(s, a), g)
+    assert up.is_zero(up.rem(diff, b) if b else diff)
+    if g == up.ONE and up.degree(a) < up.degree(b):
+        # s a = 1 mod b, and s is already reduced: the inverse _fiber_gcd uses
+        assert up.degree(s) < up.degree(b)
 
 
 def test_squarefree_decomposition_yun():
@@ -183,10 +180,9 @@ def test_rational_roots_oracle():
     # roots 1/2 (double), -3, 0
     f = up.mul(up.make([0, 1]),
                up.mul(up.mul(up.make([-1, 2]), up.make([-1, 2])), up.make([3, 1])))
-    roots = up.rational_roots(f)
-    assert sorted(roots) == [(Fraction(-3), 1), (Fraction(0), 1), (Fraction(1, 2), 2)]
+    assert up.rational_roots(f) == [Fraction(-3), Fraction(0), Fraction(1, 2)]
     # (2x - 1)(x + 3) = 2x^2 + 5x - 3
-    assert dict(up.rational_roots(up.make([-3, 5, 2]))) == {Fraction(1, 2): 1, Fraction(-3): 1}
+    assert up.rational_roots(up.make([-3, 5, 2])) == [Fraction(-3), Fraction(1, 2)]
     with pytest.raises(ValueError, match="zero polynomial"):
         up.rational_roots(up.make([]))
 
@@ -212,20 +208,13 @@ def trial_division_roots(f):
     while f[v] == 0:
         v += 1
     if v:
-        roots.append((Fraction(0), v))
+        roots.append(Fraction(0))
         f = f[v:]
     den = math.lcm(*(c.denominator for c in f))
     a0, an = int(f[0] * den), int(f[-1] * den)
-    for cand in {Fraction(sgn * p, q) for p in _divisors(a0) for q in _divisors(an)
-                 for sgn in (1, -1)}:
-        if up.evaluate(f, cand) == 0:
-            m, g, lin = 0, f, up.make([-cand, 1])
-            while True:
-                q2, r2 = up.divmod_exact_field(g, lin)
-                if r2:
-                    break
-                m, g = m + 1, q2
-            roots.append((cand, m))
+    cands = {Fraction(sgn * p, q) for p in _divisors(a0) for q in _divisors(an)
+             for sgn in (1, -1)}
+    roots += [c for c in cands if up.evaluate(f, c) == 0]
     return sorted(roots)
 
 
@@ -268,14 +257,14 @@ def test_rational_roots_planted_large():
             if disc < 0 or math.isqrt(disc) ** 2 != disc:
                 break
         f = planted(want.items(), (c, b, 1))
-        assert up.rational_roots(f) == sorted(want.items())
+        assert up.rational_roots(f) == sorted(want)
 
 
 def test_rational_roots_large_constant():
     # t^2 - (2^22 + 7)^2: a 45-bit constant term
     n = 2**22 + 7
     t0 = time.perf_counter()
-    assert up.rational_roots(up.make([-n * n, 0, 1])) == [(Fraction(-n), 1), (Fraction(n), 1)]
+    assert up.rational_roots(up.make([-n * n, 0, 1])) == [Fraction(-n), Fraction(n)]
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -284,19 +273,17 @@ def test_rational_roots_none():
     assert up.rational_roots(up.make([-2, 0, 1])) == []  # sqrt(2) irrational
 
 
-@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=3),
+@given(st.lists(st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                          st.integers(min_value=1, max_value=3)), min_size=1, max_size=3),
        st.integers(min_value=0, max_value=2))
 @settings(max_examples=80)
 def test_rational_roots_recovers_planted(roots, extra_deg):
-    f = up.make([1])
-    for r in roots:
-        f = up.mul(f, up.make([-r, 1]))
+    # roots of multiplicity up to 3 (and a root drawn twice) appear once
+    f = planted(roots)
     # multiply by an irreducible-over-Q quadratic to add noise
     for _ in range(extra_deg):
         f = up.mul(f, up.make([1, 0, 1]))
-    found = dict(up.rational_roots(f))
-    for r in roots:
-        assert found.get(r, 0) >= 1
+    assert up.rational_roots(f) == sorted({r for r, _ in roots})
 
 
 def test_to_string():

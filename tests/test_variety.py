@@ -111,6 +111,37 @@ def test_branch_cases(polys, witness):
     assert all(bp.evaluate(f, *res.witness) == 0 for f in fs)
 
 
+CIRCLE_WITNESS = (
+    "every root x* of x^2 - 1/2 = 0 (certified boxes: re in [-0.707107, -0.707107], "
+    "im in [-9.66729e-17, 9.66729e-17]; re in [0.707107, 0.707107], "
+    "im in [-9.66729e-17, 9.66729e-17]) extends by a root y* of the nonconstant "
+    "specialization of (x)*y^0 + (-1)*y^1")
+
+
+@pytest.mark.parametrize("polys,status,witness,want", [
+    # no split: one Euclid step, xgcd(lc, F), inverts lc on x^2 - 1/2
+    (("x^2 + y^2 - 1", "x - y"), "Fails", CIRCLE_WITNESS,
+     {"rem": 18, "gcd": 4, "xgcd": 1}),
+    # lc = x^2 - 2 splits the fiber x^4 - 4 into x^2 - 2 and x^2 + 2
+    (("(x^2 - 2)*y^2 + x*y - 1", "(x^2 - 2)*y + x", "x^4 - 4"), "Holds", None,
+     {"rem": 35, "gcd": 6, "xgcd": 4}),
+], ids=["no-split", "split"])
+def test_fiber_gcd_reduces_once(monkeypatch, polys, status, witness, want):
+    # _fiber_gcd takes operands already reduced mod the fiber, reduces only
+    # what moves onto a smaller fiber at a split, and runs one Euclid per
+    # step; a re-reduction on entry or a second Euclid for the inverse
+    # raises these counts (27/5 and 53/10 rem/gcd calls when both were made)
+    counts = dict.fromkeys(want, 0)
+    for name in want:
+        def counted(*args, _inner=getattr(up, name), _name=name):
+            counts[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(up, name, counted)
+    res = variety_empty([bp.parse(s) for s in polys])
+    assert (res.status, res.witness) == (status, witness)
+    assert counts == want
+
+
 def test_rejects_degenerate_input():
     with pytest.raises(ValueError):
         variety_empty([bp.parse("x")])
