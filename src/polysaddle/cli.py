@@ -26,9 +26,8 @@ from . import bipoly as bp
 from . import numcheck, upoly
 from .bipoly import BiPoly, CheckResult, ParseError
 from .cz_check import cz_report
-from .field_ops import (FactoredIntegral, VectorField, is_coprime, is_first_integral,
-                        cofactor, lie_derivative, minimal_degree_check, reduce_field,
-                        _divergence, _multiplier, _potential)
+from .field_ops import (FactoredIntegral, VectorField, cofactor, minimal_degree_check,
+                        reduce_field, _divergence, _lie_of_integral, _potential)
 from .linearize import factor_split, linearize
 from .remarkable import (analyze, integral_degree_check,
                          inverse_factor_degree_check,
@@ -43,9 +42,8 @@ class ProblemError(Exception):
 class ProblemSpec:
     """A loaded problem.  The expanded integral and the constructed field
     live on the integral (integral.H, integral.field); the reduction of
-    the constructed field and the multiplier of the field under study are
-    built here on first use and shared by every command run on the
-    problem."""
+    the constructed field is built here on first use and shared by every
+    command run on the problem."""
 
     name: str
     integral: FactoredIntegral
@@ -65,15 +63,6 @@ class ProblemSpec:
         """The field under study: the given one, else the reduced
         constructed one."""
         return self.reduced[0] if self.given_field is None else self.given_field
-
-    @cached_property
-    def multiplier(self) -> BiPoly | None:
-        """G with G * field = integral.field, which the criterion of
-        `analyze` and `linearize` both need (a pivot reorders the factors
-        but keeps integral.field); the zero polynomial when there is no
-        such G, and None when the field is not coprime, which both
-        refuse."""
-        return _multiplier(self.integral, self.field) if is_coprime(self.field) else None
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -199,15 +188,13 @@ def cmd_construct(spec: ProblemSpec) -> dict:
         else _cd(bp.inconclusive("not applicable: single factor")),
     }
     if spec.field_given:
-        H = F.H
-        ok = is_first_integral(spec.field, H)
+        lie = _lie_of_integral(F, spec.field)
         out["given_field"] = {
             "P": bp.to_string(spec.field.P),
             "Q": bp.to_string(spec.field.Q),
             "annihilates_integral": _cd(
-                bp.holds("lie derivative is zero") if ok
-                else bp.fails(bp.to_string(lie_derivative(spec.field, H)),
-                              "nonzero lie derivative")),
+                bp.fails(bp.to_string(lie), "nonzero lie derivative") if lie
+                else bp.holds("lie derivative is zero")),
         }
     return out
 
@@ -247,7 +234,7 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
     checks: dict = {}
     for key, run in (
         ("single_critical_value",
-         lambda: single_critical_value_criterion(F, X, a, spec.multiplier)),
+         lambda: single_critical_value_criterion(F, X, a)),
         ("inverse_factor_degree", lambda: inverse_factor_degree_check(a, X.degree)),
         ("integral_degree", lambda: integral_degree_check(F, X)),
     ):
@@ -278,7 +265,7 @@ def cmd_linearize(spec: ProblemSpec, pivot: int | None) -> dict:
         except ValueError as e:
             raise ProblemError(str(e)) from e
     try:
-        cert = linearize(F, spec.field, spec.multiplier)
+        cert = linearize(F, spec.field)
     except bp.ExactDivisionError as e:
         return {"certificate": _cd(bp.fails(
             bp.to_string(e.remainder),

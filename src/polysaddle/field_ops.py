@@ -23,6 +23,7 @@ detection by divergence, and cofactors of invariant curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -61,8 +62,9 @@ class VectorField:
 
 
 def _is_primitive(u: BiPoly) -> bool:
-    n = bp.normalize(u)
-    return u == n or u == bp.neg(n)
+    # numerators: Fraction arithmetic can leave Fraction(n, 1), which math.gcd rejects
+    return (all(c.denominator == 1 for c in u.values())
+            and math.gcd(*(c.numerator for c in u.values())) == 1)
 
 
 @dataclass(frozen=True)
@@ -210,13 +212,18 @@ def quotient_multiplier(X2: VectorField, X1: VectorField) -> BiPoly:
     return G
 
 
-def _multiplier(F: FactoredIntegral, X: VectorField) -> BiPoly:
-    """quotient_multiplier(F.field, X) for a coprime X, or the zero
-    polynomial when there is none (F.field is never zero)."""
-    try:
-        return quotient_multiplier(F.field, X)
-    except bp.ExactDivisionError:
-        return bp.ZERO
+def _lie_of_integral(F: FactoredIntegral, X: VectorField) -> BiPoly:
+    """X(H) for H = F.H, without expanding H.  With (P0, Q0, V, R) =
+    F.product_field, H_y = R P0 and H_x = -R Q0, so for X = (P, Q)
+    X(H) = R (P0 Q - Q0 P); the product by R is skipped when the bracket
+    is zero.  For a coprime X this vanishes exactly when F.field = G X
+    for a polynomial G: that makes the bracket G (P Q - Q P) = 0, and
+    conversely P0 Q = Q0 P with gcd(P, Q) = 1 makes P divide P0 (when
+    P = 0, Q is a nonzero constant and P0 = 0), so P0 = G P and Q0 = G Q.
+    That division is the cheaper test; the bracket is for the witness."""
+    P0, Q0, _, R = F.product_field
+    bracket = bp.sub(bp.mul(P0, X.Q), bp.mul(Q0, X.P))
+    return bp.mul(R, bracket) if bracket else bracket
 
 
 def _antider_y(f: BiPoly) -> BiPoly:

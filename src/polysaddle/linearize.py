@@ -29,8 +29,9 @@ algebra.  With G (P, Q) = F.field,
 and multiplying the first by R~ (u = R~ W, u_x = R~ K1, u_y = R~ K2) and
 the second by u_p^{k_p-1} gives the saddle pullbacks G X(u) = D u and
 G X(v) = -D v.  G (P, Q) = F.field also proves that (P, Q) annihilates
-H = F.H, since F.field does, so a verified run never expands H.  The
-tests recheck both pullbacks from the certificate's own polynomials.
+H = F.H, since F.field does, so a verified run never expands H; a field
+with no quotient gets its witness X(H) off the factors, so no run does.
+The tests recheck both pullbacks from the certificate's own polynomials.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 
 from . import bipoly as bp
 from .bipoly import BiPoly
-from .field_ops import (FactoredIntegral, VectorField, is_coprime, lie_derivative,
-                        _divergence, _multiplier)
+from .field_ops import (FactoredIntegral, VectorField, is_coprime, quotient_multiplier,
+                        _divergence, _lie_of_integral)
 
 
 def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
@@ -102,33 +103,30 @@ class LinearizationCertificate:
     time_change: str
 
 
-def linearize(F: FactoredIntegral, X: VectorField,
-              multiplier: BiPoly | None = None) -> LinearizationCertificate:
+def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     """Build and exactly verify the saddle certificate for (F, X).
 
     The multiplier G is the exact quotient with G X = F.field, the
     constructed field of F, cross-checked on both components; with
-    D != 0 it makes the certificate (module docstring).  A caller that
-    has tried the quotient already passes the outcome as `multiplier`:
-    G, or the zero polynomial when there is no G (no polynomial times X
-    is F.field then, since F.field is not zero); otherwise it is
-    computed here.
+    D != 0 it makes the certificate (module docstring).
 
     Errors: fewer than two factors or a non-coprime field raise
     ValueError; a field that does not actually annihilate F.H raises
     ExactDivisionError whose `remainder` attribute is the nonzero Lie
-    derivative X(F.H), computed only once the quotient has failed (for a
-    coprime X that failure is equivalent to X(F.H) != 0; see
-    remarkable.single_critical_value_criterion); an annihilating field
-    with a zero determinant D (degenerate split) raises ArithmeticError.
+    derivative X(F.H), read off the factors by field_ops._lie_of_integral
+    once the quotient has failed, so F.H is never expanded (for a coprime
+    X that failure is equivalent to X(F.H) != 0; proof in the docstring of
+    _lie_of_integral); an annihilating field with a zero determinant D
+    (degenerate split) raises ArithmeticError.
     """
     if F.p < 2:
         raise ValueError("linearize needs at least two factors")
     if not is_coprime(X):
         raise ValueError("linearize requires a coprime field")
-    G = _multiplier(F, X) if multiplier is None else multiplier
-    if not G:
-        raise bp.ExactDivisionError(lie_derivative(X, F.H))
+    try:
+        G = quotient_multiplier(F.field, X)
+    except bp.ExactDivisionError:
+        raise bp.ExactDivisionError(_lie_of_integral(F, X)) from None
     K1, K2, K3, K4 = k_matrix(F)
     D = bp.sub(bp.mul(K1, K4), bp.mul(K2, K3))
     if bp.is_zero(D):

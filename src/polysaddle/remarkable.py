@@ -25,24 +25,25 @@ rational root is a critical value with no confirming gcd, and the
 nonrational ones are reported as a univariate residual polynomial in c
 rather than dropped.  The tests recheck each value by that gcd.
 
-For a factored integral G needs no gcd of the expanded H: H_y = R*P0 and
-H_x = -R*Q0 for the constructed field (P0, Q0) = F.field, so
-G = R*gcd(P0, Q0), and analyze() reads gcd(P0, Q0) off that field's
-cached common factor.  critical_remarkable_values(H) still computes G
-itself for a bare H.  The same two identities let the single-critical-value
-criterion test that a coprime field annihilates H by one exact division of
-F.field, with no Lie derivative of H.
+For a factored integral no gradient gcd is taken: H_y = R*P0 and
+H_x = -R*Q0 for (P0, Q0) = F.field, so gcd(H_x, H_y) = R*g with
+g = gcd(P0, Q0), F.field's cached common factor.  Every component of
+R = 0 lies on some u_i = 0 with k_i > 1, where H = 0, and the others are
+those of g = 0; so analyze() runs critical_levels on g alone and adds
+the level 0 when R is nonconstant.  critical_remarkable_values(H) still
+computes the gradient gcd itself for a bare H.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bipoly as bp
 from . import upoly
 from .bipoly import BiPoly, CheckResult
-from .field_ops import FactoredIntegral, VectorField, is_coprime, _divergence, _multiplier
+from .field_ops import FactoredIntegral, VectorField, is_coprime, quotient_multiplier, _divergence
 from .upoly import UPoly
 
 
@@ -90,8 +91,9 @@ def critical_remarkable_values(H: BiPoly) -> tuple[list[Fraction], UPoly | None]
 
 
 def critical_levels(H: BiPoly, G: BiPoly) -> tuple[list[Fraction], UPoly | None]:
-    """critical_remarkable_values(H), given its gradient gcd
-    G = gcd(H_x, H_y), normalized, for a nonconstant H."""
+    """The levels of a nonconstant H on the components of G = 0, split as
+    critical_remarkable_values splits them, for a normalized G dividing
+    gcd(H_x, H_y); with G = gcd(H_x, H_y) they are all its critical values."""
     N = upoly.ONE
     if bp.deg_y(G) >= 1:
         # the line x = x0 meets every component of positive y-degree
@@ -125,43 +127,35 @@ class RemarkableAnalysis:
 def analyze(F: FactoredIntegral) -> RemarkableAnalysis:
     """Full level-structure analysis of H = F.H.
 
-    R and V are read off F.product_field, and F.H = R * V.  The gradient
-    gcd is R * gcd(P0, Q0), read off the constructed field F.field (see the
-    module docstring).
+    R and V are read off F.product_field, and F.H = R * V.  The levels are
+    those on g = gcd(P0, Q0), read off the constructed field F.field, plus
+    0 when R is nonconstant (see the module docstring).
     """
     R = integrating_factor(F)
     V = inverse_integrating_factor(F)
-    values, residual = critical_levels(F.H, bp.normalize(bp.mul(R, F.field.common_factor)))
+    values, residual = critical_levels(F.H, F.field.common_factor)
+    if not bp.is_const(R) and Fraction(0) not in values:
+        insort(values, Fraction(0))
     return RemarkableAnalysis(tuple(values), residual, R, V,
                               len(values), bp.total_degree(R))
 
 
 def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
-                                    analysis: RemarkableAnalysis | None = None,
-                                    multiplier: BiPoly | None = None) -> CheckResult:
+                                    analysis: RemarkableAnalysis | None = None) -> CheckResult:
     """Equivalence check for integrals with a repeated factor: the factor
     degrees sum to deg(X) + 1 exactly when the integral has exactly one
     critical value.  Both directions are evaluated.  The critical values
-    come from `analysis`, which must be analyze(F), and `multiplier` is
-    the outcome of quotient_multiplier(F.field, X) as linearize takes it
-    (the zero polynomial when there is no quotient); each is computed
-    here when not passed.
-
-    That X annihilates H is tested as F.field = G X for a polynomial G,
-    which for a coprime X = (P, Q) is equivalent and costs no Lie
-    derivative of H.  With (P0, Q0) = F.field, H_y = R P0 and
-    H_x = -R Q0, so X(H) = R (Q P0 - P Q0).  If F.field = G X this is
-    zero.  Conversely, X(H) = 0 gives Q P0 = P Q0; as gcd(P, Q) = 1,
-    P divides P0 (and when P = 0, Q is a nonzero constant and P0 = 0), so
-    P0 = G P, and then Q0 = G Q."""
+    come from `analysis`, which must be analyze(F), computed here when not
+    passed.  That X annihilates H is tested as F.field = G X, one exact
+    division, equivalent for a coprime X (field_ops._lie_of_integral)."""
     if not any(k > 1 for _, k in F.factors):
         raise ValueError("criterion requires some exponent k_i > 1")
     if not is_coprime(X):
         raise ValueError("criterion requires a coprime field")
-    if multiplier is None:
-        multiplier = _multiplier(F, X)
-    if not multiplier:
-        raise ValueError("X does not annihilate the factored integral")
+    try:
+        quotient_multiplier(F.field, X)
+    except bp.ExactDivisionError:
+        raise ValueError("X does not annihilate the factored integral") from None
     sum_deg = sum(bp.total_degree(u) for u, _ in F.factors)
     degree_side = sum_deg == X.degree + 1
     if analysis is None:

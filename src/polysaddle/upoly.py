@@ -84,11 +84,14 @@ def scale(f: UPoly, c: Fraction) -> UPoly:
 
 
 def divmod_exact_field(f: UPoly, g: UPoly) -> tuple[UPoly, UPoly]:
-    """Quotient and remainder in Q[t]; g must be nonzero."""
+    """Quotient and remainder in Q[t]; g must be nonzero.  As f is a
+    trimmed tuple of Fractions, f shorter than g is its own remainder."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
+    if len(f) < len(g):
+        return ZERO, f
     r = list(f)
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    q = [Fraction(0)] * (len(f) - len(g) + 1)
     glc = g[-1]
     dg = len(g) - 1
     while len(r) >= len(g):

@@ -181,12 +181,22 @@ def test_critical_values_computed_once_per_command(capsys, monkeypatch, command)
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command,expansions",
-                         [("analyze", 1), ("linearize", 0), ("simulate", 1), ("all", 1)],
-                         ids=["analyze", "linearize", "simulate", "all"])
-def test_integral_expanded_once_per_command(capsys, monkeypatch, command, expansions):
+@pytest.mark.parametrize(
+    "command,field,expansions",
+    [("analyze", None, 1), ("linearize", None, 0), ("simulate", None, 1), ("all", None, 1),
+     ("construct", {"p": "3*y - x^2", "q": "6*x^3 - 2*x*y"}, 0),
+     ("construct", {"p": "1", "q": "x"}, 0), ("linearize", {"p": "1", "q": "x"}, 0)],
+    ids=["analyze", "linearize", "simulate", "all", "construct-given", "construct-wrong",
+         "linearize-wrong"])
+def test_integral_expanded_once_per_command(capsys, tmp_path, monkeypatch, command, field,
+                                            expansions):
     # H lives on the factored integral, so every command shares one
-    # expansion; a certificate that verifies never needs H at all
+    # expansion; construct tests a given field, and linearize reports a
+    # wrong one, by X(H) read off the factors, so neither needs H at all
+    doc = json.loads(open(problem("twin_parabolas.json")).read())
+    if field:
+        doc["field"] = field
+    path = write_problem(tmp_path, doc)
     calls = []
     inner = field_ops.expand
 
@@ -195,7 +205,7 @@ def test_integral_expanded_once_per_command(capsys, monkeypatch, command, expans
         return inner(F)
 
     monkeypatch.setattr(field_ops, "expand", counted)
-    code, out = run(capsys, command, problem("twin_parabolas.json"), "--format", "json")
+    code, out = run(capsys, command, path, "--format", "json")
     assert code != 4, out
     assert len(calls) == expansions
 
@@ -236,9 +246,9 @@ def test_pivot_reuses_expansion(capsys, monkeypatch, command, pivot, code, gcds,
                                            ("analyze", []), ("linearize", [])])
 @pytest.mark.parametrize("field", [None, {"p": "1", "q": "x"}], ids=["constructed", "wrong"])
 def test_multiplier_computed_once(capsys, tmp_path, monkeypatch, command, pivot, field):
-    # the single-critical-value criterion and linearize share the quotient
-    # G with G X = F.field, computed once per problem, also when a given
-    # field has none
+    # the single-critical-value criterion and linearize each take the
+    # quotient G with G X = F.field once, also when a given field has none;
+    # nothing shares G between them, so `all` takes it twice
     doc = json.loads(open(problem("twin_parabolas.json")).read())
     if field:
         doc["field"] = field
@@ -251,14 +261,13 @@ def test_multiplier_computed_once(capsys, tmp_path, monkeypatch, command, pivot,
         calls.append(X1)
         return inner(X2, X1)
 
-    # every module that binds the name; the quotient-or-zero fallback
-    # lives in field_ops
+    # every module that binds the name
     for module in (field_ops, cli, remarkable, linearize_module):
         if hasattr(module, "quotient_multiplier"):
             monkeypatch.setattr(module, "quotient_multiplier", counted)
     code, out = run(capsys, command, path, *pivot)
     assert code in (0, 1), out
-    assert len(calls) == 1
+    assert len(calls) == (2 if command == "all" else 1)
     if field and command != "analyze":
         assert "nonzero remainder" in out
 
@@ -611,7 +620,7 @@ def test_strict_flag_surfaces_inconclusive(capsys, tmp_path, monkeypatch):
         "factors": [{"poly": "x", "exponent": 2}, {"poly": "y", "exponent": 1}]})
     monkeypatch.setattr(
         cli, "single_critical_value_criterion",
-        lambda F, X, analysis, multiplier: bp.inconclusive("forced for the exit-code test"))
+        lambda F, X, analysis: bp.inconclusive("forced for the exit-code test"))
     code, out = run(capsys, "analyze", path, "--strict", "--format", "json")
     assert code == 3
     r = json.loads(out)["results"]

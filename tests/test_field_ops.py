@@ -21,9 +21,10 @@ from polysaddle.field_ops import (
     minimal_degree_check,
     quotient_multiplier,
     reduce_field,
+    _lie_of_integral,
 )
 
-from conftest import random_coprime_field, random_integral
+from conftest import random_coprime_field, random_factor, random_integral
 
 
 def fi(*pairs):
@@ -41,6 +42,10 @@ def test_factored_integral_rejects_bad_input():
         fi(("x", 0))
     with pytest.raises(ValueError, match="primitive"):
         fi(("2*x", 1))
+    with pytest.raises(ValueError, match="primitive"):
+        fi(("1/2*x + 1", 1))
+    # Fraction arithmetic leaves Fraction(1, 1) here; x + 2 is primitive
+    assert fi(("(1/2*x + 1)*2", 1)).factors[0][0] == bp.parse("x + 2")
     with pytest.raises(ValueError, match="share the divisor"):
         fi(("x*y", 1), ("x", 2))
 
@@ -158,6 +163,22 @@ def test_lie_derivative_oracle():
 def test_is_first_integral_rejects_wrong_field():
     X = VectorField(bp.parse("x"), bp.parse("y"))
     assert not is_first_integral(X, bp.parse("x*y"))
+
+
+def test_lie_of_integral_matches_the_expanded_integral():
+    # X(H) = R (P0 Q - Q0 P) read off the factors, against the Lie
+    # derivative of the expanded H, for a coprime field that does not
+    # annihilate H, the constructed field and a non-coprime multiple of it
+    rng = random.Random(1907)
+    for _ in range(40):
+        F = random_integral(rng, max_p=3, max_k=3)
+        H = expand(F)
+        g = random_factor(rng, max_deg=2)
+        fields = (random_coprime_field(rng), F.field,
+                  VectorField(bp.mul(g, F.field.P), bp.mul(g, F.field.Q)))
+        for X in fields:
+            assert _lie_of_integral(F, X) == lie_derivative(X, H), (str(F), str(X))
+        assert _lie_of_integral(F, fields[0]), str(F)
 
 
 # reduction and multipliers

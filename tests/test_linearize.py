@@ -217,9 +217,11 @@ def test_witness_is_the_lie_derivative_at_every_pivot():
         lie = lie_derivative(bad, expand(F))
         assert not bp.is_zero(lie)
         for pivot in range(1, F.p + 1):
+            split = factor_split(F, pivot)
             with pytest.raises(bp.ExactDivisionError) as ei:
-                linearize(factor_split(F, pivot), bad)
+                linearize(split, bad)
             assert ei.value.remainder == lie
+            assert "H" not in vars(split)  # the witness is read off the factors
         done += 1
 
 
@@ -238,16 +240,22 @@ def test_degenerate_split_with_wrong_field_reports_the_lie_derivative():
 def test_verified_certificate_never_expands_the_integral(monkeypatch):
     # G X = F.field and D != 0 imply X(H) = 0 and both saddle pullbacks
     # (module docstring), so a certificate that verifies expands no H and
-    # takes no Lie derivative; assert_certificate rechecks the pullbacks
+    # takes no Lie derivative, of H or read off the factors;
+    # assert_certificate rechecks the pullbacks
     calls = []
-    inner = field_ops.lie_derivative
+    inner, inner_factored = field_ops.lie_derivative, field_ops._lie_of_integral
 
     def counted(X, H):
         calls.append(H)
         return inner(X, H)
 
+    def counted_factored(F, X):
+        calls.append(F)
+        return inner_factored(F, X)
+
     monkeypatch.setattr(field_ops, "lie_derivative", counted)
-    monkeypatch.setattr(linearize_module, "lie_derivative", counted)
+    monkeypatch.setattr(field_ops, "_lie_of_integral", counted_factored)
+    monkeypatch.setattr(linearize_module, "_lie_of_integral", counted_factored)
     F = fi(("x", 1), ("y", 2), ("x + y - 1", 1))
     X = reduced_constructed_field(F)
     splits = [F] + [factor_split(F, pivot) for pivot in range(1, F.p + 1)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from polysaddle import bipoly as bp
-from polysaddle import cli, upoly
+from polysaddle import cli, remarkable, upoly
 from polysaddle.field_ops import (
     FactoredIntegral,
     VectorField,
@@ -249,7 +249,8 @@ def test_critical_values_agree_with_elimination_route():
 
 def test_gradient_gcd_from_factors():
     # H_y = R*P0 and H_x = -R*Q0, so gcd(H_x, H_y) = R*gcd(P0, Q0); analyze
-    # relies on this instead of a gcd of the expanded H's partials
+    # reads the levels off gcd(P0, Q0), plus 0 for R, instead of a gcd of
+    # the expanded H's partials
     rng = random.Random(2718)
     integrals = [random_line_family(rng, max_p=4) for _ in range(20)]
     integrals += [random_integral(rng, max_p=2, max_deg=3, max_k=2) for _ in range(40)]
@@ -261,6 +262,35 @@ def test_gradient_gcd_from_factors():
         got = bp.normalize(bp.mul(integrating_factor(F), X0.common_factor))
         assert got == want, str(F)
         assert analyze(F).critical_values == tuple(critical_remarkable_values(H)[0]), str(F)
+
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+@pytest.mark.parametrize("F", [
+    cli.load_problem(os.path.join(HERE, "fixtures", "slow_levels.json")).integral,
+    fi(("x^2 - 2", 3), ("x", 1)),
+    fi(("y", 2), ("y - 3", 1), ("y^2 + 1", 2)),
+], ids=["slow-levels", "y-free", "x-free"])
+def test_analyze_levels_off_the_field_common_factor(monkeypatch, F):
+    # R = 0 lies on the level 0, so analyze passes only g = gcd(P0, Q0) to
+    # critical_levels; g is nonconstant here, so its levels are not just 0,
+    # and the values and residual are those of the bare-H route
+    assert not bp.is_const(F.field.common_factor)
+    seen = []
+    inner = remarkable.critical_levels
+
+    def counted(H, G):
+        seen.append(G)
+        return inner(H, G)
+
+    monkeypatch.setattr(remarkable, "critical_levels", counted)
+    a = analyze(F)
+    monkeypatch.undo()
+    assert seen == [F.field.common_factor]
+    values, residual = critical_remarkable_values(expand(F))
+    assert a.critical_values == tuple(values)
+    assert a.residual == residual
 
 
 def test_factor_bookkeeping_multiplies_back_to_the_integral():
@@ -302,7 +332,7 @@ def _annihilation_cases(rng):
 
 def test_annihilation_by_division_agrees_with_lie_derivative():
     # the criterion tests F.field = G X instead of X(H) = 0; for coprime X
-    # the two are equivalent (proof in its docstring)
+    # the two are equivalent (proof in field_ops._lie_of_integral)
     rng = random.Random(2720)
     cases = _annihilation_cases(rng)
     seen = {True: 0, False: 0}

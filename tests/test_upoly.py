@@ -47,6 +47,15 @@ def test_divmod_exact():
         up.divmod_exact_field(f, ())
 
 
+def test_rem_returns_a_shorter_dividend_itself():
+    # a UPoly is trimmed, so a dividend shorter than the divisor is its own
+    # remainder and is handed back without a copy
+    f = up.make([Fraction(1, 2), 3])
+    g = up.make([-1, 0, 1])
+    assert up.rem(f, g) is f
+    assert up.divmod_exact_field(f, g) == (up.ZERO, f)
+
+
 def test_gcd_oracle():
     f = up.mul(up.make([1, 1]), up.make([-2, 1]))
     g = up.mul(up.make([1, 1]), up.make([3, 1]))
