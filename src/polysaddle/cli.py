@@ -20,14 +20,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import bipoly as bp
 from . import numcheck, upoly
-from .bipoly import BiPoly, CheckResult, ParseError
+from .bipoly import CheckResult, ParseError
 from .cz_check import cz_report
 from .field_ops import (FactoredIntegral, VectorField, cofactor, minimal_degree_check,
-                        reduce_field, _divergence, _lie_of_integral, _potential)
+                        _divergence, _lie_of_integral, _potential)
 from .linearize import factor_split, linearize
 from .remarkable import (analyze, integral_degree_check,
                          inverse_factor_degree_check,
@@ -40,9 +39,9 @@ class ProblemError(Exception):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A loaded problem.  The expanded integral and the constructed field
-    live on the integral (integral.H, integral.field); the reduction of
-    the constructed field is built here on first use and shared by every
+    """A loaded problem.  The expanded integral, the constructed field and
+    its reduction live on the integral (integral.H, integral.field,
+    integral.field.reduced), built on first use and shared by every
     command run on the problem."""
 
     name: str
@@ -53,16 +52,11 @@ class ProblemSpec:
     def field_given(self) -> bool:
         return self.given_field is not None
 
-    @cached_property
-    def reduced(self) -> tuple[VectorField, BiPoly]:
-        """The constructed field split as (X', g) by reduce_field."""
-        return reduce_field(self.integral.field)
-
     @property
     def field(self) -> VectorField:
         """The field under study: the given one, else the reduced
         constructed one."""
-        return self.reduced[0] if self.given_field is None else self.given_field
+        return self.integral.field.reduced[0] if self.given_field is None else self.given_field
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -174,7 +168,7 @@ def _exit_code(results: dict, strict: bool) -> int:
 def cmd_construct(spec: ProblemSpec) -> dict:
     F = spec.integral
     X0 = F.field
-    Xr, g = spec.reduced
+    Xr, g = X0.reduced
     coprime = (bp.holds("gcd(P, Q) is constant") if bp.total_degree(g) == 0
                else bp.fails(bp.to_string(g), "P and Q share a factor"))
     out = {

@@ -23,7 +23,6 @@ detection by divergence, and cofactors of invariant curves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -36,9 +35,9 @@ from .bipoly import BiPoly, CheckResult
 class VectorField:
     """Polynomial field (P, Q), not both zero.
 
-    The common factor gcd(P, Q) is computed on first use and kept on the
-    instance, so is_coprime, reduce_field and minimal_degree_check pay for
-    one bivariate gcd per field however often they are asked.
+    gcd(P, Q) and the reduction are computed on first use and kept on the
+    instance (common_factor, reduced), so is_coprime, reduce_field and
+    minimal_degree_check pay for one bivariate gcd per field.
     """
 
     P: BiPoly
@@ -57,14 +56,18 @@ class VectorField:
         """gcd(P, Q), normalized."""
         return bp.gcd(self.P, self.Q)
 
+    @cached_property
+    def reduced(self) -> tuple[VectorField, BiPoly]:
+        """reduce_field(self)."""
+        return reduce_field(self)
+
     def __str__(self) -> str:
         return f"({bp.to_string(self.P)}, {bp.to_string(self.Q)})"
 
 
 def _is_primitive(u: BiPoly) -> bool:
-    # numerators: Fraction arithmetic can leave Fraction(n, 1), which math.gcd rejects
-    return (all(c.denominator == 1 for c in u.values())
-            and math.gcd(*(c.numerator for c in u.values())) == 1)
+    n = bp.normalize(u)
+    return u == n or u == bp.neg(n)
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,9 @@ def _lie_of_integral(F: FactoredIntegral, X: VectorField) -> BiPoly:
     for a polynomial G: that makes the bracket G (P Q - Q P) = 0, and
     conversely P0 Q = Q0 P with gcd(P, Q) = 1 makes P divide P0 (when
     P = 0, Q is a nonzero constant and P0 = 0), so P0 = G P and Q0 = G Q.
-    That division is the cheaper test; the bracket is for the witness."""
+    Then G is gcd(P0, Q0) up to a constant, so X is a constant multiple of
+    F.field.reduced[0].  Both tests cost far less than the bracket, which
+    is for the witness."""
     P0, Q0, _, R = F.product_field
     bracket = bp.sub(bp.mul(P0, X.Q), bp.mul(Q0, X.P))
     return bp.mul(R, bracket) if bracket else bracket

@@ -43,7 +43,7 @@ from fractions import Fraction
 from . import bipoly as bp
 from . import upoly
 from .bipoly import BiPoly, CheckResult
-from .field_ops import FactoredIntegral, VectorField, is_coprime, quotient_multiplier, _divergence
+from .field_ops import FactoredIntegral, VectorField, is_coprime, _divergence
 from .upoly import UPoly
 
 
@@ -146,16 +146,18 @@ def single_critical_value_criterion(F: FactoredIntegral, X: VectorField,
     degrees sum to deg(X) + 1 exactly when the integral has exactly one
     critical value.  Both directions are evaluated.  The critical values
     come from `analysis`, which must be analyze(F), computed here when not
-    passed.  That X annihilates H is tested as F.field = G X, one exact
-    division, equivalent for a coprime X (field_ops._lie_of_integral)."""
+    passed.  That a coprime X annihilates H is tested as X being a
+    constant multiple of F.field.reduced[0], which is equivalent
+    (field_ops._lie_of_integral) and needs no quotient."""
     if not any(k > 1 for _, k in F.factors):
         raise ValueError("criterion requires some exponent k_i > 1")
     if not is_coprime(X):
         raise ValueError("criterion requires a coprime field")
-    try:
-        quotient_multiplier(F.field, X)
-    except bp.ExactDivisionError:
-        raise ValueError("X does not annihilate the factored integral") from None
+    Xr, _ = F.field.reduced
+    A, B = (X.P, Xr.P) if X.P else (X.Q, Xr.Q)
+    c = Fraction(bp.leading_term(A)[1]) / bp.leading_term(B)[1] if B else 0
+    if not c or X != VectorField(bp.scalar_mul(c, Xr.P), bp.scalar_mul(c, Xr.Q)):
+        raise ValueError("X does not annihilate the factored integral")
     sum_deg = sum(bp.total_degree(u) for u, _ in F.factors)
     degree_side = sum_deg == X.degree + 1
     if analysis is None:

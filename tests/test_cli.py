@@ -162,8 +162,8 @@ def test_dense_pair_cz_bounded(capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "all"])
 def test_critical_values_computed_once_per_command(capsys, monkeypatch, command):
-    # analyze reads the gradient gcd off the factors and goes straight to
-    # the level computation; the bare-H entry point is not used
+    # analyze passes gcd(P0, Q0) to critical_levels and adds the level 0
+    # when R is nonconstant; the bare-H entry point is not used
     calls = []
     inner = remarkable.critical_levels
 
@@ -246,9 +246,10 @@ def test_pivot_reuses_expansion(capsys, monkeypatch, command, pivot, code, gcds,
                                            ("analyze", []), ("linearize", [])])
 @pytest.mark.parametrize("field", [None, {"p": "1", "q": "x"}], ids=["constructed", "wrong"])
 def test_multiplier_computed_once(capsys, tmp_path, monkeypatch, command, pivot, field):
-    # the single-critical-value criterion and linearize each take the
-    # quotient G with G X = F.field once, also when a given field has none;
-    # nothing shares G between them, so `all` takes it twice
+    # only linearize takes the quotient G with G X = F.field, once, also
+    # when a given field has none; the single-critical-value criterion
+    # compares X with the reduced constructed field instead, so every
+    # command takes G at most once per problem
     doc = json.loads(open(problem("twin_parabolas.json")).read())
     if field:
         doc["field"] = field
@@ -267,7 +268,7 @@ def test_multiplier_computed_once(capsys, tmp_path, monkeypatch, command, pivot,
             monkeypatch.setattr(module, "quotient_multiplier", counted)
     code, out = run(capsys, command, path, *pivot)
     assert code in (0, 1), out
-    assert len(calls) == (2 if command == "all" else 1)
+    assert len(calls) == (0 if command == "analyze" else 1)
     if field and command != "analyze":
         assert "nonzero remainder" in out
 

@@ -331,8 +331,9 @@ def _annihilation_cases(rng):
 
 
 def test_annihilation_by_division_agrees_with_lie_derivative():
-    # the criterion tests F.field = G X instead of X(H) = 0; for coprime X
-    # the two are equivalent (proof in field_ops._lie_of_integral)
+    # the criterion tests that X is a constant multiple of the reduced
+    # constructed field instead of X(H) = 0; for coprime X the two are
+    # equivalent (proof in field_ops._lie_of_integral)
     rng = random.Random(2720)
     cases = _annihilation_cases(rng)
     seen = {True: 0, False: 0}
@@ -389,6 +390,21 @@ def test_single_critical_value_criterion_preconditions():
         single_critical_value_criterion(TWIN, bad)
     with pytest.raises(ValueError, match="annihilate"):
         single_critical_value_criterion(TWIN, VectorField(bp.parse("x"), bp.parse("y")))
+
+
+def test_criterion_annihilation_up_to_a_constant():
+    # H = x^2 (x + 1) is y-free: the reduced constructed field is (0, c),
+    # so the coprime fields annihilating H are (0, q), q a nonzero constant
+    F = fi(("x", 2), ("x + 1", 1))
+    Xr, _ = reduce_field(construct_field(F))
+    assert bp.is_zero(Xr.P) and bp.is_const(Xr.Q)
+    for q in ("5", "-1/3"):
+        single_critical_value_criterion(F, VectorField({}, bp.parse(q)))
+    for P, Q in (("1", "0"), ("1", "1"), ("x", "1")):
+        X = VectorField(bp.parse(P), bp.parse(Q))
+        assert not is_first_integral(X, expand(F))
+        with pytest.raises(ValueError, match="annihilate"):
+            single_critical_value_criterion(F, X)
 
 
 def test_single_critical_value_criterion_inconclusive():
