@@ -22,7 +22,9 @@ of degree 1, 3 and 5, each built from random lines with H their product,
 timed warm and cold (in trees that cache float kernels, a cold call
 clears the caches first); and the gcd pairs the commands meet most: two
 coprime lines, the leading forms ax + by of two lines, and two dense
-conics times x^2 y and x y^3.  A coefficient is an int where it is
+conics times x^2 y and x y^3; and start-up, a fresh interpreter that
+imports polysaddle.cli, timed beside one that runs `pass` (the in-process
+cases cannot see import cost).  A coefficient is an int where it is
 an integer, as the program holds it (bipoly).  Every product is
 checked against a schoolbook reference kept in this file, and timed
 beside it; every gcd must be divisible by the planted factor and equal
@@ -46,6 +48,8 @@ round is recorded as a timeout instead of being waited for.
     PYTHONPATH=src python3 scripts/bench_layers.py --out layers.json
     python3 scripts/bench_layers.py --out BENCH.json --src parent=../old/src --src change=src
     python3 scripts/bench_layers.py --out gcd.json --only '^gcd-|^coprime-'
+    python3 scripts/bench_layers.py --out BENCH.json --only '^(startup|mul-)' \
+        --src parent=../old/src --src change=src
 
 --only PATTERN runs just the cases whose names match the regular
 expression (Python's re.search).
@@ -57,7 +61,10 @@ times each case as the median of five batches of calls; the JSON holds,
 per tree and case, the median and quartiles of the per-call times over
 the rounds, in microseconds ("reference" for the schoolbook product,
 "linearize" for the second timing of a field case, "cold" for an orbit
-case's cold calls).
+case's cold calls, "baseline" for the interpreter that runs `pass` beside
+the start-up case).  A start-up run inherits the worker's environment, so
+PYTHONDONTWRITEBYTECODE decides whether it may read and write bytecode
+caches.
 """
 
 from __future__ import annotations
@@ -441,6 +448,7 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
     out += _variety_cases(rng)
     out += _orbit_cases(rng)
     out += _gcd_path_cases(rng)  # drawn last, so no earlier operand changes
+    out.append(("startup", "startup", "import polysaddle.cli", "pass", None))
     return [case for case in out if re.search(only, case[0])]
 
 
@@ -463,6 +471,12 @@ def _time(fn, f, g) -> float:
     return median(times)
 
 
+def _interpreter(code: str, _=None) -> int:
+    """Exit code of a fresh interpreter that runs `code`; its output is
+    dropped, since the worker's own standard output carries its result."""
+    return subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL).returncode
+
+
 def _timeout(signum, frame):
     raise TimeoutError
 
@@ -470,8 +484,8 @@ def _timeout(signum, frame):
 def worker(only: str = "") -> dict:
     """One round in this process over the cases whose names match the
     regular expression `only`: {case: {"us", "reference_us" (mul),
-    "linearize_us" (field), "ok"}}, or {case: {"timeout": true}} when the
-    case ran past CAP_S seconds."""
+    "linearize_us" (field), "baseline_us" (startup), "ok"}}, or
+    {case: {"timeout": true}} when the case ran past CAP_S seconds."""
     from polysaddle import bipoly as bp
     from polysaddle import numcheck
     from polysaddle import upoly as up
@@ -555,6 +569,10 @@ def worker(only: str = "") -> dict:
                       and certificate_holds(cert, X.P, X.Q))
                 out[name] = {"us": _time(construct, F, None),
                              "linearize_us": _time(linearize_fresh, F, X), "ok": ok}
+            elif op == "startup":
+                ok = _interpreter(f) == _interpreter(g) == 0
+                out[name] = {"us": _time(_interpreter, f, None),
+                             "baseline_us": _time(_interpreter, g, None), "ok": ok}
             elif op == "orbit":
                 X = VectorField(f, g)
                 H, x0, y0, step = planted
@@ -621,7 +639,8 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "cap_s": CAP_S,
         "trees": [label for label, _ in trees],
-        "cases": {name: {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])}
+        "cases": {name: ({"op": op, "code": f} if op == "startup" else
+                         {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])})
                   for name, op, f, g, _ in cases(args.only)},
         "results": results,
     }

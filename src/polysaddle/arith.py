@@ -6,6 +6,11 @@ root approximations, then an exact interval Newton step over rational
 complex rectangles certifies that each box holds exactly one simple root
 of the square-free part.  Everything the certificates assert is checked
 in exact arithmetic; floating point is only used to find starting boxes.
+
+mpmath is imported by isolate_complex_roots itself, and only once a
+factor without rational roots is left to approximate: it is the largest
+part of the package's import time, and only a CZ witness with irrational
+coordinates needs it.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import mpmath
 
 from . import upoly
 from .upoly import UPoly
@@ -210,6 +213,8 @@ def isolate_complex_roots(coeffs: Sequence[Rat]) -> list[RootBox]:
             g = upoly.divmod_exact_field(g, upoly.make([-r, 1]))[0]
         if upoly.degree(g) < 1:
             continue
+        import mpmath  # loaded on first use (module docstring)
+
         gp = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(g)]
         for attempt, prec in enumerate((120, 240, 480, 960)):
             with mpmath.workprec(prec):

@@ -24,8 +24,10 @@ Comput. 44, 2009): denominators are cleared, each operand is packed into
 one Python integer with a digit per monomial wide enough for any product
 coefficient and its sign, the two integers are multiplied once, and the
 signed digits are unpacked in linear time.  A single-term operand is
-shifted and scaled instead, and a sparse high-degree pair, whose packed
-span far exceeds its number of term pairs, keeps the schoolbook loop.
+shifted and scaled instead.  A small pair, of at most _SCHOOLBOOK_PAIRS
+term pairs, and a sparse high-degree pair, whose packed span far exceeds
+its number of term pairs, take the schoolbook loop, run on the same
+cleared numerators.
 
 A gcd with a nonzero constant operand is 1 at once.  Otherwise the
 monomial content x^a y^b of each operand is split off first, and the gcd
@@ -134,15 +136,9 @@ def sub(f: BiPoly, g: BiPoly) -> BiPoly:
     return add(f, neg(g))
 
 
-def _mul_schoolbook(f: BiPoly, g: BiPoly) -> BiPoly:
-    out: BiPoly = {}
-    for (i1, j1), c1 in f.items():
-        for (i2, j2), c2 in g.items():
-            e = (i1 + i2, j1 + j2)
-            s = out.get(e)
-            out[e] = c1 * c2 if s is None else s + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
+# mul takes the schoolbook loop up to this many term pairs #f * #g, where
+# packing costs more than the loop (scripts/bench_layers.py, BENCH_20.json)
+_SCHOOLBOOK_PAIRS = 100
 
 # struct codes for the digit widths (in bytes) that fit a machine word
 _DIGIT_FMT = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -158,6 +154,23 @@ def _numerators(f: BiPoly) -> tuple[list[int], int]:
     if den == 1:
         return [c.numerator for c in f.values()], 1
     return [c.numerator * (den // c.denominator) for c in f.values()], den
+
+
+def _mul_schoolbook(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Product by the double loop over term pairs, on the integer
+    numerators of den(f)*f and den(g)*g, divided by den(f)*den(g) once."""
+    fv, fden = _numerators(f)
+    gv, gden = _numerators(g)
+    gterms = list(zip(g, gv))
+    out: dict[tuple[int, int], int] = {}
+    for (i1, j1), c1 in zip(f, fv):
+        for (i2, j2), c2 in gterms:
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, 0) + c1 * c2
+    den = fden * gden
+    if den == 1:
+        return {e: c for e, c in out.items() if c}
+    return {e: Fraction(c, den) for e, c in out.items() if c}
 
 
 def _to_digits(digits: list[int], nb: int) -> int:
@@ -192,10 +205,11 @@ def mul(f: BiPoly, g: BiPoly) -> BiPoly:
     holds it with its sign.  Both operands are packed with every digit
     offset by half the digit range, so packing and unpacking are single
     linear-time byte conversions and one big-integer product does the
-    work.  Single-term operands are shifted and scaled; a pair whose
-    packed span exceeds 4*#f*#g (sparse, high degree) would pay more per
-    empty digit than the schoolbook loop pays per term pair, and takes
-    that loop.
+    work.  Single-term operands are shifted and scaled.  Packing costs
+    about as much as the loop over 100 term pairs, so a pair with no
+    more pairs than that takes the loop, and so does a pair whose packed
+    span exceeds 4*#f*#g (sparse, high degree), which would pay more per
+    empty digit than the loop pays per term pair.
     """
     if not f or not g:
         return {}
@@ -204,6 +218,8 @@ def mul(f: BiPoly, g: BiPoly) -> BiPoly:
             f, g = g, f
         ((a, b), c), = g.items()
         return {(i + a, j + b): d * c for (i, j), d in f.items()}
+    if len(f) * len(g) <= _SCHOOLBOOK_PAIRS:
+        return _mul_schoolbook(f, g)
     fi, fj = zip(*f)
     gi, gj = zip(*g)
     fi0, fj0, gi0, gj0 = min(fi), min(fj), min(gi), min(gj)

@@ -1,4 +1,5 @@
-"""The root cases of the layer benchmark expect what rational_roots returns.
+"""The root cases of the layer benchmark expect what rational_roots returns,
+and its start-up case runs.
 
 `scripts/bench_layers.py` marks a case ok when the program's result equals
 the expected value stored with the case, so an expected value that drifts
@@ -20,3 +21,10 @@ def test_root_cases_expect_distinct_rational_roots():
     assert cases
     for name, _, f, _, want in cases:
         assert upoly.rational_roots(upoly.make(f)) == want, name
+
+
+def test_startup_case_times_fresh_interpreters(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", os.path.join(os.path.dirname(HERE), "src"))
+    row = runpy.run_path(SCRIPT)["worker"]("^startup$")["startup"]
+    assert row["ok"]
+    assert row["us"] > 0 and row["baseline_us"] > 0

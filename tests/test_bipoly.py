@@ -147,16 +147,24 @@ def reference_mul(f, g):
 
 
 wide_rats = st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**6)
+wide_coeffs = st.one_of(wide_rats, st.integers(min_value=-10**30, max_value=10**30))
 wide_exps = st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
 
 
-@given(st.dictionaries(wide_exps, wide_rats, max_size=12),
-       st.dictionaries(wide_exps, wide_rats, max_size=12))
+# bp._SCHOOLBOOK_PAIRS as the module sets it, then at 0, which packs every
+# product of two multi-term operands whose packed span allows it, and at
+# 10**9, which sends every product through the loop
+@pytest.mark.parametrize("pairs", [bp._SCHOOLBOOK_PAIRS, 0, 10**9],
+                         ids=["cutoff", "packed", "loop"])
+@given(st.dictionaries(wide_exps, wide_coeffs, max_size=12),
+       st.dictionaries(wide_exps, wide_coeffs, max_size=12))
 @settings(max_examples=200, deadline=None)
-def test_mul_matches_schoolbook(f, g):
+def test_mul_matches_schoolbook(pairs, f, g):
     f = {e: c for e, c in f.items() if c}
     g = {e: c for e, c in g.items() if c}
-    assert bp.mul(f, g) == reference_mul(f, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bp, "_SCHOOLBOOK_PAIRS", pairs)
+        assert bp.mul(f, g) == reference_mul(f, g)
 
 
 @pytest.mark.parametrize("f, g, want", [

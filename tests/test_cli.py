@@ -3,6 +3,8 @@
 import importlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -635,3 +637,49 @@ def test_text_format_renders_nested(capsys):
     assert code == 0
     assert "problem: product-saddle" in out
     assert "status: Holds" in out
+
+
+# start-up: mpmath is imported only to approximate irrational roots
+
+MAIN_IN_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+from polysaddle import cli
+codes = []
+for command in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes.append(cli.main([command, sys.argv[1]]))
+print(json.dumps({"codes": codes, "last": out.getvalue(), "mpmath": "mpmath" in sys.modules}))
+"""
+
+
+def main_in_fresh_interpreter(path, *commands):
+    """Exit codes, the last command's text report and whether mpmath was
+    loaded, from polysaddle.cli.main run on path in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", MAIN_IN_FRESH_INTERPRETER, path, *commands],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_commands_leave_mpmath_unloaded():
+    got = main_in_fresh_interpreter(problem("three_lines.json"), "construct", "analyze", "cz",
+                                    "linearize", "simulate", "all")
+    assert got["codes"] == [0, 0, 1, 0, 0, 1]
+    assert not got["mpmath"]
+
+
+def test_irrational_witness_loads_mpmath(tmp_path):
+    path = write_problem(tmp_path, {
+        "name": "triple-point-20bit-irrational",
+        "factors": [{"poly": "x^2 - 540418", "exponent": 1}, {"poly": "y", "exponent": 2},
+                    {"poly": "-x^2 + y + 540418", "exponent": 1}],
+    })
+    got = main_in_fresh_interpreter(path, "cz")
+    assert got["codes"] == [1]
+    assert got["mpmath"]
+    assert ("condition_iii_transversal_no_triples:\n"
+            "  status: Fails\n"
+            "  witness: x in certified boxes re in [-735.131, -735.131], "
+            "im in [-5.6999e-14, 5.6999e-14]; re in [735.131, 735.131], "
+            "im in [-5.6999e-14, 5.6999e-14] (roots of x^2 - 540418), y = 0\n"
+            "  reason: no triple points: curves 1,2,3 meet\n") in got["last"]
