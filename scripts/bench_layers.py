@@ -22,14 +22,18 @@ of degree 1, 3 and 5, each built from random lines with H their product,
 timed warm and cold (in trees that cache float kernels, a cold call
 clears the caches first); and the gcd pairs the commands meet most: two
 coprime lines, the leading forms ax + by of two lines, and two dense
-conics times x^2 y and x y^3; and start-up, a fresh interpreter that
+conics times x^2 y and x y^3; and two pairs the image proof leaves to
+the modular gcd, (x - y^2)(x + y + 2) against (y - 1)(x + y + 2) and the
+16-line field (P0, Q0) times x - y and x - 1 and the common factor
+x + y + 2; and start-up, a fresh interpreter that
 imports polysaddle.cli, timed beside one that runs `pass` (the in-process
 cases cannot see import cost).  A coefficient is an int where it is
 an integer, as the program holds it (bipoly).  Every product is
 checked against a schoolbook reference kept in this file, and timed
-beside it; every gcd must be divisible by the planted factor and equal
-bipoly._gcd_prs, the subresultant route, and every coprime pair's gcd
-must be 1; every root list must equal the distinct planted roots; the
+beside it; every gcd must divide both operands and leave cofactors that
+reference_coprime, which uses no gcd routine of the program, proves
+coprime (gcd_ok), the planted factor must divide it, and every coprime
+pair's gcd must be 1; every root list must equal the distinct planted roots; the
 constructed field, and G times the reduced field from each linearization
 certificate, must equal the construction formula written out with
 schoolbook products, and each certificate's D = K1 K4 - K2 K3 and both
@@ -97,6 +101,62 @@ def reference_mul(f: dict, g: dict) -> dict:
             e = (i1 + i2, j1 + j2)
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def _image(f: dict, t: int, swap: bool) -> list:
+    """f(t, y), or f(x, t) with swap, as Fraction coefficients, lowest
+    degree first, the leading one last even when it is zero."""
+    if swap:
+        f = {(j, i): c for (i, j), c in f.items()}
+    out = [Fraction(0)] * (max(j for _, j in f) + 1)
+    for (i, j), c in f.items():
+        out[j] += c * t**i
+    return out
+
+
+def _gcd_degree(a: list, b: list) -> int:
+    """Degree of gcd(a, b) in Q[y] by Euclid; a, b are Fraction lists,
+    lowest degree first, not both zero."""
+    while b and not b[-1]:
+        b = b[:-1]
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            for k, c in enumerate(b):
+                r[len(r) - len(b) + k] -= q * c
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return len(a) - 1
+
+
+def reference_coprime(f: dict, g: dict) -> bool:
+    """True when nonzero f and g are proved to share no nonconstant factor
+    over Q.  A common factor of positive y-degree keeps that degree at any
+    x = t where lc_y(f) does not vanish and divides f(t, y) and g(t, y), so
+    a constant gcd of those images at such a t rules it out; images at
+    y = t rule out one of positive x-degree.  t runs over 0..7."""
+    for swap in (False, True):
+        for t in range(8):
+            a, b = _image(f, t, swap), _image(g, t, swap)
+            if a[-1] and _gcd_degree(a, b) == 0:
+                break
+        else:
+            return False
+    return True
+
+
+def gcd_ok(op: str, f: dict, g: dict, planted) -> bool:
+    """Whether bipoly.gcd(f, g) is the gcd, checked with no gcd routine of
+    the program: it is normalized, it divides f and g, and
+    reference_coprime proves the cofactors coprime.  A "gcd" case's
+    planted factor must divide it, and a "coprime" case's gcd must be 1."""
+    from polysaddle import bipoly as bp
+    got = bp.gcd(f, g)
+    (a, ra), (b, rb) = bp.divmod_lt(f, got), bp.divmod_lt(g, got)
+    return (got == bp.normalize(got) and not ra and not rb and reference_coprime(a, b)
+            and (bp.divides(bp.normalize(planted), got) if op == "gcd" else got == bp.ONE))
 
 
 def _coeff(v: Fraction) -> int | Fraction:
@@ -417,6 +477,19 @@ def _gcd_path_cases(rng: random.Random) -> list:
              reference_mul({(1, 3): 1}, b), {(1, 1): 1})]
 
 
+def _gcd_modular_cases() -> list:
+    """Pairs with a common factor that the image proof leaves to the
+    modular gcd: one on which every base of the heuristic gcd on Kronecker
+    images failed, and the 16-line field times x - y and x - 1, on which
+    the subresultant PRS took about 30 s."""
+    c = _as_line(1, 1, 2)
+    P0, Q0 = literal_field(_line_factors(MANY_LINES))
+    P, Q = reference_mul(P0, _as_line(1, -1, 0)), reference_mul(Q0, _as_line(1, 0, -1))
+    return [("gcd-heu-fails", "gcd", reference_mul({(1, 0): 1, (0, 2): -1}, c),
+             reference_mul(_as_line(0, 1, -1), c), c),
+            ("gcd-many-lines-16-common", "gcd", reference_mul(P, c), reference_mul(Q, c), c)]
+
+
 def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
     """(name, op, f, g, planted factor or roots), the same every run, for
     the cases whose names match the regular expression `only`."""
@@ -448,6 +521,7 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
     out += _variety_cases(rng)
     out += _orbit_cases(rng)
     out += _gcd_path_cases(rng)  # drawn last, so no earlier operand changes
+    out += _gcd_modular_cases()
     out.append(("startup", "startup", "import polysaddle.cli", "pass", None))
     return [case for case in out if re.search(only, case[0])]
 
@@ -545,12 +619,8 @@ def worker(only: str = "") -> dict:
                 ok = bp.mul(f, g) == reference_mul(f, g) == bp.mul(g, f)
                 out[name] = {"us": _time(bp.mul, f, g),
                              "reference_us": _time(reference_mul, f, g), "ok": ok}
-            elif op == "gcd":
-                got = bp.gcd(f, g)
-                ok = got == bp._gcd_prs(f, g) and bp.divides(bp.normalize(planted), got)
-                out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
-            elif op == "coprime":
-                ok = bp.gcd(f, g) == bp.ONE
+            elif op in ("gcd", "coprime"):
+                ok = gcd_ok(op, f, g, planted)
                 out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
             elif op == "resultant":
                 ok = resultant(f, g) == bp.det_bareiss(sylvester_y(f, g))

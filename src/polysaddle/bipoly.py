@@ -9,15 +9,15 @@ compare total degree first, then the x exponent.
 A coefficient is an int or a Fraction, never a float; integers stay ints,
 since int arithmetic is two orders of magnitude cheaper than Fraction
 arithmetic.  The constants ONE, X and Y, const, scalar_mul, the parser,
-mul's unpacking, normalize and GCDHEU's candidate yield an int for every
-integer value, and the two true divisions (in divmod_lt and in the
-antiderivatives of field_ops) go through _div, which returns an int when
-the quotient is one.  A Fraction is left for a value that is not an
-integer, for the integer-valued result of arithmetic on Fractions
-(1/2 + 1/2, or a product of operands with denominators), and for a value
-taken over from upoly, whose coefficients are Fractions.  An int and
-Fraction(n, 1) are equal, hash alike and print alike, so no result or
-report depends on which of the two a coefficient is.
+mul's unpacking and normalize yield an int for every integer value, and
+the two true divisions (in divmod_lt and in the antiderivatives of
+field_ops) go through _div, which returns an int when the quotient is
+one.  A Fraction is left for a value that is not an integer, for the
+integer-valued result of arithmetic on Fractions (1/2 + 1/2, or a
+product of operands with denominators), and for a value taken over from
+upoly, whose coefficients are Fractions.  An int and Fraction(n, 1) are
+equal, hash alike and print alike, so no result or report depends on
+which of the two a coefficient is.
 
 Products use Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic
 Comput. 44, 2009): denominators are cleared, each operand is packed into
@@ -30,27 +30,16 @@ its number of term pairs, take the schoolbook loop, run on the same
 cleared numerators.
 
 A gcd with a nonzero constant operand is 1 at once.  Otherwise the
-monomial content x^a y^b of each operand is split off first, and the gcd
-is x^min y^min times the gcd of what is left, which x and y do not
-divide.  That gcd first tries to prove coprimality: if for some integer
-t the images f(t, y) and g(t, y) mod p = 2^61 - 1 have a constant gcd,
-where lc_y(f) or lc_y(g) does not vanish at t mod p, then f and g share
-no factor of positive y-degree, and the same test at y = t rules out
-positive x-degree.  Up to three small t are tried per direction, then
-three large ones; at t = 0 the image is read off the terms free of the
-variable set to t, and two images of degree 1 are decided by one 2x2
-determinant mod p.  Otherwise (a common factor, or a leading coefficient
-that vanishes at every t tried) the heuristic gcd (GCDHEU: Char, Geddes
-& Gonnet, J. Symbolic Comput. 7, 1989) runs on the Kronecker images that
-mul packs:
-one integer gcd gives a candidate, which is kept only once an exact
-divisibility proof in Z[x, y] shows it divides both primitive parts, and
-is then the gcd.  If no candidate passes at three bases, a subresultant
-polynomial remainder sequence over Q[x][y] after content/primitive
-splitting decides; a content of 1 is not divided out.  Resultants with
-respect to y come from the same remainder sequence: its last, y-free
-remainder is the resultant up to a power of the last scale factor (Brown
-& Traub, J. ACM 18, 1971).  Every intermediate value stays exact.
+monomial content of each operand is split off, and what is left is
+proved coprime, when it is, from images mod 2^61 - 1 at x = t and at
+y = t, two images of degree 1 by one 2x2 determinant.  A pair with a
+common factor goes to Brown's modular gcd (J. ACM 18, 1971): images at
+x = t mod primes below 2^61, Newton interpolation in x, the CRT across
+primes, and exact trial division, which proves the result.  Resultants
+with respect to y come from a subresultant polynomial remainder sequence
+over Q[x][y]: its last, y-free remainder is the resultant up to a power
+of the last scale factor (Brown & Traub, J. ACM 18, 1971).  Every
+intermediate value stays exact.
 """
 
 from __future__ import annotations
@@ -62,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import upoly
-from .upoly import _PRIME, UPoly, _gcd_degree_mod_p
+from .upoly import _PRIME, UPoly, _gcd_mod_p
 
 # coefficients are int or Fraction, never float (module docstring)
 BiPoly = dict[tuple[int, int], int | Fraction]
@@ -333,7 +322,9 @@ class ExactDivisionError(ArithmeticError):
 
     def __init__(self, remainder: BiPoly):
         self.remainder = remainder
-        super().__init__(f"not divisible; remainder {to_string(remainder)}")
+
+    def __str__(self) -> str:  # formatted only when shown: printing can fail
+        return f"not divisible; remainder {to_string(self.remainder)}"
 
 
 def divmod_lt(f: BiPoly, g: BiPoly) -> tuple[BiPoly, BiPoly]:
@@ -409,8 +400,9 @@ def from_upoly_y(p: UPoly) -> BiPoly:
 
 
 def content_y(f: BiPoly) -> UPoly:
-    """Monic gcd in Q[x] of the y-coefficients; zero polynomial for f = 0."""
-    return upoly.gcd_many(coeffs_wrt_y(f))
+    """Monic gcd in Q[x] of the y-coefficients, the leading one first, so
+    that a constant one ends it at once; zero polynomial for f = 0."""
+    return upoly.gcd_many(coeffs_wrt_y(f)[::-1])
 
 
 def normalize(f: BiPoly) -> BiPoly:
@@ -501,7 +493,8 @@ def _subresultant_prs(a: BiPoly, b: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly, int
 
 
 # ---------------------------------------------------------------------------
-# Coprimality from images mod a prime (Brown, J. ACM 18, 1971) and the gcd.
+# Coprimality from images mod a prime, and the modular gcd (Brown, J. ACM
+# 18, 1971).
 
 _POINTS = 3  # good specialization points tried per direction and batch
 _FAR = 982451653  # first point of the second batch, a prime
@@ -509,13 +502,39 @@ _FAR = 982451653  # first point of the second batch, a prime
 _Residues = list[tuple[int, int, int]]
 
 
-def _residues(f: BiPoly) -> _Residues:
-    """Terms (i, j, c mod _PRIME) of the integer multiple den(f) * f."""
+def _residues(f: BiPoly, p: int = _PRIME) -> _Residues:
+    """Terms (i, j, c mod p) of the integer multiple den(f) * f."""
     vals, _ = _numerators(f)
-    return [(i, j, v % _PRIME) for (i, j), v in zip(f, vals)]
+    return [(i, j, v % p) for (i, j), v in zip(f, vals)]
 
 
-def _coprime_images(fs: _Residues, gs: _Residues, swap: bool = False) -> bool:
+def _images(polys: list[tuple[_Residues, int]], t: int, s: int, dx: int,
+            p: int = _PRIME) -> list[list[int]]:
+    """Images mod p, t in place of the variable of exponent e[s], of the
+    (residue terms e, degree d in the other variable): d + 1 residues each,
+    highest degree first.  dx bounds e[s].  At t = 0, the free terms."""
+    r = 1 - s
+    images = []
+    if not t:
+        for terms, d in polys:
+            img = [0] * (d + 1)
+            for e in terms:
+                if not e[s]:
+                    img[d - e[r]] = e[2]
+            images.append(img)
+        return images
+    tp = [1] * (dx + 1)
+    for i in range(1, dx + 1):
+        tp[i] = tp[i - 1] * t % p
+    for terms, d in polys:
+        img = [0] * (d + 1)
+        for e in terms:
+            img[d - e[r]] += e[2] * tp[e[s]]
+        images.append([c % p for c in img])
+    return images
+
+
+def _coprime_images(fs: _Residues, gs: _Residues, first: int, swap: bool = False) -> bool:
     """True when images at x = t prove that f and g share no factor of
     positive y-degree; fs, gs are their _residues.  With swap, the roles
     of x and y are exchanged: images at y = t, and factors of positive
@@ -526,16 +545,15 @@ def _coprime_images(fs: _Residues, gs: _Residues, swap: bool = False) -> bool:
     lc_y(G) divides lc_y(F) and lc_y(F').  At a t where either does not
     vanish mod _PRIME, G(t, y) keeps its y-degree and divides F(t, y) and
     F'(t, y) mod _PRIME, so their gcd is not constant.  A constant gcd at
-    any such t is the proof.  Up to _POINTS such t are tried, the first
-    in 0, 1, 2, ...; two forms like ax + by and cx + dy share the image
-    root y = 0 at t = 0 only.  Curves with small integer coefficients
-    can meet on every small line x = t, so when those fail, up to
-    _POINTS more t are tried from _FAR on.  The image at t = 0 is read
-    off the x-free terms.  False means "not proved".
+    any such t is the proof.  Up to _POINTS such t are tried from first
+    on, 1 when f and g have no constant term, as the kept variable then
+    divides both images at 0.  Curves with small integer coefficients can
+    meet on every small line x = t, so when those fail, up to _POINTS
+    more t are tried from _FAR on.  False means "not proved".
     """
     s, r = (1, 0) if swap else (0, 1)  # t replaces the exponent s; r is kept
     dx = 0
-    degs = []
+    polys = []
     for terms in (fs, gs):
         d = 0
         for e in terms:
@@ -543,31 +561,15 @@ def _coprime_images(fs: _Residues, gs: _Residues, swap: bool = False) -> bool:
                 d = e[r]
             if e[s] > dx:
                 dx = e[s]
-        degs.append(d)
-    for start in (0, _FAR):
+        polys.append((terms, d))
+    for start in (first, _FAR):
         tried = 0
         # a leading coefficient that is nonzero mod _PRIME has at most dx roots
         for t in range(start, start + dx + _POINTS):
-            images = []
-            if t:
-                tp = [1] * (dx + 1)
-                for i in range(1, dx + 1):
-                    tp[i] = tp[i - 1] * t % _PRIME
-                for terms, d in zip((fs, gs), degs):
-                    img = [0] * (d + 1)
-                    for e in terms:
-                        img[d - e[r]] += e[2] * tp[e[s]]
-                    images.append([c % _PRIME for c in img])
-            else:
-                for terms, d in zip((fs, gs), degs):
-                    img = [0] * (d + 1)
-                    for e in terms:
-                        if not e[s]:
-                            img[d - e[r]] = e[2]
-                    images.append(img)
-            if not (images[0][0] or images[1][0]):
+            a, b = _images(polys, t, s, dx)
+            if not (a[0] or b[0]):
                 continue  # lc_y(F) and lc_y(F') both vanish at t
-            if _gcd_degree_mod_p(*images) == 0:
+            if len(_gcd_mod_p(a, b)) == 1:
                 return True
             tried += 1
             if tried == _POINTS:
@@ -596,14 +598,11 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     divisible by x or y, and the shifted gcd stays normalized, since
     graded lex is a monomial order and keeps its leading term.  A
     single-term operand leaves a constant, so its gcd is that monomial.
-    Then coprimality is proved from images mod _PRIME: when the images
-    at x = t rule out a common factor of positive y-degree and those at
-    y = t one of positive x-degree, gcd(f', g') is 1 (see
-    _coprime_images).  If only the first holds, it is the gcd of the
-    y-contents.  Otherwise (a common factor, or no good point) the
-    heuristic gcd on the Kronecker images decides when a candidate passes
-    its divisibility proof (_gcd_heuristic), and the subresultant PRS
-    (_gcd_prs) when none does.
+    Then gcd(f', g') takes one of two routes.  When images at x = t rule
+    out a common factor of positive y-degree and those at y = t one of
+    positive x-degree, it is 1 (_coprime_images); if only the first holds,
+    it is the gcd of the y-contents.  Otherwise (a common factor, or no
+    good point) the modular gcd decides (_gcd_modular).
     """
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
@@ -625,106 +624,106 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
 def _gcd_no_monomial(f: BiPoly, g: BiPoly) -> BiPoly:
     """gcd(f, g) for nonconstant f and g that x and y do not divide."""
     fs, gs = _residues(f), _residues(g)
-    if _coprime_images(fs, gs):
-        if _coprime_images(fs, gs, swap=True):
+    first = 0 if (0, 0) in f or (0, 0) in g else 1
+    if _coprime_images(fs, gs, first):
+        if _coprime_images(fs, gs, first, swap=True):
             return ONE
         return normalize(from_upoly_x(upoly.gcd(content_y(f), content_y(g))))
-    return _gcd_heuristic(f, g) or _gcd_prs(f, g)
+    return _gcd_modular(f, g)
 
 
-# ---------------------------------------------------------------------------
-# Heuristic gcd on the Kronecker image (Char, Geddes & Gonnet, J. Symbolic
-# Comput. 7, 1989).
-
-_HEU_BASES = 3  # bases tried by _gcd_heuristic, each digit twice as wide
-
-
-def _primitive_terms(f: BiPoly) -> list[tuple[tuple[int, int], int]]:
-    """The terms of f's primitive part in Z[x, y]."""
-    vals, _ = _numerators(f)
-    c = math.gcd(*vals)
-    return [(e, v // c) for e, v in zip(f, vals)]
-
-
-def _gcd_heuristic(f: BiPoly, g: BiPoly) -> BiPoly | None:
-    """gcd(f, g) for nonzero f, g from one integer gcd, or None.
-
-    F and G, the primitive parts of f and g in Z[x, y], are packed as
-    mul packs them: x^i y^j goes to B^(i*w + j), B = 2^(8*nb), with w
-    above both y-degrees and B > 2*max(|F|, |G|) + 2 in the max norm.
-    The packing is a ring homomorphism, the value at z = B of the
-    Kronecker image (x -> z^w, y -> z), and it is one to one on
-    polynomials of y-degree below w with coefficients in (-B/2, B/2).
-
-    The balanced base-B digits of gamma = gcd(F(B), G(B)) give a
-    polynomial h; its primitive part C is the candidate, accepted once it
-    is shown to divide F and G (_divides_packed).  Then C is the gcd D:
-    C divides D = C*E, and D(B) divides gamma = cont(h)*C(B), so E(B)
-    divides cont(h) <= B/2.  The image of a nonconstant E would divide
-    that of F, so its roots lie inside Cauchy's bound |z| < 1 + |F| <= B/2
-    and |E(B)| > B/2.  Hence E = +-1.  A candidate that fails is retried
-    with digits twice as wide, _HEU_BASES times in all; None means that
-    no candidate passed.
-
-    Some pairs fail at every base: for (x - y^2)(x + y + 2) against
-    (y - 1)(x + y + 2) the cofactor images B^w - B^2 and B - 1 always
-    share the factor B - 1, and the subresultant PRS (_gcd_prs) decides.
-    Past such small pairs the PRS is far slower: with GCDHEU bypassed,
-    gcd(P g, Q g) on the field (P, Q) of tests/fixtures/many_lines_16.json
-    took 37-73 s instead of 5-21 ms (2-CPU x86_64 host).
-    """
-    F, G = _primitive_terms(f), _primitive_terms(g)
-    w = max(deg_y(f), deg_y(g)) + 1
-    norm = max(abs(v) for _, v in F + G)
-    nb = (2 * norm + 2).bit_length() // 8 + 1
-    if nb <= 8:  # round up to a width struct packs in one call
-        nb = 1 << (nb - 1).bit_length()
-    fsize, gsize = (deg_x(f) + 1) * w, (deg_x(g) + 1) * w
-    for _ in range(_HEU_BASES):
-        a, b = _pack(F, 0, 0, w, fsize, nb), _pack(G, 0, 0, w, gsize, nb)
-        gamma = math.gcd(a, b)
-        h = _unpack(gamma, w, nb)
-        cont = math.gcd(*(v for _, v in h))
-        C = [(e, v // cont) for e, v in h]
-        c = gamma // cont
-        if _divides_packed(C, c, a, w, nb) and _divides_packed(C, c, b, w, nb):
-            return normalize(dict(C))
-        nb *= 2
-    return None
-
-
-def _divides_packed(C: list[tuple[tuple[int, int], int]], c: int, n: int, w: int,
-                    nb: int) -> bool:
-    """True when C divides the P in Z[x, y], of y-degree below w and with
-    |P| < B/2, that packs to n; c is C packed.
-
-    If c divides n, the quotient unpacks to q with C(B)*q(B) = n.  When
-    deg_y C + deg_y q < w and |C|*|q|*min(#C, #q) < B/2, C*q lies where
-    the packing is one to one, as P does, and both pack to n; so P = C*q.
-    """
-    if n % c:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 37 with the primes up to 37 as bases, exact
+    below 3.18e23 (Sorenson & Webster, Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if math.gcd(n, math.prod(bases)) > 1:
         return False
-    m = n // c
-    q = _unpack(m, w, nb)
-    return (max(j for (_, j), _ in C) + max(j for (_, j), _ in q) < w
-            and max(abs(v) for _, v in C) * max(abs(v) for _, v in q) * min(len(C), len(q))
-            < 1 << (8 * nb - 1))
+    d, k = n - 1, 0
+    while not d & 1:
+        d, k = d >> 1, k + 1
+    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(k))
+               for a in bases)
 
 
-def _gcd_prs(f: BiPoly, g: BiPoly) -> BiPoly:
-    """gcd(f, g) for nonzero f, g: the gcd of the y-contents times the
-    subresultant PRS gcd of the primitive parts."""
-    cf, cg = content_y(f), content_y(g)
-    cont = upoly.gcd(cf, cg)
-    fp = f if cf == upoly.ONE else exact_div(f, from_upoly_x(cf))
-    gp = g if cg == upoly.ONE else exact_div(g, from_upoly_x(cg))
-    pp = ONE
-    if deg_y(fp) > 0 and deg_y(gp) > 0:
-        s, r, _, _ = _subresultant_prs(fp, gp)
-        if not r:
-            cs = content_y(s)
-            pp = s if cs == upoly.ONE else exact_div(s, from_upoly_x(cs))
-    return normalize(mul(from_upoly_x(cont), pp))
+def _interpolate(ts: list[int], vals: list[list[int]], p: int) -> list[list[int]]:
+    """For each j, the coefficients mod p, lowest first, of the polynomial
+    of degree below len(ts) with value vals[k][j] at ts[k], the ts distinct
+    mod p: Newton's divided differences for all j at once, then Horner."""
+    c, n = [list(v) for v in vals], len(ts)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            w = pow(ts[i] - ts[i - k], -1, p)
+            c[i] = [(a - b) * w % p for a, b in zip(c[i], c[i - 1])]
+    polys = [[v] for v in c[-1]]
+    for i in range(n - 2, -1, -1):  # poly = (x - ts[i]) poly + c[i]
+        polys = [[(a - ts[i] * b) % p for a, b in zip([v] + poly, poly + [0])]
+                 for v, poly in zip(c[i], polys)]
+    return polys
+
+
+def _gcd_modular(f: BiPoly, g: BiPoly) -> BiPoly:
+    """gcd(f, g) for nonconstant f and g, by Brown's modular algorithm.
+
+    F and G are the primitive integer multiples of f and g, D their gcd
+    made primitive in y, and gamma = k gcd(lc_y F, lc_y G) in Z[x], with k
+    the gcd of the integer contents of the two.  By Gauss's lemma lc_y D
+    divides gamma, so H = (gamma / lc_y D) D lies in Z[x, y], and deg_x H
+    < n = deg gamma + 1 + min(deg_x F, deg_x G).  Images are taken at
+    x = t mod primes p that do not divide lc gamma, where lc_y F or lc_y G
+    does not vanish: D(t, y) keeps its y-degree and divides both, so their
+    gcd has at least that degree, and one of exactly that degree, made
+    monic and scaled by gamma(t), is H(t, y) mod p.  The images of least
+    y-degree at p are kept; n give H mod p by Newton interpolation in x.
+    Only the primes of the least such degree are kept, and t advances
+    across primes, so no bad point is met twice.  The CRT with a symmetric
+    lift combines the primes; the lift's primitive part C in y is tried on
+    the first prime and whenever a prime leaves the lift as it was.  A C
+    that divides F and G has the images' y-degree, at least deg_y D, and
+    divides D, so C = D; the gcd is D times the gcd of the y-contents.
+    """
+    F, G = normalize(f), normalize(g)
+    cf, cg = coeffs_wrt_y(F), coeffs_wrt_y(G)
+    lc = upoly.gcd(cf[-1], cg[-1])
+    k = math.gcd(*(c.numerator for c in cf[-1] + cg[-1]))
+    gamma = scalar_mul(k, normalize(from_upoly_x(lc)))
+    cont = upoly.gcd_many([lc, *cf, *cg])
+    n, dx = len(lc) + min(deg_x(F), deg_x(G)), max(deg_x(F), deg_x(G))
+    t, H, m, e, last = -1, {}, 1, deg_y(F) + 1, None  # e: H's y-degree, none yet
+    for p in (q for q in range(_PRIME, 3, -2) if q == _PRIME or _is_prime(q)):
+        if not leading_term(gamma)[1] % p:
+            continue
+        polys = [(_residues(h, p), deg_y(h)) for h in (F, G, gamma)]
+        ts, vals, d = [], [], min(deg_y(F), deg_y(G))  # d: the least degree at p
+        while len(ts) < n:
+            t += 1
+            a, b, (gt,) = _images(polys, t, 0, dx, p)
+            if not (a[0] or b[0]):
+                continue
+            h = _gcd_mod_p(a, b, p)
+            if len(h) - 1 > d:
+                continue
+            if len(h) - 1 < d:
+                ts, vals, d = [], [], len(h) - 1
+            s = gt * pow(h[0], -1, p) % p
+            ts.append(t)
+            vals.append([c * s % p for c in h])
+        if d > e:
+            continue  # p divides a subresultant: its gcd has a higher degree
+        if d < e:
+            H, m, e = {}, 1, d
+        u = pow(m, -1, p)
+        for j, coeffs in enumerate(_interpolate(ts, vals, p)):
+            for i, c in enumerate(coeffs):
+                r = H.get((i, e - j), 0)
+                H[i, e - j] = r + m * ((c - r) * u % p)
+        m *= p
+        C = {key: v if 2 * v <= m else v - m for key, v in H.items() if v}
+        if m == p or C == last:
+            cc = content_y(C)
+            D = normalize(C if cc == upoly.ONE else exact_div(C, from_upoly_x(cc)))
+            if divides(D, F) and divides(D, G):
+                return normalize(mul(from_upoly_x(cont), D))
+        last = C
 
 
 def gcd_many(polys: list[BiPoly]) -> BiPoly:

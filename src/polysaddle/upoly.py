@@ -13,7 +13,7 @@ input.  The Sturm helpers work on lists of Python ints.
 
 Coprimality is proved, when it can be, from one image mod 2^61 - 1
 (`coprime_image`); the modular Euclid behind it is the one bipoly's
-bivariate coprimality test runs on its specializations.
+bivariate coprimality test and modular gcd run on their specializations.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def gcd_many(polys: Sequence[UPoly]) -> UPoly:
 
 
 # ---------------------------------------------------------------------------
-# Coprimality from one image mod a prime (Brown, J. ACM 18, 1971).
+# Euclid mod a prime, and coprimality from one image (Brown, J. ACM 18, 1971).
 
 _PRIME = (1 << 61) - 1  # a Mersenne prime
 
@@ -183,18 +183,19 @@ def _trim(a: list[int]) -> list[int]:
     return a[k:] if k else a
 
 
-def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a, b) over Z/_PRIME, by Euclid; a and b are lists of
-    residues in [0, _PRIME), highest degree first, not both zero.
+def _gcd_mod_p(a: list[int], b: list[int], p: int = _PRIME) -> list[int]:
+    """A gcd of a and b over Z/p, p prime, by Euclid: a nonzero multiple of
+    the monic gcd, highest degree first; a and b are lists of residues in
+    [0, p), highest degree first, not both zero.
 
-    A nonzero constant divisor ends the loop with degree 0, and two
-    polynomials of degree 1 share their root exactly when the 2x2
-    determinant of their coefficients is 0 mod _PRIME.  Otherwise a is
-    reduced by b without an inverse: row k takes lc(b) r - q x^j b, so the
-    remainder is lc(b)^m times that of a by b, with the same gcd with b.
-    A row touches only the n - 1 entries under b's tail; an entry further
-    right is instead multiplied in advance by lc(b) to the power of the
-    rows that pass before it is first touched.
+    A nonzero constant divisor ends the loop with [1], and two polynomials
+    of degree 1 share their root exactly when the 2x2 determinant of their
+    coefficients is 0 mod p.  Otherwise a is reduced by b without an
+    inverse: row k takes lc(b) r - q x^j b, so the remainder is lc(b)^m
+    times that of a by b, with the same gcd with b.  A row touches only
+    the n - 1 entries under b's tail; an entry further right is instead
+    multiplied in advance by lc(b) to the power of the rows that pass
+    before it is first touched.
     """
     a, b = _trim(a), _trim(b)
     if len(a) < len(b):
@@ -202,22 +203,22 @@ def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
     while b:
         n = len(b)
         if n == 1:
-            return 0
+            return [1]
         if len(a) == 2:  # and so n == 2
-            return 0 if (a[0] * b[1] - a[1] * b[0]) % _PRIME else 1
+            return [1] if (a[0] * b[1] - a[1] * b[0]) % p else b
         lead, tail = b[0], b[1:]
         r = list(a)
         m = len(r) - n + 1
         s = 1
         for i in range(n, len(r)):
-            s = s * lead % _PRIME
-            r[i] = r[i] * s % _PRIME
+            s = s * lead % p
+            r[i] = r[i] * s % p
         for k in range(m):
             q = r[k]
-            r[k + 1:k + n] = [(lead * c - q * t) % _PRIME
+            r[k + 1:k + n] = [(lead * c - q * t) % p
                               for c, t in zip(r[k + 1:k + n], tail)]
         a, b = b, _trim(r[m:])
-    return len(a) - 1
+    return a
 
 
 def _image(f: UPoly) -> list[int]:
@@ -239,7 +240,7 @@ def coprime_image(f: UPoly, g: UPoly) -> bool:
     if not (f and g):
         return False
     a, b = _image(f), _image(g)
-    return bool(a[0] or b[0]) and _gcd_degree_mod_p(a, b) == 0
+    return bool(a[0] or b[0]) and len(_gcd_mod_p(a, b)) == 1
 
 
 def content_int(f: UPoly) -> Fraction:

@@ -1,10 +1,10 @@
 """The root cases of the layer benchmark expect what rational_roots returns,
-and its start-up case runs.
+its gcd and coprime cases hold, and its start-up case runs.
 
 `scripts/bench_layers.py` marks a case ok when the program's result equals
-the expected value stored with the case, so an expected value that drifts
-from the API would only show as a failed benchmark check.  The script is
-read, not changed.
+the expected value stored with the case, or when its own check proves the
+result, so an expected value that drifts from the API would only show as a
+failed benchmark check.  The script is read, not changed.
 """
 
 import os
@@ -21,6 +21,19 @@ def test_root_cases_expect_distinct_rational_roots():
     assert cases
     for name, _, f, _, want in cases:
         assert upoly.rational_roots(upoly.make(f)) == want, name
+
+
+def test_gcd_cases_are_proved():
+    # untimed: the script's gcd_ok proves each gcd by its cofactors, with
+    # no gcd routine of the program; the PRS oracle, conftest.prs_gcd,
+    # takes 16-30 s on each pair built from 16 lines.  The operands of a
+    # gcd case share its planted factor, which the proof must see.
+    script = runpy.run_path(SCRIPT)
+    cases = script["cases"]("^gcd-|^coprime-")
+    assert {op for _, op, _, _, _ in cases} == {"gcd", "coprime"}
+    for name, op, f, g, planted in cases:
+        assert script["gcd_ok"](op, f, g, planted), name
+        assert script["reference_coprime"](f, g) == (op == "coprime"), name
 
 
 def test_startup_case_times_fresh_interpreters(monkeypatch):

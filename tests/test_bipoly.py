@@ -15,7 +15,7 @@ from polysaddle import cli, remarkable
 from polysaddle.field_ops import VectorField, is_hamiltonian
 from polysaddle.variety import variety_empty
 
-from conftest import random_line_family, random_rat, sylvester_y
+from conftest import prs_gcd, random_line_family, random_rat, sylvester_y
 
 rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 exps = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
@@ -221,8 +221,14 @@ def test_exact_div_and_witness():
     with pytest.raises(bp.ExactDivisionError) as ei:
         bp.exact_div(bp.parse("x^2 + 1"), g)
     assert not bp.is_zero(ei.value.remainder)
+    assert str(ei.value) == "not divisible; remainder y^2 + 1"
     with pytest.raises(ZeroDivisionError):
         bp.exact_div(f, {})
+    # the message is formatted only when shown, so a remainder past
+    # Python's 4300-digit int-to-str limit still raises ExactDivisionError
+    with pytest.raises(bp.ExactDivisionError) as ei:
+        bp.exact_div({(0, 0): 10**5000 + 1}, {(1, 0): 1})
+    assert ei.value.remainder == {(0, 0): 10**5000 + 1}
 
 
 @given(bipolys(), bipolys(3))
@@ -265,11 +271,8 @@ def test_gcd_recovers_common_factor(a, b, c):
     assert bp.divides(bp.normalize(c), g)
 
 
-# The content-plus-subresultant-PRS route that decided every gcd before the
-# modular coprimality proof, and still decides every pair the proof leaves
-# open: the oracle for the proof.
-prs_gcd = bp._gcd_prs
-
+# prs_gcd, the content-plus-subresultant-PRS route that decided every gcd
+# before the modular routes, is the oracle for both of them.
 
 @given(bipolys(4), bipolys(4), bipolys(3))
 @settings(max_examples=200, deadline=None)
@@ -325,19 +328,24 @@ def test_coprime_images_start_from_the_free_terms(monkeypatch):
     # the image at t = 0 is read off the terms free of the variable set to
     # t: at x = 0 for the first direction, at y = 0 for the swapped one
     seen = []
-    kernel = bp._gcd_degree_mod_p
+    kernel = bp._gcd_mod_p
 
-    def recording(a, b):
+    def recording(a, b, p=P61):
         seen.append((a, b))
-        return kernel(a, b)
+        return kernel(a, b, p)
 
-    monkeypatch.setattr(bp, "_gcd_degree_mod_p", recording)
+    monkeypatch.setattr(bp, "_gcd_mod_p", recording)
     assert bp.gcd(bp.parse("3*x + 2*y + 1"), bp.parse("x - 5*y + 7")) == bp.ONE
     assert seen == [([2, 1], [P61 - 5, 7]), ([3, 1], [1, 7])]
     seen.clear()
     f, g = bp.parse("x*y^2 + 4*y^2 + x + 2*y + 3"), bp.parse("y^2 + x*y - 5")
     assert bp.gcd(f, g) == bp.ONE
     assert seen == [([4, 2, 3], [1, 0, P61 - 5]), ([1, 3], [0, P61 - 5])]
+    # with no constant term, both images at t = 0 are divisible by the
+    # kept variable and prove nothing, so the first point is t = 1
+    seen.clear()
+    assert bp.gcd(bp.parse("3*x + 2*y"), bp.parse("x - 5*y")) == bp.ONE
+    assert seen == [([2, 3], [P61 - 5, 1]), ([3, 2], [1, P61 - 5])]
 
 
 single_terms = st.builds(lambda e, c: {e: c}, exps, rats.filter(bool))
@@ -360,9 +368,9 @@ def test_gcd_splits_monomial_content(a, b, c, m, n, s):
     assert bp.divides({(min(m[0], n[0]), min(m[1], n[1])): 1}, want)
 
 
-# The heuristic gcd on the Kronecker image decides the pairs the modular
-# proof leaves open, before the PRS; every answer it gives must be the
-# PRS's, and a None hands the pair on to the PRS.
+# The modular gcd decides every pair the image proof leaves open; it is
+# called here directly too, on pairs the proof would decide, and must give
+# the PRS oracle's gcd on both.
 
 def _factors(keys, coeffs, max_terms):
     return st.dictionaries(keys, coeffs, min_size=1, max_size=max_terms).map(
@@ -377,45 +385,58 @@ planted_factors = st.one_of(
     _factors(st.tuples(st.just(0), pos), rats, 3),  # x-free
     _factors(exps, rats, 1),  # a single term
     _factors(exps, st.integers(min_value=-10**60, max_value=10**60), 3),  # 60 digits
+    # lc_y = x^2 - x vanishes at the first points t = 0 and t = 1
+    _factors(st.tuples(pos, st.integers(min_value=0, max_value=1)), rats, 3).map(
+        lambda d: bp.add(d, {(2, 2): 1, (1, 2): -1})),
 )
 
 
 @given(bipolys(4), bipolys(4), planted_factors)
 @settings(max_examples=300, deadline=None)
-def test_gcd_heuristic_matches_prs_oracle(a, b, c):
+def test_gcd_modular_matches_prs_oracle(a, b, c):
     f, g = bp.mul(a, c), bp.mul(b, c)
     if bp.is_zero(f) or bp.is_zero(g):
         return
     want = prs_gcd(f, g)
     for p, q in ((f, g), (g, f)):
-        got = bp._gcd_heuristic(p, q)
-        assert got is None or got == want
+        if not (bp.is_const(p) or bp.is_const(q)):
+            assert bp._gcd_modular(p, q) == want
         assert bp.gcd(p, q) == want
 
 
-@pytest.mark.parametrize("f,g,want,decided", [
-    # F has coefficients 2^40 times G's: packed at a base sized from G
-    # alone, y + 1 would pass as a divisor of F
-    ("(257*2^32*x + y + 1)", "y + 1", "1", True),
-    ("(257*2^32*x + y + 1)*(x - y + 3)", "(y + 1)*(x - y + 3)", "x - y + 3", True),
-    ("2^40*x*y + 3*x - 5", "(x*y + 1)*(x - 2)", "1", True),
-    # y - 1 divides the image of x - y^2 at every base, with quotient
-    # y^2: the product y^3 - y^2 would wrap into x
-    ("x - y^2", "y - 1", "1", False),
-    ("(x - y^2)*(x + y + 2)", "(y - 1)*(x + y + 2)", "x + y + 2", False),
-    ("(x*y - y^3)*(2*x - y)", "(y^2 - y)*(2*x - y)", "2*x*y - y^2", False),
-    # analyze's confirmation pairs H + c0 and G on problems/three_lines.json
-    # and problems/twin_parabolas.json
-    ("x^3*y + 2*x^2*y^2 + x*y^3", "x + y", "x + y", True),
-    ("-x^6 - x^4*y + x^2*y^2 + y^3", "x^2 + y", "x^2 + y", True),
+@pytest.mark.parametrize("f,g,want", [
+    # F has coefficients 2^40 times G's: a base or modulus sized from G
+    # alone would pass y + 1 as a divisor of F
+    ("(257*2^32*x + y + 1)", "y + 1", "1"),
+    ("(257*2^32*x + y + 1)*(x - y + 3)", "(y + 1)*(x - y + 3)", "x - y + 3"),
+    ("2^40*x*y + 3*x - 5", "(x*y + 1)*(x - 2)", "1"),
+    # pairs the heuristic gcd on Kronecker images never decided: y - 1
+    # divides the image of x - y^2 at every base, with quotient y^2
+    ("x - y^2", "y - 1", "1"),
+    ("(x - y^2)*(x + y + 2)", "(y - 1)*(x + y + 2)", "x + y + 2"),
+    ("(x*y - y^3)*(2*x - y)", "(y^2 - y)*(2*x - y)", "2*x*y - y^2"),
+    # a common factor beside monomial content
+    ("x^3*y + 2*x^2*y^2 + x*y^3", "x + y", "x + y"),
+    ("-x^6 - x^4*y + x^2*y^2 + y^3", "x^2 + y", "x^2 + y"),
+    # 2^61 - 1 divides lc_x(gamma): that prime is skipped, not looped on
+    (f"{P61}*x*y + 1", f"{P61}*x*y + 1", f"{P61}*x*y + 1"),
+    # with the monomial split bypassed, every image at t = 0 has the
+    # extra root y = 0, and one point is needed (x*y^2 has lc_y = x, so
+    # t = 0 is skipped there): the points advance across primes, so the
+    # bad point is not taken again with the next prime
+    ("y^2", "x*y + y^2", "y"),
+    ("x*y^2", "x^2*y + x*y^2", "x*y"),
+    # the first prime alone cannot lift 2^70 + 1, and the second,
+    # 2^61 - 31, divides the cofactor's x-coefficient, so at every point
+    # its images share the extra factor y + 1: it is dropped, not waited on
+    ("(x + (2^70 + 1)*y + 3)*(y + 1 + (2^61 - 31)*x)", "(x + (2^70 + 1)*y + 3)*(y + 1)",
+     "x + (2^70 + 1)*y + 3"),
 ])
-def test_gcd_heuristic_fixed_cases(f, g, want, decided):
+def test_gcd_modular_fixed_cases(f, g, want):
     f, g, want = bp.parse(f), bp.parse(g), bp.parse(want)
     assert prs_gcd(f, g) == want
     for p, q in ((f, g), (g, f)):
-        got = bp._gcd_heuristic(p, q)
-        assert (got is not None) == decided
-        assert got is None or got == want
+        assert bp._gcd_modular(p, q) == want
         assert bp.gcd(p, q) == want
 
 

@@ -136,6 +136,27 @@ def test_many_lines_bounded(capsys, command):
     assert code == 0, out
 
 
+@pytest.mark.parametrize("command,code", [("analyze", 1), ("linearize", 2)])
+def test_non_coprime_given_field_bounded(capsys, tmp_path, command, code):
+    # the constructed field (P, Q) of 16 lines, given as P (x - y)(x + y + 2)
+    # and Q (x - 1)(x + y + 2): every base of the heuristic gcd failed on
+    # the pair, and the subresultant PRS took analyze 33-47 s
+    src = os.path.join(HERE, "fixtures", "many_lines_16.json")
+    X = cli.load_problem(src).integral.field
+    c = bp.parse("x + y + 2")
+    with open(src, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["field"] = {"p": bp.to_string(bp.mul(X.P, bp.mul(bp.parse("x - y"), c))),
+                    "q": bp.to_string(bp.mul(X.Q, bp.mul(bp.parse("x - 1"), c)))}
+    path = write_problem(tmp_path, doc)
+    t0 = time.perf_counter()
+    got, out = run(capsys, command, path)
+    assert time.perf_counter() - t0 < 2.0
+    assert got == code, out
+    if command == "linearize":
+        assert out == "error: linearize requires a coprime field\n"
+
+
 @pytest.mark.parametrize("command", ["construct", "analyze", "linearize"])
 def test_int_lines_bounded(capsys, command):
     # 16 lines with small integer coefficients, the last squared: pairs of

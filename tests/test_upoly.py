@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from polysaddle import upoly as up
 
-from conftest import reference_gcd_degree_mod_p
+from conftest import reference_gcd_mod_p
 
 rats = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
@@ -109,9 +109,10 @@ def _mul_mod(a, b, p):
     return out
 
 
-def test_gcd_degree_mod_p_matches_euclid():
+def test_gcd_mod_p_matches_euclid():
     # the kernel, with its degree-1 determinant and deferred reductions,
-    # against the plain Euclid loop it replaced
+    # against the plain Euclid loop it replaced: the same gcd up to a
+    # nonzero scalar
     P = up._PRIME
     rng = random.Random("gcd-degree-mod-p")
 
@@ -140,12 +141,16 @@ def test_gcd_degree_mod_p_matches_euclid():
     trap = [1, 2], [(P + 1) // 2, 1]
     assert 1 * 1 - 2 * ((P + 1) // 2) == -P
     pairs += [trap, trap[::-1], ([0] + trap[0], trap[1]), ([5], [0, 0]), ([0, 0, 3], [7])]
+    def monic(c):
+        inv = pow(c[0], -1, P)
+        return [v * inv % P for v in c]
+
     degrees = set()
     for a, b in pairs:
-        want = reference_gcd_degree_mod_p(a, b, P)
-        assert up._gcd_degree_mod_p(a, b) == up._gcd_degree_mod_p(b, a) == want, (a, b)
-        degrees.add(want)
-    assert up._gcd_degree_mod_p(*trap) == 1
+        want = reference_gcd_mod_p(a, b, P)
+        assert monic(up._gcd_mod_p(a, b)) == monic(up._gcd_mod_p(b, a)) == want, (a, b)
+        degrees.add(len(want) - 1)
+    assert monic(up._gcd_mod_p(*trap)) == [1, 2]
     assert {0, 1, 2, 3} <= degrees
 
 
