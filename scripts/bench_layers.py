@@ -27,7 +27,9 @@ the modular gcd, (x - y^2)(x + y + 2) against (y - 1)(x + y + 2) and the
 16-line field (P0, Q0) times x - y and x - 1 and the common factor
 x + y + 2; and start-up, a fresh interpreter that
 imports polysaddle.cli, timed beside one that runs `pass` (the in-process
-cases cannot see import cost).  A coefficient is an int where it is
+cases cannot see import cost); and bipoly.parse on a line and a conic,
+and cli.load_problem on a file of four lines written to a temporary
+directory.  A coefficient is an int where it is
 an integer, as the program holds it (bipoly).  Every product is
 checked against a schoolbook reference kept in this file, and timed
 beside it; every gcd must divide both operands and leave cofactors that
@@ -44,7 +46,10 @@ one the case was built for, and status and witness must equal those of
 the single-projection route kept here as the reference
 (reference_variety_empty, run outside the timed region); every orbit and
 drift, warm and cold, must equal bit for bit those of the plain-loop RK4
-kept here (reference_orbit).  Each
+kept here (reference_orbit); every parse must give the terms, in the
+same order, that reference_parse of tests/conftest.py gives (the
+character-scanning parser that the token parser replaced), and so must
+every factor that load_problem reads.  Each
 construct_field or linearize call starts from an integral with nothing
 cached but its factors.  A case whose calls run past CAP_S seconds in a
 round is recorded as a timeout instead of being waited for.
@@ -85,6 +90,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from statistics import median, quantiles
 from time import perf_counter
@@ -490,6 +496,18 @@ def _gcd_modular_cases() -> list:
             ("gcd-many-lines-16-common", "gcd", reference_mul(P, c), reference_mul(Q, c), c)]
 
 
+def _load_cases() -> list:
+    """A line and a conic for bipoly.parse, and a problem of four lines of
+    tests/fixtures/many_lines_16.json, the last one squared, for
+    cli.load_problem."""
+    lines = ("7*x - 12*y - 5", "2*x - 7", "25*x - 40*y - 18", "16*x + 7*y + 28")
+    doc = {"name": "lines-4",
+           "factors": [{"poly": u, "exponent": 2 if n == 3 else 1} for n, u in enumerate(lines)]}
+    return [("parse-line", "parse", "7*x + 8*y - 4", None, None),
+            ("parse-conic", "parse", "3*x^2 - 2*x*y + 5*y^2 + 4*x - 7*y + 1", None, None),
+            ("load-lines-4", "load", doc, None, None)]
+
+
 def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
     """(name, op, f, g, planted factor or roots), the same every run, for
     the cases whose names match the regular expression `only`."""
@@ -523,6 +541,7 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
     out += _gcd_path_cases(rng)  # drawn last, so no earlier operand changes
     out += _gcd_modular_cases()
     out.append(("startup", "startup", "import polysaddle.cli", "pass", None))
+    out += _load_cases()
     return [case for case in out if re.search(only, case[0])]
 
 
@@ -561,11 +580,14 @@ def worker(only: str = "") -> dict:
     "linearize_us" (field), "baseline_us" (startup), "ok"}}, or
     {case: {"timeout": true}} when the case ran past CAP_S seconds."""
     from polysaddle import bipoly as bp
-    from polysaddle import numcheck
+    from polysaddle import cli, numcheck
     from polysaddle import upoly as up
     from polysaddle.field_ops import FactoredIntegral, VectorField, construct_field, reduce_field
     from polysaddle.linearize import linearize
     from polysaddle.variety import variety_empty
+
+    sys.path.insert(0, os.path.join(HERE, "..", "tests"))
+    from conftest import reference_parse
 
     def roots(f, g):
         # trees whose rational_roots pairs each root with its multiplicity
@@ -608,6 +630,15 @@ def worker(only: str = "") -> dict:
         pts, drift = run
         return [(a.hex(), b.hex()) for a, b in pts], None if drift is None else drift.hex()
 
+    def terms(src):
+        return list(reference_parse(src).items())
+
+    def parse(src, _):
+        return bp.parse(src)
+
+    def load(path, _):
+        return cli.load_problem(path)
+
     out = {}
     signal.signal(signal.SIGALRM, _timeout)
     for name, op, f, g, planted in cases(only):
@@ -643,6 +674,18 @@ def worker(only: str = "") -> dict:
                 ok = _interpreter(f) == _interpreter(g) == 0
                 out[name] = {"us": _time(_interpreter, f, None),
                              "baseline_us": _time(_interpreter, g, None), "ok": ok}
+            elif op == "parse":
+                ok = list(bp.parse(f).items()) == terms(f)
+                out[name] = {"us": _time(parse, f, None), "ok": ok}
+            elif op == "load":
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = os.path.join(tmp, "problem.json")
+                    with open(path, "w", encoding="utf-8") as fh:
+                        json.dump(f, fh)
+                    spec = cli.load_problem(path)
+                    ok = ([(list(u.items()), k) for u, k in spec.integral.factors]
+                          == [(terms(u["poly"]), u["exponent"]) for u in f["factors"]])
+                    out[name] = {"us": _time(load, path, None), "ok": ok}
             elif op == "orbit":
                 X = VectorField(f, g)
                 H, x0, y0, step = planted
@@ -662,6 +705,17 @@ def worker(only: str = "") -> dict:
 def _summary(xs: list[float]) -> dict:
     q = quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
     return {"median_us": round(median(xs), 2), "q1_us": round(q[0], 2), "q3_us": round(q[2], 2)}
+
+
+def _describe(op: str, f, g) -> dict:
+    """What the JSON records of a case's operands."""
+    if op == "startup":
+        return {"op": op, "code": f}
+    if op == "parse":
+        return {"op": op, "source": f}
+    if op == "load":
+        return {"op": op, "factors": [u["poly"] for u in f["factors"]]}
+    return {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])}
 
 
 def main(argv=None) -> int:
@@ -709,9 +763,7 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "cap_s": CAP_S,
         "trees": [label for label, _ in trees],
-        "cases": {name: ({"op": op, "code": f} if op == "startup" else
-                         {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])})
-                  for name, op, f, g, _ in cases(args.only)},
+        "cases": {name: _describe(op, f, g) for name, op, f, g, _ in cases(args.only)},
         "results": results,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,10 +13,11 @@ all: two trees print the same total when every call gives the same exit
 code, the same bytes on both streams and the same CSV file.
 
 The calls: all six commands, in json and in text, on every problem of
-`problems/` and `tests/fixtures/`, on the perfbench corpora (the
-workloads of `perfbench/corpus.py`, seeds 1-3, written to a temporary
-directory whose path is masked in the output), and on problems with a
-given field; and `linearize` and `all` at every `--pivot` of each problem
+`problems/` and `tests/fixtures/` (so the error text, column included,
+of each fixture the program refuses is compared too), on the perfbench
+corpora (the workloads of `perfbench/corpus.py`, seeds 1-3, written to a
+temporary directory whose path is masked in the output), and on problems
+with a given field; and `linearize` and `all` at every `--pivot` of each problem
 with two or more factors.  `simulate` and `all` take the perfbench
 instance's start and step, and the CLI defaults elsewhere; each problem
 also gets `simulate --csv` (the hash then covers the file's bytes too)
@@ -73,7 +74,11 @@ def given_field_problems(paths: list[Path]) -> list[tuple[str, dict]]:
         if any(not isinstance(s, str) or type(k) is not int
                or any(int(n) > BUDGET for n in re.findall(r"\^\s*(\d+)", s)) for s, k in fs):
             continue
-        us = [(sp.Poly(sp.sympify(s.replace("^", "**")), x, y, domain=sp.QQ), k) for s, k in fs]
+        try:
+            us = [(sp.Poly(sp.sympify(s.replace("^", "**")), x, y, domain=sp.QQ), k)
+                  for s, k in fs]
+        except (sp.SympifyError, sp.polys.polyerrors.BasePolynomialError):
+            continue  # not a polynomial, such as 3/0*x
         if sum(k * u.total_degree() for u, k in us) > BUDGET:
             continue
         P = Q = sp.Poly(0, x, y, domain=sp.QQ)

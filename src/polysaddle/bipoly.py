@@ -31,20 +31,23 @@ cleared numerators.
 
 A gcd with a nonzero constant operand is 1 at once.  Otherwise the
 monomial content of each operand is split off, and what is left is
-proved coprime, when it is, from images mod 2^61 - 1 at x = t and at
-y = t, two images of degree 1 by one 2x2 determinant.  A pair with a
+proved coprime, when it is, from images mod 2^61 - 1 at x = t, and at
+y = t unless a y-coefficient of either is a nonzero constant; two images
+of degree 1 are decided by one 2x2 determinant.  A pair with a
 common factor goes to Brown's modular gcd (J. ACM 18, 1971): images at
 x = t mod primes below 2^61, Newton interpolation in x, the CRT across
 primes, and exact trial division, which proves the result.  Resultants
 with respect to y come from a subresultant polynomial remainder sequence
 over Q[x][y]: its last, y-free remainder is the resultant up to a power
 of the last scale factor (Brown & Traub, J. ACM 18, 1971).  Every
-intermediate value stays exact.
+intermediate value stays exact.  The parser reads tokens off one regular
+expression and multiplies monomials without mul.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -600,9 +603,10 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     single-term operand leaves a constant, so its gcd is that monomial.
     Then gcd(f', g') takes one of two routes.  When images at x = t rule
     out a common factor of positive y-degree and those at y = t one of
-    positive x-degree, it is 1 (_coprime_images); if only the first holds,
-    it is the gcd of the y-contents.  Otherwise (a common factor, or no
-    good point) the modular gcd decides (_gcd_modular).
+    positive x-degree, it is 1 (_coprime_images).  If the first holds, it
+    is the gcd of the y-contents: 1 with no y = t image when a y-coefficient
+    of f or g is a nonzero constant (_unit_content_y).  Otherwise (a common
+    factor, or no good point) the modular gcd decides (_gcd_modular).
     """
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
@@ -626,10 +630,18 @@ def _gcd_no_monomial(f: BiPoly, g: BiPoly) -> BiPoly:
     fs, gs = _residues(f), _residues(g)
     first = 0 if (0, 0) in f or (0, 0) in g else 1
     if _coprime_images(fs, gs, first):
-        if _coprime_images(fs, gs, first, swap=True):
+        if (_unit_content_y(f) or _unit_content_y(g)
+                or _coprime_images(fs, gs, first, swap=True)):
             return ONE
         return normalize(from_upoly_x(upoly.gcd(content_y(f), content_y(g))))
     return _gcd_modular(f, g)
+
+
+def _unit_content_y(f: BiPoly) -> bool:
+    """Whether a coefficient of f in Q[x][y] is a nonzero constant, so
+    that content_y(f) = 1."""
+    with_x = {j for i, j in f if i}
+    return any(j not in with_x for _, j in f)
 
 
 def _is_prime(n: int) -> bool:
@@ -817,120 +829,120 @@ class ParseError(ValueError):
 # ParseError instead of running out of stack.
 _MAX_NESTING = 100
 
+# the parser's tokens; \d and \s match what str.isdecimal and str.isspace do
+_TOKEN = re.compile(r"\d+|\S")
+
 
 class _Parser:
+    """Recursive descent over the tokens: runs of decimal digits, single
+    other characters that are not white space, and "" at the end.  Two
+    single-term factors are multiplied here, without mul."""
+
     def __init__(self, src: str):
         self.src = src
-        self.i = 0
+        self.toks = _TOKEN.findall(src) + [""]
+        self.k = 0  # index of the next token
         self.depth = 0  # parentheses and unary minus signs now open
 
-    def _ws(self) -> None:
-        while self.i < len(self.src) and self.src[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        self._ws()
-        return self.src[self.i] if self.i < len(self.src) else ""
-
-    def fail(self, msg: str) -> None:
-        raise ParseError(msg, self.i + 1)
+    def fail(self, msg: str, k: int | None = None, after: bool = False) -> None:
+        """Raise at the column of token k (the next one by default), or of
+        the character just after it; only here are columns recovered."""
+        k = self.k if k is None else k
+        if k == len(self.toks) - 1:
+            raise ParseError(msg, len(self.src) + 1)
+        m = list(_TOKEN.finditer(self.src))[k]
+        raise ParseError(msg, (m.end() if after else m.start()) + 1)
 
     def _enter(self) -> None:
-        """Open one nesting level at the current character."""
+        """Open one nesting level at the current token."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
             self.fail("nesting too deep")
 
     def _nat(self) -> int:
-        self._ws()
-        start = self.i
-        while self.i < len(self.src) and self.src[self.i].isdecimal():
-            self.i += 1
-        if self.i == start:
+        tok = self.toks[self.k]
+        if not tok.isdecimal():
             self.fail("expected a natural number")
-        return int(self.src[start:self.i])
+        self.k += 1
+        return int(tok)
 
     def _rational(self) -> int | Fraction:
         num = self._nat()
-        if self.peek() == "/":
-            self.i += 1
-            pos = self.i
+        if self.toks[self.k] == "/":
+            self.k += 1
             den = self._nat()
             if den == 0:
-                raise ParseError("zero denominator", pos + 1)
+                self.fail("zero denominator", self.k - 2, after=True)  # just after the "/"
             return _div(num, den)
         return num
 
     def expr(self) -> BiPoly:
         acc = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.i += 1
-                acc = add(acc, self.term())
-            elif ch == "-":
-                self.i += 1
-                acc = sub(acc, self.term())
-            else:
-                return acc
+        while (tok := self.toks[self.k]) in ("+", "-"):
+            self.k += 1
+            acc = (add if tok == "+" else sub)(acc, self.term())
+        return acc
 
     def term(self) -> BiPoly:
         acc = self.factor()
-        while self.peek() == "*":
-            self.i += 1
-            pos = self.i
+        while self.toks[self.k] == "*":
+            star = self.k
+            self.k += 1
             f = self.factor()
-            if total_degree(acc) + total_degree(f) > MAX_TOTAL_DEGREE:
-                raise ParseError(
-                    f"product exceeds the total-degree budget of {MAX_TOTAL_DEGREE}", pos + 1)
-            acc = mul(acc, f)
+            if len(acc) == 1 and len(f) == 1:  # two monomials
+                ((i, j), c), = acc.items()
+                ((a, b), d), = f.items()
+                if i + j + a + b <= MAX_TOTAL_DEGREE:
+                    acc = {(i + a, j + b): c * d}
+                    continue
+            elif total_degree(acc) + total_degree(f) <= MAX_TOTAL_DEGREE:
+                acc = mul(acc, f)
+                continue
+            self.fail(f"product exceeds the total-degree budget of {MAX_TOTAL_DEGREE}",
+                      star, after=True)
         return acc
 
     def factor(self) -> BiPoly:
         # unary minus binds looser than ^, so -x^2 means -(x^2)
-        if self.peek() == "-":
+        if self.toks[self.k] == "-":
             self._enter()
-            self.i += 1
+            self.k += 1
             out = neg(self.factor())
             self.depth -= 1
             return out
         b = self.base()
-        if self.peek() == "^":
-            self.i += 1
-            if not self.peek().isdecimal():
+        if self.toks[self.k] == "^":
+            self.k += 1
+            if not self.toks[self.k].isdecimal():
                 self.fail("exponent must be a natural number")
-            pos = self.i
-            n = self._nat()
+            n = int(self.toks[self.k])
             if n > MAX_TOTAL_DEGREE or total_degree(b) * n > MAX_TOTAL_DEGREE:
-                raise ParseError(
-                    f"power ^{n} exceeds the total-degree budget of {MAX_TOTAL_DEGREE}", pos + 1)
+                self.fail(f"power ^{n} exceeds the total-degree budget of {MAX_TOTAL_DEGREE}")
+            self.k += 1
             return power(b, n)
         return b
 
     def base(self) -> BiPoly:
-        ch = self.peek()
-        if ch == "(":
+        tok = self.toks[self.k]
+        if tok == "(":
             self._enter()
-            self.i += 1
+            self.k += 1
             inner = self.expr()
-            if self.peek() != ")":
+            if self.toks[self.k] != ")":
                 self.fail("expected ')'")
-            self.i += 1
+            self.k += 1
             self.depth -= 1
             return inner
-        if ch == "x":
-            self.i += 1
-            return dict(X)
-        if ch == "y":
-            self.i += 1
-            return dict(Y)
-        if ch.isdecimal():
+        if tok == "x" or tok == "y":
+            self.k += 1
+            return dict(X if tok == "x" else Y)
+        if tok.isdecimal():
             return const(self._rational())
-        if ch.isalpha():
-            self.fail(f"unknown variable {ch!r}")
-        if ch == "":
+        if tok.isalpha():
+            self.fail(f"unknown variable {tok!r}")
+        if tok == "":
             self.fail("unexpected end of input")
-        self.fail(f"unexpected character {ch!r}")
+        self.fail(f"unexpected character {tok!r}")
         raise AssertionError  # fail always raises
 
 
@@ -942,9 +954,8 @@ def parse(src: str) -> BiPoly:
     deeper than _MAX_NESTING."""
     p = _Parser(src)
     out = p.expr()
-    p._ws()
-    if p.i != len(p.src):
-        raise ParseError(f"unexpected character {p.src[p.i]!r}", p.i + 1)
+    if tok := p.toks[p.k]:
+        p.fail(f"unexpected character {tok[0]!r}")
     return out
 
 

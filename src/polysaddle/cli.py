@@ -61,10 +61,14 @@ class ProblemSpec:
 
 def load_problem(path: str) -> ProblemSpec:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise ProblemError(f"cannot read {path}: {e}") from e
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ProblemError(f"{path}: not valid UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ProblemError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):

@@ -23,6 +23,7 @@ detection by divergence, and cofactors of invariant curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -66,8 +67,13 @@ class VectorField:
 
 
 def _is_primitive(u: BiPoly) -> bool:
-    n = bp.normalize(u)
-    return u == n or u == bp.neg(n)
+    """Integer coefficients (Fraction(n, 1) among them) with gcd 1."""
+    g = 0
+    for c in u.values():
+        if c.denominator != 1:
+            return False
+        g = math.gcd(g, c.numerator)
+    return g == 1
 
 
 @dataclass(frozen=True)

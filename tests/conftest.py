@@ -213,6 +213,140 @@ def prs_gcd(f: bp.BiPoly, g: bp.BiPoly) -> bp.BiPoly:
     return bp.normalize(bp.mul(bp.from_upoly_x(cont), pp))
 
 
+class _ReferenceParser:
+    """The character-scanning parser that bipoly.parse used before its
+    token parser, kept as the oracle for it: the same terms in the same
+    insertion order, or the same ParseError text.  It reads the source one
+    character at a time, skipping white space before each lookahead, and
+    multiplies every factor of a product with bipoly.mul."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.i = 0
+        self.depth = 0  # parentheses and unary minus signs now open
+
+    def _ws(self) -> None:
+        while self.i < len(self.src) and self.src[self.i].isspace():
+            self.i += 1
+
+    def peek(self) -> str:
+        self._ws()
+        return self.src[self.i] if self.i < len(self.src) else ""
+
+    def fail(self, msg: str) -> None:
+        raise bp.ParseError(msg, self.i + 1)
+
+    def _enter(self) -> None:
+        """Open one nesting level at the current character."""
+        self.depth += 1
+        if self.depth > bp._MAX_NESTING:
+            self.fail("nesting too deep")
+
+    def _nat(self) -> int:
+        self._ws()
+        start = self.i
+        while self.i < len(self.src) and self.src[self.i].isdecimal():
+            self.i += 1
+        if self.i == start:
+            self.fail("expected a natural number")
+        return int(self.src[start:self.i])
+
+    def _rational(self) -> int | Fraction:
+        num = self._nat()
+        if self.peek() == "/":
+            self.i += 1
+            pos = self.i
+            den = self._nat()
+            if den == 0:
+                raise bp.ParseError("zero denominator", pos + 1)
+            return bp._div(num, den)
+        return num
+
+    def expr(self) -> bp.BiPoly:
+        acc = self.term()
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.i += 1
+                acc = bp.add(acc, self.term())
+            elif ch == "-":
+                self.i += 1
+                acc = bp.sub(acc, self.term())
+            else:
+                return acc
+
+    def term(self) -> bp.BiPoly:
+        acc = self.factor()
+        while self.peek() == "*":
+            self.i += 1
+            pos = self.i
+            f = self.factor()
+            if bp.total_degree(acc) + bp.total_degree(f) > bp.MAX_TOTAL_DEGREE:
+                raise bp.ParseError(
+                    f"product exceeds the total-degree budget of {bp.MAX_TOTAL_DEGREE}",
+                    pos + 1)
+            acc = bp.mul(acc, f)
+        return acc
+
+    def factor(self) -> bp.BiPoly:
+        # unary minus binds looser than ^, so -x^2 means -(x^2)
+        if self.peek() == "-":
+            self._enter()
+            self.i += 1
+            out = bp.neg(self.factor())
+            self.depth -= 1
+            return out
+        b = self.base()
+        if self.peek() == "^":
+            self.i += 1
+            if not self.peek().isdecimal():
+                self.fail("exponent must be a natural number")
+            pos = self.i
+            n = self._nat()
+            if n > bp.MAX_TOTAL_DEGREE or bp.total_degree(b) * n > bp.MAX_TOTAL_DEGREE:
+                raise bp.ParseError(
+                    f"power ^{n} exceeds the total-degree budget of {bp.MAX_TOTAL_DEGREE}",
+                    pos + 1)
+            return bp.power(b, n)
+        return b
+
+    def base(self) -> bp.BiPoly:
+        ch = self.peek()
+        if ch == "(":
+            self._enter()
+            self.i += 1
+            inner = self.expr()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.i += 1
+            self.depth -= 1
+            return inner
+        if ch == "x":
+            self.i += 1
+            return dict(bp.X)
+        if ch == "y":
+            self.i += 1
+            return dict(bp.Y)
+        if ch.isdecimal():
+            return bp.const(self._rational())
+        if ch.isalpha():
+            self.fail(f"unknown variable {ch!r}")
+        if ch == "":
+            self.fail("unexpected end of input")
+        self.fail(f"unexpected character {ch!r}")
+        raise AssertionError  # fail always raises
+
+
+def reference_parse(src: str) -> bp.BiPoly:
+    """bipoly.parse by the character-scanning _ReferenceParser."""
+    p = _ReferenceParser(src)
+    out = p.expr()
+    p._ws()
+    if p.i != len(p.src):
+        raise bp.ParseError(f"unexpected character {p.src[p.i]!r}", p.i + 1)
+    return out
+
+
 def reduced_constructed_field(F: FactoredIntegral) -> VectorField:
     X, _ = reduce_field(construct_field(F))
     return X

@@ -41,3 +41,9 @@ def test_startup_case_times_fresh_interpreters(monkeypatch):
     row = runpy.run_path(SCRIPT)["worker"]("^startup$")["startup"]
     assert row["ok"]
     assert row["us"] > 0 and row["baseline_us"] > 0
+
+
+def test_parse_and_load_cases_match_the_reference_parser():
+    rows = runpy.run_path(SCRIPT)["worker"]("^(parse-|load-)")
+    assert set(rows) == {"parse-line", "parse-conic", "load-lines-4"}
+    assert all(row["ok"] and row["us"] > 0 for row in rows.values())

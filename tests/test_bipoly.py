@@ -15,7 +15,7 @@ from polysaddle import cli, remarkable
 from polysaddle.field_ops import VectorField, is_hamiltonian
 from polysaddle.variety import variety_empty
 
-from conftest import prs_gcd, random_line_family, random_rat, sylvester_y
+from conftest import prs_gcd, random_line_family, random_rat, reference_parse, sylvester_y
 
 rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 exps = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
@@ -87,6 +87,46 @@ def test_parse_nesting_cap():
                      ("x + " + "-(" * cap + "y" + ")" * cap, 5 + cap)):
         with pytest.raises(bp.ParseError, match=rf"nesting too deep \(column {col}\)"):
             bp.parse(src)
+
+
+def _parse_outcome(parse, src):
+    """The terms of parse(src) in insertion order, or its ParseError text."""
+    try:
+        return list(parse(src).items())
+    except bp.ParseError as e:
+        return str(e)
+
+
+# grammar fragments, white space, a superscript and an Arabic-Indic digit,
+# stray letters, and pieces that reach the degree budget
+_FRAGMENTS = [*"0123456789xy+-*/^()", " ", "\t", "²", "٣", "a", "z", "é",
+              "12", "200", "x^", "^99", "^100", "^101", " * ", "/ 0"]
+
+
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=16).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_parse_matches_reference_parser(src):
+    assert _parse_outcome(bp.parse, src) == _parse_outcome(reference_parse, src)
+
+
+@pytest.mark.parametrize("src, want", [
+    # the column just after the operator, white space included
+    ("x * y^200", "product exceeds the total-degree budget of 200 (column 4)"),
+    ("3/ 0", "zero denominator (column 3)"),
+    # only the first character of a run of digits is named
+    ("x200", "unexpected character '2' (column 2)"),
+])
+def test_parse_error_columns(src, want):
+    assert _parse_outcome(bp.parse, src) == _parse_outcome(reference_parse, src) == want
+
+
+def test_parse_keeps_integer_valued_fractions():
+    # Fraction arithmetic leaves Fraction(1, 1), as mul does; the
+    # primitivity test must count it as an integer, which
+    # test_factored_integral_rejects_bad_input checks on this input
+    got = _parse_outcome(bp.parse, "(1/2*x + 1)*2")
+    assert got == _parse_outcome(reference_parse, "(1/2*x + 1)*2") == [((1, 0), 1), ((0, 0), 2)]
+    assert type(got[0][1]) is Fraction
 
 
 def test_to_string_canonical():
@@ -335,17 +375,35 @@ def test_coprime_images_start_from_the_free_terms(monkeypatch):
         return kernel(a, b, p)
 
     monkeypatch.setattr(bp, "_gcd_mod_p", recording)
+    # the y-coefficient 2 is a nonzero constant, so the y-contents are 1
+    # and the x = 0 image alone proves the lines coprime
     assert bp.gcd(bp.parse("3*x + 2*y + 1"), bp.parse("x - 5*y + 7")) == bp.ONE
-    assert seen == [([2, 1], [P61 - 5, 7]), ([3, 1], [1, 7])]
+    assert seen == [([2, 1], [P61 - 5, 7])]
+    # no y-coefficient is constant: the y = 0 image is taken too
     seen.clear()
-    f, g = bp.parse("x*y^2 + 4*y^2 + x + 2*y + 3"), bp.parse("y^2 + x*y - 5")
+    f, g = bp.parse("x*y^2 + 4*y^2 + 2*x*y + x + 3"), bp.parse("x*y^2 + x*y - 5*x + 2")
     assert bp.gcd(f, g) == bp.ONE
-    assert seen == [([4, 2, 3], [1, 0, P61 - 5]), ([1, 3], [0, P61 - 5])]
+    assert seen == [([4, 0, 3], [0, 0, 2]), ([1, 3], [P61 - 5, 2])]
     # with no constant term, both images at t = 0 are divisible by the
     # kept variable and prove nothing, so the first point is t = 1
     seen.clear()
     assert bp.gcd(bp.parse("3*x + 2*y"), bp.parse("x - 5*y")) == bp.ONE
-    assert seen == [([2, 3], [P61 - 5, 1]), ([3, 2], [1, P61 - 5])]
+    assert seen == [([2, 3], [P61 - 5, 1])]
+
+
+@pytest.mark.parametrize("f, g, want", [
+    ("(x - 1)*(x + y)", "(x - 1)*(y - 2)", "x - 1"),
+    ("(2*x + 3)*(x*y + 1)", "(2*x + 3)^2*(x*y - 1)", "2*x + 3"),
+    # only g has a constant y-coefficient, 3: its y-content is 1, though
+    # x - 1 divides both f's y-content and g's leading y-coefficient
+    ("(x - 1)*(x + y)", "(x - 1)*y + 3", "1"),
+])
+def test_gcd_planted_x_only_factor(f, g, want):
+    # a common factor in Q[x] passes the x = t images and is the gcd of
+    # the y-contents; the y = t images are skipped only when one of those
+    # is 1, and gcd(f, g) must agree with the PRS oracle either way
+    f, g = bp.parse(f), bp.parse(g)
+    assert bp.gcd(f, g) == bp.gcd(g, f) == prs_gcd(f, g) == bp.parse(want)
 
 
 single_terms = st.builds(lambda e, c: {e: c}, exps, rats.filter(bool))

@@ -565,6 +565,17 @@ def test_malformed_json_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_invalid_utf8_exit_2(capsys, tmp_path):
+    # byte 0xff used to escape as an internal error (exit 4)
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"name": "\xff", "factors": []}')
+    code, out = run(capsys, "analyze", str(p))
+    assert code == 2
+    assert out.startswith(f"error: {p}: not valid UTF-8: ")
+    assert out.count("\n") == 1
+    assert "Traceback" not in out
+
+
 def test_shared_factor_exit_2(capsys, tmp_path):
     path = write_problem(tmp_path, {
         "name": "t",
