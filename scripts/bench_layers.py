@@ -26,8 +26,10 @@ conics times x^2 y and x y^3; and two pairs the image proof leaves to
 the modular gcd, (x - y^2)(x + y + 2) against (y - 1)(x + y + 2) and the
 16-line field (P0, Q0) times x - y and x - 1 and the common factor
 x + y + 2; and start-up, a fresh interpreter that
-imports polysaddle.cli, timed beside one that runs `pass` (the in-process
-cases cannot see import cost); and bipoly.parse on a line and a conic,
+imports polysaddle.cli, and for each command one that runs cli.main on
+STARTUP_PROBLEM (startup-<command>), each timed beside one that runs
+`pass` (the in-process cases cannot see import cost, nor which modules a
+command loads); and bipoly.parse on a line and a conic,
 and cli.load_problem on a file of four lines written to a temporary
 directory.  A coefficient is an int where it is
 an integer, as the program holds it (bipoly).  Every product is
@@ -49,7 +51,8 @@ drift, warm and cold, must equal bit for bit those of the plain-loop RK4
 kept here (reference_orbit); every parse must give the terms, in the
 same order, that reference_parse of tests/conftest.py gives (the
 character-scanning parser that the token parser replaced), and so must
-every factor that load_problem reads.  Each
+every factor that load_problem reads; every start-up interpreter must
+exit with the code its command gives on STARTUP_PROBLEM.  Each
 construct_field or linearize call starts from an integral with nothing
 cached but its factors.  A case whose calls run past CAP_S seconds in a
 round is recorded as a timeout instead of being waited for.
@@ -98,6 +101,10 @@ from time import perf_counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 BATCH_S = 0.02  # minimum length of one timed batch
 CAP_S = 10.0  # a case that runs longer in one round is recorded as a timeout
+# each command's start-up case runs it on this problem, relative to the
+# repository root, and expects this exit code
+STARTUP_PROBLEM = "problems/three_lines.json"
+STARTUP_EXITS = {"construct": 0, "analyze": 0, "cz": 1, "linearize": 0, "simulate": 0, "all": 1}
 
 
 def reference_mul(f: dict, g: dict) -> dict:
@@ -540,7 +547,11 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
     out += _orbit_cases(rng)
     out += _gcd_path_cases(rng)  # drawn last, so no earlier operand changes
     out += _gcd_modular_cases()
-    out.append(("startup", "startup", "import polysaddle.cli", "pass", None))
+    out.append(("startup", "startup", "import polysaddle.cli", "pass", 0))
+    out += [(f"startup-{cmd}", "startup",
+             "import sys; from polysaddle import cli; "
+             f"sys.exit(cli.main([{cmd!r}, {STARTUP_PROBLEM!r}, '--format', 'json']))",
+             "pass", code) for cmd, code in STARTUP_EXITS.items()]
     out += _load_cases()
     return [case for case in out if re.search(only, case[0])]
 
@@ -565,9 +576,11 @@ def _time(fn, f, g) -> float:
 
 
 def _interpreter(code: str, _=None) -> int:
-    """Exit code of a fresh interpreter that runs `code`; its output is
-    dropped, since the worker's own standard output carries its result."""
-    return subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL).returncode
+    """Exit code of a fresh interpreter that runs `code` in the repository
+    root; its output is dropped, since the worker's own standard output
+    carries its result."""
+    return subprocess.run([sys.executable, "-c", code], cwd=os.path.join(HERE, ".."),
+                          stdout=subprocess.DEVNULL).returncode
 
 
 def _timeout(signum, frame):
@@ -671,7 +684,7 @@ def worker(only: str = "") -> dict:
                 out[name] = {"us": _time(construct, F, None),
                              "linearize_us": _time(linearize_fresh, F, X), "ok": ok}
             elif op == "startup":
-                ok = _interpreter(f) == _interpreter(g) == 0
+                ok = _interpreter(f) == planted and _interpreter(g) == 0
                 out[name] = {"us": _time(_interpreter, f, None),
                              "baseline_us": _time(_interpreter, g, None), "ok": ok}
             elif op == "parse":

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -859,12 +860,16 @@ class _Parser:
         if self.depth > _MAX_NESTING:
             self.fail("nesting too deep")
 
-    def _nat(self) -> int:
+    def _nat(self, msg: str = "expected a natural number") -> int:
         tok = self.toks[self.k]
         if not tok.isdecimal():
-            self.fail("expected a natural number")
+            self.fail(msg)
+        try:
+            n = int(tok)
+        except ValueError:  # past the interpreter's int-string limit
+            self.fail(f"number longer than {sys.get_int_max_str_digits()} digits")
         self.k += 1
-        return int(tok)
+        return n
 
     def _rational(self) -> int | Fraction:
         num = self._nat()
@@ -913,12 +918,10 @@ class _Parser:
         b = self.base()
         if self.toks[self.k] == "^":
             self.k += 1
-            if not self.toks[self.k].isdecimal():
-                self.fail("exponent must be a natural number")
-            n = int(self.toks[self.k])
+            n = self._nat("exponent must be a natural number")
             if n > MAX_TOTAL_DEGREE or total_degree(b) * n > MAX_TOTAL_DEGREE:
-                self.fail(f"power ^{n} exceeds the total-degree budget of {MAX_TOTAL_DEGREE}")
-            self.k += 1
+                self.fail(f"power ^{n} exceeds the total-degree budget of {MAX_TOTAL_DEGREE}",
+                          self.k - 1)
             return power(b, n)
         return b
 

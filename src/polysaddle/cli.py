@@ -10,6 +10,10 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
 or parse error, 3 some verdict was Inconclusive and --strict was set, 4
 internal error (an exception the program did not expect; one line on
 stderr, no report).
+
+The analysis modules are imported by the commands that run them:
+remarkable by analyze, cz_check (with variety and arith) by cz, numcheck
+by simulate.  A one-command process never compiles the others.
 """
 
 from __future__ import annotations
@@ -22,15 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bipoly as bp
-from . import numcheck, upoly
+from . import upoly
 from .bipoly import CheckResult, ParseError
-from .cz_check import cz_report
 from .field_ops import (FactoredIntegral, VectorField, cofactor, minimal_degree_check,
                         _divergence, _lie_of_integral, _potential)
 from .linearize import factor_split, linearize
-from .remarkable import (analyze, integral_degree_check,
-                         inverse_factor_degree_check,
-                         single_critical_value_criterion)
 
 
 class ProblemError(Exception):
@@ -71,6 +71,9 @@ def load_problem(path: str) -> ProblemSpec:
         raise ProblemError(f"{path}: not valid UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ProblemError(f"{path}: invalid JSON: {e}") from e
+    except ValueError as e:  # an integer past the interpreter's int-string limit
+        raise ProblemError(f"{path}: invalid JSON: a number longer than "
+                           f"{sys.get_int_max_str_digits()} digits") from e
     if not isinstance(doc, dict):
         raise ProblemError(f"{path}: top level must be a JSON object")
     name = doc.get("name")
@@ -198,6 +201,10 @@ def cmd_construct(spec: ProblemSpec) -> dict:
 
 
 def cmd_analyze(spec: ProblemSpec) -> dict:
+    # loaded on first use (module docstring)
+    from .remarkable import (analyze, integral_degree_check, inverse_factor_degree_check,
+                             single_critical_value_criterion)
+
     F, X = spec.integral, spec.field
     out: dict = {"integral": bp.to_string(F.H), "degree_m": X.degree}
     if all(k == 1 for _, k in F.factors):
@@ -245,6 +252,8 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
 
 
 def cmd_cz(spec: ProblemSpec) -> dict:
+    from .cz_check import cz_report  # loaded on first use (module docstring)
+
     rep = cz_report(spec.integral)
     return {
         "condition_i_nonsingular": _cd(rep.condition_i),
@@ -285,6 +294,8 @@ def cmd_linearize(spec: ProblemSpec, pivot: int | None) -> dict:
 
 
 def cmd_simulate(spec: ProblemSpec, args) -> dict:
+    from . import numcheck  # loaded on first use (module docstring)
+
     if args.steps < 1:
         raise ProblemError("--steps must be a positive integer")
     if not all(map(math.isfinite, (args.x0, args.y0, args.step))):

@@ -1,5 +1,5 @@
 """The root cases of the layer benchmark expect what rational_roots returns,
-its gcd and coprime cases hold, and its start-up case runs.
+its gcd and coprime cases hold, and its start-up cases run.
 
 `scripts/bench_layers.py` marks a case ok when the program's result equals
 the expected value stored with the case, or when its own check proves the
@@ -38,9 +38,17 @@ def test_gcd_cases_are_proved():
 
 def test_startup_case_times_fresh_interpreters(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", os.path.join(os.path.dirname(HERE), "src"))
-    row = runpy.run_path(SCRIPT)["worker"]("^startup$")["startup"]
-    assert row["ok"]
-    assert row["us"] > 0 and row["baseline_us"] > 0
+    script = runpy.run_path(SCRIPT)
+    cases = script["cases"]("^startup")
+    assert [name for name, *_ in cases] == ["startup"] + [
+        f"startup-{cmd}" for cmd in ("construct", "analyze", "cz", "linearize", "simulate", "all")]
+    for name, _, code, _, exit_code in cases:
+        assert script["_interpreter"](code) == exit_code, name
+    rows = script["worker"]("^startup(-cz)?$")
+    assert set(rows) == {"startup", "startup-cz"}
+    for row in rows.values():
+        assert row["ok"]
+        assert row["us"] > 0 and row["baseline_us"] > 0
 
 
 def test_parse_and_load_cases_match_the_reference_parser():

@@ -4,6 +4,7 @@ import functools
 import glob
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,17 @@ def test_parse_matches_reference_parser(src):
 ])
 def test_parse_error_columns(src, want):
     assert _parse_outcome(bp.parse, src) == _parse_outcome(reference_parse, src) == want
+
+
+@pytest.mark.parametrize("src, column", [
+    ("1" * 5001 + "*x + y", 1), ("x^" + "1" * 5001, 3), ("x + 2/" + "1" * 5001, 7)])
+def test_parse_refuses_numbers_past_the_int_string_limit(src, column):
+    # int() raised ValueError on these, which escaped the parser
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(bp.ParseError) as e:
+        bp.parse(src)
+    assert str(e.value) == f"number longer than {limit} digits (column {column})"
+    assert bp.parse("1" * limit) == {(0, 0): int("1" * limit)}
 
 
 def test_parse_keeps_integer_valued_fractions():

@@ -11,7 +11,7 @@ import pytest
 
 from polysaddle import cli
 from polysaddle import bipoly as bp
-from polysaddle import field_ops, remarkable
+from polysaddle import cz_check, field_ops, remarkable
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -576,6 +576,26 @@ def test_invalid_utf8_exit_2(capsys, tmp_path):
     assert "Traceback" not in out
 
 
+ONES = "1" * 5001  # past the interpreter's int-string limit of 4300 digits
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze", "cz", "linearize", "simulate", "all"])
+@pytest.mark.parametrize("poly, exponent, message", [
+    (f"{ONES}*x + y", "1", "factor 1: number longer than {} digits (column 1)"),
+    (f"x^{ONES}", "1", "factor 1: number longer than {} digits (column 3)"),
+    ("x + y", ONES, "invalid JSON: a number longer than {} digits"),
+], ids=["coefficient", "power", "exponent"])
+def test_overlong_number_exit_2(capsys, tmp_path, command, poly, exponent, message):
+    # int() raised ValueError on these, which used to escape as exit 4;
+    # the file is written by hand, since json.dumps cannot write the exponent
+    p = tmp_path / "long.json"
+    p.write_text('{"name": "t", "factors": [{"poly": "%s", "exponent": %s}, '
+                 '{"poly": "x - y", "exponent": 1}]}' % (poly, exponent))
+    code, out = run(capsys, command, str(p))
+    assert code == 2
+    assert out == f"error: {p}: {message.format(sys.get_int_max_str_digits())}\n"
+
+
 def test_shared_factor_exit_2(capsys, tmp_path):
     path = write_problem(tmp_path, {
         "name": "t",
@@ -628,7 +648,7 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     def broken(F):
         raise RuntimeError("root certification failed")
 
-    monkeypatch.setattr(cli, "cz_report", broken)
+    monkeypatch.setattr(cz_check, "cz_report", broken)
     code = cli.main(["cz", problem("three_lines.json"), "--format", "json"])
     cap = capsys.readouterr()
     assert code == 4
@@ -654,7 +674,7 @@ def test_strict_flag_surfaces_inconclusive(capsys, tmp_path, monkeypatch):
         "name": "t",
         "factors": [{"poly": "x", "exponent": 2}, {"poly": "y", "exponent": 1}]})
     monkeypatch.setattr(
-        cli, "single_critical_value_criterion",
+        remarkable, "single_critical_value_criterion",
         lambda F, X, analysis: bp.inconclusive("forced for the exit-code test"))
     code, out = run(capsys, "analyze", path, "--strict", "--format", "json")
     assert code == 3
@@ -671,22 +691,32 @@ def test_text_format_renders_nested(capsys):
     assert "status: Holds" in out
 
 
-# start-up: mpmath is imported only to approximate irrational roots
+# start-up: each command loads only the modules it runs, and mpmath is
+# imported only to approximate irrational roots
 
 MAIN_IN_FRESH_INTERPRETER = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 from polysaddle import cli
 codes = []
 for command in sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         codes.append(cli.main([command, sys.argv[1]]))
-print(json.dumps({"codes": codes, "last": out.getvalue(), "mpmath": "mpmath" in sys.modules}))
+modules = sorted(m.split(".")[1] for m in sys.modules if m.startswith("polysaddle."))
+mpmath = "mpmath" in sys.modules
+import polysaddle
+strays = [name for name, home in polysaddle._EXPORTS.items()
+          if getattr(polysaddle, name)
+          is not getattr(importlib.import_module("polysaddle." + home), name)]
+print(json.dumps({"codes": codes, "last": out.getvalue(), "mpmath": mpmath,
+                  "modules": modules, "strays": strays}))
 """
 
 
 def main_in_fresh_interpreter(path, *commands):
-    """Exit codes, the last command's text report and whether mpmath was
-    loaded, from polysaddle.cli.main run on path in a new interpreter."""
+    """Exit codes, the last command's text report, whether mpmath was
+    loaded and which polysaddle modules were, from polysaddle.cli.main
+    run on path in a new interpreter; then the public names of polysaddle
+    that do not resolve to the object their defining module binds."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", MAIN_IN_FRESH_INTERPRETER, path, *commands],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -698,6 +728,34 @@ def test_commands_leave_mpmath_unloaded():
                                     "linearize", "simulate", "all")
     assert got["codes"] == [0, 0, 1, 0, 0, 1]
     assert not got["mpmath"]
+
+
+SRC = os.path.join(ROOT, "src", "polysaddle")
+EVERY_MODULE = {f[:-3] for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py"}
+CONSTRUCTION = {"bipoly", "cli", "field_ops", "linearize", "upoly"}
+
+
+@pytest.mark.parametrize("command, adds", [
+    ("construct", set()),
+    ("linearize", set()),
+    ("analyze", {"remarkable"}),
+    ("cz", {"cz_check", "variety", "arith"}),
+    ("simulate", {"numcheck"}),
+    ("all", EVERY_MODULE - CONSTRUCTION),
+])
+def test_each_command_loads_only_the_modules_it_runs(command, adds):
+    got = main_in_fresh_interpreter(problem("three_lines.json"), command)
+    assert set(got["modules"]) == CONSTRUCTION | adds
+    assert not got["mpmath"]
+    # polysaddle.linearize stays the function after the submodule ran
+    assert got["strays"] == []
+
+
+def test_package_lists_lazy_names_and_refuses_unknown_ones():
+    import polysaddle
+    assert set(polysaddle.__all__) <= set(dir(polysaddle))
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        polysaddle.nonesuch
 
 
 def test_irrational_witness_loads_mpmath(tmp_path):
