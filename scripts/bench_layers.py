@@ -1,6 +1,6 @@
 """Layer microbenchmark: bipoly.mul, bipoly.gcd, bipoly.resultant,
-upoly.rational_roots, the constructed field, variety.variety_empty and RK4
-orbits on a fixed operand ladder.
+upoly.rational_roots and the Euclidean upoly layer, the constructed
+field, variety.variety_empty and RK4 orbits on a fixed operand ladder.
 
 The operands are drawn from a fixed seed: dense products from 1x1 terms
 up to total degree 10, rational and 200-bit coefficients, a single-term
@@ -31,8 +31,12 @@ STARTUP_PROBLEM (startup-<command>), each timed beside one that runs
 `pass` (the in-process cases cannot see import cost, nor which modules a
 command loads); and bipoly.parse on a line and a conic,
 and cli.load_problem on a file of four lines written to a temporary
-directory.  A coefficient is an int where it is
-an integer, as the program holds it (bipoly).  Every product is
+directory; and, drawn last, upoly.gcd, squarefree_part, rem, xgcd and
+rational_roots on integer operands of degree 4 to 10 (upoly-*), each
+checked against the result of the Fraction-list references kept here,
+and variety_empty on the 44-bit triple-point fibers of the cz-witness
+workload (variety-fiber-*).  A coefficient is an int where it is
+an integer, as the program holds it (bipoly, upoly).  Every product is
 checked against a schoolbook reference kept in this file, and timed
 beside it; every gcd must divide both operands and leave cofactors that
 reference_coprime, which uses no gcd routine of the program, proves
@@ -69,7 +73,11 @@ expression (Python's re.search).
 Each --src tree (default: the `src` next to this script) is imported in
 its own worker process.  The trees take turns for --rounds rounds, in
 alternating order, so a drift in host speed hits them alike.  A round
-times each case as the median of five batches of calls; the JSON holds,
+times each case as the median of five batches of calls, each scaled to
+the reference host speed as perfbench/run.py scales its calls: a fixed
+kernel is timed before every batch, and the batch time is multiplied by
+KERNEL_REF_S over the median of the last KERNEL_WINDOW kernel times.
+The JSON holds,
 per tree and case, the median and quartiles of the per-call times over
 the rounds, in microseconds ("reference" for the schoolbook product,
 "linearize" for the second timing of a field case, "cold" for an orbit
@@ -94,6 +102,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from collections import deque
 from fractions import Fraction
 from statistics import median, quantiles
 from time import perf_counter
@@ -101,6 +110,10 @@ from time import perf_counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 BATCH_S = 0.02  # minimum length of one timed batch
 CAP_S = 10.0  # a case that runs longer in one round is recorded as a timeout
+# host speed kernel: its time on a quiet reference host, and how many
+# recent kernel times the scale factor takes the median of (perfbench/run.py)
+KERNEL_REF_S = 0.0025
+KERNEL_WINDOW = 15
 # each command's start-up case runs it on this problem, relative to the
 # repository root, and expects this exit code
 STARTUP_PROBLEM = "problems/three_lines.json"
@@ -127,21 +140,48 @@ def _image(f: dict, t: int, swap: bool) -> list:
     return out
 
 
+def _utrim(a: list) -> list:
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _usub(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return _utrim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                   for i in range(n)])
+
+
+def _udivmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder in Q[t] of coefficient lists, lowest degree
+    first, by schoolbook division; b nonzero."""
+    r, b = _utrim(a), _utrim(b)
+    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c, k = Fraction(r[-1]) / b[-1], len(r) - len(b)
+        q[k] = c
+        for i, v in enumerate(b):
+            r[k + i] -= c * v
+        r = _utrim(r)
+    return _utrim(q), r
+
+
+def reference_xgcd(a: list, b: list) -> tuple[list, list]:
+    """(g, s) with g the monic gcd of a and b and s a = g mod b, by the
+    textbook extended Euclid; a and b not both zero."""
+    r0, r1, s0, s1 = _utrim(a), _utrim(b), [Fraction(1)], []
+    while r1:
+        q, r = _udivmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, _usub(s0, _upoly_mul(q, s1))
+    c = 1 / Fraction(r0[-1])
+    return [v * c for v in r0], [v * c for v in s0]
+
+
 def _gcd_degree(a: list, b: list) -> int:
-    """Degree of gcd(a, b) in Q[y] by Euclid; a, b are Fraction lists,
-    lowest degree first, not both zero."""
-    while b and not b[-1]:
-        b = b[:-1]
-    while b:
-        r = list(a)
-        while len(r) >= len(b):
-            q = r[-1] / b[-1]
-            for k, c in enumerate(b):
-                r[len(r) - len(b) + k] -= q * c
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, r
-    return len(a) - 1
+    """Degree of gcd(a, b) in Q[y]; a, b are Fraction lists, lowest degree
+    first, not both zero."""
+    return len(reference_xgcd(a, b)[0]) - 1
 
 
 def reference_coprime(f: dict, g: dict) -> bool:
@@ -503,6 +543,56 @@ def _gcd_modular_cases() -> list:
             ("gcd-many-lines-16-common", "gcd", reference_mul(P, c), reference_mul(Q, c), c)]
 
 
+def _int_upoly(rng: random.Random, d: int) -> list:
+    """Degree d, nonzero integer coefficients of up to 5 bits."""
+    return [rng.choice((-1, 1)) * rng.randint(1, 32) for _ in range(d + 1)]
+
+
+def _upoly_cases(rng: random.Random) -> list:
+    """upoly on integer operands of degree 4 to 10, each with the result
+    of the reference routines above: gcd of two degree-8 products sharing
+    a planted cubic, squarefree_part of a b^2 (degrees 4 and 3), rem of
+    degree 10 by degree 6, xgcd of degree 6 against degree 8 (the inverse
+    variety._fiber_gcd takes), and rational_roots of four planted linear
+    factors p t - q times t^6 + k, k > 0, which has no real root; and
+    variety_empty on the triple-point fibers of the cz-witness workload
+    (perfbench/corpus.py): x^2 - N, y and y - x^2 + N meet at
+    (+-sqrt N, 0), for N of 44 bits that is a square (a rational witness)
+    and one that is not (certified boxes)."""
+    c = _int_upoly(rng, 3)
+    a, b = _upoly_mul(_int_upoly(rng, 5), c), _upoly_mul(_int_upoly(rng, 5), c)
+    sq, base = _int_upoly(rng, 3), _int_upoly(rng, 4)
+    f = _upoly_mul(base, _upoly_mul(sq, sq))
+    fprime = [i * v for i, v in enumerate(f)][1:]
+    sqf = _udivmod(f, reference_xgcd(f, fprime)[0])[0]
+    num, den = _int_upoly(rng, 10), _int_upoly(rng, 6)
+    u, v = _int_upoly(rng, 6), _int_upoly(rng, 8)
+    lines = [(rng.randint(1, 4), rng.randint(-9, 9)) for _ in range(4)]  # p t - q
+    level = [rng.randint(1, 32)] + [0] * 5 + [1]
+    for p, q in lines:
+        level = _upoly_mul(level, [-q, p])
+    out = [("upoly-gcd-d8-common-d3", "upoly", ("gcd", [a, b]),
+            None, tuple(reference_xgcd(a, b)[0])),
+           ("upoly-squarefree-d10", "upoly", ("squarefree_part", [f]), None,
+            tuple(Fraction(x) / sqf[-1] for x in sqf)),
+           ("upoly-rem-d10-d6", "upoly", ("rem", [num, den]), None,
+            tuple(_udivmod(num, den)[1])),
+           ("upoly-xgcd-d6-d8", "upoly", ("xgcd", [u, v]), None,
+            tuple(map(tuple, reference_xgcd(u, v)))),
+           ("upoly-roots-d10", "upoly", ("rational_roots", [level]), None,
+            sorted({Fraction(q, p) for p, q in lines}))]
+    lo = math.isqrt(1 << 43) + 1
+    r = rng.randrange(lo, lo + (lo >> 6))
+    while True:
+        n = rng.randrange(1 << 43, (1 << 43) + (1 << 38))
+        if math.isqrt(n) ** 2 != n:
+            break
+    for kind, N in (("rational", r * r), ("irrational", n)):
+        curves = [{(2, 0): 1, (0, 0): -N}, {(0, 1): 1}, {(0, 1): 1, (2, 0): -1, (0, 0): N}]
+        out.append((f"variety-fiber-triple-44bit-{kind}", "variety", curves, None, "Fails"))
+    return out
+
+
 def _load_cases() -> list:
     """A line and a conic for bipoly.parse, and a problem of four lines of
     tests/fixtures/many_lines_16.json, the last one squared, for
@@ -553,11 +643,41 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
              f"sys.exit(cli.main([{cmd!r}, {STARTUP_PROBLEM!r}, '--format', 'json']))",
              "pass", code) for cmd, code in STARTUP_EXITS.items()]
     out += _load_cases()
+    out += _upoly_cases(rng)  # drawn after every case above, which keep their operands
     return [case for case in out if re.search(only, case[0])]
 
 
-def _time(fn, f, g) -> float:
-    """Per-call microseconds: the median of five batches of at least BATCH_S."""
+def _kernel() -> float:
+    """Seconds for a fixed pure-Python loop shaped like the program's hot
+    path: Fraction products summed into a dict (perfbench/run.py's host
+    speed kernel)."""
+    acc: dict = {}
+    a = Fraction(3, 7)
+    t0 = perf_counter()
+    for i in range(500):
+        k = (i % 13, i % 7)
+        acc[k] = acc.get(k, Fraction(0)) + a * Fraction(i % 97 + 1, 11)
+    return perf_counter() - t0
+
+
+class HostSpeed:
+    """How fast the host runs Python just now, as perfbench's HostSpeed
+    measures it: `factor()` times the kernel once more and returns
+    KERNEL_REF_S over the median of the last KERNEL_WINDOW kernel times; a
+    wall time times this factor is the time at the reference host speed."""
+
+    def __init__(self):
+        self.recent: deque[float] = deque(maxlen=KERNEL_WINDOW)
+
+    def factor(self) -> float:
+        self.recent.append(_kernel())
+        return KERNEL_REF_S / median(self.recent)
+
+
+def _time(fn, f, g, speed: HostSpeed) -> float:
+    """Per-call microseconds at the reference host speed: the median of
+    five batches of at least BATCH_S, each scaled by speed.factor() taken
+    just before it."""
     n = 1
     while True:
         t0 = perf_counter()
@@ -568,10 +688,11 @@ def _time(fn, f, g) -> float:
         n *= 2
     times = []
     for _ in range(5):
+        factor = speed.factor()
         t0 = perf_counter()
         for _ in range(n):
             fn(f, g)
-        times.append((perf_counter() - t0) / n * 1e6)
+        times.append((perf_counter() - t0) / n * 1e6 * factor)
     return median(times)
 
 
@@ -652,6 +773,11 @@ def worker(only: str = "") -> dict:
     def load(path, _):
         return cli.load_problem(path)
 
+    speed = HostSpeed()
+
+    def time(fn, f, g):
+        return _time(fn, f, g, speed)
+
     out = {}
     signal.signal(signal.SIGALRM, _timeout)
     for name, op, f, g, planted in cases(only):
@@ -661,18 +787,22 @@ def worker(only: str = "") -> dict:
         try:
             if op == "mul":
                 ok = bp.mul(f, g) == reference_mul(f, g) == bp.mul(g, f)
-                out[name] = {"us": _time(bp.mul, f, g),
-                             "reference_us": _time(reference_mul, f, g), "ok": ok}
+                out[name] = {"us": time(bp.mul, f, g),
+                             "reference_us": time(reference_mul, f, g), "ok": ok}
             elif op in ("gcd", "coprime"):
                 ok = gcd_ok(op, f, g, planted)
-                out[name] = {"us": _time(bp.gcd, f, g), "ok": ok}
+                out[name] = {"us": time(bp.gcd, f, g), "ok": ok}
             elif op == "resultant":
                 ok = resultant(f, g) == bp.det_bareiss(sylvester_y(f, g))
-                out[name] = {"us": _time(resultant, f, g), "ok": ok}
+                out[name] = {"us": time(resultant, f, g), "ok": ok}
+            elif op == "upoly":
+                fn, args = getattr(up, f[0]), tuple(up.make(a) for a in f[1])
+                ok = fn(*args) == planted
+                out[name] = {"us": time(lambda a, _: fn(*a), args, None), "ok": ok}
             elif op == "variety":
                 got = variety(f, g)
                 ok = (got.status, got.witness) == reference and got.status == planted
-                out[name] = {"us": _time(variety, f, g), "ok": ok}
+                out[name] = {"us": time(variety, f, g), "ok": ok}
             elif op == "field":
                 F = FactoredIntegral(tuple(f))
                 X, _ = reduce_field(F.field)
@@ -681,15 +811,15 @@ def worker(only: str = "") -> dict:
                 ok = ((field.P, field.Q) == planted
                       == (bp.mul(cert.G, X.P), bp.mul(cert.G, X.Q))
                       and certificate_holds(cert, X.P, X.Q))
-                out[name] = {"us": _time(construct, F, None),
-                             "linearize_us": _time(linearize_fresh, F, X), "ok": ok}
+                out[name] = {"us": time(construct, F, None),
+                             "linearize_us": time(linearize_fresh, F, X), "ok": ok}
             elif op == "startup":
                 ok = _interpreter(f) == planted and _interpreter(g) == 0
-                out[name] = {"us": _time(_interpreter, f, None),
-                             "baseline_us": _time(_interpreter, g, None), "ok": ok}
+                out[name] = {"us": time(_interpreter, f, None),
+                             "baseline_us": time(_interpreter, g, None), "ok": ok}
             elif op == "parse":
                 ok = list(bp.parse(f).items()) == terms(f)
-                out[name] = {"us": _time(parse, f, None), "ok": ok}
+                out[name] = {"us": time(parse, f, None), "ok": ok}
             elif op == "load":
                 with tempfile.TemporaryDirectory() as tmp:
                     path = os.path.join(tmp, "problem.json")
@@ -698,16 +828,16 @@ def worker(only: str = "") -> dict:
                     spec = cli.load_problem(path)
                     ok = ([(list(u.items()), k) for u, k in spec.integral.factors]
                           == [(terms(u["poly"]), u["exponent"]) for u in f["factors"]])
-                    out[name] = {"us": _time(load, path, None), "ok": ok}
+                    out[name] = {"us": time(load, path, None), "ok": ok}
             elif op == "orbit":
                 X = VectorField(f, g)
                 H, x0, y0, step = planted
                 ok = (hexes(orbit_cold(X, planted)) == hexes(orbit(X, planted))
                       == hexes(reference_orbit(f, g, H, x0, y0, step, ORBIT_STEPS)))
-                out[name] = {"us": _time(orbit, X, planted),
-                             "cold_us": _time(orbit_cold, X, planted), "ok": ok}
+                out[name] = {"us": time(orbit, X, planted),
+                             "cold_us": time(orbit_cold, X, planted), "ok": ok}
             else:
-                out[name] = {"us": _time(roots, f, g), "ok": roots(f, g) == planted}
+                out[name] = {"us": time(roots, f, g), "ok": roots(f, g) == planted}
         except TimeoutError:
             out[name] = {"timeout": True}
         finally:
@@ -728,6 +858,8 @@ def _describe(op: str, f, g) -> dict:
         return {"op": op, "source": f}
     if op == "load":
         return {"op": op, "factors": [u["poly"] for u in f["factors"]]}
+    if op == "upoly":
+        return {"op": op, "function": f[0], "degrees": [len(a) - 1 for a in f[1]]}
     return {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])}
 
 

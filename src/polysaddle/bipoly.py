@@ -6,18 +6,15 @@ empty dict.  Callers must treat values as immutable.  The monomial order
 used for leading terms and canonical printing is graded lex with x > y:
 compare total degree first, then the x exponent.
 
-A coefficient is an int or a Fraction, never a float; integers stay ints,
-since int arithmetic is two orders of magnitude cheaper than Fraction
-arithmetic.  The constants ONE, X and Y, const, scalar_mul, the parser,
-mul's unpacking and normalize yield an int for every integer value, and
-the two true divisions (in divmod_lt and in the antiderivatives of
-field_ops) go through _div, which returns an int when the quotient is
-one.  A Fraction is left for a value that is not an integer, for the
-integer-valued result of arithmetic on Fractions (1/2 + 1/2, or a
-product of operands with denominators), and for a value taken over from
-upoly, whose coefficients are Fractions.  An int and Fraction(n, 1) are
-equal, hash alike and print alike, so no result or report depends on
-which of the two a coefficient is.
+Coefficients follow the rule stated in upoly for both rings: an int
+where the value is an integer, a Fraction only where it is not, never a
+float.  The constants ONE, X and Y, const, scalar_mul, the parser, mul's
+unpacking, normalize and every value taken over from upoly yield an int
+for every integer value, and the two true divisions (in divmod_lt and in
+the antiderivatives of field_ops) go through upoly's _div, which returns
+an int when the quotient is one.  A Fraction is left for a value that is
+not an integer and for the integer-valued result of arithmetic on
+Fractions (1/2 + 1/2, or a product of operands with denominators).
 
 Products use Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic
 Comput. 44, 2009): denominators are cleared, each operand is packed into
@@ -55,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import upoly
-from .upoly import _PRIME, UPoly, _gcd_mod_p
+from .upoly import _PRIME, UPoly, _coeff, _div, _gcd_mod_p
 
 # coefficients are int or Fraction, never float (module docstring)
 BiPoly = dict[tuple[int, int], int | Fraction]
@@ -64,24 +61,6 @@ ZERO: BiPoly = {}
 ONE: BiPoly = {(0, 0): 1}
 X: BiPoly = {(1, 0): 1}
 Y: BiPoly = {(0, 1): 1}
-
-
-def _coeff(c: Fraction | int) -> int | Fraction:
-    """c as a coefficient: an int when c is an integer, else a Fraction
-    (a float is converted exactly)."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
-    """a / b, b nonzero: an int when the quotient is one, else a Fraction."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = a / b
-    return q.numerator if q.denominator == 1 else q
 
 
 def const(c: Fraction | int) -> BiPoly:
@@ -386,11 +365,11 @@ def coeffs_wrt_y(f: BiPoly) -> list[UPoly]:
     """Coefficients of y^0, y^1, ... as univariate polynomials in x."""
     if not f:
         return []
-    out: list[list[Fraction]] = [[] for _ in range(deg_y(f) + 1)]
+    out: list[list[int | Fraction]] = [[] for _ in range(deg_y(f) + 1)]
     for (i, j), c in f.items():
         row = out[j]
         if len(row) <= i:
-            row.extend([Fraction(0)] * (i + 1 - len(row)))
+            row.extend([0] * (i + 1 - len(row)))
         row[i] = c
     return [upoly.make(row) for row in out]
 

@@ -29,7 +29,7 @@ from . import bipoly as bp
 from . import upoly
 from .bipoly import CheckResult, ParseError
 from .field_ops import (FactoredIntegral, VectorField, cofactor, minimal_degree_check,
-                        _divergence, _lie_of_integral, _potential)
+                        _divergence, _divide_field, _lie_of_integral, _potential)
 from .linearize import factor_split, linearize
 
 
@@ -189,7 +189,9 @@ def cmd_construct(spec: ProblemSpec) -> dict:
         else _cd(bp.inconclusive("not applicable: single factor")),
     }
     if spec.field_given:
-        lie = _lie_of_integral(F, spec.field)
+        # X annihilates H exactly when it is a multiple of Xr (_divide_field);
+        # the Lie derivative is formed only as the witness of a Fails
+        lie = _divide_field(spec.field, Xr)[1] and _lie_of_integral(F, spec.field)
         out["given_field"] = {
             "P": bp.to_string(spec.field.P),
             "Q": bp.to_string(spec.field.Q),

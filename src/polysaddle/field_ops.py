@@ -201,23 +201,36 @@ def reduce_field(X: VectorField) -> tuple[VectorField, BiPoly]:
     return VectorField(bp.exact_div(X.P, g), bp.exact_div(X.Q, g)), g
 
 
+def _divide_field(X2: VectorField, X1: VectorField) -> tuple[BiPoly, BiPoly]:
+    """(G, r) for a coprime X1 (not checked): X2 = G * X1 exactly when
+    r = 0.  G is the quotient by leading terms of one component, X2.Q by
+    X1.Q when X1.P = 0 and X2.P by X1.P otherwise; r is that division's
+    remainder when it is nonzero, else the residual of the other
+    component (X2.P, or X2.Q - G X1.Q).
+
+    With X1 = F.field.reduced[0], r = 0 exactly when X2 annihilates F.H,
+    for any X2: X2(H) = 0 says P0 Q2 = Q0 P2 (_lie_of_integral), that is
+    P1 Q2 = Q1 P2, and with gcd(P1, Q1) = 1 this makes P1 divide P2 when
+    P1 != 0 (and P2 = 0, Q1 constant, when P1 = 0), so X2 = G X1.
+    """
+    if bp.is_zero(X1.P):
+        G, r = bp.divmod_lt(X2.Q, X1.Q)
+        return G, r or X2.P
+    G, r = bp.divmod_lt(X2.P, X1.P)
+    return G, r or bp.sub(X2.Q, bp.mul(G, X1.Q))
+
+
 def quotient_multiplier(X2: VectorField, X1: VectorField) -> BiPoly:
     """The polynomial G with X2 = G * X1, when it exists.
 
-    X1 must have coprime components.  exact_div proves G exact on one
-    component; only the other residual is computed (X2.P when X1.P = 0,
-    else X2.Q - G X1.Q), and a nonzero one raises ExactDivisionError.
+    X1 must have coprime components.  A field that is no multiple raises
+    ExactDivisionError carrying the nonzero remainder r of _divide_field.
     """
     if not is_coprime(X1):
         raise ValueError("reference field must have coprime components")
-    if bp.is_zero(X1.P):
-        G = bp.exact_div(X2.Q, X1.Q)
-        resid = X2.P
-    else:
-        G = bp.exact_div(X2.P, X1.P)
-        resid = bp.sub(X2.Q, bp.mul(G, X1.Q))
-    if resid:
-        raise bp.ExactDivisionError(resid)
+    G, r = _divide_field(X2, X1)
+    if r:
+        raise bp.ExactDivisionError(r)
     return G
 
 

@@ -59,7 +59,7 @@ def inverse_integrating_factor(F: FactoredIntegral) -> BiPoly:
 
 def _at(f: BiPoly, x0: int) -> UPoly:
     """f(x0, y) as a univariate polynomial in y."""
-    return upoly.make([upoly.evaluate(p, Fraction(x0)) for p in bp.coeffs_wrt_y(f)])
+    return upoly.make([upoly.evaluate(p, x0) for p in bp.coeffs_wrt_y(f)])
 
 
 def _level_product(f: UPoly, h: UPoly) -> UPoly:

@@ -1,9 +1,18 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-A polynomial is a tuple of Fraction coefficients, lowest degree first,
-with no trailing zeros.  The zero polynomial is the empty tuple.  This
-layer backs rational root finding, square-free decomposition and the
+A polynomial is a tuple of coefficients, lowest degree first, with no
+trailing zeros.  The zero polynomial is the empty tuple.  This layer backs
+rational root finding, square-free decomposition and the
 content/primitive-part splitting used by the bivariate ring.
+
+One coefficient rule holds in both rings, here and in bipoly: a
+coefficient is an int where its value is an integer and a Fraction only
+where it is not, never a float, since int arithmetic is far cheaper than
+Fraction arithmetic.  make normalizes every coefficient through _coeff, and every
+true division goes through _div, so an int / int never yields a float.
+An int and Fraction(n, 1) are equal, hash alike and print alike, so no
+result depends on which of the two a coefficient is.  Rational roots
+are returned as Fractions.
 
 Rational roots are found without factoring any coefficient: the real roots
 of the squarefree integer part are isolated by Sturm bisection in integer
@@ -22,15 +31,35 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-UPoly = tuple[Fraction, ...]
+# coefficients are int or Fraction, never float (module docstring)
+UPoly = tuple[int | Fraction, ...]
 
 ZERO: UPoly = ()
-ONE: UPoly = (Fraction(1),)
+ONE: UPoly = (1,)
+
+
+def _coeff(c: Fraction | int) -> int | Fraction:
+    """c as a coefficient: an int when c is an integer, else a Fraction
+    (a float is converted exactly)."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a / b, b nonzero: an int when the quotient is one, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def make(coeffs: Iterable[Fraction | int]) -> UPoly:
     """Normalize a coefficient sequence (lowest degree first) to a UPoly."""
-    cs = [Fraction(c) for c in coeffs]
+    cs = [_coeff(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -69,7 +98,7 @@ def sub(f: UPoly, g: UPoly) -> UPoly:
 def mul(f: UPoly, g: UPoly) -> UPoly:
     if not f or not g:
         return ZERO
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a == 0:
             continue
@@ -77,21 +106,21 @@ def mul(f: UPoly, g: UPoly) -> UPoly:
             out[i + j] += a * b
     return make(out)
 
-def scale(f: UPoly, c: Fraction) -> UPoly:
+def scale(f: UPoly, c: Fraction | int) -> UPoly:
     if c == 0:
         return ZERO
-    return tuple(a * c for a in f)
+    return make(a * c for a in f)
 
 
 def divmod_exact_field(f: UPoly, g: UPoly) -> tuple[UPoly, UPoly]:
     """Quotient and remainder in Q[t]; g must be nonzero.  As f is a
-    trimmed tuple of Fractions, f shorter than g is its own remainder."""
+    trimmed tuple, f shorter than g is its own remainder."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     if len(f) < len(g):
         return ZERO, f
     r = list(f)
-    q = [Fraction(0)] * (len(f) - len(g) + 1)
+    q = [0] * (len(f) - len(g) + 1)
     glc = g[-1]
     dg = len(g) - 1
     while len(r) >= len(g):
@@ -99,7 +128,7 @@ def divmod_exact_field(f: UPoly, g: UPoly) -> tuple[UPoly, UPoly]:
             r.pop()
         if len(r) < len(g):
             break
-        c = r[-1] / glc
+        c = _div(r[-1], glc)
         k = len(r) - 1 - dg
         q[k] = c
         for j, b in enumerate(g):
@@ -123,8 +152,8 @@ def deriv(f: UPoly) -> UPoly:
     return make([f[i] * i for i in range(1, len(f))])
 
 
-def evaluate(f: UPoly, t: Fraction) -> Fraction:
-    acc = Fraction(0)
+def evaluate(f: UPoly, t: Fraction | int) -> Fraction | int:
+    acc = 0
     for c in reversed(f):
         acc = acc * t + c
     return acc
@@ -133,7 +162,7 @@ def evaluate(f: UPoly, t: Fraction) -> Fraction:
 def monic(f: UPoly) -> UPoly:
     if not f:
         return ZERO
-    return scale(f, 1 / f[-1])
+    return scale(f, _div(1, f[-1]))
 
 
 def gcd(f: UPoly, g: UPoly) -> UPoly:
@@ -155,7 +184,7 @@ def xgcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
         r0, r1 = r1, r
         s0, s1 = s1, sub(s0, mul(q, s1))
     if r0:
-        c = 1 / r0[-1]
+        c = _div(1, r0[-1])
         r0, s0 = scale(r0, c), scale(s0, c)
     return r0, s0
 
@@ -262,7 +291,7 @@ def primitive(f: UPoly) -> UPoly:
     c = content_int(f)
     if f[-1] < 0:
         c = -c
-    return scale(f, 1 / c)
+    return scale(f, _div(1, c))
 
 
 def squarefree_part(f: UPoly) -> UPoly:

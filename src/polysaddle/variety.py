@@ -146,7 +146,7 @@ def _decide_fiber(F: UPoly, polys: list[YPoly], depth: int) -> Locus | None:
 
 def _to_upoly_x(f: BiPoly) -> UPoly:
     """f, free of y, as a polynomial in x."""
-    return upoly.make([f.get((i, 0), Fraction(0)) for i in range(bp.deg_x(f) + 1)])
+    return upoly.make([f.get((i, 0), 0) for i in range(bp.deg_x(f) + 1)])
 
 
 def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
@@ -211,7 +211,7 @@ def _describe_witness(loc: Locus) -> object:
         return (f"every root x* of {upoly.to_string(loc.F, 'x')} = 0 "
                 f"(certified boxes: {xdesc}) gives a solution for every y")
     if all(upoly.degree(c) <= 0 for c in loc.poly):
-        spec = upoly.make([c[0] if c else Fraction(0) for c in loc.poly])
+        spec = upoly.make([c[0] if c else 0 for c in loc.poly])
         rr = upoly.rational_roots(spec)
         if rr:
             return (f"x in certified boxes {xdesc} (roots of "

@@ -55,3 +55,14 @@ def test_parse_and_load_cases_match_the_reference_parser():
     rows = runpy.run_path(SCRIPT)["worker"]("^(parse-|load-)")
     assert set(rows) == {"parse-line", "parse-conic", "load-lines-4"}
     assert all(row["ok"] and row["us"] > 0 for row in rows.values())
+
+
+def test_upoly_and_fiber_cases_hold():
+    # each upoly- case expects the result of the script's Fraction-list
+    # references; the fiber cases must Fail as variety's reference route does
+    rows = runpy.run_path(SCRIPT)["worker"]("^(upoly-|variety-fiber-)")
+    assert set(rows) == {"upoly-gcd-d8-common-d3", "upoly-squarefree-d10", "upoly-rem-d10-d6",
+                         "upoly-xgcd-d6-d8", "upoly-roots-d10",
+                         "variety-fiber-triple-44bit-rational",
+                         "variety-fiber-triple-44bit-irrational"}
+    assert all(row["ok"] and row["us"] > 0 for row in rows.values())

@@ -738,8 +738,11 @@ def test_true_divisions_keep_fractions():
 
 
 def test_rational_witness_renders_as_a_point():
-    # three lines through (1/2, 3)
-    r = variety_empty([bp.parse("2*x - 1"), bp.parse("y - 3"), bp.parse("2*x + 2*y - 7")])
-    assert r.status == "Fails" and r.witness == (Fraction(1, 2), Fraction(3))
-    assert all(type(c) is Fraction for c in r.witness)
-    assert cli._wit(r.witness) == {"x": "1/2", "y": "3"}
+    # three lines through (1/2, 3), and three through the integer point
+    # (1, 3): upoly keeps int coefficients there, and the roots stay Fractions
+    for lines, point in ((("2*x - 1", "y - 3", "2*x + 2*y - 7"), ("1/2", "3")),
+                         (("x - 1", "y - 3", "x + y - 4"), ("1", "3"))):
+        r = variety_empty([bp.parse(u) for u in lines])
+        assert r.status == "Fails" and r.witness == tuple(Fraction(c) for c in point)
+        assert all(type(c) is Fraction for c in r.witness)
+        assert cli._wit(r.witness) == {"x": point[0], "y": point[1]}

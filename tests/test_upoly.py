@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from polysaddle import arith
 from polysaddle import upoly as up
 
 from conftest import reference_gcd_mod_p
@@ -303,3 +304,75 @@ def test_rational_roots_recovers_planted(roots, extra_deg):
 def test_to_string():
     assert up.to_string(up.make([Fraction(-1, 2), 0, 1]), "c") == "c^2 - 1/2"
     assert up.to_string((), "t") == "0"
+
+
+# The coefficient invariant, shared with bipoly: an int where the value is
+# an integer, a Fraction only where it is not, never a float.
+
+small_ints = st.integers(min_value=-20, max_value=20)
+
+
+def int_upolys(max_deg=5):
+    return st.lists(small_ints, max_size=max_deg + 1).map(up.make)
+
+
+def _typed(f):
+    """f, after checking that each coefficient is an int, or a Fraction
+    whose value is not an integer."""
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in f), f
+    return f
+
+
+def _number(v, integral):
+    """v, after checking that it is no float, and an int when integral."""
+    assert type(v) in ((int,) if integral else (int, Fraction)), v
+    return v
+
+
+@given(st.one_of(int_upolys(), upolys()), st.one_of(int_upolys(), upolys()),
+       st.one_of(small_ints, rats))
+@example((1, 1), (1, 2), 2)  # quotient 1/2 by an integer division
+@example((0, 2), (1, 0, 1), Fraction(1, 2))  # leading coefficient 2
+@settings(max_examples=150, deadline=None)
+def test_coefficients_are_int_or_fraction(f, g, c):
+    integral = all(type(a) is int for a in f + g)
+    _typed(up.make(list(f) + [Fraction(4, 2), 0.5]))
+    for h in (up.add(f, g), up.sub(f, g), up.mul(f, g), up.scale(f, c), up.monic(f),
+              up.deriv(f), up.primitive(f), up.squarefree_part(f)):
+        _typed(h)
+    _number(up.evaluate(f, 3), integral)
+    _number(up.evaluate(f, c), integral and type(c) is int)
+    if integral:
+        assert all(type(a) is int for a in up.mul(f, g) + up.primitive(f))
+    if g:
+        q, r = map(_typed, up.divmod_exact_field(f, g))
+        assert up.add(up.mul(q, g), r) == f
+    h, s = map(_typed, up.xgcd(f, g))
+    assert _typed(up.gcd(f, g)) == h
+    for part, _ in up.squarefree_decomposition(f):
+        _typed(part)
+    if up.degree(f) in (1, 2, 3):
+        for box in arith.isolate_complex_roots(list(f)):
+            _typed(box.poly)
+            # box corners stay Fractions: CBox.midpoint divides them by 2
+            assert all(type(v) is Fraction
+                       for v in (box.re_lo, box.re_hi, box.im_lo, box.im_hi)), box
+
+
+def test_integer_division_sites_keep_fractions():
+    # every true division an int pair reaches gives a Fraction, not a float
+    # nor a floored int; make converts a float exactly, so only a divisor
+    # that is not a power of 2 shows a float quotient by its value
+    for d in (2, 3):
+        q, r = up.divmod_exact_field((1, 1), (1, d))
+        assert q == (Fraction(1, d),) and r == (1 - Fraction(1, d),)
+        assert type(q[0]) is type(r[0]) is Fraction
+        assert up.monic((1, d)) == (Fraction(1, d), 1)
+        g, s = up.xgcd((d,), (1, 1))
+        assert g == up.ONE and s == (Fraction(1, d),) and type(s[0]) is Fraction
+    assert up.monic((0, 2)) == (0, 1) and all(type(c) is int for c in up.monic((0, 2)))
+    assert up.primitive((Fraction(1, 2), Fraction(-3, 2))) == (-1, 3)
+    assert up.ONE == (1,) and type(up.ONE[0]) is int
+    assert all(type(r) is Fraction for r in up.rational_roots((0, -6, 1, 1)))
+
