@@ -35,7 +35,9 @@ directory; and, drawn last, upoly.gcd, squarefree_part, rem, xgcd and
 rational_roots on integer operands of degree 4 to 10 (upoly-*), each
 checked against the result of the Fraction-list references kept here,
 and variety_empty on the 44-bit triple-point fibers of the cz-witness
-workload (variety-fiber-*).  A coefficient is an int where it is
+workload (variety-fiber-*); and, drawn after those,
+arith.isolate_complex_roots on a 44-bit quadratic and a cubic, each with
+irrational real roots only (isolate-*).  A coefficient is an int where it is
 an integer, as the program holds it (bipoly, upoly).  Every product is
 checked against a schoolbook reference kept in this file, and timed
 beside it; every gcd must divide both operands and leave cofactors that
@@ -56,7 +58,9 @@ kept here (reference_orbit); every parse must give the terms, in the
 same order, that reference_parse of tests/conftest.py gives (the
 character-scanning parser that the token parser replaced), and so must
 every factor that load_problem reads; every start-up interpreter must
-exit with the code its command gives on STARTUP_PROBLEM.  Each
+exit with the code its command gives on STARTUP_PROBLEM; every isolate
+case must give one box per root, pairwise disjoint, each proved to hold a
+real root by the sign of the polynomial at its ends (real_roots_ok).  Each
 construct_field or linearize call starts from an integral with nothing
 cached but its factors.  A case whose calls run past CAP_S seconds in a
 round is recorded as a timeout instead of being waited for.
@@ -593,6 +597,35 @@ def _upoly_cases(rng: random.Random) -> list:
     return out
 
 
+def _isolate_cases(rng: random.Random) -> list:
+    """arith.isolate_complex_roots on t^2 - n for a 44-bit n that is not a
+    square (the fiber of the cz-witness triple points, solved in closed
+    form) and on t^3 - m t + 1 for a 20-bit m, three irrational real roots
+    (seeded by mpmath, certified by interval Newton)."""
+    while True:
+        n = rng.randrange(1 << 43, 1 << 44)
+        if math.isqrt(n) ** 2 != n:
+            break
+    m = rng.randrange(1 << 19, 1 << 20)
+    return [("isolate-quadratic-44bit", "isolate", [-n, 0, 1], None, None),
+            ("isolate-cubic", "isolate", [1, -m, 0, 1], None, None)]
+
+
+def real_roots_ok(f: list, boxes) -> bool:
+    """Every root of the integer polynomial f (lowest degree first) is
+    real, irrational and simple: the boxes are one per root when there are
+    deg f of them, pairwise disjoint, each straddling the real axis with a
+    sign change of f between the ends of its real interval."""
+    def value(t):
+        return sum(c * t**i for i, c in enumerate(f))
+
+    return (len(boxes) == len(f) - 1
+            and all(b.im_lo <= 0 <= b.im_hi and value(b.re_lo) * value(b.re_hi) < 0
+                    for b in boxes)
+            and all(a.box().disjoint(b.box()) for i, a in enumerate(boxes)
+                    for b in boxes[i + 1:]))
+
+
 def _load_cases() -> list:
     """A line and a conic for bipoly.parse, and a problem of four lines of
     tests/fixtures/many_lines_16.json, the last one squared, for
@@ -644,6 +677,7 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
              "pass", code) for cmd, code in STARTUP_EXITS.items()]
     out += _load_cases()
     out += _upoly_cases(rng)  # drawn after every case above, which keep their operands
+    out += _isolate_cases(rng)  # drawn last, likewise
     return [case for case in out if re.search(only, case[0])]
 
 
@@ -713,6 +747,7 @@ def worker(only: str = "") -> dict:
     regular expression `only`: {case: {"us", "reference_us" (mul),
     "linearize_us" (field), "baseline_us" (startup), "ok"}}, or
     {case: {"timeout": true}} when the case ran past CAP_S seconds."""
+    from polysaddle import arith
     from polysaddle import bipoly as bp
     from polysaddle import cli, numcheck
     from polysaddle import upoly as up
@@ -799,6 +834,10 @@ def worker(only: str = "") -> dict:
                 fn, args = getattr(up, f[0]), tuple(up.make(a) for a in f[1])
                 ok = fn(*args) == planted
                 out[name] = {"us": time(lambda a, _: fn(*a), args, None), "ok": ok}
+            elif op == "isolate":
+                ok = real_roots_ok(f, arith.isolate_complex_roots(f))
+                out[name] = {"us": time(lambda a, _: arith.isolate_complex_roots(a), f, None),
+                             "ok": ok}
             elif op == "variety":
                 got = variety(f, g)
                 ok = (got.status, got.witness) == reference and got.status == planted
@@ -860,6 +899,8 @@ def _describe(op: str, f, g) -> dict:
         return {"op": op, "factors": [u["poly"] for u in f["factors"]]}
     if op == "upoly":
         return {"op": op, "function": f[0], "degrees": [len(a) - 1 for a in f[1]]}
+    if op == "isolate":
+        return {"op": op, "coefficients": f}
     return {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])}
 
 

@@ -1,20 +1,28 @@
 """Rational arithmetic and certified complex root isolation.
 
 Coefficients live in Q throughout (the constructions we implement never
-leave the rationals).  Root isolation works in two stages: mpmath supplies
-root approximations, then an exact interval Newton step over rational
-complex rectangles certifies that each box holds exactly one simple root
-of the square-free part.  Everything the certificates assert is checked
-in exact arithmetic; floating point is only used to find starting boxes.
+leave the rationals).  Rational roots come out exactly, as point boxes.
+What is left of each square-free factor is isolated in one of two ways:
+
+- A quadratic, irreducible over Q, is solved in closed form: its roots are
+  (-b +- sqrt(D)) / 2a, and an integer square root of the discriminant
+  brackets sqrt|D| between consecutive dyadic rationals, so each box is
+  proved by squaring its bounds.  No floating point enters.
+- A factor of degree 3 or more is approximated by mpmath, and an exact
+  interval Newton step over rational complex rectangles certifies that
+  each box holds exactly one simple root.  Floating point only finds the
+  starting boxes; everything the certificates assert is checked in exact
+  arithmetic.
 
 mpmath is imported by isolate_complex_roots itself, and only once a
-factor without rational roots is left to approximate: it is the largest
-part of the package's import time, and only a CZ witness with irrational
-coordinates needs it.
+factor of degree 3 or more without rational roots is left to approximate:
+it is the largest part of the package's import time, and only a CZ
+witness over such a fiber needs it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -148,8 +156,10 @@ class RootBox:
     """Certified isolating rectangle for a root of a polynomial.
 
     The certificate: `poly` (a square-free cofactor of the input) has
-    exactly one root in the closed box, established by an interval Newton
-    contraction, and the input carries it with the stated multiplicity.
+    exactly one root in the closed box, and the input carries it with the
+    stated multiplicity.  A box of a quadratic `poly` is proved in closed
+    form (`_quadratic_boxes`), any other by an interval Newton contraction
+    (`_certify`); a point box is an exact root.
     """
 
     re_lo: Rat
@@ -192,13 +202,86 @@ def _certify(g: UPoly, approx: complex, radius: Fraction) -> CBox | None:
     return None
 
 
+class CertificationError(ArithmeticError):
+    """No isolating boxes could be certified at the highest precision."""
+
+
+_ZERO: Ival = (Fraction(0), Fraction(0))
+
+
+def _quadratic_boxes(g: UPoly) -> list[CBox]:
+    """Boxes for the two roots of a quadratic g without rational roots.
+
+    Scaled to a primitive a x^2 + b x + c with a > 0, g has the roots
+    (-b +- sqrt(D)) / 2a, where D = b^2 - 4ac is neither 0 nor, when
+    positive, a square.  With m = isqrt(|D| 4^k), m <= 2^k sqrt|D| < m + 1,
+    with equality only when -D is a square.  So for D > 0 the real boxes
+    (-b 2^k -+ [m, m + 1]) / (2a 2^k) hold the roots in ascending order;
+    for D < 0 the real part is exactly -b/2a and the imaginary parts lie
+    in -+[m, m + 1] / (2a 2^k), the negative one first (exact points when
+    -D is a square).  The roots are sqrt|D|/a apart and each box is at
+    most 1/(a 2^k) wide, so for k >= 1 the boxes are disjoint and each
+    holds exactly one root.  k exceeds every coefficient's bit length by
+    96.
+    """
+    c, b, a = (int(v) for v in upoly.primitive(g))
+    disc = b * b - 4 * a * c
+    k = 96 + max(abs(v).bit_length() for v in (a, b, c))
+    m = math.isqrt(abs(disc) << 2 * k)
+    den = a << k + 1
+    if disc > 0:
+        mid = -b << k
+        return [CBox((Fraction(mid - m - 1, den), Fraction(mid - m, den)), _ZERO),
+                CBox((Fraction(mid + m, den), Fraction(mid + m + 1, den)), _ZERO)]
+    top = m if m * m == -disc << 2 * k else m + 1
+    re = (Fraction(-b, 2 * a),) * 2
+    return [CBox(re, (Fraction(-top, den), Fraction(-m, den))),
+            CBox(re, (Fraction(m, den), Fraction(top, den)))]
+
+
+def _newton_boxes(g: UPoly) -> list[CBox]:
+    """Boxes for the roots of a square-free g of degree 3 or more, seeded by
+    mpmath and certified by interval Newton, with precision raised until
+    every box is certified and the boxes are disjoint."""
+    import mpmath  # loaded on first use (module docstring)
+
+    for attempt, prec in enumerate((120, 240, 480, 960)):
+        with mpmath.workprec(prec):
+            # rounded at this precision, not at mpmath's default 53 bits
+            gp = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(g)]
+            try:
+                approx = [complex(z) for z in mpmath.polyroots(gp, maxsteps=200, extraprec=prec)]
+            except mpmath.libmp.NoConvergence:
+                continue  # as a failed certification: more precision
+        sep = min((abs(a - b) for i, a in enumerate(approx) for b in approx[i + 1:]),
+                  default=1.0)
+        # a wide box can defeat interval Newton even on simple roots, so
+        # each retry shrinks the initial guess as well as adding precision
+        radius = Fraction(max(sep / 4, 2.0 ** (-prec // 2))).limit_denominator(1 << 90)
+        radius /= 16 ** attempt
+        if radius == 0:
+            radius = Fraction(1, 1 << (prec // 2))
+        boxes = []
+        for z in approx:
+            cert = _certify(g, z, radius)
+            if cert is None:
+                break
+            boxes.append(cert)
+        else:
+            if all(a.disjoint(b) for i, a in enumerate(boxes) for b in boxes[i + 1:]):
+                return boxes
+    raise CertificationError("root certification failed at maximum precision")
+
+
 def isolate_complex_roots(coeffs: Sequence[Rat]) -> list[RootBox]:
     """Certified isolating boxes for all complex roots, with multiplicities.
 
-    Square-free decomposition splits off multiplicities exactly; each
-    square-free factor is handled by approximation plus interval Newton
-    certification.  Boxes are pairwise disjoint and the multiplicities sum
-    to the degree.
+    Square-free decomposition splits off multiplicities exactly, and
+    rational roots come out as point boxes; what is left of each
+    square-free factor is a quadratic, solved in closed form, or is
+    approximated and certified by interval Newton.  Boxes are pairwise
+    disjoint and the multiplicities sum to the degree.  Raises
+    CertificationError when interval Newton fails at every precision.
     """
     f = upoly.make(coeffs)
     if upoly.is_zero(f):
@@ -213,33 +296,8 @@ def isolate_complex_roots(coeffs: Sequence[Rat]) -> list[RootBox]:
             g = upoly.divmod_exact_field(g, upoly.make([-r, 1]))[0]
         if upoly.degree(g) < 1:
             continue
-        import mpmath  # loaded on first use (module docstring)
-
-        gp = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(g)]
-        for attempt, prec in enumerate((120, 240, 480, 960)):
-            with mpmath.workprec(prec):
-                approx = [complex(z) for z in mpmath.polyroots(gp, maxsteps=200, extraprec=prec)]
-            sep = min((abs(a - b) for i, a in enumerate(approx) for b in approx[i + 1:]),
-                      default=1.0)
-            # a wide box can defeat interval Newton even on simple roots, so
-            # each retry shrinks the initial guess as well as adding precision
-            radius = Fraction(max(sep / 4, 2.0 ** (-prec // 2))).limit_denominator(1 << 90)
-            radius /= 16 ** attempt
-            if radius == 0:
-                radius = Fraction(1, 1 << (prec // 2))
-            boxes = []
-            for z in approx:
-                cert = _certify(g, z, radius)
-                if cert is None:
-                    break
-                boxes.append(cert)
-            else:
-                if all(a.disjoint(b) for i, a in enumerate(boxes) for b in boxes[i + 1:]):
-                    out.extend(RootBox(b.re[0], b.re[1], b.im[0], b.im[1], mult, g)
-                               for b in boxes)
-                    break
-        else:
-            raise ArithmeticError("root certification failed at maximum precision")
+        boxes = _quadratic_boxes(g) if upoly.degree(g) == 2 else _newton_boxes(g)
+        out.extend(RootBox(b.re[0], b.re[1], b.im[0], b.im[1], mult, g) for b in boxes)
     total = sum(rb.multiplicity for rb in out)
     if total != upoly.degree(f):
         raise ArithmeticError(f"isolation lost roots: certified {total} of {upoly.degree(f)}")

@@ -19,6 +19,7 @@ by simulate.  A one-command process never compiles the others.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from . import upoly
 from .bipoly import CheckResult, ParseError
 from .field_ops import (FactoredIntegral, VectorField, cofactor, minimal_degree_check,
                         _divergence, _divide_field, _lie_of_integral, _potential)
-from .linearize import factor_split, linearize
+from .linearize import SplitError, factor_split, linearize
 
 
 class ProblemError(Exception):
@@ -267,22 +268,17 @@ def cmd_cz(spec: ProblemSpec) -> dict:
 
 
 def cmd_linearize(spec: ProblemSpec, pivot: int | None) -> dict:
-    F = spec.integral
-    if pivot is not None:
-        try:
-            F = factor_split(F, pivot)
-        except ValueError as e:
-            raise ProblemError(str(e)) from e
     try:
+        F = spec.integral if pivot is None else factor_split(spec.integral, pivot)
         cert = linearize(F, spec.field)
+    except SplitError as e:
+        raise ProblemError(str(e)) from e
     except bp.ExactDivisionError as e:
         return {"certificate": _cd(bp.fails(
             bp.to_string(e.remainder),
             "an exact-division identity left a nonzero remainder"))}
     except ArithmeticError as e:
         return {"certificate": _cd(bp.fails(str(e), "degenerate split"))}
-    except ValueError as e:
-        raise ProblemError(str(e)) from e
     return {
         "u": bp.to_string(cert.u_expr),
         "v": bp.to_string(cert.v_expr),
@@ -383,23 +379,41 @@ def _parser() -> argparse.ArgumentParser:
 _PARSER = _parser()  # built once per process; main only parses
 
 
+@contextlib.contextmanager
+def _int_str_unlimited():
+    """Lift the interpreter's int-string limit (4300 digits) for the
+    block.  load_problem keeps it, so no literal past it is read; but the
+    field of factors within it can have longer coefficients, and the
+    commands render them as text."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
         spec = load_problem(args.problem)
-        if args.command == "construct":
-            results = cmd_construct(spec)
-        elif args.command == "analyze":
-            results = cmd_analyze(spec)
-        elif args.command == "cz":
-            results = cmd_cz(spec)
-        elif args.command == "linearize":
-            results = cmd_linearize(spec, args.pivot)
-        elif args.command == "simulate":
-            results = cmd_simulate(spec, args)
-        else:
-            results = cmd_all(spec, args)
+        with _int_str_unlimited():
+            if args.command == "construct":
+                results = cmd_construct(spec)
+            elif args.command == "analyze":
+                results = cmd_analyze(spec)
+            elif args.command == "cz":
+                results = cmd_cz(spec)
+            elif args.command == "linearize":
+                results = cmd_linearize(spec, args.pivot)
+            elif args.command == "simulate":
+                results = cmd_simulate(spec, args)
+            else:
+                results = cmd_all(spec, args)
     except ProblemError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

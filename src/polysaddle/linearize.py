@@ -44,6 +44,11 @@ from .field_ops import (FactoredIntegral, VectorField, is_coprime, quotient_mult
                         _divergence, _lie_of_integral)
 
 
+class SplitError(ValueError):
+    """An input no split can be made of: a pivot out of range, fewer than
+    two factors, or a field whose components share a factor."""
+
+
 def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
     """Reorder so the 1-based pivot factor comes last (it becomes the
     v-variable of the split).  Neither the product H nor the quadruple
@@ -53,7 +58,7 @@ def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
     is last and is not shared.  What FactoredIntegral proves of the
     factors does not depend on their order, so it is not proved again."""
     if not 1 <= pivot <= F.p:
-        raise ValueError(f"pivot {pivot} out of range 1..{F.p}")
+        raise SplitError(f"pivot {pivot} out of range 1..{F.p}")
     fs = list(F.factors)
     fs.append(fs.pop(pivot - 1))
     out = object.__new__(FactoredIntegral)
@@ -111,7 +116,7 @@ def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     D != 0 it makes the certificate (module docstring).
 
     Errors: fewer than two factors or a non-coprime field raise
-    ValueError; a field that does not actually annihilate F.H raises
+    SplitError; a field that does not actually annihilate F.H raises
     ExactDivisionError whose `remainder` attribute is the nonzero Lie
     derivative X(F.H), read off the factors by field_ops._lie_of_integral
     once the quotient has failed, so F.H is never expanded (for a coprime
@@ -120,9 +125,9 @@ def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     (degenerate split) raises ArithmeticError.
     """
     if F.p < 2:
-        raise ValueError("linearize needs at least two factors")
+        raise SplitError("linearize needs at least two factors")
     if not is_coprime(X):
-        raise ValueError("linearize requires a coprime field")
+        raise SplitError("linearize requires a coprime field")
     try:
         G = quotient_multiplier(F.field, X)
     except bp.ExactDivisionError:

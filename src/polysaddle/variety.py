@@ -20,8 +20,11 @@ usually proves that gcd constant, and then there is no common zero;
 otherwise its squarefree part is the fiber.
 
 Witnesses are exact rational points whenever the relevant fibers have
-rational roots, and otherwise certified isolating boxes (or a textual
-certificate naming the fiber and the specialized polynomial).
+rational roots, and otherwise certified isolating boxes from
+`arith.isolate_complex_roots` (closed form on quadratic fibers), or a
+textual certificate naming the fiber and the specialized polynomial.
+When no boxes can be certified (roots closer than the approximations
+resolve), the certificate says so; the verdict is exact either way.
 """
 
 from __future__ import annotations
@@ -195,7 +198,24 @@ def _specialize(p: YPoly, x0: Fraction) -> UPoly:
 
 def _describe_witness(loc: Locus) -> object:
     """Exact rational point when available, else a certificate.  A point
-    is a common zero by the contract of Locus, so it is not re-evaluated."""
+    is a common zero by the contract of Locus, so it is not re-evaluated.
+    When no boxes can be certified, the certificate names the fiber and
+    the polynomial whose specialization supplies y, and says so."""
+    try:
+        return _boxed_witness(loc)
+    except arith.CertificationError:
+        return _fiber_certificate(loc, "no boxes could be certified")
+
+
+def _fiber_certificate(loc: Locus, xdesc: str) -> str:
+    fiber = f"every root x* of {upoly.to_string(loc.F, 'x')} = 0 ({xdesc})"
+    if loc.poly is None:
+        return f"{fiber} gives a solution for every y"
+    ys = " + ".join(f"({upoly.to_string(c, 'x')})*y^{j}" for j, c in enumerate(loc.poly) if c)
+    return f"{fiber} extends by a root y* of the nonconstant specialization of {ys}"
+
+
+def _boxed_witness(loc: Locus) -> object:
     for x0 in upoly.rational_roots(loc.F):
         if loc.poly is None:
             return (x0, Fraction(0))
@@ -207,10 +227,7 @@ def _describe_witness(loc: Locus) -> object:
         return f"x = {x0}, y in certified box {box.describe()}"
     xboxes = arith.isolate_complex_roots(list(loc.F))
     xdesc = "; ".join(b.describe() for b in xboxes)
-    if loc.poly is None:
-        return (f"every root x* of {upoly.to_string(loc.F, 'x')} = 0 "
-                f"(certified boxes: {xdesc}) gives a solution for every y")
-    if all(upoly.degree(c) <= 0 for c in loc.poly):
+    if loc.poly is not None and all(upoly.degree(c) <= 0 for c in loc.poly):
         spec = upoly.make([c[0] if c else 0 for c in loc.poly])
         rr = upoly.rational_roots(spec)
         if rr:
@@ -218,10 +235,7 @@ def _describe_witness(loc: Locus) -> object:
                     f"{upoly.to_string(loc.F, 'x')}), y = {rr[0]}")
         ybox = arith.isolate_complex_roots(list(spec))[0]
         return (f"x in certified boxes {xdesc}, y in certified box {ybox.describe()}")
-    ys = " + ".join(f"({upoly.to_string(c, 'x')})*y^{j}" for j, c in enumerate(loc.poly) if c)
-    return (f"every root x* of {upoly.to_string(loc.F, 'x')} = 0 "
-            f"(certified boxes: {xdesc}) extends by a root y* of the "
-            f"nonconstant specialization of {ys}")
+    return _fiber_certificate(loc, f"certified boxes: {xdesc}")
 
 
 def variety_empty(polys: list[BiPoly]) -> CheckResult:

@@ -66,3 +66,10 @@ def test_upoly_and_fiber_cases_hold():
                          "variety-fiber-triple-44bit-rational",
                          "variety-fiber-triple-44bit-irrational"}
     assert all(row["ok"] and row["us"] > 0 for row in rows.values())
+
+
+def test_isolate_cases_hold():
+    # each box is proved by the sign of the polynomial at its ends
+    rows = runpy.run_path(SCRIPT)["worker"]("^isolate-")
+    assert set(rows) == {"isolate-quadratic-44bit", "isolate-cubic"}
+    assert all(row["ok"] and row["us"] > 0 for row in rows.values())

@@ -708,7 +708,8 @@ strays = [name for name, home in polysaddle._EXPORTS.items()
           if getattr(polysaddle, name)
           is not getattr(importlib.import_module("polysaddle." + home), name)]
 print(json.dumps({"codes": codes, "last": out.getvalue(), "mpmath": mpmath,
-                  "modules": modules, "strays": strays}))
+                  "modules": modules, "strays": strays,
+                  "int_max_str_digits": sys.get_int_max_str_digits()}))
 """
 
 
@@ -716,7 +717,8 @@ def main_in_fresh_interpreter(path, *commands):
     """Exit codes, the last command's text report, whether mpmath was
     loaded and which polysaddle modules were, from polysaddle.cli.main
     run on path in a new interpreter; then the public names of polysaddle
-    that do not resolve to the object their defining module binds."""
+    that do not resolve to the object their defining module binds, and
+    the int-string limit left after the commands."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", MAIN_IN_FRESH_INTERPRETER, path, *commands],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -758,7 +760,9 @@ def test_package_lists_lazy_names_and_refuses_unknown_ones():
         polysaddle.nonesuch
 
 
-def test_irrational_witness_loads_mpmath(tmp_path):
+def test_quadratic_witness_leaves_mpmath_unloaded(tmp_path):
+    # the roots of x^2 - 540418 are solved in closed form: real boxes,
+    # with no imaginary width and no floating point
     path = write_problem(tmp_path, {
         "name": "triple-point-20bit-irrational",
         "factors": [{"poly": "x^2 - 540418", "exponent": 1}, {"poly": "y", "exponent": 2},
@@ -766,10 +770,111 @@ def test_irrational_witness_loads_mpmath(tmp_path):
     })
     got = main_in_fresh_interpreter(path, "cz")
     assert got["codes"] == [1]
-    assert got["mpmath"]
+    assert not got["mpmath"]
     assert ("condition_iii_transversal_no_triples:\n"
             "  status: Fails\n"
             "  witness: x in certified boxes re in [-735.131, -735.131], "
-            "im in [-5.6999e-14, 5.6999e-14]; re in [735.131, 735.131], "
-            "im in [-5.6999e-14, 5.6999e-14] (roots of x^2 - 540418), y = 0\n"
+            "im in [0, 0]; re in [735.131, 735.131], "
+            "im in [0, 0] (roots of x^2 - 540418), y = 0\n"
             "  reason: no triple points: curves 1,2,3 meet\n") in got["last"]
+
+
+def test_cubic_witness_loads_mpmath(tmp_path):
+    # a fiber of degree 3 without rational roots is still seeded by mpmath
+    # and certified by interval Newton
+    path = write_problem(tmp_path, {
+        "name": "triple-point-cubic",
+        "factors": [{"poly": "x^3 - 2", "exponent": 1}, {"poly": "y", "exponent": 2},
+                    {"poly": "-x^3 + y + 2", "exponent": 1}],
+    })
+    got = main_in_fresh_interpreter(path, "cz")
+    assert got["codes"] == [1]
+    assert got["mpmath"]
+    assert ("  witness: x in certified boxes re in [1.25992, 1.25992], "
+            "im in [-1.79071e-15, 1.79071e-15]; re in [-0.629961, -0.629961], "
+            "im in [1.09112, 1.09112]; re in [-0.629961, -0.629961], "
+            "im in [-1.09112, -1.09112] (roots of x^3 - 2), y = 0\n") in got["last"]
+
+
+CLOSE = 10**40
+CLOSE_U1 = f"{CLOSE}*x^4 - {4 * CLOSE + 1}*x^2 + {2 * (2 * CLOSE + 1)}"
+
+
+@pytest.fixture
+def close_roots_problem(tmp_path):
+    """u1 = (x^2 - 2)(N x^2 - 2N - 1) for N = 10^40, y (squared) and y - u1
+    meet over the roots of u1, whose pairs lie about 1/(2.8 N) apart:
+    closer than a double resolves, so no box is certified."""
+    return write_problem(tmp_path, {
+        "name": "close-roots-1e40",
+        "factors": [{"poly": CLOSE_U1, "exponent": 1}, {"poly": "y", "exponent": 2},
+                    {"poly": f"y - ({CLOSE_U1})", "exponent": 1}],
+    })
+
+
+def test_close_roots_end_in_a_verdict(capsys, close_roots_problem):
+    # mpmath's NoConvergence used to escape as exit 4; the Fails is decided
+    # exactly, and its witness names the fiber without boxes
+    t0 = time.perf_counter()
+    code, out = run(capsys, "cz", close_roots_problem, "--format", "json")
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 1
+    cond = json.loads(out)["results"]["condition_iii_transversal_no_triples"]
+    assert cond["status"] == "Fails"
+    assert cond["witness"] == (
+        "every root x* of x^4 - 40000000000000000000000000000000000000001/"
+        "10000000000000000000000000000000000000000*x^2 + "
+        "20000000000000000000000000000000000000001/5000000000000000000000000000000000000000"
+        " = 0 (no boxes could be certified) extends by a root y* of the nonconstant "
+        "specialization of (1)*y^1")
+
+
+LONG = "1" * 1501  # a coefficient within the int-string limit, its field's beyond it
+
+
+def test_long_field_coefficients_print(tmp_path):
+    # four lines within the degree budget whose field has coefficients
+    # past 4300 digits: construct and analyze exited 4 while printing, and
+    # linearize showed Python's ValueError as an input error
+    path = write_problem(tmp_path, {
+        "name": "lines-1501-digits",
+        "factors": [{"poly": u, "exponent": 1} for u in (
+            f"{LONG}*x + y", f"x + {LONG}*y", f"{LONG}*x - y + 1", f"x - {LONG}*y + 2")],
+    })
+    got = main_in_fresh_interpreter(path, "construct", "analyze", "cz", "linearize",
+                                    "simulate", "all")
+    assert all(code in (0, 1, 2) for code in got["codes"]), got["codes"]
+    assert max(len(t) for t in got["last"].split()) > 4300
+    assert got["int_max_str_digits"] == sys.get_int_max_str_digits()  # lifted, then restored
+
+
+def test_loading_keeps_the_int_string_limit(capsys, monkeypatch):
+    # the limit is lifted around the commands, which render the report's
+    # polynomials, not around load_problem, whose literal cap stands
+    default, limits = sys.get_int_max_str_digits(), []
+
+    def spy(spec, _real=cli.cmd_construct):
+        limits.append(sys.get_int_max_str_digits())
+        return _real(spec)
+
+    def spy_load(path, _real=cli.load_problem):
+        limits.append(sys.get_int_max_str_digits())
+        return _real(path)
+
+    monkeypatch.setattr(cli, "cmd_construct", spy)
+    monkeypatch.setattr(cli, "load_problem", spy_load)
+    code, _ = run(capsys, "construct", problem("cusp_level.json"))
+    assert code == 0
+    assert limits == [default, 0]
+    assert sys.get_int_max_str_digits() == default
+
+
+def test_linearize_reports_an_undocumented_value_error_as_internal(capsys, monkeypatch):
+    # only the split errors linearize documents are input errors (exit 2)
+    def broken(F, X):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "linearize", broken)
+    code, out = run(capsys, "linearize", problem("cusp_level.json"))
+    assert code == 4
+    assert out == "internal error: ValueError: not an input error\n"

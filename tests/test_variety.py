@@ -113,9 +113,8 @@ def test_branch_cases(polys, witness):
 
 CIRCLE_WITNESS = (
     "every root x* of x^2 - 1/2 = 0 (certified boxes: re in [-0.707107, -0.707107], "
-    "im in [-9.66729e-17, 9.66729e-17]; re in [0.707107, 0.707107], "
-    "im in [-9.66729e-17, 9.66729e-17]) extends by a root y* of the nonconstant "
-    "specialization of (x)*y^0 + (-1)*y^1")
+    "im in [0, 0]; re in [0.707107, 0.707107], im in [0, 0]) extends by a root y* of the "
+    "nonconstant specialization of (x)*y^0 + (-1)*y^1")
 
 
 @pytest.mark.parametrize("polys,status,witness,want", [
