@@ -22,8 +22,8 @@ of degree 1, 3 and 5, each built from random lines with H their product,
 timed warm and cold (in trees that cache float kernels, a cold call
 clears the caches first); and the gcd pairs the commands meet most: two
 coprime lines, the leading forms ax + by of two lines, and two dense
-conics times x^2 y and x y^3; and two pairs the image proof leaves to
-the modular gcd, (x - y^2)(x + y + 2) against (y - 1)(x + y + 2) and the
+conics times x^2 y and x y^3; and two pairs on which the modular gcd
+interpolates, (x - y^2)(x + y + 2) against (y - 1)(x + y + 2) and the
 16-line field (P0, Q0) times x - y and x - 1 and the common factor
 x + y + 2; and start-up, a fresh interpreter that
 imports polysaddle.cli, and for each command one that runs cli.main on
@@ -535,10 +535,10 @@ def _gcd_path_cases(rng: random.Random) -> list:
 
 
 def _gcd_modular_cases() -> list:
-    """Pairs with a common factor that the image proof leaves to the
-    modular gcd: one on which every base of the heuristic gcd on Kronecker
-    images failed, and the 16-line field times x - y and x - 1, on which
-    the subresultant PRS took about 30 s."""
+    """Pairs with a common factor, so that no image proves them coprime
+    and the modular gcd interpolates: one on which every base of the
+    heuristic gcd on Kronecker images failed, and the 16-line field times
+    x - y and x - 1, on which the subresultant PRS took about 30 s."""
     c = _as_line(1, 1, 2)
     P0, Q0 = literal_field(_line_factors(MANY_LINES))
     P, Q = reference_mul(P0, _as_line(1, -1, 0)), reference_mul(Q0, _as_line(1, 0, -1))

@@ -65,7 +65,7 @@ def main():
                          ("(ii) leading squarefree", rep.condition_ii),
                          ("(iii) transversal", rep.condition_iii),
                          ("(iv) leading coprime", rep.condition_iv)]:
-            extra = "" if r.ok else f"  [{r.reason}]"
+            extra = "" if r.status == "Holds" else f"  [{r.reason}]"
             print(f"CZ {label:<24}{r.status}{extra}")
 
         if F.p >= 2:

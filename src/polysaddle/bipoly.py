@@ -27,13 +27,14 @@ its number of term pairs, take the schoolbook loop, run on the same
 cleared numerators.
 
 A gcd with a nonzero constant operand is 1 at once.  Otherwise the
-monomial content of each operand is split off, and what is left is
-proved coprime, when it is, from images mod 2^61 - 1 at x = t, and at
-y = t unless a y-coefficient of either is a nonzero constant; two images
-of degree 1 are decided by one 2x2 determinant.  A pair with a
-common factor goes to Brown's modular gcd (J. ACM 18, 1971): images at
-x = t mod primes below 2^61, Newton interpolation in x, the CRT across
-primes, and exact trial division, which proves the result.  Resultants
+monomial content of each operand is split off, and what is left goes to
+Brown's modular gcd (J. ACM 18, 1971): images at x = t mod primes below
+2^61, Newton interpolation in x, the CRT across primes, and exact trial
+division, which proves the result.  An image gcd of y-degree 0 proves at
+once that no common factor has positive y-degree, so a coprime pair most
+often ends at its first image mod 2^61 - 1, and at one more at y = t
+unless a y-coefficient of either is a nonzero constant; two images of
+degree 1 are decided by one 2x2 determinant.  Resultants
 with respect to y come from a subresultant polynomial remainder sequence
 over Q[x][y]: its last, y-free remainder is the resultant up to a power
 of the last scale factor (Brown & Traub, J. ACM 18, 1971).  Every
@@ -43,6 +44,7 @@ expression and multiplies monomials without mul.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import struct
@@ -50,6 +52,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from . import upoly
 from .upoly import _PRIME, UPoly, _coeff, _div, _gcd_mod_p
@@ -263,18 +266,6 @@ def partial(f: BiPoly, var: str) -> BiPoly:
     raise ValueError(f"unknown variable {var!r}")
 
 
-def evaluate(f: BiPoly, x0: Fraction, y0: Fraction) -> Fraction:
-    if not f:
-        return Fraction(0)
-    xp = [Fraction(1)] * (deg_x(f) + 1)
-    for i in range(1, len(xp)):
-        xp[i] = xp[i - 1] * x0
-    yp = [Fraction(1)] * (deg_y(f) + 1)
-    for j in range(1, len(yp)):
-        yp[j] = yp[j - 1] * y0
-    return sum((c * xp[i] * yp[j] for (i, j), c in f.items()), Fraction(0))
-
-
 def swap_vars(f: BiPoly) -> BiPoly:
     return {(j, i): c for (i, j), c in f.items()}
 
@@ -476,34 +467,29 @@ def _subresultant_prs(a: BiPoly, b: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly, int
 
 
 # ---------------------------------------------------------------------------
-# Coprimality from images mod a prime, and the modular gcd (Brown, J. ACM
-# 18, 1971).
-
-_POINTS = 3  # good specialization points tried per direction and batch
-_FAR = 982451653  # first point of the second batch, a prime
+# The modular gcd (Brown, J. ACM 18, 1971), whose first image is most
+# often the proof that the gcd is 1.
 
 _Residues = list[tuple[int, int, int]]
 
 
-def _residues(f: BiPoly, p: int = _PRIME) -> _Residues:
+def _residues(f: BiPoly, p: int) -> _Residues:
     """Terms (i, j, c mod p) of the integer multiple den(f) * f."""
     vals, _ = _numerators(f)
     return [(i, j, v % p) for (i, j), v in zip(f, vals)]
 
 
-def _images(polys: list[tuple[_Residues, int]], t: int, s: int, dx: int,
-            p: int = _PRIME) -> list[list[int]]:
-    """Images mod p, t in place of the variable of exponent e[s], of the
-    (residue terms e, degree d in the other variable): d + 1 residues each,
-    highest degree first.  dx bounds e[s].  At t = 0, the free terms."""
-    r = 1 - s
+def _images(polys: list[tuple[_Residues, int]], t: int, dx: int, p: int) -> list[list[int]]:
+    """Images mod p at x = t of the (residue terms, y-degree d): d + 1
+    residues each, highest degree first.  dx bounds the x-exponents.  At
+    t = 0, the terms free of x."""
     images = []
     if not t:
         for terms, d in polys:
             img = [0] * (d + 1)
-            for e in terms:
-                if not e[s]:
-                    img[d - e[r]] = e[2]
+            for i, j, c in terms:
+                if not i:
+                    img[d - j] = c
             images.append(img)
         return images
     tp = [1] * (dx + 1)
@@ -511,53 +497,10 @@ def _images(polys: list[tuple[_Residues, int]], t: int, s: int, dx: int,
         tp[i] = tp[i - 1] * t % p
     for terms, d in polys:
         img = [0] * (d + 1)
-        for e in terms:
-            img[d - e[r]] += e[2] * tp[e[s]]
+        for i, j, c in terms:
+            img[d - j] += c * tp[i]
         images.append([c % p for c in img])
     return images
-
-
-def _coprime_images(fs: _Residues, gs: _Residues, first: int, swap: bool = False) -> bool:
-    """True when images at x = t prove that f and g share no factor of
-    positive y-degree; fs, gs are their _residues.  With swap, the roles
-    of x and y are exchanged: images at y = t, and factors of positive
-    x-degree.
-
-    Let G be such a factor, primitive in Z[x, y].  By Gauss's lemma it
-    divides the integer multiples F and F' of f and g in Z[x, y], so
-    lc_y(G) divides lc_y(F) and lc_y(F').  At a t where either does not
-    vanish mod _PRIME, G(t, y) keeps its y-degree and divides F(t, y) and
-    F'(t, y) mod _PRIME, so their gcd is not constant.  A constant gcd at
-    any such t is the proof.  Up to _POINTS such t are tried from first
-    on, 1 when f and g have no constant term, as the kept variable then
-    divides both images at 0.  Curves with small integer coefficients can
-    meet on every small line x = t, so when those fail, up to _POINTS
-    more t are tried from _FAR on.  False means "not proved".
-    """
-    s, r = (1, 0) if swap else (0, 1)  # t replaces the exponent s; r is kept
-    dx = 0
-    polys = []
-    for terms in (fs, gs):
-        d = 0
-        for e in terms:
-            if e[r] > d:
-                d = e[r]
-            if e[s] > dx:
-                dx = e[s]
-        polys.append((terms, d))
-    for start in (first, _FAR):
-        tried = 0
-        # a leading coefficient that is nonzero mod _PRIME has at most dx roots
-        for t in range(start, start + dx + _POINTS):
-            a, b = _images(polys, t, s, dx)
-            if not (a[0] or b[0]):
-                continue  # lc_y(F) and lc_y(F') both vanish at t
-            if len(_gcd_mod_p(a, b)) == 1:
-                return True
-            tried += 1
-            if tried == _POINTS:
-                break
-    return False
 
 
 def _split_monomial(f: BiPoly) -> tuple[tuple[int, int], BiPoly]:
@@ -581,12 +524,8 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     divisible by x or y, and the shifted gcd stays normalized, since
     graded lex is a monomial order and keeps its leading term.  A
     single-term operand leaves a constant, so its gcd is that monomial.
-    Then gcd(f', g') takes one of two routes.  When images at x = t rule
-    out a common factor of positive y-degree and those at y = t one of
-    positive x-degree, it is 1 (_coprime_images).  If the first holds, it
-    is the gcd of the y-contents: 1 with no y = t image when a y-coefficient
-    of f or g is a nonzero constant (_unit_content_y).  Otherwise (a common
-    factor, or no good point) the modular gcd decides (_gcd_modular).
+    The modular gcd decides gcd(f', g') (_gcd_modular); on a coprime
+    pair its first image is most often the whole proof.
     """
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
@@ -599,29 +538,16 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     (a, b), f = _split_monomial(f)
     (c, d), g = _split_monomial(g)
     a, b = min(a, c), min(b, d)
-    h = ONE if is_const(f) or is_const(g) else _gcd_no_monomial(f, g)
+    h = ONE if is_const(f) or is_const(g) else _gcd_modular(f, g)
     if a or b:
         return {(i + a, j + b): v for (i, j), v in h.items()}
     return h
 
 
-def _gcd_no_monomial(f: BiPoly, g: BiPoly) -> BiPoly:
-    """gcd(f, g) for nonconstant f and g that x and y do not divide."""
-    fs, gs = _residues(f), _residues(g)
-    first = 0 if (0, 0) in f or (0, 0) in g else 1
-    if _coprime_images(fs, gs, first):
-        if (_unit_content_y(f) or _unit_content_y(g)
-                or _coprime_images(fs, gs, first, swap=True)):
-            return ONE
-        return normalize(from_upoly_x(upoly.gcd(content_y(f), content_y(g))))
-    return _gcd_modular(f, g)
-
-
 def _unit_content_y(f: BiPoly) -> bool:
     """Whether a coefficient of f in Q[x][y] is a nonzero constant, so
-    that content_y(f) = 1."""
-    with_x = {j for i, j in f if i}
-    return any(j not in with_x for _, j in f)
+    that content_y(f) = 1: some power of y has no term with x."""
+    return len({j for i, j in f if i}) < len({j for _, j in f})
 
 
 def _is_prime(n: int) -> bool:
@@ -635,6 +561,19 @@ def _is_prime(n: int) -> bool:
         d, k = d >> 1, k + 1
     return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(k))
                for a in bases)
+
+
+@functools.lru_cache(maxsize=None)
+def _prime(k: int) -> int:
+    """The k-th prime below 2^61, from 2^61 - 1 = _prime(0) down.  Each
+    is searched for once per process, as a search runs some fifty
+    Miller-Rabin powers of 61 bits."""
+    if not k:
+        return _PRIME
+    p = _prime(k - 1) - 2
+    while not _is_prime(p):
+        p -= 2
+    return p
 
 
 def _interpolate(ts: list[int], vals: list[list[int]], p: int) -> list[list[int]]:
@@ -653,54 +592,96 @@ def _interpolate(ts: list[int], vals: list[list[int]], p: int) -> list[list[int]
     return polys
 
 
-def _gcd_modular(f: BiPoly, g: BiPoly) -> BiPoly:
+def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
     """gcd(f, g) for nonconstant f and g, by Brown's modular algorithm.
+    With coprime_x, f and g are known to share no factor of positive
+    x-degree.
 
     F and G are the primitive integer multiples of f and g, D their gcd
-    made primitive in y, and gamma = k gcd(lc_y F, lc_y G) in Z[x], with k
-    the gcd of the integer contents of the two.  By Gauss's lemma lc_y D
-    divides gamma, so H = (gamma / lc_y D) D lies in Z[x, y], and deg_x H
-    < n = deg gamma + 1 + min(deg_x F, deg_x G).  Images are taken at
-    x = t mod primes p that do not divide lc gamma, where lc_y F or lc_y G
-    does not vanish: D(t, y) keeps its y-degree and divides both, so their
-    gcd has at least that degree, and one of exactly that degree, made
+    made primitive in y.  The images are those of den(f) f and den(g) g,
+    integer multiples of F and G, at x = t mod primes p below 2^61.  t
+    starts at 0, or at 1 when neither f nor g has a constant term, as both
+    images at 0 then have the root y = 0, and only moves forward, across
+    primes too, so no (p, t) is taken twice.  A point is bad when the
+    leading y-coefficients of both vanish at t mod p; more than
+    max(deg_x f, deg_x g) bad points mean that p divides both, and the
+    next prime is taken.
+
+    At any other t, D(t, y) keeps its y-degree, since lc_y D divides both
+    leading coefficients by Gauss's lemma, and it divides both images, so
+    their gcd has at least that degree.  A constant image gcd thus proves
+    D = 1, and the call ends there.  What may remain of the gcd lies in
+    Q[x]: it is 1 when coprime_x holds or a y-coefficient of f or g is a
+    nonzero constant (_unit_content_y), and otherwise this routine finds
+    it on the pair with x and y exchanged, or proves it 1 at its first
+    image there.
+
+    Otherwise the images go on to the interpolation.  With gamma =
+    k gcd(lc_y F, lc_y G) in Z[x], k the gcd of the integer contents of
+    the two, lc_y D divides gamma, so H = (gamma / lc_y D) D lies in
+    Z[x, y], and deg_x H < n = deg gamma + 1 + min(deg_x F, deg_x G).  A
+    prime that divides lc gamma, or every coefficient of den(f) f or of
+    den(g) g, is passed over.  An image gcd of exactly D's y-degree, made
     monic and scaled by gamma(t), is H(t, y) mod p.  The images of least
     y-degree at p are kept; n give H mod p by Newton interpolation in x.
-    Only the primes of the least such degree are kept, and t advances
-    across primes, so no bad point is met twice.  The CRT with a symmetric
-    lift combines the primes; the lift's primitive part C in y is tried on
-    the first prime and whenever a prime leaves the lift as it was.  A C
-    that divides F and G has the images' y-degree, at least deg_y D, and
-    divides D, so C = D; the gcd is D times the gcd of the y-contents.
+    Only the primes of the least such degree are kept.  The CRT with a
+    symmetric lift combines the primes; the lift's primitive part C in y
+    is tried on the first prime and whenever a prime leaves the lift as
+    it was.  A C that divides F and G has the images' y-degree, at least
+    deg_y D, and divides D, so C = D; the gcd is D times the gcd of the
+    y-contents.
     """
-    F, G = normalize(f), normalize(g)
-    cf, cg = coeffs_wrt_y(F), coeffs_wrt_y(G)
-    lc = upoly.gcd(cf[-1], cg[-1])
-    k = math.gcd(*(c.numerator for c in cf[-1] + cg[-1]))
-    gamma = scalar_mul(k, normalize(from_upoly_x(lc)))
-    cont = upoly.gcd_many([lc, *cf, *cg])
-    n, dx = len(lc) + min(deg_x(F), deg_x(G)), max(deg_x(F), deg_x(G))
-    t, H, m, e, last = -1, {}, 1, deg_y(F) + 1, None  # e: H's y-degree, none yet
-    for p in (q for q in range(_PRIME, 3, -2) if q == _PRIME or _is_prime(q)):
-        if not leading_term(gamma)[1] % p:
-            continue
-        polys = [(_residues(h, p), deg_y(h)) for h in (F, G, gamma)]
-        ts, vals, d = [], [], min(deg_y(F), deg_y(G))  # d: the least degree at p
+    fx = fy = gx = gy = 0  # the degrees, in one pass each: this path is hot
+    for i, j in f:
+        if i > fx:
+            fx = i
+        if j > fy:
+            fy = j
+    for i, j in g:
+        if i > gx:
+            gx = i
+        if j > gy:
+            gy = j
+    dx = fx if fx > gx else gx
+    t = -1 if (0, 0) in f or (0, 0) in g else 0  # the point before the first
+    gamma, n = None, math.inf  # n: the points needed at each prime
+    for p in map(_prime, count()):
+        polys = [(_residues(f, p), fy), (_residues(g, p), gy)]
+        ts, vals, d, bad = [], [], min(fy, gy), 0  # d: the least degree at p
         while len(ts) < n:
             t += 1
-            a, b, (gt,) = _images(polys, t, 0, dx, p)
-            if not (a[0] or b[0]):
+            a, b = _images(polys, t, dx, p)
+            if not (a[0] or b[0]):  # a bad point
+                bad += 1
+                if bad > dx:
+                    break  # p divides both leading coefficients
                 continue
             h = _gcd_mod_p(a, b, p)
+            if len(h) == 1:  # D = 1
+                if coprime_x or _unit_content_y(f) or _unit_content_y(g):
+                    return ONE
+                return swap_vars(_gcd_modular(swap_vars(f), swap_vars(g), True))
+            if gamma is None:
+                F, G = normalize(f), normalize(g)
+                cf, cg = coeffs_wrt_y(F), coeffs_wrt_y(G)
+                lc = upoly.gcd(cf[-1], cg[-1])
+                k = math.gcd(*(c.numerator for c in cf[-1] + cg[-1]))
+                gamma = scalar_mul(k, normalize(from_upoly_x(lc)))
+                cont = upoly.gcd_many([lc, *cf, *cg])
+                n = len(lc) + min(fx, gx)
+                H, m, e, last = {}, 1, fy + 1, None  # e: H's y-degree, none yet
+            if not ts and not (leading_term(gamma)[1] % p
+                               and all(any(r[2] for r in terms) for terms, _ in polys)):
+                break  # p divides lc gamma, or f or g vanishes mod p
             if len(h) - 1 > d:
                 continue
             if len(h) - 1 < d:
                 ts, vals, d = [], [], len(h) - 1
-            s = gt * pow(h[0], -1, p) % p
+            s = sum(c * pow(t, i, p) for (i, _), c in gamma.items()) * pow(h[0], -1, p) % p
             ts.append(t)
             vals.append([c * s % p for c in h])
-        if d > e:
-            continue  # p divides a subresultant: its gcd has a higher degree
+        if len(ts) < n or d > e:
+            continue  # p passed over, or it divides a subresultant
         if d < e:
             H, m, e = {}, 1, d
         u = pow(m, -1, p)
@@ -716,18 +697,6 @@ def _gcd_modular(f: BiPoly, g: BiPoly) -> BiPoly:
             if divides(D, F) and divides(D, G):
                 return normalize(mul(from_upoly_x(cont), D))
         last = C
-
-
-def gcd_many(polys: list[BiPoly]) -> BiPoly:
-    nz = [p for p in polys if p]
-    if not nz:
-        raise ValueError("gcd of all-zero list is undefined")
-    acc = nz[0]
-    for p in nz[1:]:
-        acc = gcd(acc, p)
-        if is_const(acc):
-            break
-    return normalize(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -995,10 +964,6 @@ class CheckResult:
             raise ValueError("Fails requires a witness or certificate")
         if self.status == "Inconclusive" and not self.reason:
             raise ValueError("Inconclusive requires a reason")
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "Holds"
 
 
 def holds(reason: str = "") -> CheckResult:

@@ -22,7 +22,8 @@ input.  The Sturm helpers work on lists of Python ints.
 
 Coprimality is proved, when it can be, from one image mod 2^61 - 1
 (`coprime_image`); the modular Euclid behind it is the one bipoly's
-bivariate coprimality test and modular gcd run on their specializations.
+modular gcd runs on its specializations, whose first one is most often
+the proof that two bivariate polynomials are coprime.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ def make(coeffs: Iterable[Fraction | int]) -> UPoly:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def const(c: Fraction | int) -> UPoly:
-    return make([c])
 
 
 def degree(f: UPoly) -> int:
@@ -139,13 +136,6 @@ def divmod_exact_field(f: UPoly, g: UPoly) -> tuple[UPoly, UPoly]:
 
 def rem(f: UPoly, g: UPoly) -> UPoly:
     return divmod_exact_field(f, g)[1]
-
-
-def divides(g: UPoly, f: UPoly) -> bool:
-    """True iff g divides f (g nonzero)."""
-    if not g:
-        return not f
-    return is_zero(rem(f, g))
 
 
 def deriv(f: UPoly) -> UPoly:

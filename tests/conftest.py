@@ -27,6 +27,41 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+# Exact helpers that only the tests use.
+
+def evaluate(f: bp.BiPoly, x0: Fraction, y0: Fraction) -> Fraction:
+    """f(x0, y0), exactly."""
+    if not f:
+        return Fraction(0)
+    xp = [Fraction(1)] * (bp.deg_x(f) + 1)
+    for i in range(1, len(xp)):
+        xp[i] = xp[i - 1] * x0
+    yp = [Fraction(1)] * (bp.deg_y(f) + 1)
+    for j in range(1, len(yp)):
+        yp[j] = yp[j - 1] * y0
+    return sum((c * xp[i] * yp[j] for (i, j), c in f.items()), Fraction(0))
+
+
+def gcd_many(polys: list[bp.BiPoly]) -> bp.BiPoly:
+    """bipoly.gcd of the nonzero polys, normalized."""
+    nz = [p for p in polys if p]
+    if not nz:
+        raise ValueError("gcd of all-zero list is undefined")
+    acc = nz[0]
+    for p in nz[1:]:
+        acc = bp.gcd(acc, p)
+        if bp.is_const(acc):
+            break
+    return bp.normalize(acc)
+
+
+def upoly_divides(g: up.UPoly, f: up.UPoly) -> bool:
+    """True iff g divides f in Q[t]."""
+    if not g:
+        return not f
+    return not up.rem(f, g)
+
+
 def random_rat(rng: random.Random, max_abs: int = 9) -> Fraction:
     num = rng.randint(-max_abs, max_abs)
     den = rng.randint(1, max_abs)
@@ -101,7 +136,7 @@ def _concurrent(lines: list[bp.BiPoly]) -> bool:
     det = a1 * b2 - a2 * b1
     x = (-c1 * b2 + c2 * b1) / det
     y = (-a1 * c2 + a2 * c1) / det
-    return all(bp.evaluate(l, x, y) == 0 for l in lines[2:])
+    return all(evaluate(l, x, y) == 0 for l in lines[2:])
 
 
 def random_line_family(rng: random.Random, max_p: int = 3) -> FactoredIntegral:

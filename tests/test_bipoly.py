@@ -2,6 +2,7 @@
 
 import functools
 import glob
+import inspect
 import os
 import random
 import sys
@@ -16,7 +17,8 @@ from polysaddle import cli, remarkable
 from polysaddle.field_ops import VectorField, is_hamiltonian
 from polysaddle.variety import variety_empty
 
-from conftest import prs_gcd, random_line_family, random_rat, reference_parse, sylvester_y
+from conftest import (evaluate, gcd_many, prs_gcd, random_line_family, random_rat,
+                      reference_parse, sylvester_y)
 
 rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 exps = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
@@ -261,7 +263,7 @@ def test_mul_big_coefficients():
 
 def test_evaluate():
     f = bp.parse("x^2*y - 3")
-    assert bp.evaluate(f, Fraction(2), Fraction(1, 4)) == Fraction(-2)
+    assert evaluate(f, Fraction(2), Fraction(1, 4)) == Fraction(-2)
 
 
 # division
@@ -369,6 +371,20 @@ P61 = 2**61 - 1
     ("x^2*y + x*y^2", "2*x*y + y^2", "y"),
     ("-x^3*y", "x*y^2", "x*y"),
     ("3", "x^2*y", "1"),
+    # 2^61 - 1 divides the integer content of one operand or of both, so
+    # every image of that operand mod 2^61 - 1 is 0
+    (f"{P61}*(x + 2*y + 1)", "x - y + 3", "1"),
+    (f"{P61}*(x + 2*y + 1)", f"{P61}*(x - y + 3)", "1"),
+    (f"{P61}*(x + y + 1)", "y^2 + x + 2", "1"),
+    (f"{P61}*(x + y)*(x - 1)", "(x + y)*(y + 2)", "x + y"),
+    (f"{P61}*(x + y)*(x - 1)", f"{P61}*(x + y)*(y + 2)", "x + y"),
+    (f"{P61}*(x + y + 1)", "(x + y + 1)*(y^2 + x + 2)", "x + y + 1"),
+    # the curves meet on the lines x = 0, ..., 5: the images there share
+    # a factor, and the first good point past them proves the pair coprime
+    # (y alone is split off as monomial content first)
+    ("y", "y - x*(x - 1)*(x - 2)*(x - 3)*(x - 4)*(x - 5)", "1"),
+    ("y*(y + 1)", "(y - x*(x - 1)*(x - 2)*(x - 3)*(x - 4)*(x - 5))*(y + 1)", "y + 1"),
+    ("y + 1", "y + 1 - x*(x - 1)*(x - 2)*(x - 3)*(x - 4)*(x - 5)", "1"),
 ])
 def test_gcd_fixed_cases(f, g, want):
     f, g = bp.parse(f), bp.parse(g)
@@ -401,6 +417,33 @@ def test_coprime_images_start_from_the_free_terms(monkeypatch):
     seen.clear()
     assert bp.gcd(bp.parse("3*x + 2*y"), bp.parse("x - 5*y")) == bp.ONE
     assert seen == [([2, 3], [P61 - 5, 1])]
+
+
+def test_gcd_takes_each_image_once(monkeypatch):
+    # the images that fail to prove the pair coprime are the modular gcd's
+    # first interpolation points, and t only moves forward, across primes
+    # too: no image (p, t) is taken twice in one call
+    seen = []
+    images = bp._images
+    sig = inspect.signature(images)
+
+    def recording(*args):
+        call = sig.bind(*args)
+        call.apply_defaults()
+        seen.append((call.arguments["p"], call.arguments["t"]))
+        return images(*args)
+
+    monkeypatch.setattr(bp, "_images", recording)
+    for f, g, want in [("(x + y)*(x - 1)", "(x + y)*(y + 2)", "x + y"),
+                       ("(x - y^2)*(x + y + 2)", "(y - 1)*(x + y + 2)", "x + y + 2")]:
+        seen.clear()
+        assert bp.gcd(bp.parse(f), bp.parse(g)) == bp.parse(want)
+        assert len(seen) > 1 and len(set(seen)) == len(seen), seen
+
+
+def test_primes_descend_from_the_mersenne_prime():
+    # the modular gcd's primes: 2^61 - 1, then each next prime below
+    assert [(1 << 61) - bp._prime(k) for k in range(6)] == [1, 31, 45, 229, 259, 283]
 
 
 @pytest.mark.parametrize("f, g, want", [
@@ -438,9 +481,9 @@ def test_gcd_splits_monomial_content(a, b, c, m, n, s):
     assert bp.divides({(min(m[0], n[0]), min(m[1], n[1])): 1}, want)
 
 
-# The modular gcd decides every pair the image proof leaves open; it is
-# called here directly too, on pairs the proof would decide, and must give
-# the PRS oracle's gcd on both.
+# The modular gcd decides every pair, most often at its first image; it
+# is called here directly too, with the monomial split bypassed, and must
+# give the PRS oracle's gcd.
 
 def _factors(keys, coeffs, max_terms):
     return st.dictionaries(keys, coeffs, min_size=1, max_size=max_terms).map(
@@ -488,12 +531,12 @@ def test_gcd_modular_matches_prs_oracle(a, b, c):
     # a common factor beside monomial content
     ("x^3*y + 2*x^2*y^2 + x*y^3", "x + y", "x + y"),
     ("-x^6 - x^4*y + x^2*y^2 + y^3", "x^2 + y", "x^2 + y"),
-    # 2^61 - 1 divides lc_x(gamma): that prime is skipped, not looped on
+    # 2^61 - 1 divides lc_y of both: every point is bad at that prime,
+    # which is dropped, not looped on
     (f"{P61}*x*y + 1", f"{P61}*x*y + 1", f"{P61}*x*y + 1"),
-    # with the monomial split bypassed, every image at t = 0 has the
-    # extra root y = 0, and one point is needed (x*y^2 has lc_y = x, so
-    # t = 0 is skipped there): the points advance across primes, so the
-    # bad point is not taken again with the next prime
+    # with the monomial split bypassed, every image at t = 0 would have
+    # the extra root y = 0, and so would x*y^2's lc_y = x: with no
+    # constant term in either operand, the points start at t = 1
     ("y^2", "x*y + y^2", "y"),
     ("x*y^2", "x^2*y + x*y^2", "x*y"),
     # the first prime alone cannot lift 2^70 + 1, and the second,
@@ -627,7 +670,7 @@ def test_squarefree_by_gradient_gcd():
     # gcd(f, f_x, f_y) is not constant
     def squarefree(s):
         f = bp.parse(s)
-        return bp.is_const(bp.gcd_many([f, bp.partial(f, "x"), bp.partial(f, "y")]))
+        return bp.is_const(gcd_many([f, bp.partial(f, "x"), bp.partial(f, "y")]))
 
     assert squarefree("x*y")
     assert squarefree("y - x^2")
@@ -658,8 +701,8 @@ def test_check_result_invariants():
         bp.CheckResult("Inconclusive")   # no reason
     with pytest.raises(ValueError):
         bp.CheckResult("Maybe")
-    assert bp.holds("fine").ok
-    assert not bp.fails("w", "r").ok
+    assert bp.holds("fine").status == "Holds"
+    assert bp.fails("w", "r").status != "Holds"
     assert bp.inconclusive("because").status == "Inconclusive"
 
 

@@ -29,8 +29,8 @@ from polysaddle.remarkable import (
     single_critical_value_criterion,
 )
 
-from conftest import (naive_product, random_coprime_field, random_integral,
-                      random_line_family, sylvester_from_coeffs)
+from conftest import (gcd_many, naive_product, random_coprime_field, random_integral,
+                      random_line_family, sylvester_from_coeffs, upoly_divides)
 
 
 def fi(*pairs):
@@ -112,7 +112,7 @@ def _assert_levels_reverify(H, vals, residual):
     residual keeps no rational root that should have been a value."""
     Hx, Hy = bp.partial(H, "x"), bp.partial(H, "y")
     for c in vals:
-        g = bp.gcd_many([bp.add(H, bp.const(c)), Hx, Hy])
+        g = gcd_many([bp.add(H, bp.const(c)), Hx, Hy])
         assert not bp.is_const(g), (bp.to_string(H), c)
     assert residual is None or upoly.rational_roots(residual) == [], bp.to_string(H)
 
@@ -218,7 +218,7 @@ def elimination_critical_values(H):
     if upoly.is_const(N):
         return [], None
     vals = [c0 for c0 in upoly.rational_roots(N)
-            if not bp.is_const(bp.gcd_many([bp.add(H, bp.const(c0)), Hx, Hy]))]
+            if not bp.is_const(gcd_many([bp.add(H, bp.const(c0)), Hx, Hy]))]
     residual = shift_out_rational_roots(upoly.squarefree_part(N))
     return vals, (None if upoly.is_const(residual) else residual)
 
@@ -242,7 +242,7 @@ def test_critical_values_agree_with_elimination_route():
         old_vals, old_resid = elimination_critical_values(H)
         assert vals == old_vals, bp.to_string(H)
         assert resid is None or (old_resid is not None
-                                 and upoly.divides(resid, old_resid)), bp.to_string(H)
+                                 and upoly_divides(resid, old_resid)), bp.to_string(H)
         compared += 1
     assert compared >= 60
 
@@ -377,7 +377,7 @@ def test_single_critical_value_criterion_holds():
     for F in (TWIN, CUSP):
         X = construct_field(F)
         res = single_critical_value_criterion(F, X)
-        assert res.ok, res.reason
+        assert res.status == "Holds", res.reason
 
 
 def test_single_critical_value_criterion_preconditions():
@@ -422,7 +422,7 @@ def test_inverse_factor_degree_check():
         a = analyze(F)
         m = construct_field(F).degree
         res = inverse_factor_degree_check(a, m)
-        assert res.ok, res.reason
+        assert res.status == "Holds", res.reason
 
 
 def test_inverse_factor_degree_check_needs_values():
@@ -434,7 +434,7 @@ def test_inverse_factor_degree_check_needs_values():
 def test_integral_degree_check():
     for F in (TWIN, CUSP):
         res = integral_degree_check(F, construct_field(F))
-        assert res.ok, res.reason
+        assert res.status == "Holds", res.reason
 
 
 def test_integral_degree_check_preconditions():
@@ -457,6 +457,6 @@ def test_checks_on_random_line_family():
         a = analyze(F)
         assert a.s == 1 and a.residual is None
         res = inverse_factor_degree_check(a, X.degree)
-        assert res.ok, res.reason
+        assert res.status == "Holds", res.reason
         assert bp.total_degree(a.V) == (a.s - 1) * a.d + (X.degree + 1) * a.s
-        assert single_critical_value_criterion(F, X).ok
+        assert single_critical_value_criterion(F, X).status == "Holds"
