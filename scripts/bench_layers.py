@@ -37,7 +37,12 @@ checked against the result of the Fraction-list references kept here,
 and variety_empty on the 44-bit triple-point fibers of the cz-witness
 workload (variety-fiber-*); and, drawn after those,
 arith.isolate_complex_roots on a 44-bit quadratic and a cubic, each with
-irrational real roots only (isolate-*).  A coefficient is an int where it is
+irrational real roots only (isolate-*); and, from seeds of their own,
+resultants against an operand linear in y (resultant-linear-*), and
+cz_check.check_no_triple_points on 20 and 40 wide lines
+(triples-wide-lines-*), which must give the status, witness and reason
+of an exact variety_empty on every triple (reference_triples, run
+outside the timed region).  A coefficient is an int where it is
 an integer, as the program holds it (bipoly, upoly).  Every product is
 checked against a schoolbook reference kept in this file, and timed
 beside it; every gcd must divide both operands and leave cofactors that
@@ -108,6 +113,7 @@ import sys
 import tempfile
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from statistics import median, quantiles
 from time import perf_counter
 
@@ -350,6 +356,18 @@ def _random_lines(rng: random.Random, p: int) -> list:
     return out
 
 
+def _wide_lines(rng: random.Random, p: int) -> list:
+    """p lines (a, b, c), pairwise nonparallel, with integers a, b, c
+    uniform in +-10^6, each line divided by gcd(a, b, c)."""
+    out: list = []
+    while len(out) < p:
+        a, b, c = (rng.randint(-10**6, 10**6) for _ in range(3))
+        g = math.gcd(a, b, c)
+        if (a or b) and all(a * b2 != a2 * b for a2, b2, _ in out):
+            out.append((a // g, b // g, c // g))
+    return out
+
+
 def _homogeneous(rng: random.Random, d: int) -> dict:
     return {(i, d - i): rng.choice((-1, 1)) * rng.randint(1, 32) for i in range(d + 1)}
 
@@ -521,6 +539,35 @@ def reference_orbit(P: dict, Q: dict, H: dict, x: float, y: float, h: float, n: 
     return pts, (drift if math.isfinite(drift) and not math.isnan(sum(gaps)) else None)
 
 
+def _linear_cases() -> list:
+    """Resultants against an operand linear in y, which bipoly takes in
+    closed form: two wide lines, and dense curves of degree 3 and 6 (as
+    _curve draws them) each against a wide line; and the triple check of
+    condition (iii) on 20 and 40 wide lines (Random("wide:<p>"), as
+    scripts/scale_ladder.py draws them), which must Hold."""
+    rng = random.Random("resultant-linear")
+    (l1, l2, l3, l4) = _wide_lines(rng, 4)
+    out = [("resultant-linear-lines", "resultant", _as_line(*l1), _as_line(*l2), None),
+           ("resultant-linear-d3", "resultant", _curve(rng, 3), _as_line(*l3), None),
+           ("resultant-linear-d6", "resultant", _curve(rng, 6), _as_line(*l4), None)]
+    for p in (20, 40):
+        curves = [_as_line(*abc) for abc in _wide_lines(random.Random(f"wide:{p}"), p)]
+        out.append((f"triples-wide-lines-{p}", "triples", curves, None, "Holds"))
+    return out
+
+
+def reference_triples(curves: list) -> tuple:
+    """(status, witness, reason) of the triple check by an exact
+    variety_empty on every triple, in combinations order."""
+    from polysaddle.variety import variety_empty
+
+    for i, j, k in combinations(range(len(curves)), 3):
+        r = variety_empty([curves[i], curves[j], curves[k]])
+        if r.status == "Fails":
+            return "Fails", r.witness, f"curves {i + 1},{j + 1},{k + 1} meet"
+    return "Holds", None, "all triples have empty intersection"
+
+
 def _gcd_path_cases(rng: random.Random) -> list:
     """The pairs bipoly.gcd gets most often: two coprime lines, the
     homogeneous leading forms ax + by of two lines, and two dense conics
@@ -678,6 +725,7 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
     out += _load_cases()
     out += _upoly_cases(rng)  # drawn after every case above, which keep their operands
     out += _isolate_cases(rng)  # drawn last, likewise
+    out += _linear_cases()  # from seeds of their own
     return [case for case in out if re.search(only, case[0])]
 
 
@@ -751,6 +799,7 @@ def worker(only: str = "") -> dict:
     from polysaddle import bipoly as bp
     from polysaddle import cli, numcheck
     from polysaddle import upoly as up
+    from polysaddle.cz_check import check_no_triple_points
     from polysaddle.field_ops import FactoredIntegral, VectorField, construct_field, reduce_field
     from polysaddle.linearize import linearize
     from polysaddle.variety import variety_empty
@@ -777,6 +826,9 @@ def worker(only: str = "") -> dict:
 
     def variety(polys, _):
         return variety_empty(polys)
+
+    def triples(curves, _):
+        return check_no_triple_points(curves)
 
     def linearize_fresh(F, X):
         return linearize(cold(F), X)
@@ -817,7 +869,8 @@ def worker(only: str = "") -> dict:
     signal.signal(signal.SIGALRM, _timeout)
     for name, op, f, g, planted in cases(only):
         # uncapped: the reference route takes about 30 s on the degree-5 system
-        reference = reference_variety_empty(f) if op == "variety" else None
+        reference = (reference_variety_empty(f) if op == "variety"
+                     else reference_triples(f) if op == "triples" else None)
         signal.setitimer(signal.ITIMER_REAL, CAP_S)
         try:
             if op == "mul":
@@ -838,6 +891,10 @@ def worker(only: str = "") -> dict:
                 ok = real_roots_ok(f, arith.isolate_complex_roots(f))
                 out[name] = {"us": time(lambda a, _: arith.isolate_complex_roots(a), f, None),
                              "ok": ok}
+            elif op == "triples":
+                got = check_no_triple_points(f)
+                ok = (got.status, got.witness, got.reason) == reference and got.status == planted
+                out[name] = {"us": time(triples, f, None), "ok": ok}
             elif op == "variety":
                 got = variety(f, g)
                 ok = (got.status, got.witness) == reference and got.status == planted
@@ -901,6 +958,8 @@ def _describe(op: str, f, g) -> dict:
         return {"op": op, "function": f[0], "degrees": [len(a) - 1 for a in f[1]]}
     if op == "isolate":
         return {"op": op, "coefficients": f}
+    if op == "triples":
+        return {"op": op, "curves": len(f)}
     return {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])}
 
 

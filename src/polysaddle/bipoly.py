@@ -34,12 +34,17 @@ division, which proves the result.  An image gcd of y-degree 0 proves at
 once that no common factor has positive y-degree, so a coprime pair most
 often ends at its first image mod 2^61 - 1, and at one more at y = t
 unless a y-coefficient of either is a nonzero constant; two images of
-degree 1 are decided by one 2x2 determinant.  Resultants
-with respect to y come from a subresultant polynomial remainder sequence
-over Q[x][y]: its last, y-free remainder is the resultant up to a power
-of the last scale factor (Brown & Traub, J. ACM 18, 1971).  Every
-intermediate value stays exact.  The parser reads tokens off one regular
-expression and multiplies monomials without mul.
+degree 1 are decided by one 2x2 determinant.  A failed trial division
+at unlucky points keeps its prime and takes further points there.
+
+A resultant with respect to y against an operand linear in y, b1 y + b0,
+is the closed form sum_k f_k b0^k (-b1)^(m-k) over the other operand's
+y-coefficients f_k, by Horner.  When both y-degrees are at least 2 it
+comes from a subresultant polynomial remainder sequence over Q[x][y]:
+its last, y-free remainder is the resultant up to a power of the last
+scale factor (Brown & Traub, J. ACM 18, 1971).  Every intermediate
+value stays exact.  The parser reads tokens off one regular expression
+and multiplies monomials without mul.
 """
 
 from __future__ import annotations
@@ -629,7 +634,14 @@ def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
     is tried on the first prime and whenever a prime leaves the lift as
     it was.  A C that divides F and G has the images' y-degree, at least
     deg_y D, and divides D, so C = D; the gcd is D times the gcd of the
-    y-contents.
+    y-contents.  A lift that a prime left as it was and that still fails
+    was most often taken at unlucky points, values of t where the images
+    share more than D(t, y): roots of a subresultant coefficient of F/D
+    and G/D, of x-degree at most deg_y f deg_x g + deg_y g deg_x f.  That
+    prime is then kept, and further points are taken at it for an image
+    of y-degree below the lift's; when more points than that bound give
+    none, the prime divides the coefficient or the lift's degree is D's,
+    and the next prime is taken.
     """
     fx = fy = gx = gy = 0  # the degrees, in one pass each: this path is hot
     for i, j in f:
@@ -643,11 +655,17 @@ def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
         if j > gy:
             gy = j
     dx = fx if fx > gx else gx
+    unlucky = fy * gx + gy * fx  # bounds the points where a good prime's images mislead
     t = -1 if (0, 0) in f or (0, 0) in g else 0  # the point before the first
     gamma, n = None, math.inf  # n: the points needed at each prime
-    for p in map(_prime, count()):
-        polys = [(_residues(f, p), fy), (_residues(g, p), gy)]
-        ts, vals, d, bad = [], [], min(fy, gy), 0  # d: the least degree at p
+    primes, stay = map(_prime, count()), False
+    while True:
+        if stay:  # a stable lift failed at p: only an image below e can help
+            ts, vals, d, skips = [], [], e - 1, 0
+        else:
+            p = next(primes)
+            polys = [(_residues(f, p), fy), (_residues(g, p), gy)]
+            ts, vals, d, bad = [], [], min(fy, gy), 0  # d: the least degree at p
         while len(ts) < n:
             t += 1
             a, b = _images(polys, t, dx, p)
@@ -674,6 +692,10 @@ def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
                                and all(any(r[2] for r in terms) for terms, _ in polys)):
                 break  # p divides lc gamma, or f or g vanishes mod p
             if len(h) - 1 > d:
+                if stay:
+                    skips += 1
+                    if skips > unlucky:
+                        break  # p divides a subresultant, or e is D's degree
                 continue
             if len(h) - 1 < d:
                 ts, vals, d = [], [], len(h) - 1
@@ -681,6 +703,7 @@ def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
             ts.append(t)
             vals.append([c * s % p for c in h])
         if len(ts) < n or d > e:
+            stay = False
             continue  # p passed over, or it divides a subresultant
         if d < e:
             H, m, e = {}, 1, d
@@ -691,16 +714,40 @@ def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
                 H[i, e - j] = r + m * ((c - r) * u % p)
         m *= p
         C = {key: v if 2 * v <= m else v - m for key, v in H.items() if v}
+        stay = False
         if m == p or C == last:
             cc = content_y(C)
             D = normalize(C if cc == upoly.ONE else exact_div(C, from_upoly_x(cc)))
             if divides(D, F) and divides(D, G):
                 return normalize(mul(from_upoly_x(cont), D))
+            stay = C == last
         last = C
 
 
 # ---------------------------------------------------------------------------
-# Resultants from the subresultant PRS.
+# Resultants: a closed form against an operand linear in y, else the
+# subresultant PRS.
+
+def _resultant_linear(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Res_y(f, g) for g = b1 y + b0 of y-degree 1 and f = sum_k f_k y^k
+    of y-degree m >= 1: (-1)^m sum_k f_k (-b0)^k b1^(m-k), that is
+    sum_k f_k b0^k (-b1)^(m-k), by Horner in the pair (b0, -b1)."""
+    fs: list[BiPoly] = [{} for _ in range(deg_y(f) + 1)]
+    for (i, j), c in f.items():
+        fs[j][i, 0] = c
+    b0: BiPoly = {}
+    nb1: BiPoly = {}
+    for (i, j), c in g.items():
+        if j:
+            nb1[i, 0] = -c
+        else:
+            b0[i, 0] = c
+    acc, w = fs[-1], ONE  # w = (-b1)^(m-k)
+    for fk in reversed(fs[:-1]):
+        w = mul(w, nb1)
+        acc = add(mul(acc, b0), mul(fk, w))
+    return acc
+
 
 def resultant(f: BiPoly, g: BiPoly) -> BiPoly:
     """Res_y(f, g), the Sylvester determinant with f's coefficients in the
@@ -708,13 +755,22 @@ def resultant(f: BiPoly, g: BiPoly) -> BiPoly:
 
     Vanishes identically exactly when f and g share a factor of positive
     y-degree.  Both inputs must have positive y-degree; callers handle
-    degenerate degree-0 operands directly.  The value is read off the last
-    remainder of the subresultant PRS (see _subresultant_prs).
+    degenerate degree-0 operands directly.  When an operand is linear in
+    y, the value is the closed form of _resultant_linear, with
+    Res_y(f, g) = (-1)^(deg_y g) Res_y(g, f) when f is the linear one.
+    Otherwise it is read off the last remainder of the subresultant PRS
+    (see _subresultant_prs).
     """
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
-    if deg_y(f) < 1 or deg_y(g) < 1:
+    df, dg = deg_y(f), deg_y(g)
+    if df < 1 or dg < 1:
         raise ValueError("resultant requires positive degree in the eliminated variable")
+    if dg == 1:
+        return _resultant_linear(f, g)
+    if df == 1:
+        r = _resultant_linear(g, f)
+        return neg(r) if dg % 2 else r
     s, r, h, sign = _subresultant_prs(f, g)
     n = deg_y(s)
     if r and n > 1:

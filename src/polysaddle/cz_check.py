@@ -8,6 +8,13 @@ C^2: zero sets and tangencies live in the complex plane, and squarefree
 or coprimality questions are settled by exact gcds, so no factorization
 over C is ever needed.  Pairwise coprimality is proved once, when the
 FactoredIntegral is built; condition (iii) takes no gcd of its own.
+
+No three curves meet when, for each triple, two of its pairs project to
+the x-axis (Res_y, or the curve free of y) as coprime polynomials: each
+pair is projected once, and one image mod 2^61 - 1 most often proves a
+triple empty, so an exact `variety_empty` runs only on the triples that
+this cannot clear (Cox, Little & O'Shea, Ideals, Varieties, and
+Algorithms, ch. 3: the resultant lies in the ideal of its pair).
 """
 
 from __future__ import annotations
@@ -16,9 +23,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import bipoly as bp
+from . import upoly
 from .bipoly import BiPoly, CheckResult
 from .field_ops import FactoredIntegral
-from .variety import variety_empty
+from .upoly import UPoly
+from .variety import _to_upoly_x, variety_empty
 
 
 def _nonzero(polys: list[BiPoly]) -> list[BiPoly]:
@@ -62,18 +71,57 @@ def check_pair_transversal(u: BiPoly, v: BiPoly) -> CheckResult:
     return variety_empty(_nonzero([u, v, jac]))
 
 
+def _projection(u: BiPoly, v: BiPoly) -> UPoly:
+    """A polynomial in x in the ideal (u, v), so that its roots hold the
+    x-coordinates of every common zero of u and v: Res_y(u, v) when both
+    have positive y-degree (zero when they share such a factor), else
+    the one free of y."""
+    if bp.deg_y(u) < 1:
+        return _to_upoly_x(u)
+    if bp.deg_y(v) < 1:
+        return _to_upoly_x(v)
+    return _to_upoly_x(bp.resultant(u, v))
+
+
 def check_no_triple_points(curves: list[BiPoly]) -> CheckResult:
     """Holds iff no point lies on three of the curves.  The curves need not
-    be coprime: `variety_empty` decides each triple exactly."""
+    be coprime.
+
+    A common zero of three curves lies on each pair of them, so its
+    x-coordinate is a root of each pair's projection R_ij (_projection).
+    Each R_ij is taken once, when a triple first asks for it, and kept as
+    its image mod 2^61 - 1.  A triple (i, j, k) is cleared when those
+    images prove two of its three projections coprime
+    (upoly.coprime_images); (R_ij, R_ik) is tried first, and the other
+    two choices only when it fails.  The triples left are decided exactly
+    by `variety_empty`, in `combinations` order, so the first failing
+    triple, its witness and the Inconclusive outcome are those of
+    deciding every triple exactly."""
     if len(curves) < 3:
         return bp.holds("fewer than three curves")
+    n = len(curves)
+    images: dict[tuple[int, int], list[int]] = {}
+
+    def R(i: int, j: int) -> list[int]:
+        r = images.get((i, j))
+        if r is None:
+            r = images[i, j] = upoly.image(_projection(curves[i], curves[j]))
+        return r
+
+    coprime = upoly.coprime_images
     worst: CheckResult | None = None
-    for i, j, k in combinations(range(len(curves)), 3):
-        r = variety_empty([curves[i], curves[j], curves[k]])
-        if r.status == "Fails":
-            return bp.fails(r.witness, f"curves {i + 1},{j + 1},{k + 1} meet")
-        if r.status == "Inconclusive":
-            worst = r
+    for i in range(n):  # i < j < k runs in combinations order
+        for j in range(i + 1, n):
+            rij = R(i, j)
+            for k in range(j + 1, n):
+                rik = R(i, k)
+                if coprime(rij, rik) or coprime(rij, R(j, k)) or coprime(rik, R(j, k)):
+                    continue
+                r = variety_empty([curves[i], curves[j], curves[k]])
+                if r.status == "Fails":
+                    return bp.fails(r.witness, f"curves {i + 1},{j + 1},{k + 1} meet")
+                if r.status == "Inconclusive":
+                    worst = r
     if worst is not None:
         return worst
     return bp.holds("all triples have empty intersection")
@@ -87,8 +135,9 @@ def check_pairwise_leading_coprime(curves: list[BiPoly]) -> CheckResult:
     for i, u in enumerate(curves):
         if bp.is_zero(u) or bp.is_const(u):
             raise ValueError(f"curve {i + 1} is constant")
+    forms = [bp.leading_form(u) for u in curves]
     for i, j in combinations(range(len(curves)), 2):
-        g = bp.gcd(bp.leading_form(curves[i]), bp.leading_form(curves[j]))
+        g = bp.gcd(forms[i], forms[j])
         if not bp.is_const(g):
             return bp.fails(bp.to_string(g),
                             f"leading forms of curves {i + 1} and {j + 1} share a factor")

@@ -21,9 +21,10 @@ real-root isolation), so the cost is polynomial in the bit size of the
 input.  The Sturm helpers work on lists of Python ints.
 
 Coprimality is proved, when it can be, from one image mod 2^61 - 1
-(`coprime_image`); the modular Euclid behind it is the one bipoly's
-modular gcd runs on its specializations, whose first one is most often
-the proof that two bivariate polynomials are coprime.
+(`coprime_image`, or `coprime_images` on images taken once by `image`
+for a polynomial tested against many); the modular Euclid behind it is
+the one bipoly's modular gcd runs on its specializations, whose first
+one is most often the proof that two bivariate polynomials are coprime.
 """
 
 from __future__ import annotations
@@ -240,10 +241,16 @@ def _gcd_mod_p(a: list[int], b: list[int], p: int = _PRIME) -> list[int]:
     return a
 
 
-def _image(f: UPoly) -> list[int]:
-    """The integer multiple den(f) * f mod _PRIME, highest degree first."""
+def image(f: UPoly) -> list[int]:
+    """The integer multiple den(f) * f mod _PRIME, highest degree first;
+    [] for the zero polynomial."""
     den = math.lcm(*(c.denominator for c in f))
     return [c.numerator * (den // c.denominator) % _PRIME for c in reversed(f)]
+
+
+def coprime_images(a: list[int], b: list[int]) -> bool:
+    """coprime_image(f, g) on a = image(f) and b = image(g)."""
+    return bool(a and b and (a[0] or b[0])) and len(_gcd_mod_p(a, b)) == 1
 
 
 def coprime_image(f: UPoly, g: UPoly) -> bool:
@@ -256,10 +263,7 @@ def coprime_image(f: UPoly, g: UPoly) -> bool:
     divides both images: a constant gcd of the images proves D constant.
     When neither leading coefficient survives, the images prove nothing.
     """
-    if not (f and g):
-        return False
-    a, b = _image(f), _image(g)
-    return bool(a[0] or b[0]) and len(_gcd_mod_p(a, b)) == 1
+    return coprime_images(image(f), image(g))
 
 
 def content_int(f: UPoly) -> Fraction:

@@ -73,3 +73,12 @@ def test_isolate_cases_hold():
     rows = runpy.run_path(SCRIPT)["worker"]("^isolate-")
     assert set(rows) == {"isolate-quadratic-44bit", "isolate-cubic"}
     assert all(row["ok"] and row["us"] > 0 for row in rows.values())
+
+
+def test_linear_resultant_and_triple_cases_hold():
+    # each resultant equals det_bareiss on the Sylvester matrix, and the
+    # triple check gives what an exact variety_empty on every triple gives
+    rows = runpy.run_path(SCRIPT)["worker"]("^(resultant-linear-|triples-wide-lines-20$)")
+    assert set(rows) == {"resultant-linear-lines", "resultant-linear-d3", "resultant-linear-d6",
+                         "triples-wide-lines-20"}
+    assert all(row["ok"] and row["us"] > 0 for row in rows.values())

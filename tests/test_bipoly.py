@@ -441,6 +441,24 @@ def test_gcd_takes_each_image_once(monkeypatch):
         assert len(seen) > 1 and len(set(seen)) == len(seen), seen
 
 
+def test_gcd_keeps_a_prime_past_unlucky_points(monkeypatch):
+    # y + 1 and y + 1 - x(x - 1)...(x - 5) agree at x = 0, ..., 5, so the
+    # images there share y + 1 and each lift fails trial division; the
+    # second prime leaves the lift unchanged, so it is kept and takes
+    # further points until x = 6 proves the pair coprime
+    primes = []
+    images = bp._images
+
+    def recording(polys, t, dx, p):
+        primes.append(p)
+        return images(polys, t, dx, p)
+
+    monkeypatch.setattr(bp, "_images", recording)
+    f, g = bp.parse("y + 1"), bp.parse("y + 1 - x*(x - 1)*(x - 2)*(x - 3)*(x - 4)*(x - 5)")
+    assert bp.gcd(f, g) == bp.ONE
+    assert len(set(primes)) <= 2, primes
+
+
 def test_primes_descend_from_the_mersenne_prime():
     # the modular gcd's primes: 2^61 - 1, then each next prime below
     assert [(1 << 61) - bp._prime(k) for k in range(6)] == [1, 31, 45, 229, 259, 283]
@@ -661,6 +679,58 @@ def test_resultant_matches_bareiss_on_sylvester():
     # the sign flip is exercised: swapping odd-degree operands negates
     _, f, g = pairs[0]
     assert bp.resultant(g, f) == bp.neg(bp.resultant(f, g)) != {}
+
+
+def _y_polys(m, dx, fraction):
+    """Polynomials of y-degree exactly m and x-degree at most dx, integer
+    or Fraction coefficients."""
+    coeff = rats if fraction else st.integers(min_value=-6, max_value=6)
+    rows = st.lists(st.lists(coeff, min_size=dx + 1, max_size=dx + 1),
+                    min_size=m + 1, max_size=m + 1)
+    return rows.map(lambda rows: {(i, j): c for j, row in enumerate(rows)
+                                  for i, c in enumerate(row) if c}).filter(
+        lambda f: bp.deg_y(f) == m)
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=2), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_resultant_closed_form_matches_bareiss(m, dxf, dxg, swap, fraction, data):
+    # an operand linear in y takes the closed form: f of y-degree m (odd or
+    # even, 1 for two linear operands) against a linear g, in either order,
+    # with x-free coefficients at x-degree 0
+    f = data.draw(_y_polys(m, dxf, fraction))
+    g = data.draw(_y_polys(1, dxg, fraction))
+    if swap:
+        f, g = g, f
+    got = bp.resultant(f, g)
+    want = bp.det_bareiss(sylvester_y(f, g))
+    assert got == want and bp.to_string(got) == bp.to_string(want)
+
+
+def test_resultant_routes(monkeypatch):
+    # the closed form when an operand is linear in y, the subresultant PRS
+    # only when both y-degrees are at least 2
+    calls = []
+
+    def counting(name):
+        inner = getattr(bp, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return inner(*args)
+        return wrapped
+
+    for name in ("_resultant_linear", "_subresultant_prs"):
+        monkeypatch.setattr(bp, name, counting(name))
+    for f, g, route in [("y^3 - x", "x*y + 1", "_resultant_linear"),
+                        ("x*y + 1", "y^2 - x", "_resultant_linear"),
+                        ("2*y - x", "y + x", "_resultant_linear"),
+                        ("y^2 - x", "y^2 + x*y + 1", "_subresultant_prs")]:
+        calls.clear()
+        f, g = bp.parse(f), bp.parse(g)
+        assert bp.resultant(f, g) == bp.det_bareiss(sylvester_y(f, g))
+        assert calls == [route]
 
 
 # squarefree and leading form

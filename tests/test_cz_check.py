@@ -1,8 +1,11 @@
 """Christopher-Zoladek genericity conditions on curve families."""
 
+import math
 import os
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +21,7 @@ from polysaddle.cz_check import (
     cz_report,
 )
 from polysaddle.field_ops import FactoredIntegral
+from polysaddle.variety import variety_empty
 
 from conftest import evaluate, random_factor
 
@@ -148,6 +152,96 @@ def test_no_triple_points():
     assert res.witness == (Fraction(0), Fraction(-1))
 
 
+def _every_triple(curves):
+    """The triple check by an exact variety_empty on every triple."""
+    worst = None
+    for i, j, k in combinations(range(len(curves)), 3):
+        r = variety_empty([curves[i], curves[j], curves[k]])
+        if r.status == "Fails":
+            return bp.fails(r.witness, f"curves {i + 1},{j + 1},{k + 1} meet")
+        if r.status == "Inconclusive":
+            worst = r
+    return worst or bp.holds("all triples have empty intersection")
+
+
+def _triple_family(rng):
+    """Three to eleven curves: lines with small coefficients, vertical
+    lines x = c, conics; most often a planted triple through one point,
+    two or three of a line, a vertical line and a conic through it; and
+    sometimes three parabolas x = x0 - (y - a)(y - b) over pairs of a, b,
+    c, which meet pairwise at x = x0 only, in three points, so that no
+    two of their projections are coprime and the triple needs the exact
+    route to Hold."""
+    def line():
+        while True:
+            a, b, c = (rng.randint(-4, 4) for _ in range(3))
+            if b or a:
+                return {e: v for e, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}
+
+    def conic():
+        while True:
+            u = {(i, j): rng.randint(-3, 3) for i in range(3) for j in range(3 - i)}
+            u = {e: c for e, c in u.items() if c}
+            if bp.total_degree(u) == 2:
+                return u
+
+    def vertical():
+        c = rng.randint(-3, 3)
+        return {(1, 0): 1, (0, 0): c} if c else {(1, 0): 1}
+
+    curves = [rng.choice((line, line, vertical, conic))() for _ in range(rng.randint(3, 6))]
+    if rng.random() < 0.7:
+        px, py = rng.randint(-3, 3), rng.randint(-3, 3)
+        for _ in range(rng.randint(2, 3)):
+            u = rng.choice((line, vertical, conic))()
+            shift = -evaluate(u, Fraction(px), Fraction(py))  # u - u(px, py) passes through it
+            u = bp.add(u, bp.const(shift))
+            if not bp.is_const(u):
+                curves.append(u)
+    if rng.random() < 0.4:
+        x0 = rng.randint(-3, 3)
+        a, b, c = rng.sample(range(-3, 4), 3)
+        curves += [bp.parse(f"x - {x0} + (y - {s})*(y - {t})") for s, t in ((a, b), (a, c), (b, c))]
+    rng.shuffle(curves)
+    return curves
+
+
+def test_triple_projections_match_every_triple_exactly():
+    # clearing triples by projections leaves the verdict, the first failing
+    # triple, its witness and the reason as deciding every triple exactly
+    statuses = []
+    for seed in range(60):
+        curves = _triple_family(random.Random(f"triples:{seed}"))
+        got = check_no_triple_points(curves)
+        assert got == _every_triple(curves), (seed, [bp.to_string(u) for u in curves])
+        statuses.append(got.status)
+    assert statuses.count("Fails") >= 10 and statuses.count("Holds") >= 10
+
+
+def _wide_lines(p):
+    """p pairwise nonparallel lines with integer coefficients uniform in
+    +-10^6 (the wide lines of scripts/scale_ladder.py)."""
+    rng = random.Random(f"wide:{p}")
+    out = []
+    while len(out) < p:
+        a, b, c = (rng.randint(-10**6, 10**6) for _ in range(3))
+        g = math.gcd(a, b, c)
+        if (a or b) and all(a * b2 != a2 * b for a2, b2, _ in out):
+            out.append((a // g, b // g, c // g))
+    return [{e: v for e, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}
+            for a, b, c in out]
+
+
+def test_triple_points_of_60_wide_lines_in_time():
+    # 34,220 triples, one projection per pair: about 0.1 s, where an exact
+    # variety_empty on every triple took about 2.6 s
+    curves = _wide_lines(60)
+    t0 = time.perf_counter()
+    res = check_no_triple_points(curves)
+    assert time.perf_counter() - t0 < 2.0
+    assert res == bp.holds("all triples have empty intersection")
+
+
 def test_cz_pairwise_gcds_not_repeated(capsys, monkeypatch):
     # FactoredIntegral proves the factors pairwise coprime at load, so
     # neither the transversality pairs nor the triple check take a pairwise
@@ -176,6 +270,20 @@ def test_pairwise_leading_coprime():
     assert "share a factor" in res.reason
     with pytest.raises(ValueError):
         check_pairwise_leading_coprime([bp.parse("x")])
+
+
+def test_leading_forms_taken_once_per_curve(monkeypatch):
+    calls = []
+    inner = bp.leading_form
+
+    def counted(f):
+        calls.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(bp, "leading_form", counted)
+    curves = [bp.parse(s) for s in ("x", "y", "x + y - 1", "x^2 + y^2 - 1", "x - 2*y")]
+    assert check_pairwise_leading_coprime(curves).status == "Holds"
+    assert len(calls) == len(curves)
 
 
 def test_parallel_lines_share_point_at_infinity():

@@ -7,16 +7,28 @@ fails here rather than in a reader's shell.
 
 import os
 import runpy
+import sys
 
 import pytest
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
+# command-line arguments of a script that takes some: the scale ladder at
+# a tiny size, one CLI process per call
+ARGV = {"scale_ladder.py": ["--family", "wide,small,dense", "--sizes", "3",
+                            "--commands", "construct,cz", "--cap", "60"]}
+
 
 @pytest.mark.parametrize("name,expect", [
     ("worked_examples.py", "all four identities verified exactly"),
     ("rk4_convergence.py", "halving factor"),
+    ("scale_ladder.py", "dense-3     cz         "),
 ])
-def test_script_runs(capsys, name, expect):
-    runpy.run_path(os.path.join(SCRIPTS, name), run_name="__main__")
-    assert expect in capsys.readouterr().out
+def test_script_runs(capsys, monkeypatch, name, expect):
+    monkeypatch.setattr(sys, "argv", [name, *ARGV.get(name, [])])
+    try:
+        runpy.run_path(os.path.join(SCRIPTS, name), run_name="__main__")
+    except SystemExit as e:
+        assert not e.code
+    out = capsys.readouterr().out
+    assert expect in out and "timeout" not in out
