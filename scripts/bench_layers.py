@@ -1,106 +1,72 @@
-"""Layer microbenchmark: bipoly.mul, bipoly.gcd, bipoly.resultant,
-upoly.rational_roots and the Euclidean upoly layer, the constructed
-field, variety.variety_empty and RK4 orbits on a fixed operand ladder.
+"""Layer microbenchmark: the program's layers, each call checked, on a
+fixed operand ladder.
 
-The operands are drawn from a fixed seed: dense products from 1x1 terms
-up to total degree 10, rational and 200-bit coefficients, a single-term
-operand, sparse high-degree pairs, gcds of two products that share a
-planted factor, univariate polynomials with planted rational roots whose
-constant terms grow from a few bits to 60, and coprime gcd pairs: the
-degree-15 field (P0, Q0) built from 16 lines, two homogeneous forms of
-degree 6, and two dense cubics; and integrals of 8, 12, 16 and 20 lines,
-the last one squared, for field_ops.construct_field and
-linearize.linearize; resultants in y of dense curves u, v of degree 3 to
-6 (every monomial, integer coefficients in -5..5), of u and the Jacobian
-u_x v_y - u_y v_x, and of the shape remarkable._level_product eliminates,
-f(y) and h(y) + x; two products with an x-free common factor;
-variety_empty on three lines in general position, three concurrent
-lines, and the transversality system u = v = u_x v_y - u_y v_x = 0 of
-dense curves of degree 3, 4 and 5; and ORBIT_STEPS RK4 steps plus the
-drift of H (numcheck.integrate_orbit and conservation_drift) on fields
-of degree 1, 3 and 5, each built from random lines with H their product,
-timed warm and cold (in trees that cache float kernels, a cold call
-clears the caches first); and the gcd pairs the commands meet most: two
-coprime lines, the leading forms ax + by of two lines, and two dense
-conics times x^2 y and x y^3; and two pairs on which the modular gcd
-interpolates, (x - y^2)(x + y + 2) against (y - 1)(x + y + 2) and the
-16-line field (P0, Q0) times x - y and x - 1 and the common factor
-x + y + 2; and start-up, a fresh interpreter that
-imports polysaddle.cli, and for each command one that runs cli.main on
-STARTUP_PROBLEM (startup-<command>), each timed beside one that runs
-`pass` (the in-process cases cannot see import cost, nor which modules a
-command loads); and bipoly.parse on a line and a conic,
-and cli.load_problem on a file of four lines written to a temporary
-directory; and, drawn last, upoly.gcd, squarefree_part, rem, xgcd and
-rational_roots on integer operands of degree 4 to 10 (upoly-*), each
-checked against the result of the Fraction-list references kept here,
-and variety_empty on the 44-bit triple-point fibers of the cz-witness
-workload (variety-fiber-*); and, drawn after those,
-arith.isolate_complex_roots on a 44-bit quadratic and a cubic, each with
-irrational real roots only (isolate-*); and, from seeds of their own,
-resultants against an operand linear in y (resultant-linear-*), and
-cz_check.check_no_triple_points on 20 and 40 wide lines
-(triples-wide-lines-*), which must give the status, witness and reason
-of an exact variety_empty on every triple (reference_triples, run
-outside the timed region).  A coefficient is an int where it is
-an integer, as the program holds it (bipoly, upoly).  Every product is
-checked against a schoolbook reference kept in this file, and timed
-beside it; every gcd must divide both operands and leave cofactors that
-reference_coprime, which uses no gcd routine of the program, proves
-coprime (gcd_ok), the planted factor must divide it, and every coprime
-pair's gcd must be 1; every root list must equal the distinct planted roots; the
-constructed field, and G times the reduced field from each linearization
-certificate, must equal the construction formula written out with
-schoolbook products, and each certificate's D = K1 K4 - K2 K3 and both
-saddle pullbacks G X(u) = D u and G X(v) = -D v are rechecked with them
-(outside the timed calls); every resultant must equal bipoly.det_bareiss on
-the Sylvester matrix built here; every variety_empty status must be the
-one the case was built for, and status and witness must equal those of
-the single-projection route kept here as the reference
-(reference_variety_empty, run outside the timed region); every orbit and
-drift, warm and cold, must equal bit for bit those of the plain-loop RK4
-kept here (reference_orbit); every parse must give the terms, in the
-same order, that reference_parse of tests/conftest.py gives (the
-character-scanning parser that the token parser replaced), and so must
-every factor that load_problem reads; every start-up interpreter must
-exit with the code its command gives on STARTUP_PROBLEM; every isolate
-case must give one box per root, pairwise disjoint, each proved to hold a
-real root by the sign of the polynomial at its ends (real_roots_ok).  Each
-construct_field or linearize call starts from an integral with nothing
-cached but its factors.  A case whose calls run past CAP_S seconds in a
-round is recorded as a timeout instead of being waited for.
+The operands are drawn from fixed seeds by cases() and the builders it
+calls, and a coefficient is an int where it is an integer, as the program
+holds it.  The cases, by name, and what each must give; every reference
+runs outside the timed calls:
+
+- mul-: bipoly.mul on dense, rational, 200-bit, single-term and sparse
+  high-degree operands, timed beside reference_mul ("reference"), which
+  every product must equal.
+- gcd-, coprime-: bipoly.gcd on pairs with a planted common factor and
+  on coprime pairs; gcd_ok proves every gcd with no gcd routine of the
+  program.
+- roots-: upoly.rational_roots on planted rational roots; the distinct
+  planted roots.
+- field-lines-: field_ops.construct_field and linearize.linearize
+  ("linearize") on integrals of 8 to 20 lines, each from an integral with
+  nothing cached but its factors; the construction formula written out
+  (literal_field), and certificates that certificate_holds rechecks.
+- resultant-: bipoly.resultant on dense curves, Jacobians, the level
+  shape and operands linear in y; det_bareiss of sylvester_y.
+- variety-: variety_empty on lines, transversality systems and the
+  44-bit triple-point fibers of the cz-witness workload; the status and
+  witness of reference_variety_empty.
+- triples-wide-lines-: cz_check.check_no_triple_points on 20 and 40 wide
+  lines; what reference_triples gives.
+- orbit-: ORBIT_STEPS RK4 steps and the drift of H, warm and cold
+  ("cold": the float kernel caches cleared first); bit for bit what
+  reference_orbit gives.
+- startup, startup-<command>: a fresh interpreter that imports
+  polysaddle.cli or runs cli.main on STARTUP_PROBLEM, beside one that
+  runs `pass` ("baseline"); its command's exit code.  The in-process cases
+  cannot see import cost nor which modules a command loads.  The
+  interpreter inherits the worker's environment, so
+  PYTHONDONTWRITEBYTECODE decides whether it may use bytecode caches.
+- parse-, load-: bipoly.parse and cli.load_problem; the terms, in order,
+  of reference_parse in tests/conftest.py.
+- upoly-: upoly.gcd, squarefree_part, rem, xgcd and rational_roots; the
+  results of the Fraction-list references kept here.
+- isolate-: arith.isolate_complex_roots; boxes that real_roots_ok proves.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --out layers.json
-    python3 scripts/bench_layers.py --out BENCH.json --src parent=../old/src --src change=src
-    python3 scripts/bench_layers.py --out gcd.json --only '^gcd-|^coprime-'
-    python3 scripts/bench_layers.py --out BENCH.json --only '^(startup|mul-)' \
+    python3 scripts/bench_layers.py --out BENCH.json --rounds 10 \\
         --src parent=../old/src --src change=src
+    python3 scripts/bench_layers.py --out gcd.json --only '^gcd-|^coprime-'
 
 --only PATTERN runs just the cases whose names match the regular
 expression (Python's re.search).
 
-Each --src tree (default: the `src` next to this script) is imported in
-its own worker process.  The trees take turns for --rounds rounds, in
-alternating order, so a drift in host speed hits them alike.  A round
-times each case as the median of five batches of calls, each scaled to
-the reference host speed as perfbench/run.py scales its calls: a fixed
-kernel is timed before every batch, and the batch time is multiplied by
-KERNEL_REF_S over the median of the last KERNEL_WINDOW kernel times.
-The JSON holds,
-per tree and case, the median and quartiles of the per-call times over
-the rounds, in microseconds ("reference" for the schoolbook product,
-"linearize" for the second timing of a field case, "cold" for an orbit
-case's cold calls, "baseline" for the interpreter that runs `pass` beside
-the start-up case).  A start-up run inherits the worker's environment, so
-PYTHONDONTWRITEBYTECODE decides whether it may read and write bytecode
-caches.
+Each --src tree (default: the `src` next to this script) is imported by
+one long-lived worker process, which builds every case and checks it
+once.  In each of --rounds rounds every case is timed on every tree
+twice, in the order A B B A (B A A B in odd rounds), so that a drift in
+host speed that is linear over the four visits hits the trees alike.  A
+visit times each of the case's calls as the median of five batches of at
+least BATCH_S; a check or visit that runs past CAP_S seconds ends the
+case on that tree as a timeout.  A tree's sample in a round is the mean
+of its two visits.  The JSON holds, per tree and case, "ok" and the
+median and quartiles of the samples, in microseconds per call, and under
+"ratios", for each later tree, the median and quartiles over the rounds
+of its sample divided by the first tree's: 1.05 means 5% slower than
+the first tree in the typical round.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import os
@@ -111,7 +77,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from statistics import median, quantiles
@@ -729,56 +694,27 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
     return [case for case in out if re.search(only, case[0])]
 
 
-def _kernel() -> float:
-    """Seconds for a fixed pure-Python loop shaped like the program's hot
-    path: Fraction products summed into a dict (perfbench/run.py's host
-    speed kernel)."""
-    acc: dict = {}
-    a = Fraction(3, 7)
-    t0 = perf_counter()
-    for i in range(500):
-        k = (i % 13, i % 7)
-        acc[k] = acc.get(k, Fraction(0)) + a * Fraction(i % 97 + 1, 11)
-    return perf_counter() - t0
-
-
-class HostSpeed:
-    """How fast the host runs Python just now, as perfbench's HostSpeed
-    measures it: `factor()` times the kernel once more and returns
-    KERNEL_REF_S over the median of the last KERNEL_WINDOW kernel times; a
-    wall time times this factor is the time at the reference host speed."""
-
-    def __init__(self):
-        self.recent: deque[float] = deque(maxlen=KERNEL_WINDOW)
-
-    def factor(self) -> float:
-        self.recent.append(_kernel())
-        return KERNEL_REF_S / median(self.recent)
-
-
-def _time(fn, f, g, speed: HostSpeed) -> float:
-    """Per-call microseconds at the reference host speed: the median of
-    five batches of at least BATCH_S, each scaled by speed.factor() taken
-    just before it."""
+def _time(call) -> float:
+    """Per-call microseconds of call(): the median of five batches of at
+    least BATCH_S."""
     n = 1
     while True:
         t0 = perf_counter()
         for _ in range(n):
-            fn(f, g)
+            call()
         if perf_counter() - t0 >= BATCH_S:
             break
         n *= 2
     times = []
     for _ in range(5):
-        factor = speed.factor()
         t0 = perf_counter()
         for _ in range(n):
-            fn(f, g)
-        times.append((perf_counter() - t0) / n * 1e6 * factor)
+            call()
+        times.append((perf_counter() - t0) / n * 1e6)
     return median(times)
 
 
-def _interpreter(code: str, _=None) -> int:
+def _interpreter(code: str) -> int:
     """Exit code of a fresh interpreter that runs `code` in the repository
     root; its output is dropped, since the worker's own standard output
     carries its result."""
@@ -790,11 +726,24 @@ def _timeout(signum, frame):
     raise TimeoutError
 
 
-def worker(only: str = "") -> dict:
-    """One round in this process over the cases whose names match the
-    regular expression `only`: {case: {"us", "reference_us" (mul),
-    "linearize_us" (field), "baseline_us" (startup), "ok"}}, or
-    {case: {"timeout": true}} when the case ran past CAP_S seconds."""
+def _capped(thunk):
+    """thunk(), or None when it runs past CAP_S seconds."""
+    signal.setitimer(signal.ITIMER_REAL, CAP_S)
+    try:
+        return thunk()
+    except TimeoutError:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+
+def prepare(only: str, tmp: str) -> dict:
+    """{case: (ok, timers)} for the cases whose names match the regular
+    expression `only`.  ok is whether the case's result checks, or None
+    when the check ran past CAP_S seconds; timers maps each timing key
+    ("us", "reference_us" (mul), "linearize_us" (field), "cold_us" (orbit),
+    "baseline_us" (startup)) to the call it times.  A load case writes its
+    problem file under the directory tmp."""
     from polysaddle import arith
     from polysaddle import bipoly as bp
     from polysaddle import cli, numcheck
@@ -807,35 +756,11 @@ def worker(only: str = "") -> dict:
     sys.path.insert(0, os.path.join(HERE, "..", "tests"))
     from conftest import reference_parse
 
-    def roots(f, g):
-        # trees whose rational_roots pairs each root with its multiplicity
-        return [r[0] if isinstance(r, tuple) else r for r in up.rational_roots(tuple(f))]
-
-    resultant = bp.resultant
-    if "var" in inspect.signature(resultant).parameters:  # trees that name y explicitly
-        resultant = functools.partial(bp.resultant, var="y")
-
     def cold(F):
         """F with every cached attribute but its factors cleared."""
         for name in [n for n in vars(F) if n != "factors"]:
             del vars(F)[name]
         return F
-
-    def construct(F, _):
-        return construct_field(cold(F))
-
-    def variety(polys, _):
-        return variety_empty(polys)
-
-    def triples(curves, _):
-        return check_no_triple_points(curves)
-
-    def linearize_fresh(F, X):
-        return linearize(cold(F), X)
-
-    # trees that cache their float kernels: a cold call clears them first
-    kernels = [getattr(numcheck, k) for k in ("_rk4_kernel", "_value_kernel")
-               if hasattr(numcheck, k)]
 
     def orbit(X, start):
         H, x0, y0, step = start
@@ -843,8 +768,8 @@ def worker(only: str = "") -> dict:
         return orb.points, numcheck.conservation_drift(H, orb)
 
     def orbit_cold(X, start):
-        for k in kernels:
-            k.cache_clear()
+        numcheck._rk4_kernel.cache_clear()
+        numcheck._value_kernel.cache_clear()
         return orbit(X, start)
 
     def hexes(run):
@@ -854,16 +779,60 @@ def worker(only: str = "") -> dict:
     def terms(src):
         return list(reference_parse(src).items())
 
-    def parse(src, _):
-        return bp.parse(src)
-
-    def load(path, _):
-        return cli.load_problem(path)
-
-    speed = HostSpeed()
-
-    def time(fn, f, g):
-        return _time(fn, f, g, speed)
+    def check(name, op, f, g, planted, reference) -> tuple:
+        """(ok, timers) of one case."""
+        if op == "mul":
+            return (bp.mul(f, g) == reference_mul(f, g) == bp.mul(g, f),
+                    {"us": lambda: bp.mul(f, g), "reference_us": lambda: reference_mul(f, g)})
+        if op in ("gcd", "coprime"):
+            return gcd_ok(op, f, g, planted), {"us": lambda: bp.gcd(f, g)}
+        if op == "resultant":
+            return (bp.resultant(f, g) == bp.det_bareiss(sylvester_y(f, g)),
+                    {"us": lambda: bp.resultant(f, g)})
+        if op == "upoly":
+            fn, args = getattr(up, f[0]), tuple(up.make(a) for a in f[1])
+            return fn(*args) == planted, {"us": lambda: fn(*args)}
+        if op == "isolate":
+            return (real_roots_ok(f, arith.isolate_complex_roots(f)),
+                    {"us": lambda: arith.isolate_complex_roots(f)})
+        if op == "triples":
+            got = check_no_triple_points(f)
+            return ((got.status, got.witness, got.reason) == reference and got.status == planted,
+                    {"us": lambda: check_no_triple_points(f)})
+        if op == "variety":
+            got = variety_empty(f)
+            return ((got.status, got.witness) == reference and got.status == planted,
+                    {"us": lambda: variety_empty(f)})
+        if op == "field":
+            F = FactoredIntegral(tuple(f))
+            X, _ = reduce_field(F.field)
+            field = construct_field(cold(F))
+            cert = linearize(cold(F), X)
+            return (((field.P, field.Q) == planted == (bp.mul(cert.G, X.P), bp.mul(cert.G, X.Q))
+                     and certificate_holds(cert, X.P, X.Q)),
+                    {"us": lambda: construct_field(cold(F)),
+                     "linearize_us": lambda: linearize(cold(F), X)})
+        if op == "startup":
+            return (_interpreter(f) == planted and _interpreter(g) == 0,
+                    {"us": lambda: _interpreter(f), "baseline_us": lambda: _interpreter(g)})
+        if op == "parse":
+            return list(bp.parse(f).items()) == terms(f), {"us": lambda: bp.parse(f)}
+        if op == "load":
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(f, fh)
+            spec = cli.load_problem(path)
+            return ([(list(u.items()), k) for u, k in spec.integral.factors]
+                    == [(terms(u["poly"]), u["exponent"]) for u in f["factors"]],
+                    {"us": lambda: cli.load_problem(path)})
+        if op == "orbit":
+            X = VectorField(f, g)
+            H, x0, y0, step = planted
+            return (hexes(orbit_cold(X, planted)) == hexes(orbit(X, planted))
+                    == hexes(reference_orbit(f, g, H, x0, y0, step, ORBIT_STEPS)),
+                    {"us": lambda: orbit(X, planted), "cold_us": lambda: orbit_cold(X, planted)})
+        f = up.make(f)
+        return up.rational_roots(f) == planted, {"us": lambda: up.rational_roots(f)}
 
     out = {}
     signal.signal(signal.SIGALRM, _timeout)
@@ -871,79 +840,80 @@ def worker(only: str = "") -> dict:
         # uncapped: the reference route takes about 30 s on the degree-5 system
         reference = (reference_variety_empty(f) if op == "variety"
                      else reference_triples(f) if op == "triples" else None)
-        signal.setitimer(signal.ITIMER_REAL, CAP_S)
-        try:
-            if op == "mul":
-                ok = bp.mul(f, g) == reference_mul(f, g) == bp.mul(g, f)
-                out[name] = {"us": time(bp.mul, f, g),
-                             "reference_us": time(reference_mul, f, g), "ok": ok}
-            elif op in ("gcd", "coprime"):
-                ok = gcd_ok(op, f, g, planted)
-                out[name] = {"us": time(bp.gcd, f, g), "ok": ok}
-            elif op == "resultant":
-                ok = resultant(f, g) == bp.det_bareiss(sylvester_y(f, g))
-                out[name] = {"us": time(resultant, f, g), "ok": ok}
-            elif op == "upoly":
-                fn, args = getattr(up, f[0]), tuple(up.make(a) for a in f[1])
-                ok = fn(*args) == planted
-                out[name] = {"us": time(lambda a, _: fn(*a), args, None), "ok": ok}
-            elif op == "isolate":
-                ok = real_roots_ok(f, arith.isolate_complex_roots(f))
-                out[name] = {"us": time(lambda a, _: arith.isolate_complex_roots(a), f, None),
-                             "ok": ok}
-            elif op == "triples":
-                got = check_no_triple_points(f)
-                ok = (got.status, got.witness, got.reason) == reference and got.status == planted
-                out[name] = {"us": time(triples, f, None), "ok": ok}
-            elif op == "variety":
-                got = variety(f, g)
-                ok = (got.status, got.witness) == reference and got.status == planted
-                out[name] = {"us": time(variety, f, g), "ok": ok}
-            elif op == "field":
-                F = FactoredIntegral(tuple(f))
-                X, _ = reduce_field(F.field)
-                field = construct(F, None)
-                cert = linearize_fresh(F, X)
-                ok = ((field.P, field.Q) == planted
-                      == (bp.mul(cert.G, X.P), bp.mul(cert.G, X.Q))
-                      and certificate_holds(cert, X.P, X.Q))
-                out[name] = {"us": time(construct, F, None),
-                             "linearize_us": time(linearize_fresh, F, X), "ok": ok}
-            elif op == "startup":
-                ok = _interpreter(f) == planted and _interpreter(g) == 0
-                out[name] = {"us": time(_interpreter, f, None),
-                             "baseline_us": time(_interpreter, g, None), "ok": ok}
-            elif op == "parse":
-                ok = list(bp.parse(f).items()) == terms(f)
-                out[name] = {"us": time(parse, f, None), "ok": ok}
-            elif op == "load":
-                with tempfile.TemporaryDirectory() as tmp:
-                    path = os.path.join(tmp, "problem.json")
-                    with open(path, "w", encoding="utf-8") as fh:
-                        json.dump(f, fh)
-                    spec = cli.load_problem(path)
-                    ok = ([(list(u.items()), k) for u, k in spec.integral.factors]
-                          == [(terms(u["poly"]), u["exponent"]) for u in f["factors"]])
-                    out[name] = {"us": time(load, path, None), "ok": ok}
-            elif op == "orbit":
-                X = VectorField(f, g)
-                H, x0, y0, step = planted
-                ok = (hexes(orbit_cold(X, planted)) == hexes(orbit(X, planted))
-                      == hexes(reference_orbit(f, g, H, x0, y0, step, ORBIT_STEPS)))
-                out[name] = {"us": time(orbit, X, planted),
-                             "cold_us": time(orbit_cold, X, planted), "ok": ok}
-            else:
-                out[name] = {"us": time(roots, f, g), "ok": roots(f, g) == planted}
-        except TimeoutError:
-            out[name] = {"timeout": True}
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
+        out[name] = _capped(lambda: check(name, op, f, g, planted, reference)) or (None, {})
     return out
 
 
-def _summary(xs: list[float]) -> dict:
-    q = quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
-    return {"median_us": round(median(xs), 2), "q1_us": round(q[0], 2), "q3_us": round(q[2], 2)}
+def _visit(ok, timers: dict) -> dict:
+    """One timing of a prepared case: {key: per-call microseconds} for
+    each of its timers, or {"timeout": true} when its check or these calls
+    ran past CAP_S seconds."""
+    got = None if ok is None else _capped(lambda: {k: _time(t) for k, t in timers.items()})
+    return {"timeout": True} if got is None else got
+
+
+def worker(only: str = "") -> dict:
+    """One round in this process over the cases whose names match the
+    regular expression `only`: {case: {"us", "reference_us" (mul),
+    "linearize_us" (field), "baseline_us" (startup), "ok"}}, or
+    {case: {"timeout": true}} when the case ran past CAP_S seconds."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (ok, timers) in prepare(only, tmp).items():
+            row = _visit(ok, timers)
+            out[name] = row if "timeout" in row else {**row, "ok": ok}
+    return out
+
+
+def serve(only: str) -> None:
+    """The long-lived worker of one tree: prints {case: ok} (null for a
+    check that ran past CAP_S seconds) as one JSON line, then answers each
+    case name read from standard input with one JSON line, its _visit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        prepared = prepare(only, tmp)
+        print(json.dumps({name: ok for name, (ok, _) in prepared.items()}), flush=True)
+        for line in sys.stdin:
+            print(json.dumps(_visit(*prepared[line.strip()])), flush=True)
+
+
+def _answer(proc, name: str | None = None) -> dict:
+    """The worker's next line, after sending it `name` if one is given."""
+    if name is not None:
+        proc.stdin.write(name + "\n")
+        proc.stdin.flush()
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError(f"a worker exited with code {proc.wait()}")
+    return json.loads(line)
+
+
+def visits(labels: list, r: int) -> list:
+    """The order in which round r times one case: every tree twice, A B B A
+    in even rounds and B A A B in odd ones, so that a drift in host speed
+    that is linear over the four visits adds the same to both trees."""
+    order = labels if r % 2 == 0 else labels[::-1]
+    return order + order[::-1]
+
+
+def src_trees(ap: argparse.ArgumentParser, specs: list) -> dict:
+    """{label: directory} of the --src LABEL=DIR values, in order, or
+    {"change": the src next to this script}; ap.error (exit 2) on a value
+    that is not LABEL=DIR and on a label given twice."""
+    trees: dict = {}
+    for spec in specs:
+        label, sep, src = spec.partition("=")
+        if not (sep and label and src):
+            ap.error(f"--src wants LABEL=DIR, not {spec!r}")
+        if label in trees:
+            ap.error(f"--src label {label!r} given twice")
+        trees[label] = src
+    return trees or {"change": os.path.join(HERE, "..", "src")}
+
+
+def _summary(xs: list[float], unit: str = "_us", digits: int = 2) -> dict:
+    q = quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return {f"median{unit}": round(median(xs), digits), f"q1{unit}": round(q[0], digits),
+            f"q3{unit}": round(q[2], digits)}
 
 
 def _describe(op: str, f, g) -> dict:
@@ -963,6 +933,11 @@ def _describe(op: str, f, g) -> dict:
     return {"op": op, "terms": [len(f)] + ([len(g)] if g is not None else [])}
 
 
+def _per_round(rows: list, key: str) -> list[float]:
+    """The mean of each round's two visits of one tree to one case."""
+    return [(a[key] + b[key]) / 2 for a, b in zip(rows[::2], rows[1::2])]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="JSON file to write")
@@ -974,46 +949,68 @@ def main(argv=None) -> int:
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker(args.only)))
+        serve(args.only)
         return 0
+    trees = src_trees(ap, args.src)
     if not cases(args.only):
         ap.error(f"no case matches --only {args.only!r}")
     if not args.out:
         ap.error("--out is required")
-    trees = [s.split("=", 1) for s in args.src] or [["change", os.path.join(HERE, "..", "src")]]
-    runs: dict = {label: [] for label, _ in trees}
-    for r in range(args.rounds):
-        for label, src in (trees if r % 2 == 0 else trees[::-1]):
-            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-            proc = subprocess.run([sys.executable, __file__, "--worker", "--only", args.only],
-                                  env=env, capture_output=True, text=True, check=True)
-            runs[label].append(json.loads(proc.stdout))
-            print(f"round {r + 1}/{args.rounds} {label} done", file=sys.stderr)
-    results = {}
-    for label, rounds in runs.items():
-        results[label] = {}
-        for name in rounds[0]:
-            if any("timeout" in rd[name] for rd in rounds):
-                results[label][name] = {"timeout_s": CAP_S}
-                continue
-            row = {"ok": all(rd[name]["ok"] for rd in rounds),
-                   **_summary([rd[name]["us"] for rd in rounds])}
-            for key in rounds[0][name]:
-                if key.endswith("_us") and key != "us":
-                    row[key[:-3]] = _summary([rd[name][key] for rd in rounds])
-            results[label][name] = row
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    labels, names = list(trees), [name for name, *_ in cases(args.only)]
+    procs = {label: subprocess.Popen([sys.executable, __file__, "--worker", "--only", args.only],
+                                     env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+             for label, src in trees.items()}
+    try:
+        checks = {label: _answer(proc) for label, proc in procs.items()}
+        # a tree stops timing a case once its check or a visit times out
+        dropped = {label: {name for name, ok in checks[label].items() if ok is None}
+                   for label in labels}
+        samples: dict = {label: {name: [] for name in names} for label in labels}
+        for r in range(args.rounds):
+            for name in names:
+                for label in visits(labels, r):
+                    if name not in dropped[label]:
+                        row = _answer(procs[label], name)
+                        if "timeout" in row:
+                            dropped[label].add(name)
+                        samples[label][name].append(row)
+            print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    results: dict = {label: {} for label in labels}
+    for label in labels:
+        for name in names:
+            rows = samples[label][name]
+            results[label][name] = {"timeout_s": CAP_S} if name in dropped[label] else {
+                "ok": checks[label][name], **_summary(_per_round(rows, "us")),
+                **{key[:-3]: _summary(_per_round(rows, key)) for key in rows[0] if key != "us"}}
+    base = labels[0]
+    ratios = {label: {name: _summary([b / a for a, b in zip(_per_round(samples[base][name], "us"),
+                                                            _per_round(samples[label][name], "us"))],
+                                     "", 4)
+                      for name in names if name not in dropped[base] | dropped[label]}
+              for label in labels[1:]}
     doc = {
         "benchmark": "scripts/bench_layers.py",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "rounds": args.rounds,
         "cap_s": CAP_S,
-        "trees": [label for label, _ in trees],
+        "trees": labels,
         "cases": {name: _describe(op, f, g) for name, op, f, g, _ in cases(args.only)},
         "results": results,
+        "ratios": ratios,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+    for label, rows in ratios.items():
+        for name, q in rows.items():
+            print(f"{name:<40} {label}/{base} {q['median']:.3f} ({q['q1']:.3f}-{q['q3']:.3f})")
     bad = [f"{label}/{name}" for label, rows in results.items()
            for name, row in rows.items() if not row.get("ok", True)]
     for b in bad:

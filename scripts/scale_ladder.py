@@ -45,7 +45,7 @@ from time import perf_counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
-from bench_layers import _curve, _random_lines, _wide_lines  # noqa: E402
+from bench_layers import _curve, _random_lines, _wide_lines, src_trees  # noqa: E402
 
 FAMILIES = ("wide", "small", "dense")
 SIZES = {"wide": (20, 40, 60, 100, 150, 199), "small": (20, 40, 60, 100, 150, 199),
@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     for cmd in commands:
         if cmd not in COMMANDS:
             ap.error(f"unknown command {cmd!r}")
-    trees = [s.split("=", 1) for s in args.src] or [["change", os.path.join(HERE, "..", "src")]]
+    trees = list(src_trees(ap, args.src).items())
     labels = [label for label, _ in trees]
     rows = []
     print("case".ljust(12) + "command".ljust(11) + "".join(label.ljust(18) for label in labels))

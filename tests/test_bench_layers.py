@@ -1,5 +1,6 @@
 """The root cases of the layer benchmark expect what rational_roots returns,
-its gcd and coprime cases hold, and its start-up cases run.
+its gcd and coprime cases hold, its start-up cases run, and two trees are
+timed in pairs, case by case.
 
 `scripts/bench_layers.py` marks a case ok when the program's result equals
 the expected value stored with the case, or when its own check proves the
@@ -7,8 +8,11 @@ result, so an expected value that drifts from the API would only show as a
 failed benchmark check.  The script is read, not changed.
 """
 
+import json
 import os
 import runpy
+
+import pytest
 
 from polysaddle import upoly
 
@@ -82,3 +86,37 @@ def test_linear_resultant_and_triple_cases_hold():
     assert set(rows) == {"resultant-linear-lines", "resultant-linear-d3", "resultant-linear-d6",
                          "triples-wide-lines-20"}
     assert all(row["ok"] and row["us"] > 0 for row in rows.values())
+
+
+def test_each_round_visits_the_trees_abba():
+    visits = runpy.run_path(SCRIPT)["visits"]
+    assert visits(["a", "b"], 0) == ["a", "b", "b", "a"]
+    assert visits(["a", "b"], 1) == ["b", "a", "a", "b"]
+    assert visits(["a", "b"], 2) == ["a", "b", "b", "a"]
+
+
+def test_two_trees_are_timed_in_pairs(tmp_path):
+    # one long-lived worker per tree; each tree's rows and the second
+    # tree's paired ratio to the first reach the JSON
+    src = os.path.join(os.path.dirname(HERE), "src")
+    out = tmp_path / "layers.json"
+    code = runpy.run_path(SCRIPT)["main"](
+        ["--src", f"a={src}", "--src", f"b={src}", "--rounds", "2",
+         "--only", "^(parse-line|roots-small)$", "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    cases = {"parse-line", "roots-small"}
+    assert doc["trees"] == ["a", "b"]
+    for label in ("a", "b"):
+        assert set(doc["results"][label]) == cases
+        assert all(row["ok"] and row["median_us"] > 0 for row in doc["results"][label].values())
+    assert set(doc["ratios"]) == {"b"} and set(doc["ratios"]["b"]) == cases
+    assert all(q["q1"] <= q["median"] <= q["q3"] for q in doc["ratios"]["b"].values())
+
+
+@pytest.mark.parametrize("srcs", [["foo"], ["a=x", "a=y"]])
+def test_src_must_be_distinct_label_dir_pairs(tmp_path, capsys, srcs):
+    argv = [a for s in srcs for a in ("--src", s)] + ["--out", str(tmp_path / "x.json")]
+    with pytest.raises(SystemExit) as e:
+        runpy.run_path(SCRIPT)["main"](argv)
+    assert e.value.code == 2 and "--src" in capsys.readouterr().err

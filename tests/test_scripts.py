@@ -32,3 +32,11 @@ def test_script_runs(capsys, monkeypatch, name, expect):
         assert not e.code
     out = capsys.readouterr().out
     assert expect in out and "timeout" not in out
+
+
+@pytest.mark.parametrize("srcs", [["foo"], ["a=x", "a=y"]])
+def test_scale_ladder_src_must_be_distinct_label_dir_pairs(capsys, srcs):
+    main = runpy.run_path(os.path.join(SCRIPTS, "scale_ladder.py"))["main"]
+    with pytest.raises(SystemExit) as e:
+        main([a for s in srcs for a in ("--src", s)])
+    assert e.value.code == 2 and "--src" in capsys.readouterr().err
