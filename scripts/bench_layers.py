@@ -20,9 +20,11 @@ runs outside the timed calls:
   (literal_field), and certificates that certificate_holds rechecks.
 - resultant-: bipoly.resultant on dense curves, Jacobians, the level
   shape and operands linear in y; det_bareiss of sylvester_y.
-- variety-: variety_empty on lines, transversality systems and the
-  44-bit triple-point fibers of the cz-witness workload; the status and
-  witness of reference_variety_empty.
+- variety-: variety_empty on lines, transversality systems, the 44-bit
+  triple-point fibers of the cz-witness workload, and systems with a
+  polynomial free of y that hold (variety-fiber-holds-, with the dense
+  transversality system of degree 8); the status and witness of
+  reference_variety_empty, which computes every resultant exactly.
 - triples-wide-lines-: cz_check.check_no_triple_points on 20 and 40 wide
   lines; what reference_triples gives.
 - orbit-: ORBIT_STEPS RK4 steps and the drift of H, warm and cold
@@ -411,10 +413,14 @@ def _variety_cases(rng: random.Random) -> list:
 
 
 def reference_variety_empty(polys: list) -> tuple:
-    """(status, witness) of variety_empty by the single-projection route:
-    the fiber is the squarefree part of Res_y(p, q) for the first coprime
-    pair, and every other polynomial is taken onto it by dynamic
-    evaluation."""
+    """(status, witness) of variety_empty by the exact routes alone, with
+    every resultant computed exactly.  Polynomials free of y pin x to the
+    squarefree part of their gcd, a fiber, and the others are taken onto
+    it by dynamic evaluation.  Otherwise, with p and q coprime, the exact
+    Res_y(p, q) and each Res_y(p, r) are computed, and one pair of them
+    that upoly.coprime_image proves coprime gives Holds; else the fiber is
+    the squarefree part of Res_y(p, q) for the first coprime pair alone,
+    and every other polynomial is taken onto it."""
     from polysaddle import bipoly as bp
     from polysaddle import upoly as up
     from polysaddle import variety
@@ -422,24 +428,65 @@ def reference_variety_empty(polys: list) -> tuple:
     def plane(polys, depth):
         if any(bp.is_const(p) for p in polys):
             return None
-        if len(polys) == 1 or any(bp.deg_y(p) == 0 for p in polys):
-            return variety._decide_plane(polys, depth)
+        yfree = [p for p in polys if bp.deg_y(p) == 0]
+        if yfree:
+            G = up.gcd_many([variety._to_upoly_x(p) for p in yfree])
+            if up.degree(G) < 1:
+                return None
+            rest = [variety._to_ypoly(p) for p in polys if bp.deg_y(p) > 0]
+            return variety._decide_fiber(up.squarefree_part(G), rest, depth + 1)
+        if len(polys) == 1:
+            x0 = bp.first_regular_x(polys[0])
+            return variety._decide_fiber(up.make([-x0, 1]), [variety._to_ypoly(polys[0])],
+                                         depth + 1)
         p, q, *others = sorted(polys, key=bp.deg_y)
         h = bp.gcd(p, q)
         if not bp.is_const(h):
             return (plane([h] + others, depth + 1)
                     or plane([bp.exact_div(p, h), bp.exact_div(q, h)] + others, depth + 1))
-        R = bp.resultant(p, q)
-        if bp.is_const(R):
+        R = variety._to_upoly_x(bp.resultant(p, q))
+        if up.degree(R) < 1 or any(
+                up.coprime_image(R, variety._to_upoly_x(bp.resultant(p, r))) for r in others):
             return None
-        F = up.squarefree_part(variety._to_upoly_x(R))
-        return variety._decide_fiber(F, [variety._to_ypoly(t) for t in [p, q] + others],
-                                     depth + 1)
+        return variety._decide_fiber(up.squarefree_part(R),
+                                     [variety._to_ypoly(t) for t in [p, q] + others], depth + 1)
 
     loc = plane(list(polys), 0)
     if loc is None:
         return "Holds", None
     return "Fails", variety._describe_witness(loc)
+
+
+def _fiber_holds_cases() -> list:
+    """variety_empty on systems that hold, each with a polynomial free of
+    y whose gcd the projection of the other two decides: the
+    nonsingularity system u, u_x, u_y of a conic a x^2 + b x + c y^2 +
+    d y + e, whose u_x = 2 a x + b; the transversality system of u =
+    A(x) + W(y - m x), A and W cubics, and the line v = y - m x - k,
+    whose Jacobian u_x v_y - u_y v_x is A'(x); and, with no polynomial
+    free of y, the transversality system of dense curves of degree 8 (as
+    _curve draws them), which the images of its projections decide."""
+    rng = random.Random("variety-fiber-holds")
+    while True:
+        a, b, c, d, e = (rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(5))
+        if 4 * a * c * e != c * b * b + a * d * d:  # u is 0 at no critical point
+            break
+    u = {(2, 0): a, (1, 0): b, (0, 2): c, (0, 1): d, (0, 0): e}
+    out = [("variety-fiber-holds-conic", "variety", [u, _partial(u, "x"), _partial(u, "y")],
+            None, "Holds")]
+    m, k = rng.randint(2, 9), rng.randint(1, 9)
+    w, wj = {(1, 0): -m, (0, 1): 1}, {(0, 0): 1}  # y - m x and its powers
+    u = {(i, 0): rng.randint(1, 9) for i in range(4)}  # A(x)
+    for _ in range(3):
+        wj = reference_mul(wj, w)
+        u = _combine((1, u), (rng.randint(1, 9), wj))
+    v = {(0, 1): 1, (1, 0): -m, (0, 0): -k}
+    out.append(("variety-fiber-holds-cubic-line", "variety", [u, v, _jacobian(u, v)], None,
+                "Holds"))
+    u, v = _curve(rng, 8), _curve(rng, 8)
+    out.append(("variety-fiber-holds-transversal-d8", "variety", [u, v, _jacobian(u, v)],
+                None, "Holds"))
+    return out
 
 
 ORBIT_STEPS = 1000  # RK4 steps per orbit case, as perfbench/run.py takes
@@ -691,6 +738,7 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
     out += _upoly_cases(rng)  # drawn after every case above, which keep their operands
     out += _isolate_cases(rng)  # drawn last, likewise
     out += _linear_cases()  # from seeds of their own
+    out += _fiber_holds_cases()  # likewise
     return [case for case in out if re.search(only, case[0])]
 
 
@@ -837,7 +885,7 @@ def prepare(only: str, tmp: str) -> dict:
     out = {}
     signal.signal(signal.SIGALRM, _timeout)
     for name, op, f, g, planted in cases(only):
-        # uncapped: the reference route takes about 30 s on the degree-5 system
+        # uncapped: the reference takes exact resultants of degree up to 112
         reference = (reference_variety_empty(f) if op == "variety"
                      else reference_triples(f) if op == "triples" else None)
         out[name] = _capped(lambda: check(name, op, f, g, planted, reference)) or (None, {})

@@ -14,7 +14,10 @@ the x-axis (Res_y, or the curve free of y) as coprime polynomials: each
 pair is projected once, and one image mod 2^61 - 1 most often proves a
 triple empty, so an exact `variety_empty` runs only on the triples that
 this cannot clear (Cox, Little & O'Shea, Ideals, Varieties, and
-Algorithms, ch. 3: the resultant lies in the ideal of its pair).
+Algorithms, ch. 3: the resultant lies in the ideal of its pair); three
+curves go to `variety_empty` at once.  Likewise two leading forms whose
+images at y = 1 are proved coprime, and not both divisible by y, need no
+gcd for condition (iv).
 """
 
 from __future__ import annotations
@@ -83,22 +86,15 @@ def _projection(u: BiPoly, v: BiPoly) -> UPoly:
     return _to_upoly_x(bp.resultant(u, v))
 
 
-def check_no_triple_points(curves: list[BiPoly]) -> CheckResult:
-    """Holds iff no point lies on three of the curves.  The curves need not
-    be coprime.
+def _open_triples(curves: list[BiPoly]):
+    """The triples (i, j, k), in combinations order, that the images of
+    their pair projections do not clear.
 
-    A common zero of three curves lies on each pair of them, so its
-    x-coordinate is a root of each pair's projection R_ij (_projection).
-    Each R_ij is taken once, when a triple first asks for it, and kept as
-    its image mod 2^61 - 1.  A triple (i, j, k) is cleared when those
-    images prove two of its three projections coprime
-    (upoly.coprime_images); (R_ij, R_ik) is tried first, and the other
-    two choices only when it fails.  The triples left are decided exactly
-    by `variety_empty`, in `combinations` order, so the first failing
-    triple, its witness and the Inconclusive outcome are those of
-    deciding every triple exactly."""
-    if len(curves) < 3:
-        return bp.holds("fewer than three curves")
+    Each R_ij (_projection) is taken once, when a triple first asks for
+    it, and kept as its image mod 2^61 - 1.  A triple is cleared when
+    those images prove two of its three projections coprime
+    (upoly.coprime_images); (R_ij, R_ik) is tried first, and the other two
+    choices only when it fails."""
     n = len(curves)
     images: dict[tuple[int, int], list[int]] = {}
 
@@ -109,34 +105,71 @@ def check_no_triple_points(curves: list[BiPoly]) -> CheckResult:
         return r
 
     coprime = upoly.coprime_images
-    worst: CheckResult | None = None
     for i in range(n):  # i < j < k runs in combinations order
         for j in range(i + 1, n):
             rij = R(i, j)
             for k in range(j + 1, n):
                 rik = R(i, k)
-                if coprime(rij, rik) or coprime(rij, R(j, k)) or coprime(rik, R(j, k)):
-                    continue
-                r = variety_empty([curves[i], curves[j], curves[k]])
-                if r.status == "Fails":
-                    return bp.fails(r.witness, f"curves {i + 1},{j + 1},{k + 1} meet")
-                if r.status == "Inconclusive":
-                    worst = r
+                if not (coprime(rij, rik) or coprime(rij, R(j, k)) or coprime(rik, R(j, k))):
+                    yield i, j, k
+
+
+def check_no_triple_points(curves: list[BiPoly]) -> CheckResult:
+    """Holds iff no point lies on three of the curves.  The curves need not
+    be coprime.
+
+    A common zero of three curves lies on each pair of them, so its
+    x-coordinate is a root of each pair's projection R_ij (Res_y, or the
+    curve free of y).  With four curves or more, the images of the
+    projections clear most triples (_open_triples).  The triples left are
+    decided exactly by `variety_empty`, in `combinations` order, so the
+    first failing triple, its witness and the Inconclusive outcome are
+    those of deciding every triple exactly.  Three curves make one
+    triple, and one `variety_empty` call, which takes the same
+    projections itself."""
+    if len(curves) < 3:
+        return bp.holds("fewer than three curves")
+    worst: CheckResult | None = None
+    for i, j, k in [(0, 1, 2)] if len(curves) == 3 else _open_triples(curves):
+        r = variety_empty([curves[i], curves[j], curves[k]])
+        if r.status == "Fails":
+            return bp.fails(r.witness, f"curves {i + 1},{j + 1},{k + 1} meet")
+        if r.status == "Inconclusive":
+            worst = r
     if worst is not None:
         return worst
     return bp.holds("all triples have empty intersection")
 
 
+def _at_y1(L: BiPoly) -> UPoly:
+    """The form L at y = 1, as a polynomial in x."""
+    d = bp.total_degree(L)
+    return upoly.make([L.get((i, d - i), 0) for i in range(d + 1)])
+
+
 def check_pairwise_leading_coprime(curves: list[BiPoly]) -> CheckResult:
     """Holds iff the leading forms share no nonconstant factor, pair by
-    pair (no common points at infinity)."""
+    pair (no common points at infinity).
+
+    A common factor of two forms is a form y^a h with y not dividing h.
+    When h is not constant, h(x, 1) has degree deg h and divides both
+    forms at y = 1, so images mod 2^61 - 1 of those that
+    upoly.coprime_images proves coprime leave only a power of y, which
+    divides both forms.  Each form's image at y = 1 and whether y divides
+    it are taken once; a pair that these do not clear takes `bp.gcd`, in
+    `combinations` order, so the first failing pair and its witness are
+    those of a gcd on every pair."""
     if len(curves) < 2:
         raise ValueError("pairwise check requires at least two curves")
     for i, u in enumerate(curves):
         if bp.is_zero(u) or bp.is_const(u):
             raise ValueError(f"curve {i + 1} is constant")
     forms = [bp.leading_form(u) for u in curves]
+    by_y = [all(j for _, j in L) for L in forms]
+    images = [upoly.image(_at_y1(L)) for L in forms]
     for i, j in combinations(range(len(curves)), 2):
+        if not (by_y[i] and by_y[j]) and upoly.coprime_images(images[i], images[j]):
+            continue
         g = bp.gcd(forms[i], forms[j])
         if not bp.is_const(g):
             return bp.fails(bp.to_string(g),

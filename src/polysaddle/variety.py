@@ -1,23 +1,40 @@
 """Exact decision of whether bivariate polynomials share a zero in C^2.
 
 The procedure is purely algebraic; no floating point enters the verdict.
-Outline: polynomials in x alone pin x to a squarefree "fiber" polynomial
-F(x); everything else is treated as a polynomial in y with coefficients in
-Q[x] reduced mod F.  On a fiber, a pair of polynomials is collapsed to
-their gcd by a Euclidean remainder sequence that splits the fiber whenever
-a leading coefficient fails to be invertible (gcd with F), so each branch
-behaves like computation over a field.  A single surviving polynomial with
-positive y-degree on some part of the fiber always has a root there (C is
-algebraically closed), which decides the branch.  Without a fiber, the
-polynomial p of least y-degree and the next one, q, are split by their gcd
-if they share a factor: the variety is the factor's zero set together
-with the cofactors'.  A coprime pair is projected to the x-axis by
-Res_y(p, q), and each other polynomial r by Res_y(p, r).  Each resultant
-lies in the ideal of its pair (Cox, Little & O'Shea, Ideals, Varieties,
-and Algorithms, ch. 3), so the roots of their gcd are a complete candidate
-set for the x-coordinates of common zeros.  One image mod 2^61 - 1
-usually proves that gcd constant, and then there is no common zero;
-otherwise its squarefree part is the fiber.
+Outline:
+
+- Projections first.  Res_y(a, b) lies in the ideal of its pair (Cox,
+  Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 3), so every
+  common zero projects to one of its roots, whether or not a and b share
+  a factor (then it is 0).  Two projections, or a projection and the gcd
+  G of the polynomials in x alone, that one image mod 2^61 - 1 proves
+  coprime leave no common zero, and the call Holds before anything exact
+  runs: with some polynomials free of y, G against Res_y of the two
+  others of least y-degree; otherwise, with three or more, Res_y(p, q)
+  against each Res_y(p, r), p and q of least y-degree.  Against an
+  operand linear in y the projection is an exact closed form.  Otherwise
+  its image is taken at points x = t where neither leading y-coefficient
+  vanishes mod the prime, one univariate resultant mod the prime per
+  point, and Newton interpolation through bound + 1 points, the bound
+  being Bezout's (Collins, J. ACM 18, 1971); such an image proves only
+  when it reaches its bound, or the other image keeps its degree.
+- The exact route decides the rest, so every Fails, witness and
+  Inconclusive comes from it.  Polynomials in x alone pin x to the
+  squarefree part F(x) of G, a "fiber"; everything else is treated as a
+  polynomial in y with coefficients in Q[x] reduced mod F.  On a fiber,
+  a pair of polynomials is collapsed to their gcd by a Euclidean
+  remainder sequence that splits the fiber whenever a leading
+  coefficient fails to be invertible (gcd with F), so each branch
+  behaves like computation over a field.  A single surviving polynomial
+  with positive y-degree on some part of the fiber always has a root
+  there (C is algebraically closed), which decides the branch.  Without
+  a fiber, p and q are split by their gcd if they share a factor: the
+  variety is the factor's zero set together with the cofactors'.  A
+  coprime pair is projected exactly, reusing the closed forms above; the
+  roots of the gcd of Res_y(p, q) and every Res_y(p, r) are a complete
+  candidate set for the x-coordinates of common zeros.  An image mod
+  2^61 - 1 may still prove that gcd constant; otherwise its squarefree
+  part is the fiber.
 
 Witnesses are exact rational points whenever the relevant fibers have
 rational roots, and otherwise certified isolating boxes from
@@ -152,6 +169,81 @@ def _to_upoly_x(f: BiPoly) -> UPoly:
     return upoly.make([f.get((i, 0), 0) for i in range(bp.deg_x(f) + 1)])
 
 
+def _ures_mod(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) mod p, p prime, of residue lists with nonzero leading
+    entries, highest degree first, by Euclid: with r = a mod b of degree
+    k, Res(a, b) = (-1)^(mn) lc(b)^(m - k) Res(b, r), m = deg a >= n =
+    deg b, and Res(a, c) = c^m for a constant c."""
+    res = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = p - 1
+    while True:
+        m, n = len(a) - 1, len(b) - 1
+        lead = b[0]
+        if not n:
+            return res * pow(lead, m, p) % p
+        inv, tail = pow(lead, -1, p), b[1:]
+        r = list(a)
+        for k in range(m - n + 1):
+            q = r[k] * inv % p
+            if q:
+                r[k + 1:k + n + 1] = [(c - q * t) % p for c, t in zip(r[k + 1:k + n + 1], tail)]
+        r = upoly._trim(r[m - n + 1:])
+        if not r:
+            return 0
+        if m * n % 2:
+            res = p - res
+        res = res * pow(lead, m - len(r) + 1, p) % p
+        a, b = b, r
+
+
+def _resultant_image(f: BiPoly, g: BiPoly) -> list[int]:
+    """Res_y(den(f) f, den(g) g) mod _PRIME, both of y-degree >= 1, as a
+    list of bound + 1 residues, highest degree first, bound =
+    min(deg f deg g, deg_y f deg_x g + deg_y g deg_x f), which bounds its
+    x-degree (Bezout; the Sylvester matrix); [] when an lc_y of them
+    vanishes mod _PRIME.
+
+    At x = t where neither lc_y vanishes mod _PRIME, both keep their
+    y-degrees, so Res_y specializes to the univariate resultant of the
+    images (_ures_mod); bound + 1 such points give the image by Newton
+    interpolation (Collins, J. ACM 18, 1971).  Its first entry is nonzero
+    exactly when the image reaches the bound, and then _PRIME does not
+    divide the leading coefficient, as upoly.coprime_images requires."""
+    P = upoly._PRIME
+    fy, gy, fx, gx = bp.deg_y(f), bp.deg_y(g), bp.deg_x(f), bp.deg_x(g)
+    bound = min(bp.total_degree(f) * bp.total_degree(g), fy * gx + gy * fx)
+    polys = [(bp._residues(f, P), fy), (bp._residues(g, P), gy)]
+    dx = max(fx, gx)
+    ts: list[int] = []
+    vals: list[list[int]] = []
+    t = bad = 0
+    while len(ts) <= bound:
+        a, b = bp._images(polys, t, dx, P)
+        if a[0] and b[0]:
+            ts.append(t)
+            vals.append([_ures_mod(a, b, P)])
+        else:
+            bad += 1
+            if bad > fx + gx:  # more roots than lc_y(f) lc_y(g) can have
+                return []
+        t += 1
+    return bp._interpolate(ts, vals, P)[0][::-1]
+
+
+def _projection(p: BiPoly, r: BiPoly) -> tuple[UPoly | None, list[int]]:
+    """Res_y(p, r), both of positive y-degree, and an image of it mod
+    _PRIME that upoly.coprime_images accepts: the exact closed form and
+    its image when an operand is linear in y, else None and
+    _resultant_image."""
+    if bp.deg_y(p) == 1 or bp.deg_y(r) == 1:
+        R = _to_upoly_x(bp.resultant(p, r))
+        return R, upoly.image(R)
+    return None, _resultant_image(p, r)
+
+
 def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
     if depth > 300:
         raise RecursionError("variety decision exceeded depth guard")
@@ -162,31 +254,41 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         G = upoly.gcd_many([_to_upoly_x(p) for p in yfree])
         if upoly.degree(G) < 1:
             return None
-        F = upoly.squarefree_part(G)
-        rest = [_to_ypoly(p) for p in polys if bp.deg_y(p) > 0]
-        return _decide_fiber(F, rest, depth + 1)
+        rest = [p for p in polys if bp.deg_y(p) > 0]
+        if len(rest) > 1:  # Res_y(a, b) lies in the ideal (a, b)
+            a, b = sorted(rest, key=bp.deg_y)[:2]
+            if upoly.coprime_images(upoly.image(G), _projection(a, b)[1]):
+                return None
+        return _decide_fiber(upoly.squarefree_part(G), [_to_ypoly(p) for p in rest], depth + 1)
     if len(polys) == 1:
         x0 = bp.first_regular_x(polys[0])
         return _decide_fiber(upoly.make([-x0, 1]), [_to_ypoly(polys[0])], depth + 1)
     polys = sorted(polys, key=bp.deg_y)
     p, q = polys[0], polys[1]
     others = polys[2:]
+    # Res_y(p, q) and every Res_y(p, r) lie in the ideal of their pair, so
+    # two of them coprime leave no common zero, whether or not p and q
+    # share a factor (which makes Res_y(p, q) and its image zero); a lone
+    # pair takes no image, as one projection proves nothing
+    projs = [_projection(p, r) for r in polys[1:]] if others else [(None, [])]
+    if any(upoly.coprime_images(projs[0][1], img) for _, img in projs[1:]):
+        return None
     h = bp.gcd(p, q)
     if not bp.is_const(h):
         sub = _decide_plane([h] + others, depth + 1)
         if sub is not None:
             return sub
         return _decide_plane([bp.exact_div(p, h), bp.exact_div(q, h)] + others, depth + 1)
-    R = bp.resultant(p, q)  # not zero: p and q are coprime, of positive y-degree
-    if bp.is_const(R):
+    exact = (R if R is not None else _to_upoly_x(bp.resultant(p, r))
+             for r, (R, _) in zip(polys[1:], projs))
+    G = next(exact)  # not zero: p and q are coprime, of positive y-degree
+    if upoly.degree(G) < 1:
         return None
-    # Res_y(p, r) lies in the ideal (p, r), so every common zero projects to
-    # a root of the gcd G of the resultants; a zero one (r shares a factor
-    # with p) leaves G as it is, since gcd(G, 0) = G
-    G = _to_upoly_x(R)
-    for r in others:
-        Rr = _to_upoly_x(bp.resultant(p, r))
-        if upoly.coprime_image(G, Rr):
+    # every common zero projects to a root of the gcd G of the resultants; a
+    # zero one (r shares a factor with p) leaves G as it is, since
+    # gcd(G, 0) = G.  G against the first Res_y(p, r) was tried on images.
+    for k, Rr in enumerate(exact):
+        if k and upoly.coprime_image(G, Rr):
             return None
         G = upoly.gcd(G, Rr)
     return _decide_fiber(upoly.squarefree_part(G), [_to_ypoly(t) for t in polys], depth + 1)

@@ -63,12 +63,15 @@ def test_parse_and_load_cases_match_the_reference_parser():
 
 def test_upoly_and_fiber_cases_hold():
     # each upoly- case expects the result of the script's Fraction-list
-    # references; the fiber cases must Fail as variety's reference route does
+    # references; the triple fibers must Fail, and the fiber-holds systems
+    # Hold, with the status and witness of the script's exact reference
     rows = runpy.run_path(SCRIPT)["worker"]("^(upoly-|variety-fiber-)")
     assert set(rows) == {"upoly-gcd-d8-common-d3", "upoly-squarefree-d10", "upoly-rem-d10-d6",
                          "upoly-xgcd-d6-d8", "upoly-roots-d10",
                          "variety-fiber-triple-44bit-rational",
-                         "variety-fiber-triple-44bit-irrational"}
+                         "variety-fiber-triple-44bit-irrational",
+                         "variety-fiber-holds-conic", "variety-fiber-holds-cubic-line",
+                         "variety-fiber-holds-transversal-d8"}
     assert all(row["ok"] and row["us"] > 0 for row in rows.values())
 
 

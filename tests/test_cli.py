@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -183,6 +184,20 @@ def test_dense_pair_cz_bounded(capsys):
     assert json.loads(out)["results"]["overall"]["status"] == "Holds"
 
 
+def test_dense_pair_16_cz_bounded(capsys, tmp_path):
+    # the dense-16 draw of scripts/scale_ladder.py, built here: the systems
+    # of (i) and (iii) hold by images of their projections, of x-degree up
+    # to 480, taken mod 2^61 - 1 by evaluation; exact resultants took about
+    # 20 s as a CLI run
+    ladder = runpy.run_path(os.path.join(os.path.dirname(HERE), "scripts", "scale_ladder.py"))
+    path = write_problem(tmp_path, ladder["problem"]("dense", 16))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "cz", path, "--format", "json")
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 0, out
+    assert json.loads(out)["results"]["overall"]["status"] == "Holds"
+
+
 @pytest.mark.parametrize("command", ["analyze", "all"])
 def test_critical_values_computed_once_per_command(capsys, monkeypatch, command):
     # analyze passes gcd(P0, Q0) to critical_levels and adds the level 0
@@ -235,9 +250,9 @@ def test_integral_expanded_once_per_command(capsys, tmp_path, monkeypatch, comma
 
 @pytest.mark.parametrize(
     "command,pivot,code,gcds,expansions",
-    [("all", [], 1, 10, 1), ("all", ["--pivot", "1"], 1, 10, 1),
+    [("all", [], 1, 7, 1), ("all", ["--pivot", "1"], 1, 7, 1),
      ("linearize", ["--pivot", "1"], 0, 4, 0)],
-    ids=["pivot0-10", "pivot1-10", "linearize-pivot1-4"])
+    ids=["pivot0-7", "pivot1-7", "linearize-pivot1-4"])
 def test_pivot_reuses_expansion(capsys, monkeypatch, command, pivot, code, gcds, expansions):
     # the reordered integral shares the loaded one's constructed field, and
     # its H once expanded, and does not prove its factors coprime again: a

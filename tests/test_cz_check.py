@@ -245,8 +245,9 @@ def test_triple_points_of_60_wide_lines_in_time():
 def test_cz_pairwise_gcds_not_repeated(capsys, monkeypatch):
     # FactoredIntegral proves the factors pairwise coprime at load, so
     # neither the transversality pairs nor the triple check take a pairwise
-    # gcd of their own, and a leading form takes one gcd, of its two
-    # partials: 9 calls where 16 were made
+    # gcd of their own, a leading form takes one gcd, of its two partials,
+    # and images at y = 1 prove the three pairs of leading forms x, y and
+    # x + y coprime: 6 calls where 16 were made
     calls = []
     inner = bp.gcd
 
@@ -258,7 +259,7 @@ def test_cz_pairwise_gcds_not_repeated(capsys, monkeypatch):
     path = os.path.join(os.path.dirname(HERE), "problems", "three_lines.json")
     assert cli.main(["cz", path, "--format", "json"]) == 1
     capsys.readouterr()
-    assert len(calls) == 9
+    assert len(calls) == 6
 
 
 # condition (iv): leading forms coprime
@@ -284,6 +285,61 @@ def test_leading_forms_taken_once_per_curve(monkeypatch):
     curves = [bp.parse(s) for s in ("x", "y", "x + y - 1", "x^2 + y^2 - 1", "x - 2*y")]
     assert check_pairwise_leading_coprime(curves).status == "Holds"
     assert len(calls) == len(curves)
+
+
+def _every_pair(curves):
+    """Condition (iv) by a gcd of every pair of leading forms."""
+    forms = [bp.leading_form(u) for u in curves]
+    for i, j in combinations(range(len(curves)), 2):
+        g = bp.gcd(forms[i], forms[j])
+        if not bp.is_const(g):
+            return bp.fails(bp.to_string(g),
+                            f"leading forms of curves {i + 1} and {j + 1} share a factor")
+    return bp.holds("leading forms pairwise coprime")
+
+
+P = (1 << 61) - 1
+
+
+@pytest.mark.parametrize("curves,witness", [
+    # images x and x + 1 at y = 1 are coprime, but both forms hold y
+    (("x*y + 1", "x*y + y^2 + 2"), "y"),
+    (("x*y + 1", "x^2 + y^2"), None),
+    # both images lose their leading coefficient P, so they prove nothing
+    ((f"({P}*x + y)*(x + y) + 1", f"({P}*x + y)*(x + 2*y) + x"), f"{P}*x + y"),
+    # the first failing pair in combinations order: curves 2 and 3
+    (("x^2 + y^2", "x - 1", "x*y + y", "x^2 - y^2 + x*y"), "x"),
+])
+def test_leading_forms_cleared_by_images(curves, witness):
+    curves = [bp.parse(u) for u in curves]
+    got = check_pairwise_leading_coprime(curves)
+    assert got == _every_pair(curves)
+    assert got.witness == witness
+
+
+def test_leading_forms_match_every_pair_gcd():
+    # the pairs that images at y = 1 clear leave the verdict, the first
+    # failing pair, its witness and the reason as a gcd on every pair
+    rng = random.Random(6060)
+
+    def curve():
+        # a product of one to three forms a x + b y, some of them y or x,
+        # plus a lower-degree tail
+        top = bp.ONE
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice([(0, 1), (1, 0)] + [(rng.randint(-3, 3), rng.randint(1, 3))] * 3)
+            top = bp.mul(top, bp.parse(f"({a})*x + ({b})*y"))
+        return bp.add(top, bp.parse(f"({rng.randint(-3, 3)})*x + {rng.randint(1, 5)}"))
+
+    statuses = []
+    for _ in range(80):
+        curves = [curve() for _ in range(rng.randint(2, 5))]
+        if any(bp.is_const(u) for u in curves):
+            continue
+        got = check_pairwise_leading_coprime(curves)
+        assert got == _every_pair(curves), [bp.to_string(u) for u in curves]
+        statuses.append(got.status)
+    assert statuses.count("Fails") >= 20 and statuses.count("Holds") >= 10
 
 
 def test_parallel_lines_share_point_at_infinity():

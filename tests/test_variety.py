@@ -98,6 +98,24 @@ P = up._PRIME
     (("y", f"y + ({P}*x + 1)*(x + 1)", f"y + ({P}*x + 1)*(x + 2)"), (Fraction(-1, P), 0)),
     # projections x and x + P: the images share the root 0, the exact gcd is 1
     (("y", "y + x", f"y + x + {P}"), None),
+    # traps for the projection images of operands of y-degree 2, taken by
+    # evaluation and interpolation: Res_y(p, q) = 0, as p and q share
+    # y^2 + x, so no image proves anything and the exact split runs
+    (("(y^2 + x)*(x - 1)", "(y^2 + x)*(x - 2)", "y^2 - 4"), (-4, -2)),
+    # the fiber x - 1 shares its root with Res_y of the other two, 4 (x - 1)^2
+    (("x - 1", "y^2 - x", "y^2 + x - 2"), (1, -1)),
+    # both projections have leading coefficient P^2, so their images,
+    # (x + 1)^2 and (x + 2)^2, stay below their bound 4; the root -1/P of
+    # the exact gcd must survive
+    (("y^2", f"y^2 + ({P}*x + 1)*(x + 1)", f"y^2 + ({P}*x + 1)*(x + 2)"), (Fraction(-1, P), 0)),
+    # projections x^2 and (x + P)^2: the images share the root 0, the exact
+    # gcd is 1
+    (("y^2", "y^2 + x", f"y^2 + x + {P}"), None),
+    # lc_y of the first, x + P - 1, vanishes mod P at x = 1, a point the
+    # image skips
+    ((f"(x + {P} - 1)*y^2 + y + x", "y^2 + x^2 + 1", "y^2 - 5"), None),
+    # lc_y = P vanishes mod P everywhere: no image, the exact route decides
+    ((f"{P}*y^2 + x*y + 1", "y^2 + (x - 3)*y + 2", "y^2 - x*y - 5"), None),
 ])
 def test_branch_cases(polys, witness):
     fs = [bp.parse(s) for s in polys]
@@ -109,6 +127,50 @@ def test_branch_cases(polys, witness):
     assert res.status == "Fails"
     assert res.witness == tuple(Fraction(c) for c in witness)
     assert all(evaluate(f, *res.witness) == 0 for f in fs)
+
+
+def _exact_image(f, g):
+    """Res_y(den(f) f, den(g) g) mod P, highest degree first, from the
+    exact resultant."""
+    scale = (Fraction(bp._numerators(f)[1]) ** bp.deg_y(g)
+             * Fraction(bp._numerators(g)[1]) ** bp.deg_y(f))
+    R = [Fraction(c) * scale for c in variety._to_upoly_x(bp.resultant(f, g))]
+    assert all(c.denominator == 1 for c in R)
+    return [int(c) % P for c in reversed(R)]
+
+
+def test_resultant_image_is_the_exact_resultant_mod_p():
+    # the image by evaluation, univariate resultants mod P and Newton
+    # interpolation is the exact resultant mod P, padded with zeros to the
+    # Bezout bound; on dense pairs of degree 2-6, some with denominators,
+    # it reaches the bound
+    rng = random.Random(5050)
+    reached = 0
+    for n in range(40):
+        f, g = _curve(rng, rng.randint(2, 6)), _curve(rng, rng.randint(2, 6))
+        if n % 2:
+            f = {e: c / rng.randint(1, 4) for e, c in f.items()}
+        if bp.deg_y(f) < 2 or bp.deg_y(g) < 2:
+            continue
+        img, want = variety._resultant_image(f, g), _exact_image(f, g)
+        assert len(img) == bp.total_degree(f) * bp.total_degree(g) + 1
+        assert img == [0] * (len(img) - len(want)) + want
+        reached += bool(img[0])
+    assert reached >= 20
+
+
+def test_resultant_image_traps():
+    # x = 1 is skipped, where lc_y = x + P - 1 vanishes mod P; the image
+    # still reaches its bound 6
+    f, g = bp.parse(f"(x + {P} - 1)*y^2 + y + x"), bp.parse("y^2 + x^2 + 1")
+    assert variety._resultant_image(f, g) == _exact_image(f, g) and _exact_image(f, g)[0]
+    # lc_y(Res) = P^2: the image stops below its bound 4, so against
+    # another such image, of (P x + 1)^2 (x + 2)^2, it proves nothing
+    f, g = bp.parse("y^2"), bp.parse(f"y^2 + ({P}*x + 1)*(x + 1)")
+    img = variety._resultant_image(f, g)
+    assert img == [0, 0, 1, 2, 1] and not up.coprime_images(img, [0, 0, 1, 4, 4])
+    # lc_y = P vanishes mod P at every point: no image
+    assert variety._resultant_image(bp.parse(f"{P}*y^2 + x*y + 1"), bp.parse("y^2 + x")) == []
 
 
 CIRCLE_WITNESS = (
@@ -196,16 +258,24 @@ def test_witness_points_always_reverify():
             assert evaluate(g, x0, y0) == 0
 
 
-# the single-projection route as the oracle: the fiber is the squarefree
-# part of Res_y(p, q) for the first coprime pair alone, and every other
-# polynomial is taken onto it by dynamic evaluation
+# the single-projection route as the oracle: the fiber is the gcd of the
+# polynomials free of y, or else the squarefree part of Res_y(p, q) for
+# the first coprime pair alone, and every other polynomial is taken onto
+# it by dynamic evaluation; no projection image proves anything here
 
 def _reference_plane(polys, depth=0):
     if any(bp.is_const(p) for p in polys):
         return None
     yfree = [p for p in polys if bp.deg_y(p) == 0]
-    if yfree or len(polys) == 1:
-        return variety._decide_plane(polys, depth)
+    if yfree:
+        G = up.gcd_many([variety._to_upoly_x(p) for p in yfree])
+        if up.degree(G) < 1:
+            return None
+        rest = [variety._to_ypoly(p) for p in polys if bp.deg_y(p) > 0]
+        return variety._decide_fiber(up.squarefree_part(G), rest, depth + 1)
+    if len(polys) == 1:
+        x0 = bp.first_regular_x(polys[0])
+        return variety._decide_fiber(up.make([-x0, 1]), [variety._to_ypoly(polys[0])], depth + 1)
     p, q, *others = sorted(polys, key=bp.deg_y)
     h = bp.gcd(p, q)
     if not bp.is_const(h):
@@ -306,3 +376,53 @@ def test_singularity_systems_agree_with_single_projection(deg):
         statuses.append(_agree(_system(u, bp.partial(u, "x"), bp.partial(u, "y"))))
         assert n % 2 == 0 or statuses[-1] == "Fails"
     assert "Holds" in statuses
+
+
+def _no_xy_conic(rng):
+    """a x^2 + b x + c y^2 + d y + e, a and c nonzero: u_x is free of y."""
+    a, c = (rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(2))
+    b, d, e = (rng.randint(-5, 5) for _ in range(3))
+    return bp.parse(f"({a})*x^2 + ({b})*x + ({c})*y^2 + ({d})*y + ({e})")
+
+
+def _graph_cubic_and_line(rng):
+    """u = A(x) + W(y - m x) and v = y - m x - c: in the coordinates (x,
+    y - m x) the Jacobian u_x v_y - u_y v_x is A'(x), free of y."""
+    m, c = random_rat(rng, 3), random_rat(rng, 3)
+    A = " + ".join(f"({rng.randint(-4, 4)})*x^{i}" for i in range(3)) + f" + ({rng.randint(1, 4)})*x^3"
+    W = " + ".join(f"({rng.randint(-4, 4)})*(y - ({m})*x)^{j}" for j in (1, 2, 3))
+    return bp.parse(f"{A} + {W}"), bp.parse(f"y - ({m})*x - ({c})")
+
+
+def test_y_free_systems_agree_with_fiber_route(monkeypatch):
+    # the y-free gcd G against Res_y of the two other polynomials: a Holds
+    # proved by images takes no squarefree part and no fiber, and every
+    # status and witness is the one of the fiber route alone
+    rng = random.Random(4040)
+    statuses, fibers = [], []
+    inner = up.squarefree_part
+    monkeypatch.setattr(up, "squarefree_part", lambda f: fibers.append(f) or inner(f))
+    for n in range(40):
+        if n % 4 < 2:  # conic nonsingularity: u, u_x (free of y), u_y
+            u = _no_xy_conic(rng)
+            if n % 2:  # plant a singular point at (a, b)
+                u = _flatten_at(u, random_rat(rng, 3), random_rat(rng, 3), 0, 0)
+            system = _system(u, bp.partial(u, "x"), bp.partial(u, "y"))
+        else:  # cubic/line transversality: u, v and the Jacobian A'(x)
+            u, v = _graph_cubic_and_line(rng)
+            if n % 2:  # plant a tangency at (a, b) on the line: A'(a) = 0
+                a = random_rat(rng, 3)
+                b = -evaluate(v, a, 0)
+                u = _through(bp.sub(u, bp.scalar_mul(evaluate(_jac(u, v), a, b), bp.X)), a, b)
+            system = _system(u, v, _jac(u, v))
+        if any(bp.is_const(f) for f in system):
+            continue
+        assert any(bp.deg_y(f) == 0 for f in system)
+        status = _agree(system)
+        statuses.append(status)
+        assert n % 2 == 0 or status == "Fails"
+        if status == "Holds":
+            del fibers[:]
+            variety_empty(system)
+            assert not fibers, [bp.to_string(f) for f in system]
+    assert statuses.count("Fails") >= 15 and statuses.count("Holds") >= 10
