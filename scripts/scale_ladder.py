@@ -1,6 +1,6 @@
 """Scale ladder: the wall time of one CLI process per call on growing inputs.
 
-Three families of problems, each drawn from a fixed seed:
+Four families of problems, the first three drawn from a fixed seed:
 
 - wide-<p>: p lines a x + b y + c drawn by `_wide_lines` of
   scripts/bench_layers.py from Random("wide:<p>"): integers a, b, c
@@ -12,7 +12,9 @@ Three families of problems, each drawn from a fixed seed:
 - dense-<d>: two curves of total degree d with every monomial and
   coefficients uniform in -5..5 (`_curve` of scripts/bench_layers.py,
   both drawn from Random(d)), each divided by the gcd of its
-  coefficients, with exponents 1 and 2.
+  coefficients, with exponents 1 and 2;
+- powers-<k>: (x + y + 1)^k (x - y)^k, an integral of degree 2k whose
+  expanded form cancels catastrophically in floats.
 
 Every (case, command) is one fresh interpreter that runs
 `polysaddle.cli.main([command, problem, "--format", "json"])` with
@@ -47,9 +49,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 from bench_layers import _curve, _random_lines, _wide_lines, src_trees  # noqa: E402
 
-FAMILIES = ("wide", "small", "dense")
+FAMILIES = ("wide", "small", "dense", "powers")
 SIZES = {"wide": (20, 40, 60, 100, 150, 199), "small": (20, 40, 60, 100, 150, 199),
-         "dense": (6, 8, 12, 16, 20)}
+         "dense": (6, 8, 12, 16, 20), "powers": (25, 50, 100)}
 COMMANDS = ("construct", "analyze", "cz", "linearize", "simulate")
 RUN = "import sys; from polysaddle import cli; sys.exit(cli.main(sys.argv[1:]))"
 
@@ -65,6 +67,10 @@ def _poly(terms: dict) -> str:
 
 def problem(family: str, size: int) -> dict:
     """The problem document of one case."""
+    if family == "powers":
+        return {"name": f"powers-{size}",
+                "factors": [{"poly": "x + y + 1", "exponent": size},
+                            {"poly": "x - y", "exponent": size}]}
     if family == "dense":
         rng = random.Random(size)
         curves = [_curve(rng, size), _curve(rng, size)]
@@ -108,7 +114,8 @@ def main(argv=None) -> int:
     ap.add_argument("--family", default=",".join(FAMILIES),
                     help=f"comma-separated, from {', '.join(FAMILIES)}")
     ap.add_argument("--sizes", default="",
-                    help="comma-separated sizes for every family (lines p, or degree d)")
+                    help="comma-separated sizes for every family "
+                         "(lines p, degree d, or exponent k)")
     ap.add_argument("--commands", default=",".join(COMMANDS), help="comma-separated")
     ap.add_argument("--cap", type=float, default=60.0, help="seconds per call")
     ap.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",

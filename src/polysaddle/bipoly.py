@@ -584,17 +584,28 @@ def _prime(k: int) -> int:
 def _interpolate(ts: list[int], vals: list[list[int]], p: int) -> list[list[int]]:
     """For each j, the coefficients mod p, lowest first, of the polynomial
     of degree below len(ts) with value vals[k][j] at ts[k], the ts distinct
-    mod p: Newton's divided differences for all j at once, then Horner."""
-    c, n = [list(v) for v in vals], len(ts)
+    mod p: Newton's divided differences, one column j at a time, then
+    Horner.  The ts run 0, 1, 2, ... with few gaps, so their differences
+    repeat: each one is inverted once."""
+    n = len(ts)
+    cols = [list(col) for col in zip(*vals)]
+    inverse: dict[int, int] = {}
     for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            w = pow(ts[i] - ts[i - k], -1, p)
-            c[i] = [(a - b) * w % p for a, b in zip(c[i], c[i - 1])]
-    polys = [[v] for v in c[-1]]
-    for i in range(n - 2, -1, -1):  # poly = (x - ts[i]) poly + c[i]
-        polys = [[(a - ts[i] * b) % p for a, b in zip([v] + poly, poly + [0])]
-                 for v, poly in zip(c[i], polys)]
-    return polys
+        # level k: c[i] = (c[i] - c[i-1]) / (ts[i] - ts[i-k]) for i >= k
+        ds = [b - a for a, b in zip(ts, ts[k:])]
+        for d in set(ds).difference(inverse):
+            inverse[d] = pow(d, -1, p)
+        ws = [inverse[d] for d in ds]
+        for c in cols:
+            c[k:] = [(a - b) * w % p for a, b, w in zip(c[k:], c[k - 1:], ws)]
+    out = []
+    for c in cols:
+        poly = [c[-1]]
+        for i in range(n - 2, -1, -1):  # poly = (x - ts[i]) poly + c[i]
+            t = ts[i]
+            poly = [(a - t * b) % p for a, b in zip([c[i]] + poly, poly + [0])]
+        out.append(poly)
+    return out
 
 
 def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:

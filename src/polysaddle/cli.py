@@ -34,16 +34,21 @@ from .field_ops import (FactoredIntegral, VectorField, cofactor, minimal_degree_
 from .linearize import SplitError, factor_split, linearize
 
 
+# RK4 steps one simulate may take: the orbit keeps every point, about
+# 100 bytes each, so the bound keeps it near 10 MB
+MAX_STEPS = 100_000
+
+
 class ProblemError(Exception):
     """Anything wrong with the input file or flags; mapped to exit 2."""
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A loaded problem.  The expanded integral, the constructed field and
-    its reduction live on the integral (integral.H, integral.field,
-    integral.field.reduced), built on first use and shared by every
-    command run on the problem."""
+    """A loaded problem.  The expanded integral, the integrating factor,
+    the constructed field and its reduction live on the integral
+    (integral.H, integral.R, integral.field, integral.field.reduced),
+    built on first use and shared by every command run on the problem."""
 
     name: str
     integral: FactoredIntegral
@@ -291,16 +296,24 @@ def cmd_linearize(spec: ProblemSpec, pivot: int | None) -> dict:
     }
 
 
-def cmd_simulate(spec: ProblemSpec, args) -> dict:
-    from . import numcheck  # loaded on first use (module docstring)
-
+def _check_orbit_args(args) -> None:
+    """Refuse the simulate flags no orbit is computed for, before any work."""
     if args.steps < 1:
         raise ProblemError("--steps must be a positive integer")
+    if args.steps > MAX_STEPS:
+        raise ProblemError(f"--steps must be at most {MAX_STEPS}")
     if not all(map(math.isfinite, (args.x0, args.y0, args.step))):
         raise ProblemError("--x0, --y0 and --step must be finite numbers")
     if args.step <= 0:
         raise ProblemError("--step must be positive")
-    H = spec.integral.H
+
+
+def cmd_simulate(spec: ProblemSpec, args) -> dict:
+    from . import numcheck  # loaded on first use (module docstring)
+
+    _check_orbit_args(args)
+    # the drift and the CSV evaluate H from its factors; it is never expanded
+    H = spec.integral.factors
     orbit = numcheck.integrate_orbit(spec.field, args.x0, args.y0, args.step, args.steps)
     drift = numcheck.conservation_drift(H, orbit)
     out = {
@@ -323,6 +336,7 @@ def cmd_simulate(spec: ProblemSpec, args) -> dict:
 
 
 def cmd_all(spec: ProblemSpec, args) -> dict:
+    _check_orbit_args(args)
     out = {"construct": cmd_construct(spec), "analyze": cmd_analyze(spec),
            "cz": cmd_cz(spec)}
     if spec.integral.p >= 2:

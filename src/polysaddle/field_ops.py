@@ -7,18 +7,22 @@ The central construction: given H = u_1^{k_1} * ... * u_p^{k_p}, the field
 
 annihilates H exactly (its Lie derivative of H is zero), which is the
 identity everything else in the package leans on.  It is built by the
-product rule, one factor at a time: starting from (P, Q, W, R) =
-(0, 0, 1, 1), appending u^k turns (P, Q, W, R) into
+product rule, one factor at a time: starting from (P, Q, W) = (0, 0, 1),
+appending u^k turns (P, Q, W) into
 
-    (u P + k W u_y,  u Q - k W u_x,  W u,  R u^{k-1}),
+    (u P + k W u_y,  u Q - k W u_x,  W u),
 
-so W = prod u_i and R = prod u_i^{k_i-1} throughout, p factors cost O(p)
-products, and H = R W.  The integral keeps the quadruple of its head
-factors u_1, ..., u_{p-1}, off which `linearize` reads its split; one more
-step gives its own (P, Q, V, R): its field, V = prod u_i and R.  This
-module also covers the supporting cast: coprimality and common-factor
-reduction, the exact quotient of proportional fields, Hamiltonian
-detection by divergence, and cofactors of invariant curves.
+so W = prod u_i throughout and p factors cost O(p) products.  The
+integral keeps the triple of its head factors u_1, ..., u_{p-1}, off
+which `linearize` reads its split; one more step gives its own
+(P, Q, V): its field and V = prod u_i.  The integrating factor
+R = prod u_i^{k_i-1}, with H = R V, is no part of the recurrence: the
+field never needs it, and F.R builds it on first use for the commands
+that print or multiply by it: `analyze`, `expand` and the witness of
+_lie_of_integral.  This module also covers the supporting cast:
+coprimality and common-factor reduction, the exact quotient of
+proportional fields, Hamiltonian detection by divergence, and cofactors
+of invariant curves.
 """
 
 from __future__ import annotations
@@ -86,9 +90,10 @@ class FactoredIntegral:
     share a nonconstant divisor.  Irreducibility of the u_i is asserted by
     the caller, not verified; see README.
 
-    The expanded integral H, the constructed field and the product-rule
-    quadruples of the head factors and of all the factors depend on the
-    factors alone; each is built on first use and kept on the instance.
+    The expanded integral H, the constructed field, the product-rule
+    triples of the head factors and of all the factors, and the
+    integrating factor R depend on the factors alone; each is built on
+    first use and kept on the instance.
     """
 
     factors: tuple[tuple[BiPoly, int], ...]
@@ -121,14 +126,19 @@ class FactoredIntegral:
         return expand(self)
 
     @cached_property
-    def head_field(self) -> _Quad:
-        """(P, Q, W, R) of the module docstring for every factor but the last."""
+    def head_field(self) -> _Triple:
+        """(P, Q, W) of the module docstring for every factor but the last."""
         return _product_field(self.factors[:-1])
 
     @cached_property
-    def product_field(self) -> _Quad:
-        """(P, Q, V, R) of the module docstring: one step on head_field."""
+    def product_field(self) -> _Triple:
+        """(P, Q, V) of the module docstring: one step on head_field."""
         return _extend(self.head_field, *self.factors[-1])
+
+    @cached_property
+    def R(self) -> BiPoly:
+        """The integrating factor prod u_i^{k_i-1}: multiplicity_product."""
+        return multiplicity_product(self.factors)
 
     @cached_property
     def field(self) -> VectorField:
@@ -142,29 +152,37 @@ class FactoredIntegral:
 
 def expand(F: FactoredIntegral) -> BiPoly:
     """The integral itself: prod u_i^{k_i} = R V."""
-    _, _, V, R = F.product_field
-    return bp.mul(R, V)
+    return bp.mul(F.R, F.product_field[2])
 
 
-_Quad = tuple[BiPoly, BiPoly, BiPoly, BiPoly]
+_Triple = tuple[BiPoly, BiPoly, BiPoly]
 
 
-def _extend(field: _Quad, u: BiPoly, k: int) -> _Quad:
-    """One product-rule step: (P, Q, W, R) with u^k appended."""
-    P, Q, W, R = field
+def _extend(field: _Triple, u: BiPoly, k: int) -> _Triple:
+    """One product-rule step: (P, Q, W) with u^k appended."""
+    P, Q, W = field
     kW = bp.scalar_mul(k, W)
     return (bp.add(bp.mul(u, P), bp.mul(kW, bp.partial(u, "y"))),
             bp.sub(bp.mul(u, Q), bp.mul(kW, bp.partial(u, "x"))),
-            bp.mul(W, u),
-            bp.mul(R, bp.power(u, k - 1)) if k > 1 else R)
+            bp.mul(W, u))
 
 
-def _product_field(factors: tuple[tuple[BiPoly, int], ...]) -> _Quad:
-    """(P, Q, W, R) of the module docstring for the given (u, k) pairs."""
-    out: _Quad = ({}, {}, bp.ONE, bp.ONE)
+def _product_field(factors: tuple[tuple[BiPoly, int], ...]) -> _Triple:
+    """(P, Q, W) of the module docstring for the given (u, k) pairs."""
+    out: _Triple = ({}, {}, bp.ONE)
     for u, k in factors:
         out = _extend(out, u, k)
     return out
+
+
+def multiplicity_product(factors: tuple[tuple[BiPoly, int], ...]) -> BiPoly:
+    """prod u_i^{k_i-1} over the given (u, k) pairs: F.R for all the
+    factors of F, and the R~ of `linearize` for its head factors."""
+    R = bp.ONE
+    for u, k in factors:
+        if k > 1:
+            R = bp.mul(R, bp.power(u, k - 1))
+    return R
 
 
 def construct_field(F: FactoredIntegral) -> VectorField:
@@ -175,7 +193,7 @@ def construct_field(F: FactoredIntegral) -> VectorField:
     k_1-times the Hamiltonian field of u_1; the degree-minimality facts
     proved for p > 1 are not asserted here in that case.
     """
-    P, Q, _, _ = F.product_field
+    P, Q, _ = F.product_field
     return VectorField(P, Q)
 
 
@@ -235,19 +253,19 @@ def quotient_multiplier(X2: VectorField, X1: VectorField) -> BiPoly:
 
 
 def _lie_of_integral(F: FactoredIntegral, X: VectorField) -> BiPoly:
-    """X(H) for H = F.H, without expanding H.  With (P0, Q0, V, R) =
-    F.product_field, H_y = R P0 and H_x = -R Q0, so for X = (P, Q)
-    X(H) = R (P0 Q - Q0 P); the product by R is skipped when the bracket
-    is zero.  For a coprime X this vanishes exactly when F.field = G X
-    for a polynomial G: that makes the bracket G (P Q - Q P) = 0, and
-    conversely P0 Q = Q0 P with gcd(P, Q) = 1 makes P divide P0 (when
-    P = 0, Q is a nonzero constant and P0 = 0), so P0 = G P and Q0 = G Q.
-    Then G is gcd(P0, Q0) up to a constant, so X is a constant multiple of
-    F.field.reduced[0].  Both tests cost far less than the bracket, which
+    """X(H) for H = F.H, without expanding H.  With (P0, Q0, V) =
+    F.product_field and R = F.R, H_y = R P0 and H_x = -R Q0, so for
+    X = (P, Q) X(H) = R (P0 Q - Q0 P); R is not even built when the
+    bracket is zero.  For a coprime X this vanishes exactly when
+    F.field = G X for a polynomial G: that makes the bracket
+    G (P Q - Q P) = 0, and conversely P0 Q = Q0 P with gcd(P, Q) = 1
+    makes P divide P0 (when P = 0, Q is a nonzero constant and P0 = 0),
+    so P0 = G P and Q0 = G Q.  Then G is gcd(P0, Q0) up to a constant,
+    so X is a constant multiple of F.field.reduced[0].  Both tests cost far less than the bracket, which
     is for the witness."""
-    P0, Q0, _, R = F.product_field
+    P0, Q0, _ = F.product_field
     bracket = bp.sub(bp.mul(P0, X.Q), bp.mul(Q0, X.P))
-    return bp.mul(R, bracket) if bracket else bracket
+    return bp.mul(F.R, bracket) if bracket else bracket
 
 
 def _antider_y(f: BiPoly) -> BiPoly:

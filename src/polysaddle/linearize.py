@@ -10,10 +10,11 @@ half-gradients of the split:
     K2 = the same with d/dy
     K3 = k_p (u_p)_x,   K4 = k_p (u_p)_y                  (so v_x = u_p^{k_p-1} K3)
 
-The product-rule quadruple of the head factors u_1, ..., u_{p-1} is
-F.head_field = (K2, -K1, W, R~) with W = prod_{i<p} u_i and
-R~ = prod_{i<p} u_i^{k_i-1}, so u = W R~ is one product, and the last step
-of the recurrence in `field_ops` turns it into the constructed field of F:
+The product-rule triple of the head factors u_1, ..., u_{p-1} is
+F.head_field = (K2, -K1, W) with W = prod_{i<p} u_i; with
+R~ = prod_{i<p} u_i^{k_i-1} (field_ops.multiplicity_product, built only
+here) u = W R~ is one product, and the last step of the recurrence in
+`field_ops` turns the triple into the constructed field of F:
 F.field = (K4 W + K2 u_p, -K1 u_p - K3 W).  The certificate records the
 K's, the determinant D = K1 K4 - K2 K3 and the common multiplier G defined
 by G (P, Q) = F.field; the time rescale d(tau) = (D/G) dt is recorded
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 
 from . import bipoly as bp
 from .bipoly import BiPoly
-from .field_ops import (FactoredIntegral, VectorField, is_coprime, quotient_multiplier,
-                        _divergence, _lie_of_integral)
+from .field_ops import (FactoredIntegral, VectorField, is_coprime, multiplicity_product,
+                        quotient_multiplier, _divergence, _lie_of_integral)
 
 
 class SplitError(ValueError):
@@ -51,20 +52,20 @@ class SplitError(ValueError):
 
 def factor_split(F: FactoredIntegral, pivot: int) -> FactoredIntegral:
     """Reorder so the 1-based pivot factor comes last (it becomes the
-    v-variable of the split).  Neither the product H nor the quadruple
-    (P, Q, V, R) of all the factors depends on the order, so the reordered
-    integral shares F's product_field and field, and F's H when that has
-    been expanded; the head factors' quadruple does depend on which factor
-    is last and is not shared.  What FactoredIntegral proves of the
-    factors does not depend on their order, so it is not proved again."""
+    v-variable of the split).  Neither the product H, nor the triple
+    (P, Q, V) of all the factors, nor R depends on the order, so the
+    reordered integral shares F's product_field and field, and F's H and R
+    when they have been built; the head factors' triple does depend on
+    which factor is last and is not shared.  What FactoredIntegral proves
+    of the factors does not depend on their order, so it is not proved
+    again."""
     if not 1 <= pivot <= F.p:
         raise SplitError(f"pivot {pivot} out of range 1..{F.p}")
     fs = list(F.factors)
     fs.append(fs.pop(pivot - 1))
     out = object.__new__(FactoredIntegral)
     vars(out).update(factors=tuple(fs), field=F.field, product_field=F.product_field)
-    if "H" in vars(F):
-        vars(out)["H"] = F.H
+    vars(out).update({name: vars(F)[name] for name in ("H", "R") if name in vars(F)})
     return out
 
 
@@ -73,7 +74,7 @@ def k_matrix(F: FactoredIntegral) -> tuple[BiPoly, BiPoly, BiPoly, BiPoly]:
     that keeps the last factor apart; needs at least two factors."""
     if F.p < 2:
         raise ValueError("k_matrix needs at least two factors")
-    K2, neg_K1, _, _ = F.head_field
+    K2, neg_K1, _ = F.head_field
     up, kp = F.factors[-1]
     K3 = bp.scalar_mul(kp, bp.partial(up, "x"))
     K4 = bp.scalar_mul(kp, bp.partial(up, "y"))
@@ -136,9 +137,9 @@ def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     D = bp.sub(bp.mul(K1, K4), bp.mul(K2, K3))
     if bp.is_zero(D):
         raise ArithmeticError("degenerate split: the determinant D vanishes identically")
-    _, _, W, R = F.head_field
+    u = bp.mul(F.head_field[2], multiplicity_product(F.factors[:-1]))  # W R~
     up, kp = F.factors[-1]
     return LinearizationCertificate(
-        u_expr=bp.mul(W, R), v_expr=bp.power(up, kp), K1=K1, K2=K2, K3=K3, K4=K4, D=D, G=G,
+        u_expr=u, v_expr=bp.power(up, kp), K1=K1, K2=K2, K3=K3, K4=K4, D=D, G=G,
         hamiltonian_input=bp.is_zero(_divergence(X)),
         time_change=f"dtau = ({bp.to_string(D)}) / ({bp.to_string(G)}) dt")

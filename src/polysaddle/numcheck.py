@@ -9,24 +9,35 @@ The float work runs in two generated kernels, with no Python call per
 point.  `_rk4_kernel` runs the whole step loop with P and Q written out
 inline at all four stages (past _INLINE coefficients, too many to compile
 four times, it calls one generated function for each); `_value_kernel`
-evaluates H at every orbit point, for the drift and for the CSV export,
-and `compile_poly` wraps it for a single point.  A kernel depends only on
-the shape of its polynomials, the number of x-coefficients at each power
-of y, and a bounded LRU cache keeps one per shape: the coefficients come
-in as a tuple of floats and are unpacked into locals, so no input number
-is in the generated source and fields of one shape share one kernel.  A
-polynomial is written as a Horner form in y over Horner forms in x.  One
-expression nests at most _DEPTH parentheses deep; a longer chain goes on
-in statements through temporaries, so forms up to the degree budget
-compile.
+evaluates the integral at every orbit point, for the drift and for the
+CSV export, and `compile_poly` wraps it for a single point.  The integral
+comes as its factors (u_i, k_i) and is evaluated as prod u_i^{k_i}: each
+u_i once per point, its power by products, so the value carries the
+rounding of the factors and never the cancellation of the expanded H,
+whose Horner error grows with sum |a_i| |x|^i (Higham, Accuracy and
+Stability of Numerical Algorithms, 5.1).  A bare polynomial is the one
+factor (H, 1), evaluated by one Horner form.
 
-The result is bit for bit that of plain RK4 with one Horner evaluator per
-polynomial: the kernels make the same float operations on the same
+A kernel depends only on the shape of its polynomials, the number of
+x-coefficients at each power of y (and, for the value kernel, on the
+exponents), and a bounded LRU cache keeps one per key: the coefficients
+come in as a tuple of floats and are unpacked into locals, so no input
+coefficient is in the generated source and polynomials of one shape
+share one kernel.  A polynomial is written as a Horner form in y over
+Horner forms in x.  One expression nests at most _DEPTH parentheses
+deep; a longer chain goes on in statements through temporaries, so forms
+up to the degree budget compile.
+
+The orbit is bit for bit that of plain RK4 with one Horner evaluator per
+component, and a bare polynomial's values are those of its Horner
+evaluator: the kernels make the same float operations on the same
 operands in the same order (a zero coefficient is still added; `0.5 * h`
 and `h / 6.0` are merely hoisted), and the abort test
 `-1e12 <= x <= 1e12` is false for NaN and the infinities, exactly as a
 finiteness test is.  A coefficient too large for a float becomes an
-infinity of its sign; the orbit then stops at its start.
+infinity of its sign; the orbit then stops at its start.  A power past
+the float range is an infinity too, as a product overflows where float
+`**` would raise OverflowError.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .bipoly import BiPoly
 from .field_ops import VectorField
@@ -158,27 +169,57 @@ def _rk4_kernel(shape_p: tuple[int, ...], shape_q: tuple[int, ...]):
                     *("        " + s for s in body), "    return pts"], "rk4", **functions)
 
 
+def _power(v: str, k: int, tmp: str) -> tuple[list[str], str]:
+    """Statements and a name that hold v**k, k >= 1, formed by products
+    (square and multiply over the bits of k): a product overflows to an
+    infinity, where float ** raises OverflowError."""
+    stmts, acc = [], v
+    for bit in bin(k)[3:]:
+        stmts.append(f"{tmp} = {acc} * {acc}")
+        acc = tmp
+        if bit == "1":
+            stmts.append(f"{tmp} = {tmp} * {v}")
+    return stmts, acc
+
+
 @functools.lru_cache(maxsize=_KERNELS)
-def _value_kernel(shape: tuple[int, ...]):
-    """values(points, cs) -> the polynomial of this shape with coefficients
-    cs at each (x, y) of points."""
-    names = _names("c", shape)
-    stmts, e = _horner(shape, names, "x", "y", "t")
-    return _define(["def values(points, cs):", *("    " + s for s in _unpack(names, "cs")),
+def _value_kernel(shapes: tuple[tuple[int, ...], ...], exponents: tuple[int, ...]):
+    """values(points, cs) -> prod u_i^{k_i} at each (x, y) of points, u_i
+    of shapes[i] and k_i = exponents[i], the coefficients of u_1, u_2, ...
+    one after another in cs.  Each u_i is a Horner form, its power formed
+    by _power, and the powers are multiplied in factor order."""
+    names = [_names(f"c{i}_", shape) for i, shape in enumerate(shapes)]
+    body, powers = [], []
+    for i, (shape, k) in enumerate(zip(shapes, exponents)):
+        stmts, e = _horner(shape, names[i], "x", "y", f"t{i}_")
+        more, v = _power(f"u{i}", k, f"w{i}")
+        body += stmts + [f"u{i} = {e}"] + more
+        powers.append(v)
+    # the product goes left to right, in chains of at most _DEPTH operands
+    head = " * ".join(powers[:_DEPTH])
+    for at in range(_DEPTH, len(powers), _DEPTH):
+        body.append(f"h = {head}")
+        head = " * ".join(["h"] + powers[at:at + _DEPTH])
+    return _define(["def values(points, cs):",
+                    *("    " + s for s in _unpack([c for row in names for c in row], "cs")),
                     "    out = []", "    append = out.append", "    for x, y in points:",
-                    *("        " + s for s in stmts), f"        append({e})",
+                    *("        " + s for s in body), f"        append({head})",
                     "    return out"], "values")
 
 
-def _values(f: BiPoly, points) -> list[float]:
-    shape, coeffs = _split(f)
-    return _value_kernel(shape)(points, coeffs)
+def _values(H: BiPoly | Sequence[tuple[BiPoly, int]], points) -> list[float]:
+    """H at each point: a BiPoly by one Horner form, factors (u_i, k_i) as
+    prod u_i^{k_i} (_value_kernel); a BiPoly is the one factor (H, 1)."""
+    factors = ((H, 1),) if isinstance(H, dict) else H
+    split = [_split(u) for u, _ in factors]
+    kernel = _value_kernel(tuple(shape for shape, _ in split), tuple(k for _, k in factors))
+    return kernel(points, tuple(c for _, coeffs in split for c in coeffs))
 
 
 def compile_poly(f: BiPoly) -> Callable[[float, float], float]:
     """Float evaluator for f, as a nested Horner form in y over x."""
     shape, coeffs = _split(f)
-    values = _value_kernel(shape)
+    values = _value_kernel((shape,), (1,))
     return lambda x, y: values(((x, y),), coeffs)[0]
 
 
@@ -214,9 +255,11 @@ def integrate_orbit(X: VectorField, x0: float, y0: float,
     return Orbit(tuple(pts), h)
 
 
-def conservation_drift(H: BiPoly, orbit: Orbit) -> float | None:
+def conservation_drift(H: BiPoly | Sequence[tuple[BiPoly, int]],
+                       orbit: Orbit) -> float | None:
     """max over the orbit of |H(x,y) - H(x0,y0)| / max(1, |H(x0,y0)|), or
-    None when that is not a finite number: H overflowed on the orbit."""
+    None when that is not a finite number: H overflowed on the orbit.  H
+    is a BiPoly or its factors (u_i, k_i); see _values."""
     hs = _values(H, orbit.points)
     h0 = hs[0]
     scale = max(1.0, abs(h0))
@@ -226,8 +269,9 @@ def conservation_drift(H: BiPoly, orbit: Orbit) -> float | None:
     return drift if math.isfinite(drift) and not math.isnan(sum(gaps)) else None
 
 
-def to_csv(orbit: Orbit, H: BiPoly) -> str:
-    """CSV with header t,x,y,H; one row per orbit point."""
+def to_csv(orbit: Orbit, H: BiPoly | Sequence[tuple[BiPoly, int]]) -> str:
+    """CSV with header t,x,y,H; one row per orbit point.  H is a BiPoly or
+    its factors (u_i, k_i); see _values."""
     lines = ["t,x,y,H"]
     for i, ((x, y), v) in enumerate(zip(orbit.points, _values(H, orbit.points))):
         lines.append(f"{i * orbit.step!r},{x!r},{y!r},{v!r}")

@@ -2,9 +2,9 @@
 
 For H = prod u_i^{k_i}, the products R = prod u_i^{k_i-1} (an integrating
 factor of the constructed field) and V = prod u_i (an inverse integrating
-factor) control the degree bookkeeping implemented here.  Both are read
-off the product-rule recurrence of `field_ops`: F.product_field is
-(P0, Q0, V, R), and H = R V.
+factor) control the degree bookkeeping implemented here.  V is read off
+the product-rule recurrence of `field_ops`, F.product_field = (P0, Q0, V),
+and R is F.R, built on first use; H = R V.
 
 A level value c is *critical* when H + c acquires a repeated factor, that
 is when gcd(H+c, H_x, H_y) is nonconstant.  Such a factor divides the
@@ -48,8 +48,8 @@ from .upoly import UPoly
 
 
 def integrating_factor(F: FactoredIntegral) -> BiPoly:
-    """R = prod u_i^{k_i - 1}, read off F.product_field."""
-    return F.product_field[3]
+    """R = prod u_i^{k_i - 1}: F.R."""
+    return F.R
 
 
 def inverse_integrating_factor(F: FactoredIntegral) -> BiPoly:
@@ -127,7 +127,7 @@ class RemarkableAnalysis:
 def analyze(F: FactoredIntegral) -> RemarkableAnalysis:
     """Full level-structure analysis of H = F.H.
 
-    R and V are read off F.product_field, and F.H = R * V.  The levels are
+    R is F.R, V is read off F.product_field, and F.H = R * V.  The levels are
     those on g = gcd(P0, Q0), read off the constructed field F.field, plus
     0 when R is nonconstant (see the module docstring).
     """

@@ -251,7 +251,11 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         return None
     yfree = [p for p in polys if bp.deg_y(p) == 0]
     if yfree:
-        G = upoly.gcd_many([_to_upoly_x(p) for p in yfree])
+        us = [_to_upoly_x(p) for p in yfree]
+        # one image proves most pairs coprime, far cheaper than Euclid in Q[x]
+        if len(us) > 1 and upoly.coprime_image(us[0], us[1]):
+            return None
+        G = upoly.gcd_many(us)
         if upoly.degree(G) < 1:
             return None
         rest = [p for p in polys if bp.deg_y(p) > 0]

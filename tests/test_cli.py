@@ -220,32 +220,39 @@ def test_critical_values_computed_once_per_command(capsys, monkeypatch, command)
 
 
 @pytest.mark.parametrize(
-    "command,field,expansions",
-    [("analyze", None, 1), ("linearize", None, 0), ("simulate", None, 1), ("all", None, 1),
-     ("construct", {"p": "3*y - x^2", "q": "6*x^3 - 2*x*y"}, 0),
-     ("construct", {"p": "1", "q": "x"}, 0), ("linearize", {"p": "1", "q": "x"}, 0)],
-    ids=["analyze", "linearize", "simulate", "all", "construct-given", "construct-wrong",
-         "linearize-wrong"])
+    "command,field,expansions,builds",
+    [("analyze", None, 1, 1), ("linearize", None, 0, 1), ("simulate", None, 0, 0),
+     ("all", None, 1, 2), ("construct", None, 0, 0),
+     ("construct", {"p": "3*y - x^2", "q": "6*x^3 - 2*x*y"}, 0, 0),
+     ("construct", {"p": "1", "q": "x"}, 0, 1), ("linearize", {"p": "1", "q": "x"}, 0, 1)],
+    ids=["analyze", "linearize", "simulate", "all", "construct", "construct-given",
+         "construct-wrong", "linearize-wrong"])
 def test_integral_expanded_once_per_command(capsys, tmp_path, monkeypatch, command, field,
-                                            expansions):
+                                            expansions, builds):
     # H lives on the factored integral, so every command shares one
     # expansion; construct tests a given field, and linearize reports a
-    # wrong one, by X(H) read off the factors, so neither needs H at all
+    # wrong one, by X(H) read off the factors, and simulate evaluates H
+    # from the factors, so none of them needs H at all.  R = prod
+    # u_i^{k_i-1} is built where it is printed (analyze), multiplies the
+    # bracket of a Fails witness, or gives linearize u = W R~ over the
+    # head factors; construct and simulate never build it
+    linearize = importlib.import_module("polysaddle.linearize")
     doc = json.loads(open(problem("twin_parabolas.json")).read())
     if field:
         doc["field"] = field
     path = write_problem(tmp_path, doc)
-    calls = []
-    inner = field_ops.expand
+    calls = {"expand": [], "multiplicity_product": []}
+    for owner, name in ((field_ops, "expand"), (field_ops, "multiplicity_product"),
+                        (linearize, "multiplicity_product")):
+        def counted(arg, inner=getattr(owner, name), seen=calls[name]):
+            seen.append(arg)
+            return inner(arg)
 
-    def counted(F):
-        calls.append(F)
-        return inner(F)
-
-    monkeypatch.setattr(field_ops, "expand", counted)
+        monkeypatch.setattr(owner, name, counted)
     code, out = run(capsys, command, path, "--format", "json")
     assert code != 4, out
-    assert len(calls) == expansions
+    assert len(calls["expand"]) == expansions
+    assert len(calls["multiplicity_product"]) == builds
 
 
 @pytest.mark.parametrize(
@@ -492,6 +499,55 @@ def test_simulate_float_layer_limits(capsys, tmp_path, factors, drift_is_null):
     results = json.loads(out, parse_constant=_no_constants)["results"]
     assert (results["drift"] is None) == drift_is_null
     assert results["points"] == (1 if drift_is_null else 2)
+
+
+POWERS = os.path.join(HERE, "fixtures", "powers_100.json")
+
+
+@pytest.mark.parametrize("args, drift", [
+    # the expanded H read 1.36e82 here: its binomial coefficients cancel
+    (["--x0", "0.2", "--y0", "-0.3", "--steps", "10"], 1.8726590856709624e-38),
+    # (1, 1) lies on the invariant line x = y, where H = 0; it read 1.0
+    (["--x0", "1", "--y0", "1", "--steps", "1"], 0.0),
+])
+def test_powers_fixture_drift_is_pinned(capsys, args, drift):
+    # (x + y + 1)^100 (x - y)^100, evaluated from its factors
+    code, out = run(capsys, "simulate", POWERS, "--format", "json", *args)
+    assert code == 0
+    assert json.loads(out)["results"]["drift"] == drift < 1e-12
+
+
+def test_powers_fixture_construct_and_simulate_are_fast(capsys):
+    # neither builds R = u_1^99 u_2^99 or expands H (about 2.5 s when they did)
+    t0 = time.perf_counter()
+    assert run(capsys, "construct", POWERS, "--format", "json")[0] == 0
+    assert run(capsys, "simulate", POWERS, "--format", "json")[0] == 0
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("command", ["simulate", "all"])
+def test_steps_past_the_bound_exit_2_before_any_work(capsys, monkeypatch, command):
+    from polysaddle import numcheck
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the --steps bound")
+
+    # no orbit is integrated or allocated, and all runs no other command
+    for owner, name in ((numcheck, "integrate_orbit"), (numcheck, "Orbit"),
+                        (numcheck, "_rk4_kernel"), (cli, "cmd_construct")):
+        monkeypatch.setattr(owner, name, never)
+    code = cli.main([command, problem("cusp_level.json"), "--steps", str(cli.MAX_STEPS + 1)])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err == f"error: --steps must be at most {cli.MAX_STEPS}\n"
+
+
+def test_steps_bound_admits_every_step_count_in_use():
+    # the digest, perfbench and the tests take at most 2000 steps
+    args = cli._PARSER.parse_args(["simulate", "p.json", "--steps", str(cli.MAX_STEPS)])
+    assert cli._check_orbit_args(args) is None
+    assert cli.MAX_STEPS >= 2000
 
 
 # all

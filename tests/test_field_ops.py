@@ -19,6 +19,7 @@ from polysaddle.field_ops import (
     is_hamiltonian,
     lie_derivative,
     minimal_degree_check,
+    multiplicity_product,
     quotient_multiplier,
     reduce_field,
     _lie_of_integral,
@@ -130,15 +131,21 @@ def test_construct_matches_reference_formula():
 
 
 def test_head_field_is_the_head_factors_triple():
-    # (P, Q, W, R) of every factor but the last: the head's own constructed
-    # field, the product of its factors and prod u_i^{k_i-1} over them;
-    # F.field is one step on from it
+    # (P, Q, W) of every factor but the last: the head's own constructed
+    # field and the product of its factors; F.field is one step on from
+    # it.  prod u_i^{k_i-1} is no part of the triple: over the head it is
+    # multiplicity_product, over all the factors F.R
     rng = random.Random(81)
     for _ in range(20):
         F = random_integral(rng, max_p=5)
-        P, Q, W, R = F.head_field
+        P, Q, W = F.head_field
+        want_R = bp.ONE
+        for u, k in F.factors:
+            want_R = bp.mul(want_R, bp.power(u, k - 1))
+        assert F.R == want_R
         if F.p == 1:
-            assert (P, Q, W, R) == ({}, {}, bp.ONE, bp.ONE)
+            assert (P, Q, W) == ({}, {}, bp.ONE)
+            assert multiplicity_product(F.factors[:-1]) == bp.ONE
             continue
         head = FactoredIntegral(F.factors[:-1])
         assert (P, Q) == reference_field(head)
@@ -148,7 +155,7 @@ def test_head_field_is_the_head_factors_triple():
             want_W = bp.mul(want_W, u)
             want_R = bp.mul(want_R, bp.power(u, k - 1))
         assert W == want_W
-        assert R == want_R
+        assert multiplicity_product(head.factors) == head.R == want_R
         assert (F.field.P, F.field.Q) == reference_field(F)
 
 
