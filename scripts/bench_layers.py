@@ -87,10 +87,6 @@ from time import perf_counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 BATCH_S = 0.02  # minimum length of one timed batch
 CAP_S = 10.0  # a case that runs longer in one round is recorded as a timeout
-# host speed kernel: its time on a quiet reference host, and how many
-# recent kernel times the scale factor takes the median of (perfbench/run.py)
-KERNEL_REF_S = 0.0025
-KERNEL_WINDOW = 15
 # each command's start-up case runs it on this problem, relative to the
 # repository root, and expects this exit code
 STARTUP_PROBLEM = "problems/three_lines.json"
@@ -412,25 +408,53 @@ def _variety_cases(rng: random.Random) -> list:
     return out
 
 
+def _coprime_primitive_prs(a: list, b: list) -> bool:
+    """Whether a and b, rational coefficient lists lowest degree first, a
+    nonconstant, share no root, by the primitive PRS over Z (Collins,
+    J. ACM 14, 1967), whose coefficients stay small where Euclid in Q[x]
+    grows them: each remainder is lc(b)^k a reduced by b, made primitive."""
+    def ints(u):
+        den = math.lcm(*(Fraction(c).denominator for c in u))
+        return [int(c * den) for c in u]
+
+    a, b = ints(a), ints(b)
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):  # r = lc(b) r - lc(r) x^k b loses its top term
+            c, k = r[-1], len(r) - len(b)
+            r = [b[-1] * v for v in r]
+            for i, v in enumerate(b):
+                r[k + i] -= c * v
+            r = _utrim(r)
+        if not r:
+            return False
+        g = math.gcd(*r)
+        a, b = b, [v // g for v in r]
+    return bool(b)  # b a nonzero constant, or zero from the start
+
+
 def reference_variety_empty(polys: list) -> tuple:
     """(status, witness) of variety_empty by the exact routes alone, with
     every resultant computed exactly.  Polynomials free of y pin x to the
     squarefree part of their gcd, a fiber, and the others are taken onto
     it by dynamic evaluation.  Otherwise, with p and q coprime, the exact
     Res_y(p, q) and each Res_y(p, r) are computed, and one pair of them
-    that upoly.coprime_image proves coprime gives Holds; else the fiber is
-    the squarefree part of Res_y(p, q) for the first coprime pair alone,
-    and every other polynomial is taken onto it."""
+    that _coprime_primitive_prs finds coprime gives Holds; else the fiber is the
+    squarefree part of Res_y(p, q) for the first coprime pair alone, and
+    every other polynomial is taken onto it."""
     from polysaddle import bipoly as bp
     from polysaddle import upoly as up
     from polysaddle import variety
+
+    def in_x(f):  # f, free of y, as a polynomial in x
+        return up.make([f.get((i, 0), 0) for i in range(max((i for i, _ in f), default=-1) + 1)])
 
     def plane(polys, depth):
         if any(bp.is_const(p) for p in polys):
             return None
         yfree = [p for p in polys if bp.deg_y(p) == 0]
         if yfree:
-            G = up.gcd_many([variety._to_upoly_x(p) for p in yfree])
+            G = up.gcd_many([in_x(p) for p in yfree])
             if up.degree(G) < 1:
                 return None
             rest = [variety._to_ypoly(p) for p in polys if bp.deg_y(p) > 0]
@@ -444,9 +468,9 @@ def reference_variety_empty(polys: list) -> tuple:
         if not bp.is_const(h):
             return (plane([h] + others, depth + 1)
                     or plane([bp.exact_div(p, h), bp.exact_div(q, h)] + others, depth + 1))
-        R = variety._to_upoly_x(bp.resultant(p, q))
+        R = in_x(bp.resultant(p, q))
         if up.degree(R) < 1 or any(
-                up.coprime_image(R, variety._to_upoly_x(bp.resultant(p, r))) for r in others):
+                _coprime_primitive_prs(R, in_x(bp.resultant(p, r))) for r in others):
             return None
         return variety._decide_fiber(up.squarefree_part(R),
                                      [variety._to_ypoly(t) for t in [p, q] + others], depth + 1)

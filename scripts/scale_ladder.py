@@ -1,6 +1,6 @@
 """Scale ladder: the wall time of one CLI process per call on growing inputs.
 
-Four families of problems, the first three drawn from a fixed seed:
+Five families of problems, all but powers drawn from a fixed seed:
 
 - wide-<p>: p lines a x + b y + c drawn by `_wide_lines` of
   scripts/bench_layers.py from Random("wide:<p>"): integers a, b, c
@@ -14,7 +14,12 @@ Four families of problems, the first three drawn from a fixed seed:
   both drawn from Random(d)), each divided by the gcd of its
   coefficients, with exponents 1 and 2;
 - powers-<k>: (x + y + 1)^k (x - y)^k, an integral of degree 2k whose
-  expanded form cancels catastrophically in floats.
+  expanded form cancels catastrophically in floats;
+- circles-<p>: p distinct circles x^2 + y^2 + a x + b y + c, integers a,
+  b, c uniform in +-1000 from Random("circles:<p>"), with a^2 + b^2 !=
+  4c so that each is irreducible, the last one squared.  Every two share
+  their points at infinity, so condition (iii) projects non-linear pairs
+  whose Res_y falls below its Bezout bound.
 
 Every (case, command) is one fresh interpreter that runs
 `polysaddle.cli.main([command, problem, "--format", "json"])` with
@@ -49,9 +54,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 from bench_layers import _curve, _random_lines, _wide_lines, src_trees  # noqa: E402
 
-FAMILIES = ("wide", "small", "dense", "powers")
+FAMILIES = ("wide", "small", "dense", "powers", "circles")
 SIZES = {"wide": (20, 40, 60, 100, 150, 199), "small": (20, 40, 60, 100, 150, 199),
-         "dense": (6, 8, 12, 16, 20), "powers": (25, 50, 100)}
+         "dense": (6, 8, 12, 16, 20), "powers": (25, 50, 100), "circles": (4, 8, 16)}
 COMMANDS = ("construct", "analyze", "cz", "linearize", "simulate")
 RUN = "import sys; from polysaddle import cli; sys.exit(cli.main(sys.argv[1:]))"
 
@@ -65,6 +70,17 @@ def _poly(terms: dict) -> str:
     return " + ".join(_term(c, i, j) for (i, j), c in sorted(terms.items())).replace("+ -", "- ")
 
 
+def _circles(rng: random.Random, p: int) -> list[dict]:
+    """p distinct circles x^2 + y^2 + a x + b y + c with a^2 + b^2 != 4c."""
+    seen: list = []
+    while len(seen) < p:
+        a, b, c = (rng.randint(-1000, 1000) for _ in range(3))
+        if a * a + b * b != 4 * c and (a, b, c) not in seen:
+            seen.append((a, b, c))
+    return [{e: v for e, v in (((2, 0), 1), ((0, 2), 1), ((1, 0), a), ((0, 1), b), ((0, 0), c))
+             if v} for a, b, c in seen]
+
+
 def problem(family: str, size: int) -> dict:
     """The problem document of one case."""
     if family == "powers":
@@ -75,6 +91,8 @@ def problem(family: str, size: int) -> dict:
         rng = random.Random(size)
         curves = [_curve(rng, size), _curve(rng, size)]
         polys = [{e: c // math.gcd(*u.values()) for e, c in u.items()} for u in curves]
+    elif family == "circles":
+        polys = _circles(random.Random(f"circles:{size}"), size)
     else:
         if family == "wide":
             lines = _wide_lines(random.Random(f"wide:{size}"), size)

@@ -28,14 +28,15 @@ cleared numerators.
 
 A gcd with a nonzero constant operand is 1 at once.  Otherwise the
 monomial content of each operand is split off, and what is left goes to
-Brown's modular gcd (J. ACM 18, 1971): images at x = t mod primes below
-2^61, Newton interpolation in x, the CRT across primes, and exact trial
-division, which proves the result.  An image gcd of y-degree 0 proves at
-once that no common factor has positive y-degree, so a coprime pair most
-often ends at its first image mod 2^61 - 1, and at one more at y = t
-unless a y-coefficient of either is a nonzero constant; two images of
-degree 1 are decided by one 2x2 determinant.  A failed trial division
-at unlucky points keeps its prime and takes further points there.
+Brown's modular gcd (J. ACM 18, 1971) on modp's kernel: images at x = t
+mod primes below 2^61, Newton interpolation in x, the CRT across primes,
+and exact trial division, which proves the result.  An image gcd of
+y-degree 0 proves at once that no common factor has positive y-degree,
+so a coprime pair most often ends at its first image mod 2^61 - 1, and
+at one more at y = t unless a y-coefficient of either is a nonzero
+constant; two images of degree 1 are decided by one 2x2 determinant.  A
+failed trial division at unlucky points keeps its prime and takes
+further points there.
 
 A resultant with respect to y against an operand linear in y, b1 y + b0,
 is the closed form sum_k f_k b0^k (-b1)^(m-k) over the other operand's
@@ -49,7 +50,6 @@ and multiplies monomials without mul.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import struct
@@ -59,8 +59,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from . import upoly
-from .upoly import _PRIME, UPoly, _coeff, _div, _gcd_mod_p
+from . import modp, upoly
+from .upoly import UPoly, _coeff, _div
 
 # coefficients are int or Fraction, never float (module docstring)
 BiPoly = dict[tuple[int, int], int | Fraction]
@@ -374,6 +374,11 @@ def from_upoly_x(p: UPoly) -> BiPoly:
     return {(i, 0): c for i, c in enumerate(p) if c}
 
 
+def to_upoly_x(f: BiPoly) -> UPoly:
+    """f, free of y, as a polynomial in x."""
+    return upoly.make([f.get((i, 0), 0) for i in range(deg_x(f) + 1)])
+
+
 def from_upoly_y(p: UPoly) -> BiPoly:
     return {(0, j): c for j, c in enumerate(p) if c}
 
@@ -475,39 +480,6 @@ def _subresultant_prs(a: BiPoly, b: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly, int
 # The modular gcd (Brown, J. ACM 18, 1971), whose first image is most
 # often the proof that the gcd is 1.
 
-_Residues = list[tuple[int, int, int]]
-
-
-def _residues(f: BiPoly, p: int) -> _Residues:
-    """Terms (i, j, c mod p) of the integer multiple den(f) * f."""
-    vals, _ = _numerators(f)
-    return [(i, j, v % p) for (i, j), v in zip(f, vals)]
-
-
-def _images(polys: list[tuple[_Residues, int]], t: int, dx: int, p: int) -> list[list[int]]:
-    """Images mod p at x = t of the (residue terms, y-degree d): d + 1
-    residues each, highest degree first.  dx bounds the x-exponents.  At
-    t = 0, the terms free of x."""
-    images = []
-    if not t:
-        for terms, d in polys:
-            img = [0] * (d + 1)
-            for i, j, c in terms:
-                if not i:
-                    img[d - j] = c
-            images.append(img)
-        return images
-    tp = [1] * (dx + 1)
-    for i in range(1, dx + 1):
-        tp[i] = tp[i - 1] * t % p
-    for terms, d in polys:
-        img = [0] * (d + 1)
-        for i, j, c in terms:
-            img[d - j] += c * tp[i]
-        images.append([c % p for c in img])
-    return images
-
-
 def _split_monomial(f: BiPoly) -> tuple[tuple[int, int], BiPoly]:
     """((a, b), f') with f = x^a y^b f' and f' divisible by neither x nor y."""
     if (0, 0) in f:
@@ -553,59 +525,6 @@ def _unit_content_y(f: BiPoly) -> bool:
     """Whether a coefficient of f in Q[x][y] is a nonzero constant, so
     that content_y(f) = 1: some power of y has no term with x."""
     return len({j for i, j in f if i}) < len({j for _, j in f})
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 37 with the primes up to 37 as bases, exact
-    below 3.18e23 (Sorenson & Webster, Math. Comp. 86, 2017)."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if math.gcd(n, math.prod(bases)) > 1:
-        return False
-    d, k = n - 1, 0
-    while not d & 1:
-        d, k = d >> 1, k + 1
-    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(k))
-               for a in bases)
-
-
-@functools.lru_cache(maxsize=None)
-def _prime(k: int) -> int:
-    """The k-th prime below 2^61, from 2^61 - 1 = _prime(0) down.  Each
-    is searched for once per process, as a search runs some fifty
-    Miller-Rabin powers of 61 bits."""
-    if not k:
-        return _PRIME
-    p = _prime(k - 1) - 2
-    while not _is_prime(p):
-        p -= 2
-    return p
-
-
-def _interpolate(ts: list[int], vals: list[list[int]], p: int) -> list[list[int]]:
-    """For each j, the coefficients mod p, lowest first, of the polynomial
-    of degree below len(ts) with value vals[k][j] at ts[k], the ts distinct
-    mod p: Newton's divided differences, one column j at a time, then
-    Horner.  The ts run 0, 1, 2, ... with few gaps, so their differences
-    repeat: each one is inverted once."""
-    n = len(ts)
-    cols = [list(col) for col in zip(*vals)]
-    inverse: dict[int, int] = {}
-    for k in range(1, n):
-        # level k: c[i] = (c[i] - c[i-1]) / (ts[i] - ts[i-k]) for i >= k
-        ds = [b - a for a, b in zip(ts, ts[k:])]
-        for d in set(ds).difference(inverse):
-            inverse[d] = pow(d, -1, p)
-        ws = [inverse[d] for d in ds]
-        for c in cols:
-            c[k:] = [(a - b) * w % p for a, b, w in zip(c[k:], c[k - 1:], ws)]
-    out = []
-    for c in cols:
-        poly = [c[-1]]
-        for i in range(n - 2, -1, -1):  # poly = (x - ts[i]) poly + c[i]
-            t = ts[i]
-            poly = [(a - t * b) % p for a, b in zip([c[i]] + poly, poly + [0])]
-        out.append(poly)
-    return out
 
 
 def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
@@ -669,23 +588,23 @@ def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
     unlucky = fy * gx + gy * fx  # bounds the points where a good prime's images mislead
     t = -1 if (0, 0) in f or (0, 0) in g else 0  # the point before the first
     gamma, n = None, math.inf  # n: the points needed at each prime
-    primes, stay = map(_prime, count()), False
+    primes, stay = map(modp.prime, count()), False
     while True:
         if stay:  # a stable lift failed at p: only an image below e can help
             ts, vals, d, skips = [], [], e - 1, 0
         else:
             p = next(primes)
-            polys = [(_residues(f, p), fy), (_residues(g, p), gy)]
+            polys = [(modp.residue_terms(f, p), fy), (modp.residue_terms(g, p), gy)]
             ts, vals, d, bad = [], [], min(fy, gy), 0  # d: the least degree at p
         while len(ts) < n:
             t += 1
-            a, b = _images(polys, t, dx, p)
+            a, b = modp.images(polys, t, dx, p)
             if not (a[0] or b[0]):  # a bad point
                 bad += 1
                 if bad > dx:
                     break  # p divides both leading coefficients
                 continue
-            h = _gcd_mod_p(a, b, p)
+            h = modp.gcd(a, b, p)
             if len(h) == 1:  # D = 1
                 if coprime_x or _unit_content_y(f) or _unit_content_y(g):
                     return ONE
@@ -719,7 +638,7 @@ def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
         if d < e:
             H, m, e = {}, 1, d
         u = pow(m, -1, p)
-        for j, coeffs in enumerate(_interpolate(ts, vals, p)):
+        for j, coeffs in enumerate(modp.interpolate(ts, vals, p)):
             for i, c in enumerate(coeffs):
                 r = H.get((i, e - j), 0)
                 H[i, e - j] = r + m * ((c - r) * u % p)

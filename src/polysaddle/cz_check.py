@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import bipoly as bp
-from . import upoly
-from .bipoly import BiPoly, CheckResult
+from . import bipoly as bp, modp, upoly
+from .bipoly import BiPoly, CheckResult, to_upoly_x
 from .field_ops import FactoredIntegral
 from .upoly import UPoly
-from .variety import _to_upoly_x, variety_empty
+from .variety import variety_empty
 
 
 def _nonzero(polys: list[BiPoly]) -> list[BiPoly]:
@@ -80,10 +79,10 @@ def _projection(u: BiPoly, v: BiPoly) -> UPoly:
     have positive y-degree (zero when they share such a factor), else
     the one free of y."""
     if bp.deg_y(u) < 1:
-        return _to_upoly_x(u)
+        return to_upoly_x(u)
     if bp.deg_y(v) < 1:
-        return _to_upoly_x(v)
-    return _to_upoly_x(bp.resultant(u, v))
+        return to_upoly_x(v)
+    return to_upoly_x(bp.resultant(u, v))
 
 
 def _open_triples(curves: list[BiPoly]):
@@ -93,7 +92,7 @@ def _open_triples(curves: list[BiPoly]):
     Each R_ij (_projection) is taken once, when a triple first asks for
     it, and kept as its image mod 2^61 - 1.  A triple is cleared when
     those images prove two of its three projections coprime
-    (upoly.coprime_images); (R_ij, R_ik) is tried first, and the other two
+    (modp.coprime_images); (R_ij, R_ik) is tried first, and the other two
     choices only when it fails."""
     n = len(curves)
     images: dict[tuple[int, int], list[int]] = {}
@@ -101,10 +100,10 @@ def _open_triples(curves: list[BiPoly]):
     def R(i: int, j: int) -> list[int]:
         r = images.get((i, j))
         if r is None:
-            r = images[i, j] = upoly.image(_projection(curves[i], curves[j]))
+            r = images[i, j] = modp.image(_projection(curves[i], curves[j])[::-1])
         return r
 
-    coprime = upoly.coprime_images
+    coprime = modp.coprime_images
     for i in range(n):  # i < j < k runs in combinations order
         for j in range(i + 1, n):
             rij = R(i, j)
@@ -154,7 +153,7 @@ def check_pairwise_leading_coprime(curves: list[BiPoly]) -> CheckResult:
     A common factor of two forms is a form y^a h with y not dividing h.
     When h is not constant, h(x, 1) has degree deg h and divides both
     forms at y = 1, so images mod 2^61 - 1 of those that
-    upoly.coprime_images proves coprime leave only a power of y, which
+    modp.coprime_images proves coprime leave only a power of y, which
     divides both forms.  Each form's image at y = 1 and whether y divides
     it are taken once; a pair that these do not clear takes `bp.gcd`, in
     `combinations` order, so the first failing pair and its witness are
@@ -166,9 +165,9 @@ def check_pairwise_leading_coprime(curves: list[BiPoly]) -> CheckResult:
             raise ValueError(f"curve {i + 1} is constant")
     forms = [bp.leading_form(u) for u in curves]
     by_y = [all(j for _, j in L) for L in forms]
-    images = [upoly.image(_at_y1(L)) for L in forms]
+    images = [modp.image(_at_y1(L)[::-1]) for L in forms]
     for i, j in combinations(range(len(curves)), 2):
-        if not (by_y[i] and by_y[j]) and upoly.coprime_images(images[i], images[j]):
+        if not (by_y[i] and by_y[j]) and modp.coprime_images(images[i], images[j]):
             continue
         g = bp.gcd(forms[i], forms[j])
         if not bp.is_const(g):

@@ -18,13 +18,8 @@ Rational roots are found without factoring any coefficient: the real roots
 of the squarefree integer part are isolated by Sturm bisection in integer
 arithmetic (Sturm's theorem; Collins & Akritas, SYMSAC 1976, for exact
 real-root isolation), so the cost is polynomial in the bit size of the
-input.  The Sturm helpers work on lists of Python ints.
-
-Coprimality is proved, when it can be, from one image mod 2^61 - 1
-(`coprime_image`, or `coprime_images` on images taken once by `image`
-for a polynomial tested against many); the modular Euclid behind it is
-the one bipoly's modular gcd runs on its specializations, whose first
-one is most often the proof that two bivariate polynomials are coprime.
+input.  The Sturm helpers work on lists of Python ints.  Images mod a
+prime, and the coprimality proofs they give, are modp's.
 """
 
 from __future__ import annotations
@@ -187,83 +182,6 @@ def gcd_many(polys: Sequence[UPoly]) -> UPoly:
         if is_const(acc) and acc:
             return ONE
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Euclid mod a prime, and coprimality from one image (Brown, J. ACM 18, 1971).
-
-_PRIME = (1 << 61) - 1  # a Mersenne prime
-
-
-def _trim(a: list[int]) -> list[int]:
-    """a without its leading zeros; a itself when it has none."""
-    k = 0
-    while k < len(a) and not a[k]:
-        k += 1
-    return a[k:] if k else a
-
-
-def _gcd_mod_p(a: list[int], b: list[int], p: int = _PRIME) -> list[int]:
-    """A gcd of a and b over Z/p, p prime, by Euclid: a nonzero multiple of
-    the monic gcd, highest degree first; a and b are lists of residues in
-    [0, p), highest degree first, not both zero.
-
-    A nonzero constant divisor ends the loop with [1], and two polynomials
-    of degree 1 share their root exactly when the 2x2 determinant of their
-    coefficients is 0 mod p.  Otherwise a is reduced by b without an
-    inverse: row k takes lc(b) r - q x^j b, so the remainder is lc(b)^m
-    times that of a by b, with the same gcd with b.  A row touches only
-    the n - 1 entries under b's tail; an entry further right is instead
-    multiplied in advance by lc(b) to the power of the rows that pass
-    before it is first touched.
-    """
-    a, b = _trim(a), _trim(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        n = len(b)
-        if n == 1:
-            return [1]
-        if len(a) == 2:  # and so n == 2
-            return [1] if (a[0] * b[1] - a[1] * b[0]) % p else b
-        lead, tail = b[0], b[1:]
-        r = list(a)
-        m = len(r) - n + 1
-        s = 1
-        for i in range(n, len(r)):
-            s = s * lead % p
-            r[i] = r[i] * s % p
-        for k in range(m):
-            q = r[k]
-            r[k + 1:k + n] = [(lead * c - q * t) % p
-                              for c, t in zip(r[k + 1:k + n], tail)]
-        a, b = b, _trim(r[m:])
-    return a
-
-
-def image(f: UPoly) -> list[int]:
-    """The integer multiple den(f) * f mod _PRIME, highest degree first;
-    [] for the zero polynomial."""
-    den = math.lcm(*(c.denominator for c in f))
-    return [c.numerator * (den // c.denominator) % _PRIME for c in reversed(f)]
-
-
-def coprime_images(a: list[int], b: list[int]) -> bool:
-    """coprime_image(f, g) on a = image(f) and b = image(g)."""
-    return bool(a and b and (a[0] or b[0])) and len(_gcd_mod_p(a, b)) == 1
-
-
-def coprime_image(f: UPoly, g: UPoly) -> bool:
-    """True when one image mod _PRIME proves that gcd(f, g) is constant;
-    False means "not proved".
-
-    Let D be a gcd of the integer multiples of f and g, primitive in Z[t].
-    By Gauss's lemma lc(D) divides both leading coefficients, so when
-    _PRIME does not divide one of them, D keeps its degree mod _PRIME and
-    divides both images: a constant gcd of the images proves D constant.
-    When neither leading coefficient survives, the images prove nothing.
-    """
-    return coprime_images(image(f), image(g))
 
 
 def content_int(f: UPoly) -> Fraction:

@@ -13,11 +13,9 @@ Outline:
   others of least y-degree; otherwise, with three or more, Res_y(p, q)
   against each Res_y(p, r), p and q of least y-degree.  Against an
   operand linear in y the projection is an exact closed form.  Otherwise
-  its image is taken at points x = t where neither leading y-coefficient
-  vanishes mod the prime, one univariate resultant mod the prime per
-  point, and Newton interpolation through bound + 1 points, the bound
-  being Bezout's (Collins, J. ACM 18, 1971); such an image proves only
-  when it reaches its bound, or the other image keeps its degree.
+  its image is taken by evaluation and interpolation
+  (modp.resultant_image); such an image proves only when it reaches its
+  Bezout bound, or the other image keeps its degree.
 - The exact route decides the rest, so every Fails, witness and
   Inconclusive comes from it.  Polynomials in x alone pin x to the
   squarefree part F(x) of G, a "fiber"; everything else is treated as a
@@ -49,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import arith, bipoly as bp, upoly
+from . import arith, bipoly as bp, modp, upoly
 from .bipoly import BiPoly, CheckResult
 from .upoly import UPoly
 
@@ -164,84 +162,15 @@ def _decide_fiber(F: UPoly, polys: list[YPoly], depth: int) -> Locus | None:
     return None
 
 
-def _to_upoly_x(f: BiPoly) -> UPoly:
-    """f, free of y, as a polynomial in x."""
-    return upoly.make([f.get((i, 0), 0) for i in range(bp.deg_x(f) + 1)])
-
-
-def _ures_mod(a: list[int], b: list[int], p: int) -> int:
-    """Res(a, b) mod p, p prime, of residue lists with nonzero leading
-    entries, highest degree first, by Euclid: with r = a mod b of degree
-    k, Res(a, b) = (-1)^(mn) lc(b)^(m - k) Res(b, r), m = deg a >= n =
-    deg b, and Res(a, c) = c^m for a constant c."""
-    res = 1
-    if len(a) < len(b):
-        a, b = b, a
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            res = p - 1
-    while True:
-        m, n = len(a) - 1, len(b) - 1
-        lead = b[0]
-        if not n:
-            return res * pow(lead, m, p) % p
-        inv, tail = pow(lead, -1, p), b[1:]
-        r = list(a)
-        for k in range(m - n + 1):
-            q = r[k] * inv % p
-            if q:
-                r[k + 1:k + n + 1] = [(c - q * t) % p for c, t in zip(r[k + 1:k + n + 1], tail)]
-        r = upoly._trim(r[m - n + 1:])
-        if not r:
-            return 0
-        if m * n % 2:
-            res = p - res
-        res = res * pow(lead, m - len(r) + 1, p) % p
-        a, b = b, r
-
-
-def _resultant_image(f: BiPoly, g: BiPoly) -> list[int]:
-    """Res_y(den(f) f, den(g) g) mod _PRIME, both of y-degree >= 1, as a
-    list of bound + 1 residues, highest degree first, bound =
-    min(deg f deg g, deg_y f deg_x g + deg_y g deg_x f), which bounds its
-    x-degree (Bezout; the Sylvester matrix); [] when an lc_y of them
-    vanishes mod _PRIME.
-
-    At x = t where neither lc_y vanishes mod _PRIME, both keep their
-    y-degrees, so Res_y specializes to the univariate resultant of the
-    images (_ures_mod); bound + 1 such points give the image by Newton
-    interpolation (Collins, J. ACM 18, 1971).  Its first entry is nonzero
-    exactly when the image reaches the bound, and then _PRIME does not
-    divide the leading coefficient, as upoly.coprime_images requires."""
-    P = upoly._PRIME
-    fy, gy, fx, gx = bp.deg_y(f), bp.deg_y(g), bp.deg_x(f), bp.deg_x(g)
-    bound = min(bp.total_degree(f) * bp.total_degree(g), fy * gx + gy * fx)
-    polys = [(bp._residues(f, P), fy), (bp._residues(g, P), gy)]
-    dx = max(fx, gx)
-    ts: list[int] = []
-    vals: list[list[int]] = []
-    t = bad = 0
-    while len(ts) <= bound:
-        a, b = bp._images(polys, t, dx, P)
-        if a[0] and b[0]:
-            ts.append(t)
-            vals.append([_ures_mod(a, b, P)])
-        else:
-            bad += 1
-            if bad > fx + gx:  # more roots than lc_y(f) lc_y(g) can have
-                return []
-        t += 1
-    return bp._interpolate(ts, vals, P)[0][::-1]
-
-
 def _projection(p: BiPoly, r: BiPoly) -> tuple[UPoly | None, list[int]]:
     """Res_y(p, r), both of positive y-degree, and an image of it mod
-    _PRIME that upoly.coprime_images accepts: the exact closed form and
-    its image when an operand is linear in y, else None and
-    _resultant_image."""
+    modp.PRIME that modp.coprime_images accepts: the exact closed form
+    and its image when an operand is linear in y, else None and
+    modp.resultant_image."""
     if bp.deg_y(p) == 1 or bp.deg_y(r) == 1:
-        R = _to_upoly_x(bp.resultant(p, r))
-        return R, upoly.image(R)
-    return None, _resultant_image(p, r)
+        R = bp.to_upoly_x(bp.resultant(p, r))
+        return R, modp.image(R[::-1])
+    return None, modp.resultant_image(p, r)
 
 
 def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
@@ -251,9 +180,9 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         return None
     yfree = [p for p in polys if bp.deg_y(p) == 0]
     if yfree:
-        us = [_to_upoly_x(p) for p in yfree]
+        us = [bp.to_upoly_x(p) for p in yfree]
         # one image proves most pairs coprime, far cheaper than Euclid in Q[x]
-        if len(us) > 1 and upoly.coprime_image(us[0], us[1]):
+        if len(us) > 1 and modp.coprime_images(*(modp.image(u[::-1]) for u in us[:2])):
             return None
         G = upoly.gcd_many(us)
         if upoly.degree(G) < 1:
@@ -261,7 +190,7 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         rest = [p for p in polys if bp.deg_y(p) > 0]
         if len(rest) > 1:  # Res_y(a, b) lies in the ideal (a, b)
             a, b = sorted(rest, key=bp.deg_y)[:2]
-            if upoly.coprime_images(upoly.image(G), _projection(a, b)[1]):
+            if modp.coprime_images(modp.image(G[::-1]), _projection(a, b)[1]):
                 return None
         return _decide_fiber(upoly.squarefree_part(G), [_to_ypoly(p) for p in rest], depth + 1)
     if len(polys) == 1:
@@ -275,7 +204,7 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
     # share a factor (which makes Res_y(p, q) and its image zero); a lone
     # pair takes no image, as one projection proves nothing
     projs = [_projection(p, r) for r in polys[1:]] if others else [(None, [])]
-    if any(upoly.coprime_images(projs[0][1], img) for _, img in projs[1:]):
+    if any(modp.coprime_images(projs[0][1], img) for _, img in projs[1:]):
         return None
     h = bp.gcd(p, q)
     if not bp.is_const(h):
@@ -283,7 +212,7 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         if sub is not None:
             return sub
         return _decide_plane([bp.exact_div(p, h), bp.exact_div(q, h)] + others, depth + 1)
-    exact = (R if R is not None else _to_upoly_x(bp.resultant(p, r))
+    exact = (R if R is not None else bp.to_upoly_x(bp.resultant(p, r))
              for r, (R, _) in zip(polys[1:], projs))
     G = next(exact)  # not zero: p and q are coprime, of positive y-degree
     if upoly.degree(G) < 1:
@@ -292,7 +221,7 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
     # zero one (r shares a factor with p) leaves G as it is, since
     # gcd(G, 0) = G.  G against the first Res_y(p, r) was tried on images.
     for k, Rr in enumerate(exact):
-        if k and upoly.coprime_image(G, Rr):
+        if k and modp.coprime_images(modp.image(G[::-1]), modp.image(Rr[::-1])):
             return None
         G = upoly.gcd(G, Rr)
     return _decide_fiber(upoly.squarefree_part(G), [_to_ypoly(t) for t in polys], depth + 1)

@@ -210,7 +210,7 @@ def naive_product(pairs) -> bp.BiPoly:
 def reference_gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd of a and b over Z/p by the plain Euclid loop, every entry
     reduced after each step; a and b are residue lists, highest degree
-    first, not both zero.  The oracle for upoly._gcd_mod_p."""
+    first, not both zero.  The oracle for modp.gcd."""
     def trim(c):
         return c[next((k for k, v in enumerate(c) if v), len(c)):]
 

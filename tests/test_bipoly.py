@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysaddle import bipoly as bp
-from polysaddle import cli, remarkable
+from polysaddle import cli, modp, remarkable
 from polysaddle.field_ops import VectorField, is_hamiltonian
 from polysaddle.variety import variety_empty
 
@@ -396,13 +396,13 @@ def test_coprime_images_start_from_the_free_terms(monkeypatch):
     # the image at t = 0 is read off the terms free of the variable set to
     # t: at x = 0 for the first direction, at y = 0 for the swapped one
     seen = []
-    kernel = bp._gcd_mod_p
+    kernel = modp.gcd
 
     def recording(a, b, p=P61):
         seen.append((a, b))
         return kernel(a, b, p)
 
-    monkeypatch.setattr(bp, "_gcd_mod_p", recording)
+    monkeypatch.setattr(modp, "gcd", recording)
     # the y-coefficient 2 is a nonzero constant, so the y-contents are 1
     # and the x = 0 image alone proves the lines coprime
     assert bp.gcd(bp.parse("3*x + 2*y + 1"), bp.parse("x - 5*y + 7")) == bp.ONE
@@ -424,7 +424,7 @@ def test_gcd_takes_each_image_once(monkeypatch):
     # first interpolation points, and t only moves forward, across primes
     # too: no image (p, t) is taken twice in one call
     seen = []
-    images = bp._images
+    images = modp.images
     sig = inspect.signature(images)
 
     def recording(*args):
@@ -433,7 +433,7 @@ def test_gcd_takes_each_image_once(monkeypatch):
         seen.append((call.arguments["p"], call.arguments["t"]))
         return images(*args)
 
-    monkeypatch.setattr(bp, "_images", recording)
+    monkeypatch.setattr(modp, "images", recording)
     for f, g, want in [("(x + y)*(x - 1)", "(x + y)*(y + 2)", "x + y"),
                        ("(x - y^2)*(x + y + 2)", "(y - 1)*(x + y + 2)", "x + y + 2")]:
         seen.clear()
@@ -447,13 +447,13 @@ def test_gcd_keeps_a_prime_past_unlucky_points(monkeypatch):
     # second prime leaves the lift unchanged, so it is kept and takes
     # further points until x = 6 proves the pair coprime
     primes = []
-    images = bp._images
+    images = modp.images
 
     def recording(polys, t, dx, p):
         primes.append(p)
         return images(polys, t, dx, p)
 
-    monkeypatch.setattr(bp, "_images", recording)
+    monkeypatch.setattr(modp, "images", recording)
     f, g = bp.parse("y + 1"), bp.parse("y + 1 - x*(x - 1)*(x - 2)*(x - 3)*(x - 4)*(x - 5)")
     assert bp.gcd(f, g) == bp.ONE
     assert len(set(primes)) <= 2, primes
@@ -461,7 +461,7 @@ def test_gcd_keeps_a_prime_past_unlucky_points(monkeypatch):
 
 def test_primes_descend_from_the_mersenne_prime():
     # the modular gcd's primes: 2^61 - 1, then each next prime below
-    assert [(1 << 61) - bp._prime(k) for k in range(6)] == [1, 31, 45, 229, 259, 283]
+    assert [(1 << 61) - modp.prime(k) for k in range(6)] == [1, 31, 45, 229, 259, 283]
 
 
 @pytest.mark.parametrize("f, g, want", [

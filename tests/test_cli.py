@@ -805,7 +805,7 @@ def test_commands_leave_mpmath_unloaded():
 
 SRC = os.path.join(ROOT, "src", "polysaddle")
 EVERY_MODULE = {f[:-3] for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py"}
-CONSTRUCTION = {"bipoly", "cli", "field_ops", "linearize", "upoly"}
+CONSTRUCTION = {"bipoly", "cli", "field_ops", "linearize", "modp", "upoly"}
 
 
 @pytest.mark.parametrize("command, adds", [

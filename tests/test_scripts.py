@@ -15,7 +15,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 # command-line arguments of a script that takes some: the scale ladder at
 # a tiny size, one CLI process per call
-ARGV = {"scale_ladder.py": ["--family", "wide,small,dense,powers", "--sizes", "3",
+ARGV = {"scale_ladder.py": ["--family", "wide,small,dense,powers,circles", "--sizes", "3",
                             "--commands", "construct,cz", "--cap", "60"]}
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polysaddle import arith
+from polysaddle import arith, modp
 from polysaddle import upoly as up
 
 from conftest import reference_gcd_mod_p, upoly_divides
@@ -74,32 +74,37 @@ def test_gcd_common_factor_property(a, b, c):
         assert upoly_divides(c, g)
 
 
+def coprime_image(f, g):
+    """Whether one image mod modp.PRIME proves gcd(f, g) constant."""
+    return modp.coprime_images(modp.image(f[::-1]), modp.image(g[::-1]))
+
+
 @given(upolys(4), upolys(4), upolys(2))
 @settings(max_examples=200)
 def test_coprime_image_is_a_proof(a, b, c):
     for f, g in ((a, b), (up.mul(a, c), up.mul(b, c))):
-        if up.coprime_image(f, g):
+        if coprime_image(f, g):
             assert up.degree(up.gcd(f, g)) == 0
 
 
 def test_coprime_image_traps():
-    P = up._PRIME
+    P = modp.PRIME
     D = up.make([1, P])  # P*t + 1 reduces to the constant 1 mod P
     # both leading coefficients vanish mod P and the images t + 1, t + 2
     # are coprime, but D divides both: the image proves nothing
     f, g = up.mul(D, up.make([1, 1])), up.mul(D, up.make([2, 1]))
-    assert not up.coprime_image(f, g) and up.gcd(f, g) == up.monic(D)
+    assert not coprime_image(f, g) and up.gcd(f, g) == up.monic(D)
     f, g = up.make([Fraction(1, 3), P]), up.make([Fraction(2, 3), 2 * P])
-    assert not up.coprime_image(f, g) and up.degree(up.gcd(f, g)) == 1
+    assert not coprime_image(f, g) and up.degree(up.gcd(f, g)) == 1
     # t and t + P share the image t, so only the exact gcd shows them coprime
     for f in (up.make([0, 1]), up.make([0, Fraction(1, 7)])):
         g = up.make([P, 1])
-        assert not up.coprime_image(f, g) and up.gcd(f, g) == up.ONE
+        assert not coprime_image(f, g) and up.gcd(f, g) == up.ONE
     # one surviving leading coefficient is enough for a constant image
-    assert up.coprime_image(up.make([1, 1]), up.make([1, P]))
-    assert up.coprime_image(up.make([Fraction(1, 2), Fraction(1, 3)]), up.make([2, 1]))
-    assert not up.coprime_image(up.make([1, 1]), up.make([1, 1]))
-    assert not up.coprime_image((), up.ONE) and not up.coprime_image((), ())
+    assert coprime_image(up.make([1, 1]), up.make([1, P]))
+    assert coprime_image(up.make([Fraction(1, 2), Fraction(1, 3)]), up.make([2, 1]))
+    assert not coprime_image(up.make([1, 1]), up.make([1, 1]))
+    assert not coprime_image((), up.ONE) and not coprime_image((), ())
 
 
 def _mul_mod(a, b, p):
@@ -114,7 +119,7 @@ def test_gcd_mod_p_matches_euclid():
     # the kernel, with its degree-1 determinant and deferred reductions,
     # against the plain Euclid loop it replaced: the same gcd up to a
     # nonzero scalar
-    P = up._PRIME
+    P = modp.PRIME
     rng = random.Random("gcd-degree-mod-p")
 
     def draw(n):
@@ -149,9 +154,9 @@ def test_gcd_mod_p_matches_euclid():
     degrees = set()
     for a, b in pairs:
         want = reference_gcd_mod_p(a, b, P)
-        assert monic(up._gcd_mod_p(a, b)) == monic(up._gcd_mod_p(b, a)) == want, (a, b)
+        assert monic(modp.gcd(a, b)) == monic(modp.gcd(b, a)) == want, (a, b)
         degrees.add(len(want) - 1)
-    assert monic(up._gcd_mod_p(*trap)) == [1, 2]
+    assert monic(modp.gcd(*trap)) == [1, 2]
     assert {0, 1, 2, 3} <= degrees
 
 

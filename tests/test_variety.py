@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import evaluate, random_line, random_rat
-from polysaddle import bipoly as bp, upoly as up, variety
+from polysaddle import bipoly as bp, modp, upoly as up, variety
 from polysaddle.variety import variety_empty
 
 
@@ -74,7 +74,7 @@ def test_y_free_pair():
     assert x0 == 1
 
 
-P = up._PRIME
+P = modp.PRIME
 
 
 @pytest.mark.parametrize("polys,witness", [
@@ -134,7 +134,7 @@ def _exact_image(f, g):
     exact resultant."""
     scale = (Fraction(bp._numerators(f)[1]) ** bp.deg_y(g)
              * Fraction(bp._numerators(g)[1]) ** bp.deg_y(f))
-    R = [Fraction(c) * scale for c in variety._to_upoly_x(bp.resultant(f, g))]
+    R = [Fraction(c) * scale for c in bp.to_upoly_x(bp.resultant(f, g))]
     assert all(c.denominator == 1 for c in R)
     return [int(c) % P for c in reversed(R)]
 
@@ -152,7 +152,7 @@ def test_resultant_image_is_the_exact_resultant_mod_p():
             f = {e: c / rng.randint(1, 4) for e, c in f.items()}
         if bp.deg_y(f) < 2 or bp.deg_y(g) < 2:
             continue
-        img, want = variety._resultant_image(f, g), _exact_image(f, g)
+        img, want = modp.resultant_image(f, g), _exact_image(f, g)
         assert len(img) == bp.total_degree(f) * bp.total_degree(g) + 1
         assert img == [0] * (len(img) - len(want)) + want
         reached += bool(img[0])
@@ -163,14 +163,14 @@ def test_resultant_image_traps():
     # x = 1 is skipped, where lc_y = x + P - 1 vanishes mod P; the image
     # still reaches its bound 6
     f, g = bp.parse(f"(x + {P} - 1)*y^2 + y + x"), bp.parse("y^2 + x^2 + 1")
-    assert variety._resultant_image(f, g) == _exact_image(f, g) and _exact_image(f, g)[0]
+    assert modp.resultant_image(f, g) == _exact_image(f, g) and _exact_image(f, g)[0]
     # lc_y(Res) = P^2: the image stops below its bound 4, so against
     # another such image, of (P x + 1)^2 (x + 2)^2, it proves nothing
     f, g = bp.parse("y^2"), bp.parse(f"y^2 + ({P}*x + 1)*(x + 1)")
-    img = variety._resultant_image(f, g)
-    assert img == [0, 0, 1, 2, 1] and not up.coprime_images(img, [0, 0, 1, 4, 4])
+    img = modp.resultant_image(f, g)
+    assert img == [0, 0, 1, 2, 1] and not modp.coprime_images(img, [0, 0, 1, 4, 4])
     # lc_y = P vanishes mod P at every point: no image
-    assert variety._resultant_image(bp.parse(f"{P}*y^2 + x*y + 1"), bp.parse("y^2 + x")) == []
+    assert modp.resultant_image(bp.parse(f"{P}*y^2 + x*y + 1"), bp.parse("y^2 + x")) == []
 
 
 CIRCLE_WITNESS = (
@@ -268,7 +268,7 @@ def _reference_plane(polys, depth=0):
         return None
     yfree = [p for p in polys if bp.deg_y(p) == 0]
     if yfree:
-        G = up.gcd_many([variety._to_upoly_x(p) for p in yfree])
+        G = up.gcd_many([bp.to_upoly_x(p) for p in yfree])
         if up.degree(G) < 1:
             return None
         rest = [variety._to_ypoly(p) for p in polys if bp.deg_y(p) > 0]
@@ -286,7 +286,7 @@ def _reference_plane(polys, depth=0):
     R = bp.resultant(p, q)
     if bp.is_const(R):
         return None
-    F = up.squarefree_part(variety._to_upoly_x(R))
+    F = up.squarefree_part(bp.to_upoly_x(R))
     return variety._decide_fiber(F, [variety._to_ypoly(t) for t in [p, q] + others], depth + 1)
 
 
