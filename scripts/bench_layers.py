@@ -36,6 +36,11 @@ runs outside the timed calls:
   cannot see import cost nor which modules a command loads.  The
   interpreter inherits the worker's environment, so
   PYTHONDONTWRITEBYTECODE decides whether it may use bytecode caches.
+- cli-<command>: cli.main on STARTUP_PROBLEM with --format json, in the
+  worker's process, standard output captured: the per-call cost that
+  start-up does not include (argparse, loading, the command, the
+  report); the exit code its startup- case expects, and a report that
+  parses as JSON and names the command.
 - parse-, load-: bipoly.parse and cli.load_problem; the terms, in order,
   of reference_parse in tests/conftest.py.
 - upoly-: upoly.gcd, squarefree_part, rem, xgcd and rational_roots; the
@@ -68,7 +73,9 @@ the first tree in the typical round.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -758,6 +765,7 @@ def cases(only: str = "") -> list[tuple[str, str, object, object, object]]:
              "import sys; from polysaddle import cli; "
              f"sys.exit(cli.main([{cmd!r}, {STARTUP_PROBLEM!r}, '--format', 'json']))",
              "pass", code) for cmd, code in STARTUP_EXITS.items()]
+    out += [(f"cli-{cmd}", "cli", cmd, None, code) for cmd, code in STARTUP_EXITS.items()]
     out += _load_cases()
     out += _upoly_cases(rng)  # drawn after every case above, which keep their operands
     out += _isolate_cases(rng)  # drawn last, likewise
@@ -851,6 +859,13 @@ def prepare(only: str, tmp: str) -> dict:
     def terms(src):
         return list(reference_parse(src).items())
 
+    def cli_main(argv):
+        """The exit code and standard output of cli.main(argv)."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return code, out.getvalue()
+
     def check(name, op, f, g, planted, reference) -> tuple:
         """(ok, timers) of one case."""
         if op == "mul":
@@ -887,6 +902,11 @@ def prepare(only: str, tmp: str) -> dict:
         if op == "startup":
             return (_interpreter(f) == planted and _interpreter(g) == 0,
                     {"us": lambda: _interpreter(f), "baseline_us": lambda: _interpreter(g)})
+        if op == "cli":
+            argv = [f, os.path.join(HERE, "..", STARTUP_PROBLEM), "--format", "json"]
+            code, report = cli_main(argv)
+            return (code == planted and json.loads(report)["command"] == f,
+                    {"us": lambda: cli_main(argv)})
         if op == "parse":
             return list(bp.parse(f).items()) == terms(f), {"us": lambda: bp.parse(f)}
         if op == "load":
@@ -992,6 +1012,8 @@ def _describe(op: str, f, g) -> dict:
     """What the JSON records of a case's operands."""
     if op == "startup":
         return {"op": op, "code": f}
+    if op == "cli":
+        return {"op": op, "command": f}
     if op == "parse":
         return {"op": op, "source": f}
     if op == "load":

@@ -44,8 +44,8 @@ y-coefficients f_k, by Horner.  When both y-degrees are at least 2 it
 comes from a subresultant polynomial remainder sequence over Q[x][y]:
 its last, y-free remainder is the resultant up to a power of the last
 scale factor (Brown & Traub, J. ACM 18, 1971).  Every intermediate
-value stays exact.  The parser reads tokens off one regular expression
-and multiplies monomials without mul.
+value stays exact.  The parser reads tokens off one regular expression,
+sums in place, and multiplies and raises monomials without mul.
 """
 
 from __future__ import annotations
@@ -771,7 +771,7 @@ _TOKEN = re.compile(r"\d+|\S")
 class _Parser:
     """Recursive descent over the tokens: runs of decimal digits, single
     other characters that are not white space, and "" at the end.  Two
-    single-term factors are multiplied here, without mul."""
+    single-term factors, or one and its power, are formed without mul."""
 
     def __init__(self, src: str):
         self.src = src
@@ -816,10 +816,13 @@ class _Parser:
         return num
 
     def expr(self) -> BiPoly:
-        acc = self.term()
+        acc = dict(self.term())  # summed in place, so never a shared constant such as ONE
         while (tok := self.toks[self.k]) in ("+", "-"):
             self.k += 1
-            acc = (add if tok == "+" else sub)(acc, self.term())
+            for e, c in self.term().items():  # in the order add and sub leave
+                acc[e] = acc.get(e, 0) + (c if tok == "+" else -c)
+                if not acc[e]:
+                    del acc[e]
         return acc
 
     def term(self) -> BiPoly:
@@ -856,6 +859,9 @@ class _Parser:
             if n > MAX_TOTAL_DEGREE or total_degree(b) * n > MAX_TOTAL_DEGREE:
                 self.fail(f"power ^{n} exceeds the total-degree budget of {MAX_TOTAL_DEGREE}",
                           self.k - 1)
+            if len(b) == 1 and n:
+                ((i, j), c), = b.items()
+                return {(i * n, j * n): c**n}
             return power(b, n)
         return b
 

@@ -25,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _esc
 
 from . import bipoly as bp
 from . import upoly
@@ -153,17 +154,11 @@ def _cd(r: CheckResult) -> dict:
 
 
 def _statuses(obj) -> list[str]:
-    found = []
+    """Every string under a "status" key, depth first; leaves are not visited."""
     if isinstance(obj, dict):
         s = obj.get("status")
-        if isinstance(s, str):
-            found.append(s)
-        for v in obj.values():
-            found.extend(_statuses(v))
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            found.extend(_statuses(v))
-    return found
+        return ([s] if isinstance(s, str) else []) + _statuses(list(obj.values()))
+    return [s for v in obj if isinstance(v, (dict, list, tuple)) for s in _statuses(v)]
 
 
 def _exit_code(results: dict, strict: bool) -> int:
@@ -185,8 +180,9 @@ def cmd_construct(spec: ProblemSpec) -> dict:
     coprime = (bp.holds("gcd(P, Q) is constant") if bp.total_degree(g) == 0
                else bp.fails(bp.to_string(g), "P and Q share a factor"))
     out = {
-        "field": {"P": bp.to_string(X0.P), "Q": bp.to_string(X0.Q)},
-        "reduced_field": {"P": bp.to_string(Xr.P), "Q": bp.to_string(Xr.Q)},
+        # reduce_field returns X0 itself when g is constant
+        "field": (field := {"P": bp.to_string(X0.P), "Q": bp.to_string(X0.Q)}),
+        "reduced_field": field if Xr is X0 else {"P": bp.to_string(Xr.P), "Q": bp.to_string(Xr.Q)},
         "common_factor": bp.to_string(g),
         "degree_m": X0.degree,
         "factor_degree_sum_minus_1": sum(bp.total_degree(u) for u, _ in F.factors) - 1,
@@ -312,10 +308,10 @@ def cmd_simulate(spec: ProblemSpec, args) -> dict:
     from . import numcheck  # loaded on first use (module docstring)
 
     _check_orbit_args(args)
-    # the drift and the CSV evaluate H from its factors; it is never expanded
-    H = spec.integral.factors
     orbit = numcheck.integrate_orbit(spec.field, args.x0, args.y0, args.step, args.steps)
-    drift = numcheck.conservation_drift(H, orbit)
+    # H on the orbit from its factors (never expanded), once for the drift and the CSV
+    hs = numcheck._values(spec.integral.factors, orbit.points)
+    drift = numcheck._drift(hs)
     out = {
         "x0": args.x0,
         "y0": args.y0,
@@ -328,7 +324,7 @@ def cmd_simulate(spec: ProblemSpec, args) -> dict:
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(numcheck.to_csv(orbit, H))
+                fh.write(numcheck._csv(orbit, hs))
         except OSError as e:
             raise ProblemError(f"cannot write {args.csv}: {e}") from e
         out["csv"] = args.csv
@@ -345,6 +341,40 @@ def cmd_all(spec: ProblemSpec, args) -> dict:
         out["linearize"] = {"skipped": "needs at least two factors"}
     out["simulate"] = cmd_simulate(spec, args)
     return out
+
+
+def _json(report: dict) -> str:
+    """json.dumps(report, sort_keys=True, indent=2), byte for byte: with an
+    indent, json.dumps runs its pure-Python encoder (CPython 3.10, 3.11)."""
+    _write(report, "\n", (out := []).append)
+    return "".join(out)
+
+
+def _write(v, nl: str, put) -> None:
+    """put() the JSON of v in pieces; nl is the newline and indent of v's line."""
+    if isinstance(v, str):
+        put(_esc(v))
+    elif isinstance(v, dict):
+        inner, sep = nl + "  ", "{"
+        for k in sorted(v):
+            put(f"{sep}{inner}{_esc(k)}: ")
+            _write(v[k], inner, put)
+            sep = ","
+        put(nl + "}" if v else "{}")
+    elif isinstance(v, (list, tuple)):
+        inner, sep = nl + "  ", "["
+        for x in v:
+            put(sep + inner)
+            _write(x, inner, put)
+            sep = ","
+        put(nl + "]" if v else "[]")
+    elif v is None or v is True or v is False:
+        put("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        put(int.__repr__(v))
+    else:  # float.__repr__ raises TypeError on anything but a float
+        r = float.__repr__(v)
+        put({"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(r, r))
 
 
 def _render_text(obj, indent: int = 0) -> list[str]:
@@ -439,7 +469,7 @@ def main(argv=None) -> int:
     report = {"schema_version": "1", "name": spec.name,
               "command": args.command, "results": results}
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json(report))
     else:
         print(f"problem: {spec.name}")
         print(f"command: {args.command}")

@@ -21,8 +21,8 @@ by G (P, Q) = F.field; the time rescale d(tau) = (D/G) dt is recorded
 symbolically and is valid off the zero sets of D and G.
 
 Two things are checked at run time: D is not identically zero, and the
-exact quotient G exists, cross-checked on both components.  The rest is
-algebra.  With G (P, Q) = F.field,
+exact quotient G exists (for F.field.reduced[0], reduce_field's exact
+divisions found it).  The rest is algebra.  With G (P, Q) = F.field,
 
     G (K1 P + K2 Q) = K1 (K4 W + K2 u_p) - K2 (K1 u_p + K3 W) =  D W,
     G (K3 P + K4 Q) = K3 (K4 W + K2 u_p) - K4 (K1 u_p + K3 W) = -D u_p,
@@ -127,12 +127,14 @@ def linearize(F: FactoredIntegral, X: VectorField) -> LinearizationCertificate:
     """
     if F.p < 2:
         raise SplitError("linearize needs at least two factors")
-    if not is_coprime(X):
-        raise SplitError("linearize requires a coprime field")
-    try:
-        G = quotient_multiplier(F.field, X)
-    except bp.ExactDivisionError:
-        raise bp.ExactDivisionError(_lie_of_integral(F, X)) from None
+    Xr, G = vars(F.field).get("reduced", (None, None))  # built if X came from it
+    if X is not Xr:  # else reduce_field's exact divisions proved F.field = G X
+        if not is_coprime(X):
+            raise SplitError("linearize requires a coprime field")
+        try:
+            G = quotient_multiplier(F.field, X)
+        except bp.ExactDivisionError:
+            raise bp.ExactDivisionError(_lie_of_integral(F, X)) from None
     K1, K2, K3, K4 = k_matrix(F)
     D = bp.sub(bp.mul(K1, K4), bp.mul(K2, K3))
     if bp.is_zero(D):

@@ -260,7 +260,11 @@ def conservation_drift(H: BiPoly | Sequence[tuple[BiPoly, int]],
     """max over the orbit of |H(x,y) - H(x0,y0)| / max(1, |H(x0,y0)|), or
     None when that is not a finite number: H overflowed on the orbit.  H
     is a BiPoly or its factors (u_i, k_i); see _values."""
-    hs = _values(H, orbit.points)
+    return _drift(_values(H, orbit.points))
+
+
+def _drift(hs: list[float]) -> float | None:
+    """conservation_drift from the values hs of H along the orbit."""
     h0 = hs[0]
     scale = max(1.0, abs(h0))
     gaps = [abs(v - h0) for v in hs]
@@ -272,7 +276,12 @@ def conservation_drift(H: BiPoly | Sequence[tuple[BiPoly, int]],
 def to_csv(orbit: Orbit, H: BiPoly | Sequence[tuple[BiPoly, int]]) -> str:
     """CSV with header t,x,y,H; one row per orbit point.  H is a BiPoly or
     its factors (u_i, k_i); see _values."""
+    return _csv(orbit, _values(H, orbit.points))
+
+
+def _csv(orbit: Orbit, hs: list[float]) -> str:
+    """to_csv from the values hs of H along the orbit."""
     lines = ["t,x,y,H"]
-    for i, ((x, y), v) in enumerate(zip(orbit.points, _values(H, orbit.points))):
+    for i, ((x, y), v) in enumerate(zip(orbit.points, hs)):
         lines.append(f"{i * orbit.step!r},{x!r},{y!r},{v!r}")
     return "\n".join(lines) + "\n"

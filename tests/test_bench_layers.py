@@ -55,6 +55,15 @@ def test_startup_case_times_fresh_interpreters(monkeypatch):
         assert row["us"] > 0 and row["baseline_us"] > 0
 
 
+def test_cli_cases_run_each_command_in_process():
+    # each exits as its startup- case expects and prints a JSON report
+    # that names its command
+    rows = runpy.run_path(SCRIPT)["worker"]("^cli-")
+    assert set(rows) == {f"cli-{cmd}" for cmd in
+                         ("construct", "analyze", "cz", "linearize", "simulate", "all")}
+    assert all(row["ok"] and row["us"] > 0 for row in rows.values())
+
+
 def test_parse_and_load_cases_match_the_reference_parser():
     rows = runpy.run_path(SCRIPT)["worker"]("^(parse-|load-)")
     assert set(rows) == {"parse-line", "parse-conic", "load-lines-4"}

@@ -112,6 +112,58 @@ def test_parse_matches_reference_parser(src):
     assert _parse_outcome(bp.parse, src) == _parse_outcome(reference_parse, src)
 
 
+_CONSTANTS = {"ZERO": {}, "ONE": {(0, 0): 1}, "X": {(1, 0): 1}, "Y": {(0, 1): 1}}
+
+
+def _parse_in_place_outcome(src):
+    """_parse_outcome of bp.parse, after which the module's shared
+    constants must hold their values: the parser sums into a dict of its
+    own, and power(b, 0) returns ONE itself."""
+    got = _parse_outcome(bp.parse, src)
+    assert {name: getattr(bp, name) for name in _CONSTANTS} == _CONSTANTS, src
+    return got
+
+
+def _valid_expressions():
+    """Expressions of the grammar, built from the inside out: naturals,
+    rationals and variables; sums, differences, sums that cancel, unary
+    minus, products; ^0 and ^1 of anything, powers of monomials up to the
+    degree budget, and small powers of parenthesized sums."""
+    rational = st.tuples(st.integers(0, 99), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}")
+    monomial = st.tuples(st.integers(0, 120), st.integers(0, 80)).map(
+        lambda e: f"x^{e[0]}*y^{e[1]}")
+    atoms = st.one_of(st.sampled_from(["x", "y", "0", "1", "2"]), st.integers(0, 10**6).map(str),
+                      rational, monomial)
+
+    def grow(inner):
+        paren = inner.map(lambda s: f"({s})")
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " - ", "+", "-"]), inner).map("".join),
+            inner.map(lambda s: f"{s} - ({s})"),
+            inner.map(lambda s: f"-{s}"),
+            st.tuples(inner, st.sampled_from(["*", " * "]), inner).map("".join),
+            st.tuples(st.one_of(paren, st.sampled_from(["x", "y", "2", "1/3"])),
+                      st.sampled_from(["0", "1", "2", "3"])).map("^".join),
+            st.tuples(st.sampled_from(["x", "y", "3/2*x*y", "-x"]), st.integers(0, 200)).map(
+                lambda t: f"({t[0]})^{t[1]}"),
+            paren)
+    return st.recursive(atoms, grow, max_leaves=8)
+
+
+@given(_valid_expressions())
+@settings(max_examples=500, deadline=None)
+def test_parse_of_valid_expressions_matches_reference_parser(src):
+    assert _parse_in_place_outcome(src) == _parse_outcome(reference_parse, src)
+
+
+@pytest.mark.parametrize("src", ["(x + 1)^0 + y", "((x + 1)^0) - y", "x^0 + y", "(x)^1 + 1",
+                                 "(2*x)^3 + x^3", "(x - x)^0 + x"])
+def test_parse_leaves_shared_constants_alone(src):
+    # a sum that started from the dict its first term returned would add
+    # into bp.ONE, which power(b, 0) returns: "(x + 1)^0 + y" made it 1 + y
+    assert _parse_in_place_outcome(src) == _parse_outcome(reference_parse, src)
+
+
 @pytest.mark.parametrize("src, want", [
     # the column just after the operator, white space included
     ("x * y^200", "product exceeds the total-degree budget of 200 (column 4)"),

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -9,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysaddle import cli
 from polysaddle import bipoly as bp
@@ -291,10 +294,11 @@ def test_pivot_reuses_expansion(capsys, monkeypatch, command, pivot, code, gcds,
                                            ("analyze", []), ("linearize", [])])
 @pytest.mark.parametrize("field", [None, {"p": "1", "q": "x"}], ids=["constructed", "wrong"])
 def test_multiplier_computed_once(capsys, tmp_path, monkeypatch, command, pivot, field):
-    # only linearize takes the quotient G with G X = F.field, once, also
-    # when a given field has none; the single-critical-value criterion
-    # compares X with the reduced constructed field instead, so every
-    # command takes G at most once per problem
+    # only linearize takes the quotient G with G X = F.field, once, for a
+    # given field, also when it has none; the reduced constructed field
+    # takes G from its reduction, so no quotient at all; the
+    # single-critical-value criterion compares X with the reduced
+    # constructed field instead, so every command takes G at most once
     doc = json.loads(open(problem("twin_parabolas.json")).read())
     if field:
         doc["field"] = field
@@ -313,7 +317,7 @@ def test_multiplier_computed_once(capsys, tmp_path, monkeypatch, command, pivot,
             monkeypatch.setattr(module, "quotient_multiplier", counted)
     code, out = run(capsys, command, path, *pivot)
     assert code in (0, 1), out
-    assert len(calls) == (0 if command == "analyze" else 1)
+    assert len(calls) == (0 if command == "analyze" or not field else 1)
     if field and command != "analyze":
         assert "nonzero remainder" in out
 
@@ -429,6 +433,23 @@ def test_simulate_csv(capsys, tmp_path):
     lines = dest.read_text().splitlines()
     assert lines[0] == "t,x,y,H"
     assert len(lines) == 7
+
+
+def test_simulate_csv_evaluates_h_once(capsys, tmp_path, monkeypatch):
+    # the drift and the CSV share one evaluation of H along the orbit
+    numcheck = importlib.import_module("polysaddle.numcheck")
+    calls = []
+    inner = numcheck._values
+
+    def counted(H, points):
+        calls.append(len(points))
+        return inner(H, points)
+
+    monkeypatch.setattr(numcheck, "_values", counted)
+    code, _ = run(capsys, "simulate", problem("three_lines.json"), "--steps", "50",
+                  "--csv", str(tmp_path / "orbit.csv"))
+    assert code == 0
+    assert calls == [51]
 
 
 def test_simulate_bad_steps_exit_2(capsys):
@@ -694,6 +715,33 @@ def test_json_byte_identical(capsys):
     _, a = run(capsys, "all", problem("twin_parabolas.json"), "--format", "json")
     _, b = run(capsys, "all", problem("twin_parabolas.json"), "--format", "json")
     assert a == b
+
+
+_json_leaves = st.one_of(
+    st.text(st.characters(blacklist_categories=()), max_size=8),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "\ud800"]),
+    st.integers(), st.integers(-10**60, 10**60), st.booleans(), st.none(),
+    st.floats(), st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf]))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_json_values)
+@settings(max_examples=500, deadline=None)
+def test_report_writer_matches_json_dumps(v):
+    assert cli._json(v) == json.dumps(v, sort_keys=True, indent=2)
+
+
+def test_reports_are_not_written_by_json_dumps(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    code, out = run(capsys, "all", problem("twin_parabolas.json"), "--format", "json")
+    assert json.loads(out)["command"] == "all" and code == 1
 
 
 GOLDEN = os.path.join(HERE, "golden")
