@@ -1,6 +1,6 @@
 """Scale ladder: the wall time of one CLI process per call on growing inputs.
 
-Five families of problems, all but powers drawn from a fixed seed:
+Six families of problems, all but powers drawn from a fixed seed:
 
 - wide-<p>: p lines a x + b y + c drawn by `_wide_lines` of
   scripts/bench_layers.py from Random("wide:<p>"): integers a, b, c
@@ -13,6 +13,12 @@ Five families of problems, all but powers drawn from a fixed seed:
   coefficients uniform in -5..5 (`_curve` of scripts/bench_layers.py,
   both drawn from Random(d)), each divided by the gcd of its
   coefficients, with exponents 1 and 2;
+- dense-sing-<d>: the dense-<d> pair with the monomials 1, x and y
+  dropped from the first curve, which makes it singular at the origin,
+  and the second curve's constant term set to 1; `cz` Fails condition
+  (i) there with the witness (0, 0), by the exact route of
+  variety_empty, whose gcd in Q[x] takes two resultants of degree 56
+  at d = 8;
 - powers-<k>: (x + y + 1)^k (x - y)^k, an integral of degree 2k whose
   expanded form cancels catastrophically in floats;
 - circles-<p>: p distinct circles x^2 + y^2 + a x + b y + c, integers a,
@@ -54,9 +60,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 from bench_layers import _curve, _random_lines, _wide_lines, src_trees  # noqa: E402
 
-FAMILIES = ("wide", "small", "dense", "powers", "circles")
+FAMILIES = ("wide", "small", "dense", "dense-sing", "powers", "circles")
 SIZES = {"wide": (20, 40, 60, 100, 150, 199), "small": (20, 40, 60, 100, 150, 199),
-         "dense": (6, 8, 12, 16, 20), "powers": (25, 50, 100), "circles": (4, 8, 16)}
+         "dense": (6, 8, 12, 16, 20), "dense-sing": (6, 8, 12, 16),
+         "powers": (25, 50, 100), "circles": (4, 8, 16)}
 COMMANDS = ("construct", "analyze", "cz", "linearize", "simulate")
 RUN = "import sys; from polysaddle import cli; sys.exit(cli.main(sys.argv[1:]))"
 
@@ -87,10 +94,13 @@ def problem(family: str, size: int) -> dict:
         return {"name": f"powers-{size}",
                 "factors": [{"poly": "x + y + 1", "exponent": size},
                             {"poly": "x - y", "exponent": size}]}
-    if family == "dense":
+    if family in ("dense", "dense-sing"):
         rng = random.Random(size)
         curves = [_curve(rng, size), _curve(rng, size)]
         polys = [{e: c // math.gcd(*u.values()) for e, c in u.items()} for u in curves]
+        if family == "dense-sing":
+            polys = [{e: c for e, c in polys[0].items() if e not in ((0, 0), (1, 0), (0, 1))},
+                     {**polys[1], (0, 0): 1}]
     elif family == "circles":
         polys = _circles(random.Random(f"circles:{size}"), size)
     else:
@@ -167,7 +177,7 @@ def main(argv=None) -> int:
                     row = {"case": doc["name"], "command": cmd,
                            **{label: got[label] for label in labels}}
                     rows.append(row)
-                    print(doc["name"].ljust(12) + cmd.ljust(11)
+                    print(doc["name"].ljust(11) + " " + cmd.ljust(11)
                           + "".join(_cell(row[label]).ljust(18) for label in labels), flush=True)
     if args.out:
         doc = {"benchmark": "scripts/scale_ladder.py",

@@ -33,10 +33,10 @@ mod primes below 2^61, Newton interpolation in x, the CRT across primes,
 and exact trial division, which proves the result.  An image gcd of
 y-degree 0 proves at once that no common factor has positive y-degree,
 so a coprime pair most often ends at its first image mod 2^61 - 1, and
-at one more at y = t unless a y-coefficient of either is a nonzero
-constant; two images of degree 1 are decided by one 2x2 determinant.  A
-failed trial division at unlucky points keeps its prime and takes
-further points there.
+then at the gcd in Q[x] of its y-coefficients unless one is constant;
+upoly.gcd runs this routine too.  Two images of degree 1 are decided by
+one 2x2 determinant.  A failed trial division at unlucky points keeps
+its prime and takes further points there.
 
 A resultant with respect to y against an operand linear in y, b1 y + b0,
 is the closed form sum_k f_k b0^k (-b1)^(m-k) over the other operand's
@@ -527,10 +527,8 @@ def _unit_content_y(f: BiPoly) -> bool:
     return len({j for i, j in f if i}) < len({j for _, j in f})
 
 
-def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
+def _gcd_modular(f: BiPoly, g: BiPoly) -> BiPoly:
     """gcd(f, g) for nonconstant f and g, by Brown's modular algorithm.
-    With coprime_x, f and g are known to share no factor of positive
-    x-degree.
 
     F and G are the primitive integer multiples of f and g, D their gcd
     made primitive in y.  The images are those of den(f) f and den(g) g,
@@ -545,11 +543,8 @@ def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
     At any other t, D(t, y) keeps its y-degree, since lc_y D divides both
     leading coefficients by Gauss's lemma, and it divides both images, so
     their gcd has at least that degree.  A constant image gcd thus proves
-    D = 1, and the call ends there.  What may remain of the gcd lies in
-    Q[x]: it is 1 when coprime_x holds or a y-coefficient of f or g is a
-    nonzero constant (_unit_content_y), and otherwise this routine finds
-    it on the pair with x and y exchanged, or proves it 1 at its first
-    image there.
+    D = 1, and what remains is the gcd in Q[x] of all the y-coefficients
+    of both, 1 when one is a nonzero constant (_unit_content_y).
 
     Otherwise the images go on to the interpolation.  With gamma =
     k gcd(lc_y F, lc_y G) in Z[x], k the gcd of the integer contents of
@@ -606,9 +601,9 @@ def _gcd_modular(f: BiPoly, g: BiPoly, coprime_x: bool = False) -> BiPoly:
                 continue
             h = modp.gcd(a, b, p)
             if len(h) == 1:  # D = 1
-                if coprime_x or _unit_content_y(f) or _unit_content_y(g):
+                if _unit_content_y(f) or _unit_content_y(g):
                     return ONE
-                return swap_vars(_gcd_modular(swap_vars(f), swap_vars(g), True))
+                return normalize(from_upoly_x(upoly.gcd_many(coeffs_wrt_y(f) + coeffs_wrt_y(g))))
             if gamma is None:
                 F, G = normalize(f), normalize(g)
                 cf, cg = coeffs_wrt_y(F), coeffs_wrt_y(G)

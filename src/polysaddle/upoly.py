@@ -4,6 +4,7 @@ A polynomial is a tuple of coefficients, lowest degree first, with no
 trailing zeros.  The zero polynomial is the empty tuple.  This layer backs
 rational root finding, square-free decomposition and the
 content/primitive-part splitting used by the bivariate ring.
+Past its exits gcd is bipoly's modular gcd; Euclid is left in xgcd.
 
 One coefficient rule holds in both rings, here and in bipoly: a
 coefficient is an int where its value is an integer and a Fraction only
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # coefficients are int or Fraction, never float (module docstring)
 UPoly = tuple[int | Fraction, ...]
@@ -152,11 +153,24 @@ def monic(f: UPoly) -> UPoly:
 
 
 def gcd(f: UPoly, g: UPoly) -> UPoly:
-    """Monic gcd in Q[t]; gcd(0, 0) = 0."""
-    a, b = f, g
-    while b:
-        a, b = b, rem(a, b)
-    return monic(a)
+    """Monic gcd in Q[t]; gcd(0, 0) = 0.  Zero and constant operands end
+    the call, and so does a + b t: it divides g iff g(-a/b) = 0.  Other
+    pairs go to bipoly.gcd in y alone, which asks this gcd only about
+    their y-coefficients, constants, so the calls nest two deep."""
+    if len(f) > len(g):
+        f, g = g, f
+    if not f:
+        return monic(g)
+    if len(f) == 1:
+        return ONE
+    if len(f) == 2:  # b^n g(-a/b) for f = a + b t and n = deg g, in ints for ints
+        v = sum(c * (-f[0]) ** i * f[1] ** (len(g) - 1 - i) for i, c in enumerate(g))
+        return ONE if v else monic(f)
+    from . import bipoly
+    h = bipoly.gcd(bipoly.from_upoly_y(f), bipoly.from_upoly_y(g))
+    if h == bipoly.ONE:
+        return ONE
+    return monic(make([h.get((0, j), 0) for j in range(bipoly.deg_y(h) + 1)]))
 
 
 def xgcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
@@ -175,13 +189,13 @@ def xgcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
     return r0, s0
 
 
-def gcd_many(polys: Sequence[UPoly]) -> UPoly:
+def gcd_many(polys: Iterable[UPoly]) -> UPoly:
     acc: UPoly = ZERO
     for p in polys:
-        acc = gcd(acc, p)
-        if is_const(acc) and acc:
+        acc = gcd(acc, p) if acc else p  # not made monic: gcd's exits keep ints
+        if len(acc) == 1:
             return ONE
-    return acc
+    return monic(acc)
 
 
 def content_int(f: UPoly) -> Fraction:

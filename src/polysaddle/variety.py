@@ -30,9 +30,9 @@ Outline:
   variety is the factor's zero set together with the cofactors'.  A
   coprime pair is projected exactly, reusing the closed forms above; the
   roots of the gcd of Res_y(p, q) and every Res_y(p, r) are a complete
-  candidate set for the x-coordinates of common zeros.  An image mod
-  2^61 - 1 may still prove that gcd constant; otherwise its squarefree
-  part is the fiber.
+  candidate set for the x-coordinates of common zeros; the squarefree
+  part of that gcd is the fiber.  No image is taken before the gcds in
+  Q[x]: the first image of their modular gcd most often is the proof.
 
 Witnesses are exact rational points whenever the relevant fibers have
 rational roots, and otherwise certified isolating boxes from
@@ -180,11 +180,7 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         return None
     yfree = [p for p in polys if bp.deg_y(p) == 0]
     if yfree:
-        us = [bp.to_upoly_x(p) for p in yfree]
-        # one image proves most pairs coprime, far cheaper than Euclid in Q[x]
-        if len(us) > 1 and modp.coprime_images(*(modp.image(u[::-1]) for u in us[:2])):
-            return None
-        G = upoly.gcd_many(us)
+        G = upoly.gcd_many([bp.to_upoly_x(p) for p in yfree])
         if upoly.degree(G) < 1:
             return None
         rest = [p for p in polys if bp.deg_y(p) > 0]
@@ -212,18 +208,13 @@ def _decide_plane(polys: list[BiPoly], depth: int) -> Locus | None:
         if sub is not None:
             return sub
         return _decide_plane([bp.exact_div(p, h), bp.exact_div(q, h)] + others, depth + 1)
-    exact = (R if R is not None else bp.to_upoly_x(bp.resultant(p, r))
-             for r, (R, _) in zip(polys[1:], projs))
-    G = next(exact)  # not zero: p and q are coprime, of positive y-degree
+    # every common zero projects to a root of the gcd G of the resultants
+    # (the first is not zero: p and q are coprime; a zero one leaves G);
+    # gcd_many stops at a constant G, before another exact resultant
+    G = upoly.gcd_many(R if R is not None else bp.to_upoly_x(bp.resultant(p, r))
+                       for r, (R, _) in zip(polys[1:], projs))
     if upoly.degree(G) < 1:
         return None
-    # every common zero projects to a root of the gcd G of the resultants; a
-    # zero one (r shares a factor with p) leaves G as it is, since
-    # gcd(G, 0) = G.  G against the first Res_y(p, r) was tried on images.
-    for k, Rr in enumerate(exact):
-        if k and modp.coprime_images(modp.image(G[::-1]), modp.image(Rr[::-1])):
-            return None
-        G = upoly.gcd(G, Rr)
     return _decide_fiber(upoly.squarefree_part(G), [_to_ypoly(t) for t in polys], depth + 1)
 
 

@@ -229,21 +229,40 @@ def reference_gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
+def euclid_gcd(f: up.UPoly, g: up.UPoly) -> up.UPoly:
+    """Monic gcd in Q[t] by Euclid's remainder loop over Q; gcd(0, 0) = 0.
+    The route that upoly.gcd took before it ran bipoly's modular gcd, kept
+    as the oracle for it, and for prs_gcd's y-contents, so that neither
+    oracle runs the gcd it checks."""
+    while g:
+        f, g = g, up.rem(f, g)
+    return up.monic(f)
+
+
+def _euclid_content_y(f: bp.BiPoly) -> up.UPoly:
+    """bipoly.content_y by euclid_gcd."""
+    acc = up.ZERO
+    for c in bp.coeffs_wrt_y(f):
+        acc = euclid_gcd(acc, c)
+    return acc
+
+
 def prs_gcd(f: bp.BiPoly, g: bp.BiPoly) -> bp.BiPoly:
     """gcd(f, g) for nonzero f, g: the gcd of the y-contents times the
     subresultant PRS gcd (bipoly._subresultant_prs) of the primitive parts.
     The route that decided every gcd before the modular one, kept as the
     oracle for bipoly.gcd; it takes 16-30 s on the pairs of degree 16-17
-    that scripts/bench_layers.py builds from 16 lines."""
-    cf, cg = bp.content_y(f), bp.content_y(g)
-    cont = up.gcd(cf, cg)
+    that scripts/bench_layers.py builds from 16 lines.  Its gcds in Q[x]
+    are euclid_gcd's, since upoly.gcd runs the modular gcd too."""
+    cf, cg = _euclid_content_y(f), _euclid_content_y(g)
+    cont = euclid_gcd(cf, cg)
     fp = f if cf == up.ONE else bp.exact_div(f, bp.from_upoly_x(cf))
     gp = g if cg == up.ONE else bp.exact_div(g, bp.from_upoly_x(cg))
     pp = bp.ONE
     if bp.deg_y(fp) > 0 and bp.deg_y(gp) > 0:
         s, r, _, _ = bp._subresultant_prs(fp, gp)
         if not r:
-            cs = bp.content_y(s)
+            cs = _euclid_content_y(s)
             pp = s if cs == up.ONE else bp.exact_div(s, bp.from_upoly_x(cs))
     return bp.normalize(bp.mul(bp.from_upoly_x(cont), pp))
 

@@ -445,8 +445,7 @@ def test_gcd_fixed_cases(f, g, want):
 
 
 def test_coprime_images_start_from_the_free_terms(monkeypatch):
-    # the image at t = 0 is read off the terms free of the variable set to
-    # t: at x = 0 for the first direction, at y = 0 for the swapped one
+    # the image at t = 0 is read off the terms free of x
     seen = []
     kernel = modp.gcd
 
@@ -459,11 +458,12 @@ def test_coprime_images_start_from_the_free_terms(monkeypatch):
     # and the x = 0 image alone proves the lines coprime
     assert bp.gcd(bp.parse("3*x + 2*y + 1"), bp.parse("x - 5*y + 7")) == bp.ONE
     assert seen == [([2, 1], [P61 - 5, 7])]
-    # no y-coefficient is constant: the y = 0 image is taken too
+    # no y-coefficient is constant: the gcd in Q[x] of the y-coefficients
+    # follows, here by upoly.gcd's exit for degree 1, with no further image
     seen.clear()
     f, g = bp.parse("x*y^2 + 4*y^2 + 2*x*y + x + 3"), bp.parse("x*y^2 + x*y - 5*x + 2")
     assert bp.gcd(f, g) == bp.ONE
-    assert seen == [([4, 0, 3], [0, 0, 2]), ([1, 3], [P61 - 5, 2])]
+    assert seen == [([4, 0, 3], [0, 0, 2])]
     # with no constant term, both images at t = 0 are divisible by the
     # kept variable and prove nothing, so the first point is t = 1
     seen.clear()
@@ -525,10 +525,31 @@ def test_primes_descend_from_the_mersenne_prime():
 ])
 def test_gcd_planted_x_only_factor(f, g, want):
     # a common factor in Q[x] passes the x = t images and is the gcd of
-    # the y-contents; the y = t images are skipped only when one of those
-    # is 1, and gcd(f, g) must agree with the PRS oracle either way
+    # the y-contents; it is taken only when neither of those is 1, and
+    # gcd(f, g) must agree with the PRS oracle either way
     f, g = bp.parse(f), bp.parse(g)
     assert bp.gcd(f, g) == bp.gcd(g, f) == prs_gcd(f, g) == bp.parse(want)
+
+
+# x-only polynomials with a nonzero constant term, so that no monomial
+# content is split off
+x_only = st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=4).filter(
+    lambda cs: cs[0] and cs[-1]).map(lambda cs: {(i, 0): c for i, c in enumerate(cs) if c})
+
+
+@given(bipolys(3), bipolys(3), x_only, x_only)
+@settings(max_examples=150, deadline=None)
+def test_gcd_x_only_factor_without_unit_content(a, b, c, d):
+    # every y-coefficient of f and g is a multiple of c, so neither has a
+    # unit y-content: once an image proves that no common factor has
+    # positive y-degree, the gcd is that of all their y-coefficients in
+    # Q[x], the route that replaced a second run with x and y exchanged
+    f, g = bp.mul(c, bp.mul(a, d)), bp.mul(c, b)
+    if bp.is_zero(f) or bp.is_zero(g):
+        return
+    want = prs_gcd(f, g)
+    assert bp.divides(bp.normalize(c), want)
+    assert bp.gcd(f, g) == bp.gcd(g, f) == want
 
 
 single_terms = st.builds(lambda e, c: {e: c}, exps, rats.filter(bool))

@@ -201,6 +201,20 @@ def test_dense_pair_16_cz_bounded(capsys, tmp_path):
     assert json.loads(out)["results"]["overall"]["status"] == "Holds"
 
 
+def test_dense_sing_8_cz_fails_at_the_origin(capsys, tmp_path):
+    # the dense-sing-8 draw of scripts/scale_ladder.py, built here: curve 1
+    # is singular at the origin, and the exact route's gcd in Q[x] of two
+    # resultants of degree 56 took about 35 s by Euclid over Q
+    ladder = runpy.run_path(os.path.join(os.path.dirname(HERE), "scripts", "scale_ladder.py"))
+    path = write_problem(tmp_path, ladder["problem"]("dense-sing", 8))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "cz", path, "--format", "json")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 1, out
+    overall = json.loads(out)["results"]["overall"]
+    assert overall["status"] == "Fails" and overall["witness"] == {"x": "0", "y": "0"}
+
+
 @pytest.mark.parametrize("command", ["analyze", "all"])
 def test_critical_values_computed_once_per_command(capsys, monkeypatch, command):
     # analyze passes gcd(P0, Q0) to critical_levels and adds the level 0

@@ -40,3 +40,11 @@ def test_scale_ladder_src_must_be_distinct_label_dir_pairs(capsys, srcs):
     with pytest.raises(SystemExit) as e:
         main([a for s in srcs for a in ("--src", s)])
     assert e.value.code == 2 and "--src" in capsys.readouterr().err
+
+
+def test_scale_ladder_runs_the_singular_dense_pair(capsys):
+    # cz Fails condition (i) on dense-sing-6, in one CLI process: exit 1
+    main = runpy.run_path(os.path.join(SCRIPTS, "scale_ladder.py"))["main"]
+    assert main(["--family", "dense-sing", "--sizes", "6", "--commands", "cz"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].rstrip()
+    assert row.startswith("dense-sing-6 cz ") and row.endswith("s (1)"), row

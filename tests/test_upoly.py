@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from polysaddle import arith, modp
 from polysaddle import upoly as up
 
-from conftest import reference_gcd_mod_p, upoly_divides
+from conftest import euclid_gcd, reference_gcd_mod_p, upoly_divides
 
 rats = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
@@ -72,6 +72,54 @@ def test_gcd_common_factor_property(a, b, c):
     if not up.is_zero(c) and not (up.is_zero(a) and up.is_zero(b)):
         # gcd(ac, bc) is divisible by c
         assert upoly_divides(c, g)
+
+
+big = st.integers(min_value=-2**100, max_value=2**100)
+
+
+def big_upolys(max_deg):
+    return st.lists(big, max_size=max_deg + 1).map(up.make)
+
+
+@given(st.one_of(upolys(4), big_upolys(3)), st.one_of(upolys(4), big_upolys(3)),
+       st.one_of(upolys(3), big_upolys(2)), st.integers(0, 2), st.integers(0, 2))
+@example((), (), (), 0, 0)
+@example((), (3,), (), 0, 0)
+@example((Fraction(1, 2),), (0, 1), (1,), 0, 0)
+@settings(max_examples=200, deadline=None)
+def test_gcd_matches_euclid(a, b, c, m, n):
+    # c is a planted common factor when nonconstant; t^m and t^n make
+    # operands divisible by t; zero and constant operands are included
+    f = up.mul((0,) * m + (1,), up.mul(a, c))
+    g = up.mul((0,) * n + (1,), up.mul(b, c))
+    assert up.gcd(f, g) == up.gcd(g, f) == euclid_gcd(f, g)
+
+
+lines = st.tuples(st.one_of(rats, big), st.one_of(rats, big).filter(bool)).map(up.make)
+
+
+@given(lines, st.one_of(upolys(5), big_upolys(4)), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_gcd_of_a_degree_1_operand(line, b, share):
+    # a + b t divides the other operand exactly when that vanishes at
+    # -a/b; shared roots are planted, and random ones most often differ
+    g = up.mul(line, b) if share else b
+    assert up.gcd(line, g) == up.gcd(g, line) == euclid_gcd(line, g)
+
+
+P61 = modp.PRIME
+
+
+@pytest.mark.parametrize("f,g", [
+    # the images mod 2^61 - 1 share t^2, which the pair does not
+    ((P61 * 2, P61, 2, 1), (0, 0, 3, 1)),
+    # 2^61 - 1 divides both leading coefficients
+    ((1, 1, 0, P61), (0, 2, 0, P61)),
+    # a true gcd t - 1 below the images' (t - 1) t^2
+    ((-P61, P61, -1, 1), (-2 * P61, 2 * P61, -1, 1)),
+])
+def test_gcd_past_an_unlucky_prime(f, g):
+    assert up.gcd(f, g) == up.gcd(g, f) == euclid_gcd(f, g)
 
 
 def coprime_image(f, g):
