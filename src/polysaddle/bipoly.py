@@ -27,13 +27,14 @@ its number of term pairs, take the schoolbook loop, run on the same
 cleared numerators.
 
 A gcd with a nonzero constant operand is 1 at once.  Otherwise the
-monomial content of each operand is split off, and what is left goes to
-Brown's modular gcd (J. ACM 18, 1971) on modp's kernel: images at x = t
-mod primes below 2^61, Newton interpolation in x, the CRT across primes,
-and exact trial division, which proves the result.  An image gcd of
-y-degree 0 proves at once that no common factor has positive y-degree,
-so a coprime pair most often ends at its first image mod 2^61 - 1, and
-then at the gcd in Q[x] of its y-coefficients unless one is constant;
+monomial content of each operand is split off; two operands free of y
+then take upoly.gcd in x, and any other pair goes to Brown's modular
+gcd (J. ACM 18, 1971) on modp's kernel: images at x = t mod primes
+below 2^61, Newton interpolation in x, the CRT across primes, and exact
+trial division, which proves the result.  An image gcd of y-degree 0
+proves at once that no common factor has positive y-degree, so a
+coprime pair most often ends at its first image mod 2^61 - 1, and then
+at the gcd in Q[x] of its y-coefficients unless one is constant;
 upoly.gcd runs this routine too.  Two images of degree 1 are decided by
 one 2x2 determinant.  A failed trial division at unlucky points keeps
 its prime and takes further points there.
@@ -41,11 +42,12 @@ its prime and takes further points there.
 A resultant with respect to y against an operand linear in y, b1 y + b0,
 is the closed form sum_k f_k b0^k (-b1)^(m-k) over the other operand's
 y-coefficients f_k, by Horner.  When both y-degrees are at least 2 it
-comes from a subresultant polynomial remainder sequence over Q[x][y]:
-its last, y-free remainder is the resultant up to a power of the last
-scale factor (Brown & Traub, J. ACM 18, 1971).  Every intermediate
-value stays exact.  The parser reads tokens off one regular expression,
-sums in place, and multiplies and raises monomials without mul.
+is lifted by the CRT from its images modp.resultant_image mod primes
+below 2^61, until their product exceeds twice Hadamard's bound on its
+coefficients (Collins, J. ACM 18, 1971): the kernel of the image proofs
+gives the exact value too.  The parser reads tokens off one regular
+expression, sums in place, and multiplies and raises monomials without
+mul.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import itemgetter
 
 from . import modp, upoly
 from .upoly import UPoly, _coeff, _div
@@ -355,7 +358,7 @@ def divides(g: BiPoly, f: BiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Content/primitive machinery over Q[x][y] and the subresultant gcd.
+# Content/primitive machinery over Q[x][y].
 
 def coeffs_wrt_y(f: BiPoly) -> list[UPoly]:
     """Coefficients of y^0, y^1, ... as univariate polynomials in x."""
@@ -406,11 +409,6 @@ def normalize(f: BiPoly) -> BiPoly:
     return {e: c.numerator * (den // c.denominator) // num for e, c in f.items()}
 
 
-def _lc_y(f: BiPoly) -> BiPoly:
-    d = deg_y(f)
-    return {(i, 0): c for (i, j), c in f.items() if j == d}
-
-
 def first_regular_x(f: BiPoly) -> int:
     """The least natural x0 at which lc_y(f) does not vanish, so that
     f(x0, y) keeps the y-degree of f; f must be nonzero."""
@@ -418,62 +416,6 @@ def first_regular_x(f: BiPoly) -> int:
     while not sum(c * x0 ** i for (i, j), c in f.items() if j == d):
         x0 += 1
     return x0
-
-
-def _ypow(n: int) -> BiPoly:
-    return {(0, n): 1}
-
-
-def _prem_y(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Pseudo-remainder of a by b with respect to y: lc_y(b)^(da-db+1) * a
-    reduced by b, computed fraction-free."""
-    da, db = deg_y(a), deg_y(b)
-    lb = _lc_y(b)
-    e = da - db + 1
-    r = a
-    while r and deg_y(r) >= db:
-        lr = _lc_y(r)
-        r = sub(mul(lb, r), mul(mul(lr, _ypow(deg_y(r) - db)), b))
-        e -= 1
-    if e > 0:
-        r = mul(power(lb, e), r)
-    return r
-
-
-def _subresultant_prs(a: BiPoly, b: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly, int]:
-    """Subresultant PRS of a and b over Q[x][y] (Brown & Traub, J. ACM 18,
-    1971), both of y-degree >= 1, run until a remainder has y-degree <= 0.
-
-    Returns (s, r, h, sign): s is the last entry of positive y-degree, r
-    the y-free (possibly zero) remainder after it, h the last scale
-    factor and sign the sign Res_y(a, b) picks up from exchanging
-    operands of odd y-degree.
-    r = 0 exactly when a and b share a factor of positive y-degree, and
-    then s is that gcd up to a factor in Q[x]; otherwise
-    Res_y(a, b) = sign * r^n / h^(n-1) with n = deg_y(s).
-    """
-    sign = 1
-    if deg_y(a) < deg_y(b):
-        a, b = b, a
-        if deg_y(a) % 2 and deg_y(b) % 2:
-            sign = -1
-    g = h = ONE
-    while True:
-        da, db = deg_y(a), deg_y(b)
-        if da % 2 and db % 2:
-            sign = -sign
-        d = da - db
-        r = _prem_y(a, b)
-        if r:
-            r = exact_div(r, mul(g, power(h, d)))
-        a, b = b, r
-        g = _lc_y(a)
-        if d == 1:
-            h = g
-        elif d > 1:
-            h = exact_div(power(g, d), power(h, d - 1))
-        if deg_y(r) <= 0:
-            return a, r, h, sign
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +443,9 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     divisible by x or y, and the shifted gcd stays normalized, since
     graded lex is a monomial order and keeps its leading term.  A
     single-term operand leaves a constant, so its gcd is that monomial.
-    The modular gcd decides gcd(f', g') (_gcd_modular); on a coprime
-    pair its first image is most often the whole proof.
+    Two operands free of y take upoly.gcd in x; the modular gcd decides
+    every other gcd(f', g') (_gcd_modular), and on a coprime pair its
+    first image is most often the whole proof.
     """
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
@@ -515,7 +458,12 @@ def gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     (a, b), f = _split_monomial(f)
     (c, d), g = _split_monomial(g)
     a, b = min(a, c), min(b, d)
-    h = ONE if is_const(f) or is_const(g) else _gcd_modular(f, g)
+    if is_const(f) or is_const(g):
+        h = ONE
+    elif not any(map(itemgetter(1), f)) and not any(map(itemgetter(1), g)):  # free of y
+        h = normalize(from_upoly_x(upoly.gcd(to_upoly_x(f), to_upoly_x(g))))
+    else:
+        h = _gcd_modular(f, g)
     if a or b:
         return {(i + a, j + b): v for (i, j), v in h.items()}
     return h
@@ -651,7 +599,7 @@ def _gcd_modular(f: BiPoly, g: BiPoly) -> BiPoly:
 
 # ---------------------------------------------------------------------------
 # Resultants: a closed form against an operand linear in y, else the
-# subresultant PRS.
+# CRT lift of modp's images.
 
 def _resultant_linear(f: BiPoly, g: BiPoly) -> BiPoly:
     """Res_y(f, g) for g = b1 y + b0 of y-degree 1 and f = sum_k f_k y^k
@@ -683,8 +631,20 @@ def resultant(f: BiPoly, g: BiPoly) -> BiPoly:
     degenerate degree-0 operands directly.  When an operand is linear in
     y, the value is the closed form of _resultant_linear, with
     Res_y(f, g) = (-1)^(deg_y g) Res_y(g, f) when f is the linear one.
-    Otherwise it is read off the last remainder of the subresultant PRS
-    (see _subresultant_prs).
+
+    Otherwise, with df = deg_y f and dg = deg_y g, F = den_f f and
+    G = den_g g have integer coefficients and Res_y(F, G) =
+    den_f^dg den_g^df Res_y(f, g), lifted from images mod primes (Collins,
+    J. ACM 18, 1971).  At a point x = t where neither lc_y vanishes mod
+    p, F and G keep their y-degrees, so Res_y(F, G) mod p specializes to
+    the univariate resultant of their images; its x-degree bound + 1 such
+    points give Res_y(F, G) mod p (modp.resultant_image).  A prime that
+    divides every coefficient of an lc_y has no such points and is
+    skipped.  A coefficient of Res_y(F, G) is at most its maximum on
+    |x| = 1, where |F_k(x)| <= ||F_k||_1, so Hadamard's bound on the
+    Sylvester matrix bounds it by B = (sum_k ||F_k||_1^2)^(dg/2)
+    (sum_k ||G_k||_1^2)^(df/2).  Once the product m of the primes exceeds
+    2B, the symmetric lift of the images into (-m/2, m/2] is exact.
     """
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
@@ -696,11 +656,25 @@ def resultant(f: BiPoly, g: BiPoly) -> BiPoly:
     if df == 1:
         r = _resultant_linear(g, f)
         return neg(r) if dg % 2 else r
-    s, r, h, sign = _subresultant_prs(f, g)
-    n = deg_y(s)
-    if r and n > 1:
-        r = exact_div(power(r, n), power(h, n - 1))
-    return neg(r) if sign < 0 else r
+    fv, fden = _numerators(f)
+    gv, gden = _numerators(g)
+    F, G = dict(zip(f, fv)), dict(zip(g, gv))
+    sf, sg = (sum(sum(map(abs, c)) ** 2 for c in coeffs_wrt_y(P)) for P in (F, G))
+    bound = math.isqrt(sf ** dg * sg ** df) + 1
+    lift: list[int] = []
+    m = 1
+    for p in map(modp.prime, count()):
+        img = modp.resultant_image(F, G, p)
+        if not img:
+            continue
+        u = pow(m, -1, p)
+        lift = [r + m * ((c - r) * u % p) for r, c in zip(lift or [0] * len(img), img)]
+        m *= p
+        if m > 2 * bound:
+            break
+    den = fden ** dg * gden ** df
+    return {(i, 0): _div(c if 2 * c <= m else c - m, den)
+            for i, c in enumerate(reversed(lift)) if c}
 
 
 def det_bareiss(mat: list[list[BiPoly]]) -> BiPoly:

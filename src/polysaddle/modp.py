@@ -6,7 +6,9 @@ a bivariate one, a list of residue terms (i, j, c) for c x^i y^j.  One
 image mod PRIME most often proves two polynomials coprime (coprime_images;
 Brown, J. ACM 18, 1971); bipoly's modular gcd runs on the same Euclid
 (gcd), images and Newton interpolation, and resultant_image takes Res_y
-by one univariate resultant per point (Collins, J. ACM 18, 1971).
+mod p by one univariate resultant per point.  The exact Res_y of
+bipoly.resultant, when both y-degrees are at least 2, is the CRT lift of
+resultant_image over primes (Collins, J. ACM 18, 1971).
 """
 
 from __future__ import annotations
@@ -205,31 +207,31 @@ def coprime_images(a: list[int], b: list[int]) -> bool:
     return bool(a and b and (a[0] or b[0])) and len(gcd(a, b)) == 1
 
 
-def resultant_image(f: TermDict, g: TermDict) -> list[int]:
-    """Res_y(den(f) f, den(g) g) mod PRIME, f and g of y-degree >= 1, as
-    bound + 1 residues, highest degree first, bound = min(deg f deg g,
+def resultant_image(f: TermDict, g: TermDict, p: int = PRIME) -> list[int]:
+    """Res_y(den(f) f, den(g) g) mod p, p prime, f and g of y-degree >= 1,
+    as bound + 1 residues, highest degree first, bound = min(deg f deg g,
     deg_y f deg_x g + deg_y g deg_x f), which bounds its x-degree (Bezout;
-    the Sylvester matrix); [] when an lc_y of them vanishes mod PRIME.
+    the Sylvester matrix); [] when an lc_y of them vanishes mod p.
 
-    At x = t where neither lc_y vanishes mod PRIME, both keep their
+    At x = t where neither lc_y vanishes mod p, both keep their
     y-degrees, so Res_y specializes to the univariate resultant of the
     images; bound + 1 such points give the image by Newton interpolation.
     Its first entry is nonzero exactly when the image reaches the bound,
-    and then PRIME does not divide the leading coefficient, as
-    coprime_images requires."""
+    and then p does not divide the leading coefficient, as
+    coprime_images requires of an image mod PRIME."""
     fx, fy = max(i for i, _ in f), max(j for _, j in f)
     gx, gy = max(i for i, _ in g), max(j for _, j in g)
     bound = min(max(map(sum, f)) * max(map(sum, g)), fy * gx + gy * fx)
-    polys = [(residue_terms(f, PRIME), fy), (residue_terms(g, PRIME), gy)]
+    polys = [(residue_terms(f, p), fy), (residue_terms(g, p), gy)]
     ts, vals, t, bad = [], [], 0, 0
     while len(ts) <= bound:
-        a, b = images(polys, t, max(fx, gx), PRIME)
+        a, b = images(polys, t, max(fx, gx), p)
         if a[0] and b[0]:
             ts.append(t)
-            vals.append([resultant(a, b, PRIME)])
+            vals.append([resultant(a, b, p)])
         else:
             bad += 1
             if bad > fx + gx:  # more roots than lc_y(f) lc_y(g) can have
                 return []
         t += 1
-    return interpolate(ts, vals, PRIME)[0][::-1]
+    return interpolate(ts, vals, p)[0][::-1]

@@ -65,7 +65,7 @@ def _at(f: BiPoly, x0: int) -> UPoly:
 def _level_product(f: UPoly, h: UPoly) -> UPoly:
     """A polynomial in c whose roots are the -h(t_k), t_k the roots of f
     (positive degree): Res_t(f*, (h mod f*) + c) for the squarefree part
-    f* of f, which has those roots and keeps the remainder sequence short.
+    f* of f, which has those roots and keeps the Sylvester matrix small.
     c rides in the x slot, so every y-coefficient is a polynomial in c."""
     f = upoly.squarefree_part(f)
     h = upoly.rem(h, f)

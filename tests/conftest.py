@@ -247,20 +247,84 @@ def _euclid_content_y(f: bp.BiPoly) -> up.UPoly:
     return acc
 
 
+def _lc_y(f: bp.BiPoly) -> bp.BiPoly:
+    d = bp.deg_y(f)
+    return {(i, 0): c for (i, j), c in f.items() if j == d}
+
+
+def _ypow(n: int) -> bp.BiPoly:
+    return {(0, n): 1}
+
+
+def _prem_y(a: bp.BiPoly, b: bp.BiPoly) -> bp.BiPoly:
+    """Pseudo-remainder of a by b with respect to y: lc_y(b)^(da-db+1) * a
+    reduced by b, computed fraction-free."""
+    da, db = bp.deg_y(a), bp.deg_y(b)
+    lb = _lc_y(b)
+    e = da - db + 1
+    r = a
+    while r and bp.deg_y(r) >= db:
+        lr = _lc_y(r)
+        r = bp.sub(bp.mul(lb, r), bp.mul(bp.mul(lr, _ypow(bp.deg_y(r) - db)), b))
+        e -= 1
+    if e > 0:
+        r = bp.mul(bp.power(lb, e), r)
+    return r
+
+
+def _subresultant_prs(a: bp.BiPoly, b: bp.BiPoly
+                      ) -> tuple[bp.BiPoly, bp.BiPoly, bp.BiPoly, int]:
+    """Subresultant PRS of a and b over Q[x][y] (Brown & Traub, J. ACM 18,
+    1971), both of y-degree >= 1, run until a remainder has y-degree <= 0.
+
+    Returns (s, r, h, sign): s is the last entry of positive y-degree, r
+    the y-free (possibly zero) remainder after it, h the last scale
+    factor and sign the sign Res_y(a, b) picks up from exchanging
+    operands of odd y-degree.
+    r = 0 exactly when a and b share a factor of positive y-degree, and
+    then s is that gcd up to a factor in Q[x]; otherwise
+    Res_y(a, b) = sign * r^n / h^(n-1) with n = deg_y(s).
+    """
+    sign = 1
+    if bp.deg_y(a) < bp.deg_y(b):
+        a, b = b, a
+        if bp.deg_y(a) % 2 and bp.deg_y(b) % 2:
+            sign = -1
+    g = h = bp.ONE
+    while True:
+        da, db = bp.deg_y(a), bp.deg_y(b)
+        if da % 2 and db % 2:
+            sign = -sign
+        d = da - db
+        r = _prem_y(a, b)
+        if r:
+            r = bp.exact_div(r, bp.mul(g, bp.power(h, d)))
+        a, b = b, r
+        g = _lc_y(a)
+        if d == 1:
+            h = g
+        elif d > 1:
+            h = bp.exact_div(bp.power(g, d), bp.power(h, d - 1))
+        if bp.deg_y(r) <= 0:
+            return a, r, h, sign
+
+
 def prs_gcd(f: bp.BiPoly, g: bp.BiPoly) -> bp.BiPoly:
     """gcd(f, g) for nonzero f, g: the gcd of the y-contents times the
-    subresultant PRS gcd (bipoly._subresultant_prs) of the primitive parts.
+    subresultant PRS gcd (_subresultant_prs) of the primitive parts.
     The route that decided every gcd before the modular one, kept as the
-    oracle for bipoly.gcd; it takes 16-30 s on the pairs of degree 16-17
-    that scripts/bench_layers.py builds from 16 lines.  Its gcds in Q[x]
-    are euclid_gcd's, since upoly.gcd runs the modular gcd too."""
+    oracle for bipoly.gcd together with its PRS, which also took every
+    exact resultant of two y-degrees of at least 2 before bipoly lifted
+    them from images mod primes; it takes 16-30 s on the pairs of degree
+    16-17 that scripts/bench_layers.py builds from 16 lines.  Its gcds in
+    Q[x] are euclid_gcd's, since upoly.gcd runs the modular gcd too."""
     cf, cg = _euclid_content_y(f), _euclid_content_y(g)
     cont = euclid_gcd(cf, cg)
     fp = f if cf == up.ONE else bp.exact_div(f, bp.from_upoly_x(cf))
     gp = g if cg == up.ONE else bp.exact_div(g, bp.from_upoly_x(cg))
     pp = bp.ONE
     if bp.deg_y(fp) > 0 and bp.deg_y(gp) > 0:
-        s, r, _, _ = bp._subresultant_prs(fp, gp)
+        s, r, _, _ = _subresultant_prs(fp, gp)
         if not r:
             cs = _euclid_content_y(s)
             pp = s if cs == up.ONE else bp.exact_div(s, bp.from_upoly_x(cs))

@@ -511,6 +511,25 @@ def test_gcd_keeps_a_prime_past_unlucky_points(monkeypatch):
     assert len(set(primes)) <= 2, primes
 
 
+def test_gcd_free_of_y_runs_the_modular_gcd_once(monkeypatch):
+    # two operands free of y go to upoly.gcd in x, whose modular gcd runs
+    # once, on them as polynomials in y
+    calls = []
+    inner = bp._gcd_modular
+
+    def counting(f, g):
+        calls.append((f, g))
+        return inner(f, g)
+
+    monkeypatch.setattr(bp, "_gcd_modular", counting)
+    for f, g, want in [("x^2 - 2", "x^2 + x + 1", "1"),
+                       ("(x - 1)*(x + 2)", "(x - 1)*(2*x + 3)", "x - 1")]:
+        calls.clear()
+        f, g = bp.parse(f), bp.parse(g)
+        assert bp.gcd(f, g) == bp.parse(want)
+        assert calls == [(bp.swap_vars(f), bp.swap_vars(g))]
+
+
 def test_primes_descend_from_the_mersenne_prime():
     # the modular gcd's primes: 2^61 - 1, then each next prime below
     assert [(1 << 61) - modp.prime(k) for k in range(6)] == [1, 31, 45, 229, 259, 283]
@@ -706,29 +725,38 @@ def test_sylvester_convention():
     assert bp.resultant(f, g) == bp.parse("1 - x")
 
 
-def _with_y_degree(rng, dy, dx=2):
+def _with_y_degree(rng, dy, dx=2, coeff=None):
     """Random polynomial of y-degree exactly dy and x-degree at most dx,
-    rational coefficients on a random support."""
+    rational coefficients (or coeff(rng)'s) on a random support."""
+    coeff = coeff or (lambda rng: random_rat(rng, 6))
     while True:
-        f = {(i, j): random_rat(rng, 6) for i in range(dx + 1) for j in range(dy + 1)
+        f = {(i, j): coeff(rng) for i in range(dx + 1) for j in range(dy + 1)
              if j == dy or rng.random() < 0.6}
         f = {e: c for e, c in f.items() if c}
         if bp.deg_y(f) == dy:
             return f
 
 
+def _wide_int(rng):
+    return rng.randint(-2**100, 2**100)
+
+
 def _resultant_pairs(n):
-    """n seeded pairs (kind, f, g), cycling through four kinds: y-degrees
+    """n seeded pairs (kind, f, g), cycling through seven kinds: y-degrees
     1 and 3 in either order (both odd, so the order flips the sign), a
-    planted common factor of positive y-degree, a degree-1 operand, and
-    y-degrees in 1..3 drawn freely."""
+    planted common factor of positive y-degree, a degree-1 operand,
+    y-degrees in 1..3 drawn freely, and three with both y-degrees in 2..3,
+    which the CRT lift takes: integer coefficients of about 100 bits, so
+    that it needs at least 3 primes, Fractions with denominators, and an
+    lc_y of f whose coefficients are all multiples of 2^61 - 1, so that
+    the first prime is skipped."""
     rng = random.Random(8088)
     out = []
     for k in range(n):
-        kind = ("odd-swap", "planted", "linear", "free")[k % 4]
+        kind = ("odd-swap", "planted", "linear", "free", "wide", "fraction", "skip")[k % 7]
         if kind == "odd-swap":
             f, g = _with_y_degree(rng, 1), _with_y_degree(rng, 3)
-            if k % 8 == 4:
+            if k % 14 == 7:
                 f, g = g, f
         elif kind == "planted":
             c = _with_y_degree(rng, rng.randint(1, 2), dx=1)
@@ -736,19 +764,31 @@ def _resultant_pairs(n):
             g = bp.mul(_with_y_degree(rng, rng.randint(0, 1), dx=1), c)
         elif kind == "linear":
             f, g = _with_y_degree(rng, 1), _with_y_degree(rng, rng.randint(1, 3))
-        else:
+        elif kind == "free":
             f, g = _with_y_degree(rng, rng.randint(1, 3)), _with_y_degree(rng, rng.randint(1, 3))
+        elif kind == "wide":
+            f, g = (_with_y_degree(rng, rng.randint(2, 3), coeff=_wide_int) for _ in "fg")
+        else:
+            f, g = _with_y_degree(rng, rng.randint(2, 3)), _with_y_degree(rng, rng.randint(2, 3))
+            if kind == "fraction" and all(c.denominator == 1 for c in (*f.values(), *g.values())):
+                f = bp.scalar_mul(Fraction(1, 7), f)
+            if kind == "skip":
+                d = bp.deg_y(f)
+                f = {(i, j): c * P61 if j == d else c for (i, j), c in f.items()}
         out.append((kind, f, g))
     return out
 
 
 def test_resultant_matches_bareiss_on_sylvester():
-    pairs = _resultant_pairs(320)
+    pairs = _resultant_pairs(560)
     for kind, f, g in pairs:
         want = bp.det_bareiss(sylvester_y(f, g))
-        assert bp.resultant(f, g) == want, (kind, bp.to_string(f), bp.to_string(g))
+        got = _typed(bp.resultant(f, g))
+        assert got == want, (kind, bp.to_string(f), bp.to_string(g))
         if kind == "planted":
             assert want == {}
+        if min(bp.deg_y(f), bp.deg_y(g)) >= 2:  # the lift: an int where the value is one
+            assert all(type(c) is int for c in got.values() if c.denominator == 1)
     # the sign flip is exercised: swapping odd-degree operands negates
     _, f, g = pairs[0]
     assert bp.resultant(g, f) == bp.neg(bp.resultant(f, g)) != {}
@@ -782,28 +822,36 @@ def test_resultant_closed_form_matches_bareiss(m, dxf, dxg, swap, fraction, data
 
 
 def test_resultant_routes(monkeypatch):
-    # the closed form when an operand is linear in y, the subresultant PRS
-    # only when both y-degrees are at least 2
+    # the closed form when an operand is linear in y, the CRT lift of
+    # modp.resultant_image only when both y-degrees are at least 2: one
+    # image for small coefficients, 7 for 100-bit ones (Hadamard's bound
+    # is about 2^400), and an empty one at 2^61 - 1, skipped, when 2^61 - 1
+    # divides an lc_y
     calls = []
+    linear, image = bp._resultant_linear, modp.resultant_image
 
-    def counting(name):
-        inner = getattr(bp, name)
+    def counting_linear(*args):
+        calls.append("_resultant_linear")
+        return linear(*args)
 
-        def wrapped(*args):
-            calls.append(name)
-            return inner(*args)
-        return wrapped
+    def counting_image(f, g, p=P61):
+        calls.append(p)
+        return image(f, g, p)
 
-    for name in ("_resultant_linear", "_subresultant_prs"):
-        monkeypatch.setattr(bp, name, counting(name))
-    for f, g, route in [("y^3 - x", "x*y + 1", "_resultant_linear"),
-                        ("x*y + 1", "y^2 - x", "_resultant_linear"),
-                        ("2*y - x", "y + x", "_resultant_linear"),
-                        ("y^2 - x", "y^2 + x*y + 1", "_subresultant_prs")]:
+    monkeypatch.setattr(bp, "_resultant_linear", counting_linear)
+    monkeypatch.setattr(modp, "resultant_image", counting_image)
+    wide = 2**100 + 277
+    for f, g, route in [("y^3 - x", "x*y + 1", ["_resultant_linear"]),
+                        ("x*y + 1", "y^2 - x", ["_resultant_linear"]),
+                        ("2*y - x", "y + x", ["_resultant_linear"]),
+                        ("y^2 - x", "y^2 + x*y + 1", [P61]),
+                        (f"{wide}*y^2 - x", f"y^2 + {wide}*x*y + 1",
+                         [modp.prime(k) for k in range(7)]),
+                        (f"{P61}*x*y^2 - x", "y^2 + x*y + 1", [modp.prime(k) for k in range(4)])]:
         calls.clear()
         f, g = bp.parse(f), bp.parse(g)
         assert bp.resultant(f, g) == bp.det_bareiss(sylvester_y(f, g))
-        assert calls == [route]
+        assert calls == route
 
 
 # squarefree and leading form
